@@ -10,8 +10,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use refrint::experiment::{run_sweep, ExperimentConfig, SweepResults};
+use refrint::experiment::{ExperimentConfig, SweepResults};
 use refrint::figures::{self, AppSelection, HeadlineSummary};
+use refrint::sweep::SweepRunner;
 use refrint_energy::report::NormalizedSeries;
 use refrint_workloads::apps::AppPreset;
 use refrint_workloads::classify::AppClass;
@@ -65,7 +66,10 @@ pub fn experiment(scale: Scale, apps: Option<Vec<AppPreset>>) -> ExperimentConfi
 /// harness only ever uses the paper's valid configurations).
 #[must_use]
 pub fn sweep(cfg: &ExperimentConfig) -> SweepResults {
-    run_sweep(cfg).expect("paper sweep configurations are valid")
+    SweepRunner::new(cfg.clone())
+        .sequential()
+        .run()
+        .expect("paper sweep configurations are valid")
 }
 
 /// One representative application per class — used by the smoke-scale

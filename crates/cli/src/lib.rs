@@ -21,8 +21,6 @@ use refrint_obs::log::LogFormat;
 use refrint_trace::TraceFormat;
 use refrint_workloads::apps::AppPreset;
 
-pub mod json;
-
 /// Returns the value following `name` in `args`, if present.
 #[must_use]
 pub fn opt_value(args: &[String], name: &str) -> Option<String> {

@@ -20,9 +20,10 @@ use std::process::ExitCode;
 
 use refrint::config::SystemConfig;
 use refrint::figures::headline_summary;
+use refrint::json;
 use refrint::sweep::{SweepProgress, SweepRunner};
 use refrint_cli::{
-    json, ObsOptions, OutputFormat, RunOptions, ServeOptions, SweepOptions, TraceInfoOptions,
+    ObsOptions, OutputFormat, RunOptions, ServeOptions, SweepOptions, TraceInfoOptions,
     TraceRecordOptions, TraceReplayOptions,
 };
 use refrint_trace::{TraceFile, TraceSummary};

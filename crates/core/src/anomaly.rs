@@ -35,22 +35,19 @@ const METRICS: [(&str, MetricFn); 2] = [
     ("execution_cycles", |m| m.execution_cycles as f64),
 ];
 
-/// The two quantities anomaly scoring reads from a sweep point. Callers
-/// that hold full [`SimReport`]s go through [`detect_tuned`]; callers that
-/// only hold rendered report JSON (the serve coordinator) parse these two
-/// fields back out and call [`detect_points`] directly.
+/// The two quantities anomaly scoring reads from a sweep point, taken from
+/// a full [`SimReport`] or read back out of a rendered one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PointMetrics {
+pub(crate) struct PointMetrics {
     /// `energy_j.system_total` of the run.
-    pub system_energy_j: f64,
+    pub(crate) system_energy_j: f64,
     /// `execution_cycles` of the run.
-    pub execution_cycles: u64,
+    pub(crate) execution_cycles: u64,
 }
 
 impl PointMetrics {
     /// Extracts the scored metrics from a full report.
-    #[must_use]
-    pub fn of(report: &SimReport) -> Self {
+    pub(crate) fn of(report: &SimReport) -> Self {
         Self {
             system_energy_j: report.breakdown.total_system(),
             execution_cycles: report.execution_cycles,
@@ -81,26 +78,6 @@ pub struct SweepAnomaly {
     pub robust_z: f64,
 }
 
-/// Scores `results` with the default tuning
-/// ([`refrint_obs::anomaly::DEFAULT_THRESHOLD`] over slices of at least
-/// [`refrint_obs::anomaly::MIN_SLICE`]).
-#[must_use]
-pub fn detect(results: &SweepResults) -> Vec<SweepAnomaly> {
-    detect_tuned(results, AnomalyTuning::default())
-}
-
-/// [`detect_tuned`] with only the threshold overridden.
-#[must_use]
-pub fn detect_with(results: &SweepResults, threshold: f64) -> Vec<SweepAnomaly> {
-    detect_tuned(
-        results,
-        AnomalyTuning {
-            threshold,
-            ..AnomalyTuning::default()
-        },
-    )
-}
-
 /// Scores every eDRAM point in `results` against its three axis
 /// neighbourhoods and returns the points whose modified z-score magnitude
 /// reaches the tuning's threshold for some metric (in slices of at least
@@ -110,22 +87,19 @@ pub fn detect_with(results: &SweepResults, threshold: f64) -> Vec<SweepAnomaly> 
 /// deterministic.
 #[must_use]
 pub fn detect_tuned(results: &SweepResults, tuning: AnomalyTuning) -> Vec<SweepAnomaly> {
-    // The points in map order; indices below refer into this list.
-    let points: Vec<((String, u64, String), PointMetrics)> = results
+    let points: Vec<_> = results
         .edram
         .iter()
-        .map(|(key, r)| (key.clone(), PointMetrics::of(r)))
+        .map(|(key, r)| (key, PointMetrics::of(r)))
         .collect();
     detect_points(&points, tuning)
 }
 
-/// [`detect_tuned`] over bare `(key, metrics)` pairs instead of full
-/// [`SweepResults`]. `points` must be sorted ascending by key — the order
-/// a `BTreeMap` iterates in — or the output order (and the slice grouping
-/// tie-breaks) will not match the local sweep path byte for byte.
-#[must_use]
-pub fn detect_points(
-    points: &[((String, u64, String), PointMetrics)],
+/// [`detect_tuned`] over bare `(key, metrics)` pairs, sorted ascending by
+/// key — the order a `BTreeMap` iterates in, which fixes the output order
+/// and the slice grouping tie-breaks.
+pub(crate) fn detect_points(
+    points: &[(&(String, u64, String), PointMetrics)],
     tuning: AnomalyTuning,
 ) -> Vec<SweepAnomaly> {
     debug_assert!(
@@ -151,7 +125,7 @@ pub fn detect_points(
                 let slice: Vec<f64> = indices.iter().map(|&i| values[i]).collect();
                 for flag in flag_outliers_with(&slice, tuning.threshold, tuning.min_slice) {
                     let i = indices[flag.index];
-                    let (workload, retention_us, policy) = &points[i].0;
+                    let (workload, retention_us, policy) = points[i].0;
                     let entry = SweepAnomaly {
                         workload: workload.clone(),
                         retention_us: *retention_us,
@@ -202,7 +176,7 @@ mod tests {
     #[test]
     fn a_real_sweep_is_clean_at_the_default_threshold() {
         let results = small_sweep();
-        let flagged = detect(&results);
+        let flagged = detect_tuned(&results, AnomalyTuning::default());
         assert!(
             flagged.is_empty(),
             "legitimate policy spread must not be flagged: {flagged:?}"
@@ -223,7 +197,7 @@ mod tests {
         let report = results.edram.get_mut(&victim).unwrap();
         report.breakdown.dram *= 400.0;
 
-        let flagged = detect(&results);
+        let flagged = detect_tuned(&results, AnomalyTuning::default());
         assert!(!flagged.is_empty(), "the perturbed point must be flagged");
         for a in &flagged {
             assert_eq!(
@@ -249,13 +223,8 @@ mod tests {
             .unwrap();
         results.edram.get_mut(&victim).unwrap().breakdown.dram *= 400.0;
 
-        let default_flags = detect(&results);
+        let default_flags = detect_tuned(&results, AnomalyTuning::default());
         assert!(!default_flags.is_empty());
-        assert_eq!(
-            default_flags,
-            detect_tuned(&results, AnomalyTuning::default()),
-            "default tuning must reproduce detect() exactly"
-        );
         // A minimum slice larger than any neighbourhood silences the pass.
         let silenced = detect_tuned(&results, AnomalyTuning::new(8.0, 10_000).unwrap());
         assert!(silenced.is_empty(), "min_slice gates scoring: {silenced:?}");

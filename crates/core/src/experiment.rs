@@ -63,29 +63,6 @@ impl fmt::Display for TraceSpec {
     }
 }
 
-/// One eDRAM configuration point of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepPoint {
-    /// Retention time in microseconds (50, 100 or 200 in the paper).
-    pub retention_us: u64,
-    /// The refresh policy (time × data).
-    pub policy: RefreshPolicy,
-}
-
-impl SweepPoint {
-    /// The figure label for this point, e.g. `R.WB(32,32)`.
-    #[must_use]
-    pub fn label(&self) -> String {
-        self.policy.label()
-    }
-}
-
-impl fmt::Display for SweepPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} us / {}", self.retention_us, self.policy)
-    }
-}
-
 /// Configuration of a sweep run.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -332,22 +309,6 @@ impl SweepResults {
     }
 }
 
-/// Runs the sweep described by `config` on the sequential (single-worker)
-/// path. Use [`crate::sweep::SweepRunner`] directly for the parallel runner
-/// and progress streaming; for any worker count the merged results are
-/// identical to this function's.
-///
-/// # Errors
-///
-/// Returns [`RefrintError::InvalidConfig`] if any derived system
-/// configuration is invalid (e.g. a retention time shorter than the sentry
-/// margin).
-pub fn run_sweep(config: &ExperimentConfig) -> Result<SweepResults, RefrintError> {
-    crate::sweep::SweepRunner::new(config.clone())
-        .sequential()
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +338,10 @@ mod tests {
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };
-        let results = run_sweep(&cfg).unwrap();
+        let results = crate::sweep::SweepRunner::new(cfg)
+            .sequential()
+            .run()
+            .unwrap();
         assert_eq!(results.sram.len(), 2);
         assert_eq!(results.edram.len(), 4);
         assert!(results.sram_report(AppPreset::Fft).is_some());
@@ -418,15 +382,5 @@ mod tests {
         };
         assert_eq!(results.apps_in_class(AppClass::Class1).len(), 4);
         assert_eq!(results.apps_in_class(AppClass::Class3).len(), 3);
-    }
-
-    #[test]
-    fn sweep_point_labels() {
-        let p = SweepPoint {
-            retention_us: 50,
-            policy: RefreshPolicy::recommended(),
-        };
-        assert_eq!(p.label(), "R.WB(32,32)");
-        assert!(p.to_string().contains("50 us"));
     }
 }

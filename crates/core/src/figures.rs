@@ -223,7 +223,8 @@ pub fn headline_summary(results: &SweepResults, retention_us: u64) -> Option<Hea
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_sweep, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
+    use crate::sweep::SweepRunner;
     use refrint_edram::policy::{DataPolicy, TimePolicy};
 
     fn tiny_results() -> SweepResults {
@@ -242,7 +243,7 @@ mod tests {
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };
-        run_sweep(&cfg).unwrap()
+        SweepRunner::new(cfg).sequential().run().unwrap()
     }
 
     #[test]

@@ -14,10 +14,15 @@
 //! [`refrint_engine::json`]; non-finite floats (which the energy model
 //! never produces) render as `null`.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+
+use refrint_engine::json::parse;
 pub use refrint_engine::json::{escape, num};
+use refrint_obs::anomaly::AnomalyTuning;
 use refrint_trace::TraceSummary;
 
-use crate::anomaly::{self, SweepAnomaly};
+use crate::anomaly::{self, PointMetrics, SweepAnomaly};
 use crate::experiment::SweepResults;
 use crate::report::SimReport;
 
@@ -62,6 +67,67 @@ pub fn report(r: &SimReport) -> String {
     )
 }
 
+/// A report rendered by [`report`], read back: the text plus the fields a
+/// sweep merge and a progress counter need. This module writes the report
+/// format, so it is also the one place that reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportBody {
+    json: String,
+    metrics: PointMetrics,
+    /// `counts.dl1_accesses` of the run.
+    pub dl1_accesses: u64,
+}
+
+impl ReportBody {
+    /// Reads a rendered report, ignoring surrounding whitespace such as
+    /// the newline a printed or served report ends with. `None` when the
+    /// text is not a report object. The parser round-trips every float
+    /// [`num`] emits, so the scored energy equals the in-process value bit
+    /// for bit.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<ReportBody> {
+        let json = text.trim();
+        let doc = parse(json).ok()?;
+        Some(ReportBody {
+            metrics: PointMetrics {
+                system_energy_j: doc.get("energy_j")?.get("system_total")?.as_num()?,
+                execution_cycles: doc.get("execution_cycles")?.as_u64()?,
+            },
+            dl1_accesses: doc.get("counts")?.get("dl1_accesses")?.as_u64()?,
+            json: json.to_owned(),
+        })
+    }
+}
+
+/// A per-point result a sweep document can be rendered from: a
+/// [`SimReport`] in process, or a [`ReportBody`] received as text.
+pub(crate) trait SweepEntry {
+    /// The point's report object.
+    fn report_json(&self) -> Cow<'_, str>;
+    /// The metrics anomaly scoring reads.
+    fn metrics(&self) -> PointMetrics;
+}
+
+impl SweepEntry for SimReport {
+    fn report_json(&self) -> Cow<'_, str> {
+        Cow::Owned(report(self))
+    }
+
+    fn metrics(&self) -> PointMetrics {
+        PointMetrics::of(self)
+    }
+}
+
+impl SweepEntry for ReportBody {
+    fn report_json(&self) -> Cow<'_, str> {
+        Cow::Borrowed(&self.json)
+    }
+
+    fn metrics(&self) -> PointMetrics {
+        self.metrics
+    }
+}
+
 /// Renders one flagged sweep point for the `anomalies` array.
 fn sweep_anomaly(a: &SweepAnomaly) -> String {
     format!(
@@ -87,46 +153,66 @@ fn sweep_anomaly(a: &SweepAnomaly) -> String {
 /// deterministic.
 #[must_use]
 pub fn sweep(results: &SweepResults) -> String {
-    sweep_tuned(results, refrint_obs::anomaly::AnomalyTuning::default())
+    sweep_tuned(results, AnomalyTuning::default())
 }
 
-/// Renders one entry of a sweep document's `runs` array from an
-/// already-rendered report object. `point` is `None` for the SRAM
-/// baseline, `Some((retention_us, policy_label))` for an eDRAM point.
-/// Shared between the local sweep path and the serve coordinator, which
-/// wraps report bodies it received from backends — one implementation is
-/// what keeps the two byte-identical.
+/// [`sweep`] with caller-chosen anomaly tunables. The default tuning
+/// reproduces [`sweep`] byte for byte; only the `anomalies` array can
+/// differ under a non-default tuning.
 #[must_use]
-pub fn sweep_run_entry(workload: &str, point: Option<(u64, &str)>, report_json: &str) -> String {
-    match point {
-        None => format!(
-            "{{\"workload\":\"{}\",\"retention_us\":null,\"policy\":null,\"report\":{report_json}}}",
-            escape(workload),
-        ),
-        Some((retention_us, label)) => format!(
-            "{{\"workload\":\"{}\",\"retention_us\":{retention_us},\"policy\":\"{}\",\"report\":{report_json}}}",
-            escape(workload),
-            escape(label),
-        ),
-    }
+pub fn sweep_tuned(results: &SweepResults, tuning: AnomalyTuning) -> String {
+    let workloads: Vec<String> = results
+        .apps
+        .iter()
+        .map(|a| a.name().to_owned())
+        .chain(results.traces.iter().map(|t| t.name.clone()))
+        .collect();
+    render_sweep(
+        &workloads,
+        &results.retentions_us,
+        &results.sram,
+        &results.edram,
+        tuning,
+    )
 }
 
-/// Assembles the final sweep document from pre-rendered `runs` entries
-/// (see [`sweep_run_entry`]) and detected anomalies. `workloads` are raw
-/// names; escaping and quoting happen here.
-#[must_use]
-pub fn sweep_document(
+/// The one sweep-document renderer, over merged per-point results: the
+/// swept axes, a `runs` entry per SRAM report (by workload key) then per
+/// eDRAM report (by `(workload, retention, policy)` key), and the
+/// `anomalies` scored over the eDRAM points.
+pub(crate) fn render_sweep<R: SweepEntry>(
     workloads: &[String],
     retentions_us: &[u64],
-    runs: &[String],
-    anomalies: &[SweepAnomaly],
+    sram: &BTreeMap<String, R>,
+    edram: &BTreeMap<(String, u64, String), R>,
+    tuning: AnomalyTuning,
 ) -> String {
+    let mut runs = Vec::with_capacity(sram.len() + edram.len());
+    for (workload, r) in sram {
+        runs.push(format!(
+            "{{\"workload\":\"{}\",\"retention_us\":null,\"policy\":null,\"report\":{}}}",
+            escape(workload),
+            r.report_json(),
+        ));
+    }
+    for ((workload, retention_us, label), r) in edram {
+        runs.push(format!(
+            "{{\"workload\":\"{}\",\"retention_us\":{retention_us},\"policy\":\"{}\",\"report\":{}}}",
+            escape(workload),
+            escape(label),
+            r.report_json(),
+        ));
+    }
+    let points: Vec<_> = edram.iter().map(|(key, r)| (key, r.metrics())).collect();
+    let anomalies: Vec<String> = anomaly::detect_points(&points, tuning)
+        .iter()
+        .map(sweep_anomaly)
+        .collect();
     let workloads: Vec<String> = workloads
         .iter()
         .map(|w| format!("\"{}\"", escape(w)))
         .collect();
     let retentions: Vec<String> = retentions_us.iter().map(u64::to_string).collect();
-    let anomalies: Vec<String> = anomalies.iter().map(sweep_anomaly).collect();
     format!(
         "{{\"workloads\":[{}],\"retentions_us\":[{}],\"runs\":[{}],\"anomalies\":[{}]}}",
         workloads.join(","),
@@ -134,32 +220,6 @@ pub fn sweep_document(
         runs.join(","),
         anomalies.join(",")
     )
-}
-
-/// [`sweep`] with caller-chosen anomaly tunables. The default tuning
-/// reproduces [`sweep`] byte for byte; only the `anomalies` array can
-/// differ under a non-default tuning.
-#[must_use]
-pub fn sweep_tuned(results: &SweepResults, tuning: refrint_obs::anomaly::AnomalyTuning) -> String {
-    let mut runs = Vec::with_capacity(results.sram.len() + results.edram.len());
-    for (workload, r) in &results.sram {
-        runs.push(sweep_run_entry(workload, None, &report(r)));
-    }
-    for ((workload, retention_us, label), r) in &results.edram {
-        runs.push(sweep_run_entry(
-            workload,
-            Some((*retention_us, label)),
-            &report(r),
-        ));
-    }
-    let workloads: Vec<String> = results
-        .apps
-        .iter()
-        .map(|a| a.name().to_owned())
-        .chain(results.traces.iter().map(|t| t.name.clone()))
-        .collect();
-    let anomalies = anomaly::detect_tuned(results, tuning);
-    sweep_document(&workloads, &results.retentions_us, &runs, &anomalies)
 }
 
 /// Renders one histogram as `{"mean":…,"p50":…,"p90":…,"p99":…,"max":…}`
@@ -211,7 +271,7 @@ pub fn trace_summary(s: &TraceSummary) -> String {
 mod tests {
     use super::*;
     use crate::prelude::*;
-    use refrint_engine::json::{parse, Value};
+    use refrint_engine::json::Value;
 
     #[test]
     fn report_json_is_balanced_and_complete() {

@@ -1,13 +1,22 @@
-//! The parallel sweep runner.
+//! Sweep plans and the parallel sweep runner.
 //!
-//! [`crate::experiment::run_sweep`]'s nested loops ran the paper's 473
-//! simulations strictly sequentially. [`SweepRunner`] shards the same
-//! `(application × retention × policy)` points across `std::thread` workers:
-//! every point is an independent simulation with its own seed-derived
-//! streams, so the runner executes them in any order, streams completions
-//! through a [`ProgressObserver`], and merges the reports into
-//! [`SweepResults`] in the deterministic job order — the merged results are
-//! identical to a sequential run, whatever the worker count.
+//! A [`SweepPlan`] is the one account of what a sweep runs. It is built
+//! once from an [`ExperimentConfig`]: it rejects policy labels and
+//! workload names that would collide in the report maps, then lists every
+//! `(workload × protocol × [SRAM | retention × policy × retention
+//! profile])` point in a fixed order, each with its report key and display
+//! label. It also owns the merge: per-point results, taken in plan order,
+//! are filed under their keys and rendered into the sweep document.
+//!
+//! Two executors run a plan. [`SweepRunner`] shards the points across
+//! `std::thread` workers in process: every point is an independent
+//! simulation with its own seed-derived streams, so the runner executes
+//! them in any order, streams completions through a [`ProgressObserver`],
+//! and merges the reports into [`SweepResults`] — identical for every
+//! worker count. The `refrint-serve` coordinator dispatches the same
+//! points as `POST /run` requests and merges the returned report bodies
+//! through [`SweepPlan::render`], so its document is byte-identical to a
+//! local run by construction.
 //!
 //! Custom [`PolicyFactory`] policies ride along with the built-in descriptor
 //! sweep via [`ExperimentConfig::models`]; their reports are keyed by their
@@ -34,7 +43,7 @@
 //! assert_eq!(results.edram.len(), 1);
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,13 +52,14 @@ use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::variation::RetentionProfile;
 use refrint_energy::tech::CellTech;
-use refrint_workloads::apps::AppPreset;
-
+use refrint_obs::anomaly::AnomalyTuning;
 use refrint_trace::TraceFile;
+use refrint_workloads::apps::AppPreset;
 
 use crate::config::SystemConfig;
 use crate::error::RefrintError;
 use crate::experiment::{ExperimentConfig, SweepResults, TraceSpec};
+use crate::json::{self, ReportBody};
 use crate::replay;
 use crate::report::SimReport;
 use crate::system::CmpSystem;
@@ -72,7 +82,7 @@ pub struct SweepProgress {
 /// Receives completion events while a sweep is running. Implemented for any
 /// `Fn(&SweepProgress) + Send + Sync` closure.
 ///
-/// Events arrive from worker threads in completion order (not job order).
+/// Events arrive from worker threads in completion order (not plan order).
 /// Callbacks are serialized — at most one runs at a time, with strictly
 /// increasing `completed` counts — so observers need no locking of their
 /// own, but a slow observer backpressures the workers.
@@ -90,73 +100,124 @@ where
     }
 }
 
-/// The policy of one eDRAM sweep point: a built-in descriptor (the private
-/// caches inherit its time policy, per Section 6.2) or a custom model (the
-/// private caches then run the recommended `Refrint Valid` setup).
+/// What a sweep point simulates: a synthetic application preset or a
+/// recorded trace. Application names and trace names share one report
+/// namespace.
 #[derive(Debug, Clone)]
-enum PolicyChoice {
-    Builtin(RefreshPolicy),
-    Custom(Arc<dyn PolicyFactory>),
-}
-
-impl PolicyChoice {
-    fn label(&self) -> String {
-        match self {
-            PolicyChoice::Builtin(policy) => policy.label(),
-            PolicyChoice::Custom(factory) => factory.label(),
-        }
-    }
-}
-
-/// What a job simulates: a synthetic application preset or a recorded
-/// trace. Both run through the same system; reports are keyed by
-/// [`Workload::key`].
-#[derive(Debug, Clone)]
-enum Workload {
+pub enum Workload {
+    /// An application preset, generated on the fly.
     App(AppPreset),
+    /// A recorded trace, replayed.
     Trace(TraceSpec),
 }
 
 impl Workload {
-    fn key(&self) -> String {
+    /// The name the workload's reports are keyed by.
+    #[must_use]
+    pub fn name(&self) -> &str {
         match self {
-            Workload::App(app) => app.name().to_owned(),
-            Workload::Trace(spec) => spec.name.clone(),
+            Workload::App(app) => app.name(),
+            Workload::Trace(spec) => &spec.name,
         }
     }
 }
 
-/// One schedulable simulation of the sweep.
+/// The policy of one eDRAM sweep point: a built-in descriptor (the private
+/// caches inherit its time policy, per Section 6.2) or a custom model (the
+/// private caches then run the recommended `Refrint Valid` setup).
 #[derive(Debug, Clone)]
-enum Job {
-    Sram {
-        workload: Workload,
-        protocol: CoherenceProtocol,
-    },
-    Edram {
-        workload: Workload,
-        retention_us: u64,
-        policy: PolicyChoice,
-        protocol: CoherenceProtocol,
-        profile: RetentionProfile,
-    },
+pub enum PointPolicy {
+    /// A descriptor policy from [`ExperimentConfig::policies`].
+    Builtin(RefreshPolicy),
+    /// A custom model from [`ExperimentConfig::models`].
+    Custom(Arc<dyn PolicyFactory>),
 }
 
-impl Job {
-    fn workload(&self) -> &Workload {
+impl PointPolicy {
+    /// The policy's label, e.g. `R.WB(32,32)`.
+    #[must_use]
+    pub fn label(&self) -> String {
         match self {
-            Job::Sram { workload, .. } | Job::Edram { workload, .. } => workload,
+            PointPolicy::Builtin(policy) => policy.label(),
+            PointPolicy::Custom(factory) => factory.label(),
+        }
+    }
+}
+
+/// The eDRAM axes of a sweep point.
+#[derive(Debug, Clone)]
+pub struct EdramPoint {
+    /// Retention time in microseconds.
+    pub retention_us: u64,
+    /// The refresh policy.
+    pub policy: PointPolicy,
+    /// The per-bank retention distribution.
+    pub profile: RetentionProfile,
+}
+
+/// Where a point's report is filed: [`SweepResults::sram`] or
+/// [`SweepResults::edram`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReportKey {
+    /// The SRAM baseline, keyed by workload (plus any non-default
+    /// protocol, e.g. `lu dragon`).
+    Sram(String),
+    /// An eDRAM point, keyed by `(workload, retention_us, policy)`, the
+    /// policy label carrying any non-default axes (e.g.
+    /// `R.WB(32,32) dragon bimodal(25,60)`).
+    Edram((String, u64, String)),
+}
+
+/// One simulation of a sweep.
+#[derive(Debug, Clone)]
+pub struct PlanPoint {
+    /// What the point simulates.
+    pub workload: Workload,
+    /// The coherence protocol.
+    pub protocol: CoherenceProtocol,
+    /// The eDRAM axes, or `None` for the SRAM baseline.
+    pub edram: Option<EdramPoint>,
+}
+
+impl PlanPoint {
+    /// The composed key the point's report is merged under. Default axes
+    /// (MESI, uniform) add nothing, so default sweeps keep their
+    /// historical keys and JSON documents byte for byte.
+    #[must_use]
+    pub fn key(&self) -> ReportKey {
+        let workload = self.workload.name().to_owned();
+        match &self.edram {
+            None => ReportKey::Sram(format!(
+                "{workload}{}",
+                axis_suffix(self.protocol, RetentionProfile::Uniform)
+            )),
+            Some(edram) => ReportKey::Edram((
+                workload,
+                edram.retention_us,
+                format!(
+                    "{}{}",
+                    edram.policy.label(),
+                    axis_suffix(self.protocol, edram.profile)
+                ),
+            )),
+        }
+    }
+
+    /// The point's display label: `lu/sram`, `fft/50us/R.valid`.
+    #[must_use]
+    pub fn label(&self) -> String {
+        match self.key() {
+            ReportKey::Sram(_) => format!("{}/sram", self.workload.name()),
+            ReportKey::Edram((workload, retention_us, policy)) => {
+                format!("{workload}/{retention_us}us/{policy}")
+            }
         }
     }
 }
 
 /// The report-key suffix carrying a point's non-default axes — empty for
-/// the default MESI + uniform combination, so default sweeps keep their
-/// historical keys (and JSON documents) byte for byte. Public because the
-/// serve coordinator composes the same keys when it merges fanned-out
-/// point reports; one implementation keeps the two byte-identical.
-#[must_use]
-pub fn axis_suffix(protocol: CoherenceProtocol, profile: RetentionProfile) -> String {
+/// the default MESI + uniform combination.
+fn axis_suffix(protocol: CoherenceProtocol, profile: RetentionProfile) -> String {
     let mut suffix = String::new();
     if !protocol.is_default() {
         suffix.push(' ');
@@ -169,11 +230,191 @@ pub fn axis_suffix(protocol: CoherenceProtocol, profile: RetentionProfile) -> St
     suffix
 }
 
+/// Per-point results filed under their report keys. Both maps iterate in
+/// the order a sweep document lists its runs.
+struct Merged<R> {
+    sram: BTreeMap<String, R>,
+    edram: BTreeMap<(String, u64, String), R>,
+}
+
+/// The validated, ordered point list of one sweep (see the module docs).
+#[derive(Debug, Clone)]
+pub struct SweepPlan {
+    config: ExperimentConfig,
+    points: Vec<PlanPoint>,
+}
+
+impl SweepPlan {
+    /// Plans `config`: for each workload (applications first, then
+    /// traces) and each protocol, the SRAM baseline followed by every
+    /// (retention × policy × retention-profile) eDRAM point — descriptor
+    /// policies first, then custom models. Empty protocol and profile axes
+    /// stand for the single default.
+    ///
+    /// # Errors
+    ///
+    /// [`RefrintError::InvalidConfig`] when two policies share a label or
+    /// two workloads share a name: their reports would overwrite each
+    /// other in the merge.
+    pub fn new(config: ExperimentConfig) -> Result<SweepPlan, RefrintError> {
+        let policies: Vec<PointPolicy> = config
+            .policies
+            .iter()
+            .map(|&policy| PointPolicy::Builtin(policy))
+            .chain(config.models.iter().cloned().map(PointPolicy::Custom))
+            .collect();
+        let workloads: Vec<Workload> = config
+            .apps
+            .iter()
+            .map(|&app| Workload::App(app))
+            .chain(config.traces.iter().cloned().map(Workload::Trace))
+            .collect();
+        if let Some(label) = first_duplicate(policies.iter().map(PointPolicy::label)) {
+            return Err(RefrintError::InvalidConfig {
+                reason: format!(
+                    "duplicate refresh-policy label `{label}` in the sweep \
+                     (reports are keyed by label)"
+                ),
+            });
+        }
+        if let Some(name) = first_duplicate(workloads.iter().map(|w| w.name().to_owned())) {
+            return Err(RefrintError::InvalidConfig {
+                reason: format!(
+                    "duplicate workload `{name}` in the sweep \
+                     (reports are keyed by workload name)"
+                ),
+            });
+        }
+
+        let protocols: &[CoherenceProtocol] = if config.protocols.is_empty() {
+            &[CoherenceProtocol::Mesi]
+        } else {
+            &config.protocols
+        };
+        let profiles: &[RetentionProfile] = if config.retention_profiles.is_empty() {
+            &[RetentionProfile::Uniform]
+        } else {
+            &config.retention_profiles
+        };
+        let mut points = Vec::with_capacity(config.total_runs());
+        for workload in &workloads {
+            for &protocol in protocols {
+                let point = |edram| PlanPoint {
+                    workload: workload.clone(),
+                    protocol,
+                    edram,
+                };
+                points.push(point(None));
+                for &retention_us in &config.retentions_us {
+                    for policy in &policies {
+                        for &profile in profiles {
+                            points.push(point(Some(EdramPoint {
+                                retention_us,
+                                policy: policy.clone(),
+                                profile,
+                            })));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(SweepPlan { config, points })
+    }
+
+    /// The configuration this plan was built from.
+    #[must_use]
+    pub fn config(&self) -> &ExperimentConfig {
+        &self.config
+    }
+
+    /// The points, in plan order.
+    #[must_use]
+    pub fn points(&self) -> &[PlanPoint] {
+        &self.points
+    }
+
+    /// Renders the sweep document from rendered per-point reports, given
+    /// in plan order — the path for results that arrive as text, such as
+    /// `POST /run` responses. The bytes equal [`json::sweep_tuned`] over
+    /// the same results computed in process.
+    ///
+    /// # Panics
+    ///
+    /// If `reports` does not hold exactly one report per point.
+    #[must_use]
+    pub fn render(&self, reports: Vec<ReportBody>, tuning: AnomalyTuning) -> String {
+        let merged = self.merge(reports);
+        json::render_sweep(
+            &self.workload_names(),
+            &self.config.retentions_us,
+            &merged.sram,
+            &merged.edram,
+            tuning,
+        )
+    }
+
+    /// Files per-point results, given in plan order, under their report
+    /// keys.
+    fn merge<R>(&self, results: Vec<R>) -> Merged<R> {
+        assert_eq!(results.len(), self.points.len(), "one result per point");
+        let mut merged = Merged {
+            sram: BTreeMap::new(),
+            edram: BTreeMap::new(),
+        };
+        for (point, result) in self.points.iter().zip(results) {
+            match point.key() {
+                ReportKey::Sram(key) => merged.sram.insert(key, result),
+                ReportKey::Edram(key) => merged.edram.insert(key, result),
+            };
+        }
+        merged
+    }
+
+    /// The workload names, applications first, as the sweep document
+    /// lists them.
+    fn workload_names(&self) -> Vec<String> {
+        self.config
+            .apps
+            .iter()
+            .map(|a| a.name().to_owned())
+            .chain(self.config.traces.iter().map(|t| t.name.clone()))
+            .collect()
+    }
+
+    /// The chip configuration that simulates `point`.
+    fn system_config(&self, point: &PlanPoint) -> Result<SystemConfig, RefrintError> {
+        let base = SystemConfig::sram_baseline()
+            .with_cores(self.config.cores)
+            .with_seed(self.config.seed)
+            .with_scale(self.config.refs_per_thread)
+            .with_protocol(point.protocol);
+        let Some(edram) = &point.edram else {
+            return Ok(base);
+        };
+        let base = base
+            .with_cells(CellTech::Edram)
+            .with_retention(ExperimentConfig::retention(edram.retention_us)?)
+            .with_retention_profile(edram.profile);
+        Ok(match &edram.policy {
+            PointPolicy::Builtin(policy) => base.with_policy(*policy),
+            PointPolicy::Custom(factory) => base
+                .with_policy(RefreshPolicy::recommended())
+                .with_policy_model(Arc::clone(factory)),
+        })
+    }
+}
+
+/// The first item of `items` that repeats an earlier one.
+fn first_duplicate(mut items: impl Iterator<Item = String>) -> Option<String> {
+    let mut seen = BTreeSet::new();
+    items.find(|item| !seen.insert(item.clone()))
+}
+
 /// Runs an experiment sweep across a configurable number of worker threads.
 ///
-/// Results are merged in deterministic job order, so for a fixed
-/// [`ExperimentConfig`] the output is identical for every worker count
-/// (including the sequential `workers(1)` path).
+/// Results are merged in plan order, so for a fixed [`ExperimentConfig`]
+/// the output is identical for every worker count (including the
+/// sequential `workers(1)` path).
 pub struct SweepRunner {
     config: ExperimentConfig,
     workers: usize,
@@ -231,100 +472,13 @@ impl SweepRunner {
         &self.config
     }
 
-    /// Builds the deterministic job list: for each workload (applications
-    /// first, then traces), the SRAM baseline followed by every
-    /// (retention × policy) eDRAM point — descriptor policies first, then
-    /// custom models, mirroring the sequential sweep's nesting order.
-    fn jobs(&self) -> Vec<Job> {
-        let workloads = self
-            .config
-            .apps
-            .iter()
-            .map(|&app| Workload::App(app))
-            .chain(self.config.traces.iter().cloned().map(Workload::Trace));
-        let protocols: &[CoherenceProtocol] = if self.config.protocols.is_empty() {
-            &[CoherenceProtocol::Mesi]
-        } else {
-            &self.config.protocols
-        };
-        let profiles: &[RetentionProfile] = if self.config.retention_profiles.is_empty() {
-            &[RetentionProfile::Uniform]
-        } else {
-            &self.config.retention_profiles
-        };
-        let mut jobs = Vec::with_capacity(self.config.total_runs());
-        for workload in workloads {
-            for &protocol in protocols {
-                jobs.push(Job::Sram {
-                    workload: workload.clone(),
-                    protocol,
-                });
-                for &retention_us in &self.config.retentions_us {
-                    for &policy in &self.config.policies {
-                        for &profile in profiles {
-                            jobs.push(Job::Edram {
-                                workload: workload.clone(),
-                                retention_us,
-                                policy: PolicyChoice::Builtin(policy),
-                                protocol,
-                                profile,
-                            });
-                        }
-                    }
-                    for factory in &self.config.models {
-                        for &profile in profiles {
-                            jobs.push(Job::Edram {
-                                workload: workload.clone(),
-                                retention_us,
-                                policy: PolicyChoice::Custom(Arc::clone(factory)),
-                                protocol,
-                                profile,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        jobs
-    }
-
-    fn system_config(&self, job: &Job) -> Result<SystemConfig, RefrintError> {
-        let base = SystemConfig::sram_baseline()
-            .with_cores(self.config.cores)
-            .with_seed(self.config.seed)
-            .with_scale(self.config.refs_per_thread);
-        Ok(match job {
-            Job::Sram { protocol, .. } => base.with_protocol(*protocol),
-            Job::Edram {
-                retention_us,
-                policy,
-                protocol,
-                profile,
-                ..
-            } => {
-                let base = base
-                    .with_cells(CellTech::Edram)
-                    .with_retention(ExperimentConfig::retention(*retention_us)?)
-                    .with_protocol(*protocol)
-                    .with_retention_profile(*profile);
-                match policy {
-                    PolicyChoice::Builtin(policy) => base.with_policy(*policy),
-                    PolicyChoice::Custom(factory) => base
-                        .with_policy(RefreshPolicy::recommended())
-                        .with_policy_model(Arc::clone(factory)),
-                }
-            }
-        })
-    }
-
-    fn run_job(
-        &self,
-        job: &Job,
+    fn run_point(
+        plan: &SweepPlan,
+        point: &PlanPoint,
         traces: &BTreeMap<String, TraceFile>,
     ) -> Result<SimReport, RefrintError> {
-        let config = self.system_config(job)?;
-        let mut system = CmpSystem::new(config)?;
-        match job.workload() {
+        let mut system = CmpSystem::new(plan.system_config(point)?)?;
+        match &point.workload {
             Workload::App(app) => Ok(system.run_app(*app)),
             Workload::Trace(spec) => {
                 let trace = traces
@@ -335,61 +489,25 @@ impl SweepRunner {
         }
     }
 
-    /// Runs the sweep and merges the reports.
+    /// Plans the sweep, runs it and merges the reports.
     ///
     /// # Errors
     ///
-    /// Returns the earliest-in-job-order [`RefrintError`] among the jobs
-    /// that ran. Workers stop claiming new jobs as soon as any job fails,
-    /// so a bad configuration does not burn through the rest of an
-    /// expensive sweep first.
+    /// The [`SweepPlan::new`] error for a colliding configuration, a
+    /// [`RefrintError::Trace`] for an unreadable trace or one recorded for
+    /// another core count, and otherwise the earliest-in-plan-order
+    /// [`RefrintError`] among the points that ran. Workers stop claiming
+    /// new points as soon as any point fails, so a bad configuration does
+    /// not burn through the rest of an expensive sweep first.
     pub fn run(&self) -> Result<SweepResults, RefrintError> {
-        // Reports are keyed by policy label, so colliding labels (between
-        // descriptor policies and custom models, or among the models) would
-        // silently overwrite each other in the merge. Reject them up front.
-        let mut labels = std::collections::BTreeSet::new();
-        for label in self
-            .config
-            .policies
-            .iter()
-            .map(RefreshPolicy::label)
-            .chain(self.config.models.iter().map(|m| m.label()))
-        {
-            if !labels.insert(label.clone()) {
-                return Err(RefrintError::InvalidConfig {
-                    reason: format!(
-                        "duplicate refresh-policy label `{label}` in the sweep \
-                         (reports are keyed by label)"
-                    ),
-                });
-            }
-        }
-
-        // Workload keys (application names and trace names) share one
-        // report namespace; a collision would silently overwrite reports.
-        let mut keys = std::collections::BTreeSet::new();
-        for key in self
-            .config
-            .apps
-            .iter()
-            .map(|a| a.name().to_owned())
-            .chain(self.config.traces.iter().map(|t| t.name.clone()))
-        {
-            if !keys.insert(key.clone()) {
-                return Err(RefrintError::InvalidConfig {
-                    reason: format!(
-                        "duplicate workload `{key}` in the sweep \
-                         (reports are keyed by workload name)"
-                    ),
-                });
-            }
-        }
+        let plan = SweepPlan::new(self.config.clone())?;
 
         // Open and check every trace before burning through any
         // simulations: an unreadable file or a thread/core mismatch fails
-        // the sweep immediately instead of after the earlier jobs have run.
-        // The opened (indexed) files are shared with the jobs, so a trace
-        // swept over many configuration points is indexed exactly once.
+        // the sweep immediately instead of after the earlier points have
+        // run. The opened (indexed) files are shared with the points, so a
+        // trace swept over many configuration points is indexed exactly
+        // once.
         let mut traces: BTreeMap<String, TraceFile> = BTreeMap::new();
         for spec in &self.config.traces {
             let trace = TraceFile::open(&spec.path).map_err(|e| RefrintError::Trace {
@@ -411,8 +529,8 @@ impl SweepRunner {
         }
         let traces = &traces;
 
-        let jobs = self.jobs();
-        let total = jobs.len();
+        let points = plan.points();
+        let total = points.len();
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         // The observer lock makes increment + callback one atomic step, so
@@ -429,23 +547,19 @@ impl SweepRunner {
             if index >= total {
                 break;
             }
-            let job = &jobs[index];
-            let result = self.run_job(job, traces);
+            let point = &points[index];
+            let result = Self::run_point(&plan, point, traces);
             match &result {
                 Ok(report) => {
                     if let Some(observer) = &self.observer {
-                        let retention_us = match job {
-                            Job::Sram { .. } => None,
-                            Job::Edram { retention_us, .. } => Some(*retention_us),
-                        };
                         let mut done = progress.lock().expect("observer lock never poisoned");
                         *done += 1;
                         observer.on_run_complete(&SweepProgress {
                             completed: *done,
                             total,
-                            app: job.workload().key(),
+                            app: point.workload.name().to_owned(),
                             config_label: report.config_label.clone(),
-                            retention_us,
+                            retention_us: point.edram.as_ref().map(|e| e.retention_us),
                         });
                     }
                 }
@@ -465,52 +579,27 @@ impl SweepRunner {
             });
         }
 
-        let slots = slots.into_inner().expect("all workers joined");
-        // On failure, report the first error in job order (deterministic
-        // whatever the interleaving was).
-        for slot in &slots {
-            if let Some(Err(e)) = slot {
-                return Err(e.clone());
+        // Workers claim points in order and all of them have joined, so
+        // every slot before the first failure is filled: the first
+        // non-report slot is the first error in plan order, whatever the
+        // interleaving was.
+        let mut reports = Vec::with_capacity(total);
+        for slot in slots.into_inner().expect("all workers joined") {
+            match slot.expect("slots before the first failure are filled") {
+                Ok(report) => reports.push(report),
+                Err(e) => return Err(e),
             }
         }
-
-        // Deterministic merge in job order.
-        let mut results = SweepResults {
+        let merged = plan.merge(reports);
+        Ok(SweepResults {
+            sram: merged.sram,
+            edram: merged.edram,
             apps: self.config.apps.clone(),
             retentions_us: self.config.retentions_us.clone(),
             policies: self.config.policies.clone(),
             custom_labels: self.config.models.iter().map(|m| m.label()).collect(),
             traces: self.config.traces.clone(),
-            ..SweepResults::default()
-        };
-        for (job, slot) in jobs.iter().zip(slots) {
-            let report = slot
-                .expect("with no failed job, every index was claimed and filled")
-                .expect("errors were returned above");
-            match job {
-                Job::Sram { workload, protocol } => {
-                    let key = format!(
-                        "{}{}",
-                        workload.key(),
-                        axis_suffix(*protocol, RetentionProfile::Uniform)
-                    );
-                    results.sram.insert(key, report);
-                }
-                Job::Edram {
-                    workload,
-                    retention_us,
-                    policy,
-                    protocol,
-                    profile,
-                } => {
-                    let label = format!("{}{}", policy.label(), axis_suffix(*protocol, *profile));
-                    results
-                        .edram
-                        .insert((workload.key(), *retention_us, label), report);
-                }
-            }
-        }
-        Ok(results)
+        })
     }
 }
 
@@ -672,6 +761,80 @@ mod tests {
         // The sweep JSON carries the composed labels.
         let doc = crate::json::sweep(&results);
         assert!(doc.contains("R.WB(32,32) dragon bimodal(25,60)"), "{doc}");
+    }
+
+    #[test]
+    fn plan_orders_points_and_composes_keys_and_labels() {
+        let mut config = tiny_config();
+        config.apps = vec![AppPreset::Lu];
+        config.policies = vec![RefreshPolicy::recommended()];
+        config.retentions_us = vec![50, 100];
+        config.protocols = vec![CoherenceProtocol::Mesi, CoherenceProtocol::Dragon];
+        config.retention_profiles = vec![
+            RetentionProfile::Uniform,
+            RetentionProfile::Bimodal {
+                weak_pct: 25,
+                weak_retention_pct: 60,
+            },
+        ];
+        let plan = SweepPlan::new(config).unwrap();
+        assert_eq!(plan.points().len(), plan.config().total_runs());
+        let labels: Vec<String> = plan.points().iter().map(PlanPoint::label).collect();
+        // Per protocol: SRAM, then retention-major, profile-minor.
+        assert_eq!(
+            labels,
+            [
+                "lu/sram",
+                "lu/50us/R.WB(32,32)",
+                "lu/50us/R.WB(32,32) bimodal(25,60)",
+                "lu/100us/R.WB(32,32)",
+                "lu/100us/R.WB(32,32) bimodal(25,60)",
+                "lu/sram",
+                "lu/50us/R.WB(32,32) dragon",
+                "lu/50us/R.WB(32,32) dragon bimodal(25,60)",
+                "lu/100us/R.WB(32,32) dragon",
+                "lu/100us/R.WB(32,32) dragon bimodal(25,60)",
+            ]
+        );
+        assert_eq!(plan.points()[0].key(), ReportKey::Sram("lu".to_owned()));
+        assert_eq!(
+            plan.points()[5].key(),
+            ReportKey::Sram("lu dragon".to_owned())
+        );
+        assert_eq!(
+            plan.points()[9].key(),
+            ReportKey::Edram((
+                "lu".to_owned(),
+                100,
+                "R.WB(32,32) dragon bimodal(25,60)".to_owned()
+            ))
+        );
+    }
+
+    #[test]
+    fn rendering_report_bodies_reproduces_the_in_process_document() {
+        let config = tiny_config();
+        let results = SweepRunner::new(config.clone()).workers(2).run().unwrap();
+        let plan = SweepPlan::new(config).unwrap();
+        // Each point's report as it travels over HTTP: rendered, with the
+        // trailing newline a served body carries, then read back.
+        let bodies = plan
+            .points()
+            .iter()
+            .map(|point| {
+                let report = match point.key() {
+                    ReportKey::Sram(key) => &results.sram[&key],
+                    ReportKey::Edram(key) => &results.edram[&key],
+                };
+                ReportBody::parse(&format!("{}\n", json::report(report))).unwrap()
+            })
+            .collect();
+        // A zero threshold flags points, so the scored metrics read back
+        // out of the bodies are compared too.
+        let tuning = AnomalyTuning::new(0.0, 2).unwrap();
+        let doc = plan.render(bodies, tuning);
+        assert!(doc.contains("\"robust_z\""), "{doc}");
+        assert_eq!(doc, json::sweep_tuned(&results, tuning));
     }
 
     #[test]

@@ -34,8 +34,6 @@
 //! * [`sentry`] — sentry-bit grouping and the priority-encoder service model.
 //! * [`controller`] — periodic group-burst blocking and Refrint interrupt
 //!   contention, the two execution-time costs of refreshing.
-//! * [`exact`] — a straightforward event-per-opportunity reference
-//!   implementation used to cross-validate the lazy algebra in tests.
 //!
 //! # Example
 //!
@@ -61,7 +59,6 @@
 
 pub mod controller;
 pub mod error;
-pub mod exact;
 pub mod model;
 pub mod policy;
 pub mod retention;

@@ -14,8 +14,8 @@
 //! a line received in an interval, whether and when it was written back, and
 //! whether and when it was invalidated. The CMP simulator calls it whenever a
 //! line is touched, evicted, invalidated by coherence, or at the end of the
-//! simulation; [`crate::exact`] provides an event-per-opportunity reference
-//! implementation that the tests check this algebra against.
+//! simulation. The `refrint-oracle` crate re-derives the same settlements by
+//! replaying every opportunity, and the tests check this algebra against it.
 
 use refrint_engine::time::Cycle;
 

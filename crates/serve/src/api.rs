@@ -13,7 +13,8 @@ use std::path::{Path, PathBuf};
 
 use refrint::experiment::{ExperimentConfig, TraceSpec};
 use refrint::simulation::Simulation;
-use refrint::{CoherenceProtocol, RetentionProfile};
+use refrint::sweep::SweepPlan;
+use refrint::{CoherenceProtocol, RefrintError, RetentionProfile};
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_engine::json::{escape, Value};
@@ -462,6 +463,16 @@ pub fn parse_sweep_request(
     if cfg.apps.is_empty() && cfg.traces.is_empty() {
         return Err(schema_err("a sweep needs at least one app or trace"));
     }
+    // The plan rejects colliding policy labels and workload names, so a
+    // plain server and a coordinator refuse them with the same answer.
+    let plan = SweepPlan::new(cfg).map_err(|e| {
+        let reason = match e {
+            RefrintError::InvalidConfig { reason } => reason,
+            other => other.to_string(),
+        };
+        ApiError::new(422, "invalid_config", reason)
+    })?;
+    let cfg = plan.config();
 
     // Validate every derived point up front: building the first
     // configuration catches retention/core errors without running anything.
@@ -523,10 +534,7 @@ pub fn parse_sweep_request(
     }
 
     Ok(ValidatedRequest {
-        work: JobWork::Sweep {
-            config: cfg,
-            anomaly,
-        },
+        work: JobWork::Sweep { plan, anomaly },
         cache_key,
         mode,
     })
@@ -662,10 +670,10 @@ mod tests {
             axes.cache_key
         );
         match &axes.work {
-            JobWork::Sweep { config, .. } => {
-                assert_eq!(config.protocols.len(), 2);
-                assert_eq!(config.retention_profiles.len(), 2);
-                assert_eq!(config.total_runs(), 2 * (1 + 2));
+            JobWork::Sweep { plan, .. } => {
+                assert_eq!(plan.config().protocols.len(), 2);
+                assert_eq!(plan.config().retention_profiles.len(), 2);
+                assert_eq!(plan.points().len(), 2 * (1 + 2));
             }
             other => panic!("wrong work: {other:?}"),
         }
@@ -718,8 +726,8 @@ mod tests {
         assert!(v.cache_key.starts_with("sweep|apps=lu|"));
         assert!(v.cache_key.contains("pol=P.all"));
         match &v.work {
-            JobWork::Sweep { config, anomaly } => {
-                assert_eq!(config.total_runs(), 2);
+            JobWork::Sweep { plan, anomaly } => {
+                assert_eq!(plan.points().len(), 2);
                 assert!(anomaly.is_default());
             }
             other => panic!("wrong work: {other:?}"),

@@ -3,13 +3,13 @@
 //! A coordinator is an ordinary server whose workers, instead of
 //! simulating locally, split each job into point-level `POST /run`
 //! requests and fan them out over the existing HTTP API to a pool of
-//! backend nodes. Because every point is an independent simulation with
-//! its own seed-derived streams, and because the merge below replays the
-//! exact `BTreeMap` ordering of the local
-//! [`SweepRunner`](refrint::sweep::SweepRunner), the coordinator's sweep
-//! response is **byte-identical** to a local run at any backend count —
-//! the same invariant the thread-level runner already clears, lifted one
-//! level up.
+//! backend nodes. A sweep is the same [`SweepPlan`] the local
+//! [`SweepRunner`](refrint::sweep::SweepRunner) executes in process: the
+//! coordinator only maps each planned point to a `POST /run` request,
+//! consults its caches and dispatches, then hands the report bodies back to
+//! [`SweepPlan::render`]. Every point is an independent simulation with its
+//! own seed-derived streams, so the response is **byte-identical** to a
+//! local run at any backend count by construction.
 //!
 //! Failure handling: each point is retried with bounded exponential
 //! backoff across the pool; a backend that fails repeatedly trips a
@@ -30,12 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use refrint::anomaly::{detect_points, PointMetrics};
 use refrint::experiment::ExperimentConfig;
-use refrint::sweep::axis_suffix;
-use refrint::{CoherenceProtocol, RetentionProfile};
-use refrint_edram::policy::RefreshPolicy;
-use refrint_engine::json::{escape, parse, Value};
+use refrint::json::ReportBody;
+use refrint::sweep::{PlanPoint, PointPolicy, SweepPlan, Workload};
+use refrint_engine::json::{escape, parse};
 use refrint_engine::stats::Histogram;
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::log::{Level, LogFormat, Logger};
@@ -213,9 +211,9 @@ pub struct DispatchEnv<'a> {
     pub progress: Option<&'a JobProgress>,
 }
 
-/// One finished sweep point: the verbatim report text to merge plus the
+/// One finished sweep point: the report to merge plus the
 /// [`PointOutcome`] describing where it ran.
-type PointResult = Result<(String, PointOutcome), ApiError>;
+type PointResult = Result<(ReportBody, PointOutcome), ApiError>;
 
 /// A successfully dispatched point: the backend's verbatim response body
 /// plus where and when it ran, for trace stitching and live progress.
@@ -643,7 +641,7 @@ impl Coordinator {
     pub fn execute(&self, work: &JobWork, env: &DispatchEnv<'_>) -> JobOutput {
         match work {
             JobWork::Run { point, .. } => self.execute_run(point, env),
-            JobWork::Sweep { config, anomaly } => self.execute_sweep(config, *anomaly, env),
+            JobWork::Sweep { plan, anomaly } => self.execute_sweep(plan, *anomaly, env),
         }
     }
 
@@ -655,7 +653,7 @@ impl Coordinator {
             .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, 0)));
         match self.dispatch_point(&point.body(), traceparent.as_deref(), &spans, epoch) {
             Ok(dispatched) => {
-                let refs = parse_report(dispatched.body.trim_end()).map_or(0, |r| r.dl1_accesses);
+                let refs = ReportBody::parse(&dispatched.body).map_or(0, |r| r.dl1_accesses);
                 let outcome = PointOutcome {
                     index: 0,
                     label: run_label(point),
@@ -680,14 +678,19 @@ impl Coordinator {
 
     fn execute_sweep(
         &self,
-        config: &ExperimentConfig,
+        plan: &SweepPlan,
         anomaly: AnomalyTuning,
         env: &DispatchEnv<'_>,
     ) -> JobOutput {
         let epoch = Instant::now();
         let spans = Mutex::new(Vec::new());
-        let points = match sweep_points(config) {
-            Ok(points) => points,
+        let points = plan.points();
+        let requests = match points
+            .iter()
+            .map(|point| point_request(plan.config(), point))
+            .collect::<Result<Vec<_>, _>>()
+        {
+            Ok(requests) => requests,
             Err(e) => return dispatch_failure(&e, spans),
         };
 
@@ -710,7 +713,8 @@ impl Coordinator {
             if index >= total {
                 break;
             }
-            let result = self.run_point(index, &points[index], env, &spans, epoch);
+            let result =
+                self.run_point(index, &points[index], &requests[index], env, &spans, epoch);
             if result.is_err() {
                 aborted.store(true, Ordering::Relaxed);
             }
@@ -722,83 +726,26 @@ impl Coordinator {
             }
         });
 
-        let results = results.into_inner().expect("sweep results lock");
-        // First-error-in-job-order, mirroring the local runner's contract.
-        for slot in &results {
-            if let Some(Err(e)) = slot {
-                return dispatch_failure(e, spans);
-            }
-        }
-
-        // Merge in the local runner's exact order: SRAM reports keyed by
-        // workload, eDRAM reports keyed by (workload, retention, policy) —
-        // both BTreeMaps, both iterated ascending.
-        let mut sram: BTreeMap<String, String> = BTreeMap::new();
-        let mut edram: BTreeMap<(String, u64, String), String> = BTreeMap::new();
+        // Points are claimed in order and every worker has joined, so the
+        // first slot without a report holds the first error in plan order.
+        let mut reports = Vec::with_capacity(total);
         let mut outcomes = Vec::with_capacity(total);
-        for (point, slot) in points.iter().zip(results) {
-            let Some(Ok((body, outcome))) = slot else {
-                return dispatch_failure(
-                    &ApiError::new(502, "backend_failed", "a sweep point was never dispatched"),
-                    spans,
-                );
-            };
-            outcomes.push(outcome);
-            let report = body.trim_end().to_owned();
-            match &point.kind {
-                PointKind::Sram { key } => {
-                    sram.insert(key.clone(), report);
+        for slot in results.into_inner().expect("sweep results lock") {
+            match slot {
+                Some(Ok((report, outcome))) => {
+                    reports.push(report);
+                    outcomes.push(outcome);
                 }
-                PointKind::Edram {
-                    retention_us,
-                    policy,
-                } => {
-                    edram.insert(
-                        (point.workload.clone(), *retention_us, policy.clone()),
-                        report,
-                    );
+                Some(Err(e)) => return dispatch_failure(&e, spans),
+                None => {
+                    let e =
+                        ApiError::new(502, "backend_failed", "a sweep point was never dispatched");
+                    return dispatch_failure(&e, spans);
                 }
             }
         }
-
-        let mut refs = 0u64;
-        let mut runs = Vec::with_capacity(sram.len() + edram.len());
-        let mut metric_points = Vec::with_capacity(edram.len());
-        for (workload, report) in &sram {
-            match parse_report(report) {
-                Ok(parsed) => refs += parsed.dl1_accesses,
-                Err(e) => return dispatch_failure(&e, spans),
-            }
-            runs.push(refrint::json::sweep_run_entry(workload, None, report));
-        }
-        for ((workload, retention_us, policy), report) in &edram {
-            let parsed = match parse_report(report) {
-                Ok(parsed) => parsed,
-                Err(e) => return dispatch_failure(&e, spans),
-            };
-            refs += parsed.dl1_accesses;
-            runs.push(refrint::json::sweep_run_entry(
-                workload,
-                Some((*retention_us, policy)),
-                report,
-            ));
-            metric_points.push((
-                (workload.clone(), *retention_us, policy.clone()),
-                PointMetrics {
-                    system_energy_j: parsed.system_energy_j,
-                    execution_cycles: parsed.execution_cycles,
-                },
-            ));
-        }
-        let anomalies = detect_points(&metric_points, anomaly);
-        let workloads: Vec<String> = config
-            .apps
-            .iter()
-            .map(|a| a.name().to_owned())
-            .chain(config.traces.iter().map(|t| t.name.clone()))
-            .collect();
-        let doc =
-            refrint::json::sweep_document(&workloads, &config.retentions_us, &runs, &anomalies);
+        let refs = reports.iter().map(|r| r.dl1_accesses).sum();
+        let doc = plan.render(reports, anomaly);
         let mut output = JobOutput::from_bytes(200, Arc::new(format!("{doc}\n").into_bytes()));
         output.refs = refs;
         output.sim_seconds = epoch.elapsed().as_secs_f64();
@@ -814,99 +761,95 @@ impl Coordinator {
     fn run_point(
         &self,
         index: usize,
-        point: &SweepPoint,
+        point: &PlanPoint,
+        request: &PointRequest,
         env: &DispatchEnv<'_>,
         spans: &Mutex<Vec<DispatchSpan>>,
         epoch: Instant,
     ) -> PointResult {
-        let key = point_cache_key(&point.request, env.trace_dir);
-        if let Some(key) = &key {
-            let lookup = Instant::now();
-            let memory_hit = env
-                .memory_cache
-                .lock()
-                .expect("cache lock")
-                .get(key)
-                .map(|b| String::from_utf8_lossy(&b).into_owned());
-            if let Some(body) = memory_hit {
-                record_cache_hit(spans, epoch, lookup);
-                return Ok(self.finish_point(index, point, body, None, env, epoch, lookup));
-            }
-            if let Some(disk) = env.disk_cache {
-                if let Some(bytes) = disk.get(key) {
-                    env.metrics.disk_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    env.memory_cache
-                        .lock()
-                        .expect("cache lock")
-                        .insert(key.clone(), Arc::new(bytes.clone()));
-                    record_cache_hit(spans, epoch, lookup);
-                    let body = String::from_utf8_lossy(&bytes).into_owned();
-                    return Ok(self.finish_point(index, point, body, None, env, epoch, lookup));
-                }
-                env.metrics
-                    .disk_cache_misses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let traceparent = env
-            .trace
-            .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, index)));
-        let dispatched =
-            self.dispatch_point(&point.request.body(), traceparent.as_deref(), spans, epoch)?;
-        if let Some(key) = &key {
-            env.memory_cache
-                .lock()
-                .expect("cache lock")
-                .insert(key.clone(), Arc::new(dispatched.body.clone().into_bytes()));
-            if let Some(disk) = env.disk_cache {
-                if let Err(e) = disk.put(key, dispatched.body.as_bytes()) {
-                    self.logger
-                        .warn("disk_cache_put_failed", &[("error", e.to_string())]);
-                }
-            }
-        }
-        let outcome = PointOutcome {
-            index,
-            label: point.label(),
-            node: dispatched.backend.to_string(),
-            backend_job: dispatched.job,
-            start_nanos: dispatched.start_nanos,
-            dur_nanos: dispatched.dur_nanos,
+        let key = point_cache_key(request, env.trace_dir);
+        let lookup = Instant::now();
+        let cached = key.as_deref().and_then(|key| cache_lookup(key, env));
+        let fresh = cached.is_none();
+        let (body, outcome) = if let Some(body) = cached {
+            record_cache_hit(spans, epoch, lookup);
+            let outcome = PointOutcome {
+                index,
+                label: point.label(),
+                node: "result-cache".to_owned(),
+                backend_job: None,
+                start_nanos: elapsed_nanos(epoch).saturating_sub(elapsed_nanos(lookup)),
+                dur_nanos: elapsed_nanos(lookup),
+            };
+            (body, outcome)
+        } else {
+            let traceparent = env
+                .trace
+                .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, index)));
+            let dispatched =
+                self.dispatch_point(&request.body(), traceparent.as_deref(), spans, epoch)?;
+            let outcome = PointOutcome {
+                index,
+                label: point.label(),
+                node: dispatched.backend.to_string(),
+                backend_job: dispatched.job,
+                start_nanos: dispatched.start_nanos,
+                dur_nanos: dispatched.dur_nanos,
+            };
+            (dispatched.body, outcome)
         };
-        if let Some(progress) = env.progress {
-            let refs = parse_report(dispatched.body.trim_end()).map_or(0, |r| r.dl1_accesses);
-            progress.record_point(&outcome.node, refs);
+        let report = ReportBody::parse(&body).ok_or_else(|| {
+            ApiError::new(
+                502,
+                "backend_failed",
+                "a backend returned a malformed report body",
+            )
+        })?;
+        if let Some(key) = key.as_deref().filter(|_| fresh) {
+            self.cache_insert(key, &body, env);
         }
-        Ok((dispatched.body, outcome))
+        if let Some(progress) = env.progress {
+            progress.record_point(&outcome.node, report.dl1_accesses);
+        }
+        Ok((report, outcome))
     }
 
-    /// Wraps a cache-served point body into the `(body, outcome)` pair and
-    /// records its progress, attributing the point to `result-cache`.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_point(
-        &self,
-        index: usize,
-        point: &SweepPoint,
-        body: String,
-        backend_job: Option<String>,
-        env: &DispatchEnv<'_>,
-        epoch: Instant,
-        lookup: Instant,
-    ) -> (String, PointOutcome) {
-        let outcome = PointOutcome {
-            index,
-            label: point.label(),
-            node: "result-cache".to_owned(),
-            backend_job,
-            start_nanos: elapsed_nanos(epoch).saturating_sub(elapsed_nanos(lookup)),
-            dur_nanos: elapsed_nanos(lookup),
-        };
-        if let Some(progress) = env.progress {
-            let refs = parse_report(body.trim_end()).map_or(0, |r| r.dl1_accesses);
-            progress.record_point(&outcome.node, refs);
+    /// Stores a freshly dispatched point body in both result caches.
+    fn cache_insert(&self, key: &str, body: &str, env: &DispatchEnv<'_>) {
+        env.memory_cache
+            .lock()
+            .expect("cache lock")
+            .insert(key.to_owned(), Arc::new(body.as_bytes().to_vec()));
+        if let Some(disk) = env.disk_cache {
+            if let Err(e) = disk.put(key, body.as_bytes()) {
+                self.logger
+                    .warn("disk_cache_put_failed", &[("error", e.to_string())]);
+            }
         }
-        (body, outcome)
     }
+}
+
+/// Looks a point body up in the memory cache, then the disk cache (a disk
+/// hit is promoted to memory), counting disk hits and misses.
+fn cache_lookup(key: &str, env: &DispatchEnv<'_>) -> Option<String> {
+    let memory_hit = env.memory_cache.lock().expect("cache lock").get(key);
+    if let Some(bytes) = memory_hit {
+        return Some(String::from_utf8_lossy(&bytes).into_owned());
+    }
+    let disk = env.disk_cache?;
+    let Some(bytes) = disk.get(key) else {
+        env.metrics
+            .disk_cache_misses
+            .fetch_add(1, Ordering::Relaxed);
+        return None;
+    };
+    env.metrics.disk_cache_hits.fetch_add(1, Ordering::Relaxed);
+    let body = String::from_utf8_lossy(&bytes).into_owned();
+    env.memory_cache
+        .lock()
+        .expect("cache lock")
+        .insert(key.to_owned(), Arc::new(bytes));
+    Some(body)
 }
 
 /// The display label of a single-point `POST /run` job: workload plus the
@@ -967,161 +910,47 @@ fn record_cache_hit(spans: &Mutex<Vec<DispatchSpan>>, epoch: Instant, lookup: In
     }
 }
 
-/// The role of one sweep point in the merge. The `key` / `policy` strings
-/// are the *composed* report keys — workload or policy label plus the
-/// [`refrint::sweep::axis_suffix`] of any non-default protocol /
-/// retention-profile axes — exactly what the local runner's merge uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum PointKind {
-    Sram { key: String },
-    Edram { retention_us: u64, policy: String },
-}
-
-/// One point-level job of a fanned-out sweep.
-#[derive(Debug, Clone)]
-struct SweepPoint {
-    workload: String,
-    kind: PointKind,
-    request: PointRequest,
-}
-
-impl SweepPoint {
-    /// The point's stable display label (`lu/sram`, `fft/50us/R.valid`).
-    fn label(&self) -> String {
-        match &self.kind {
-            PointKind::Sram { .. } => format!("{}/sram", self.workload),
-            PointKind::Edram {
-                retention_us,
-                policy,
-            } => format!("{}/{}us/{}", self.workload, retention_us, policy),
-        }
-    }
-}
-
-/// Enumerates a sweep's point jobs in the local runner's deterministic
-/// order, with its duplicate-label/workload pre-checks.
-fn sweep_points(config: &ExperimentConfig) -> Result<Vec<SweepPoint>, ApiError> {
-    if !config.models.is_empty() {
-        return Err(ApiError::new(
-            422,
-            "unsupported",
-            "custom policy models are in-process trait objects and cannot be \
-             dispatched to backends; run them with a local SweepRunner",
-        ));
-    }
-    let mut labels = std::collections::BTreeSet::new();
-    for label in config.policies.iter().map(RefreshPolicy::label) {
-        if !labels.insert(label.clone()) {
-            return Err(ApiError::new(
-                422,
-                "invalid_config",
-                format!(
-                    "duplicate refresh-policy label `{label}` in the sweep \
-                     (reports are keyed by label)"
-                ),
-            ));
-        }
-    }
-    // (name, forwardable trace file name) per workload, apps first — the
-    // same workload order the local runner enumerates.
-    let mut workloads: Vec<(String, Option<String>)> = Vec::new();
-    for app in &config.apps {
-        workloads.push((app.name().to_owned(), None));
-    }
-    for spec in &config.traces {
-        let file = spec
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .ok_or_else(|| {
+/// The `POST /run` request that simulates `point` on a backend. A trace
+/// point forwards the trace's plain file name, which each backend resolves
+/// against its own trace directory. Non-default axes only are spelled out,
+/// so default points keep their historical bodies and cache keys.
+fn point_request(config: &ExperimentConfig, point: &PlanPoint) -> Result<PointRequest, ApiError> {
+    let mut request = PointRequest {
+        protocol: (!point.protocol.is_default()).then(|| point.protocol.label().to_owned()),
+        refs: Some(config.refs_per_thread),
+        seed: Some(config.seed),
+        cores: Some(config.cores),
+        ..PointRequest::default()
+    };
+    match &point.workload {
+        Workload::App(app) => request.app = Some(app.name().to_owned()),
+        Workload::Trace(spec) => {
+            let file = spec.path.file_name().ok_or_else(|| {
                 ApiError::new(
                     422,
                     "invalid_config",
                     format!("trace path `{}` has no file name", spec.path.display()),
                 )
             })?;
-        workloads.push((spec.name.clone(), Some(file)));
-    }
-    let mut keys = std::collections::BTreeSet::new();
-    for (key, _) in &workloads {
-        if !keys.insert(key.clone()) {
-            return Err(ApiError::new(
-                422,
-                "invalid_config",
-                format!(
-                    "duplicate workload `{key}` in the sweep \
-                     (reports are keyed by workload name)"
-                ),
-            ));
+            request.trace = Some(file.to_string_lossy().into_owned());
         }
     }
-
-    // The same axis expansion the local runner's `jobs()` performs:
-    // workload → protocol → [one SRAM point, then retention → policy →
-    // retention-profile]. Empty axes fall back to the single default point.
-    let protocols = if config.protocols.is_empty() {
-        vec![CoherenceProtocol::Mesi]
-    } else {
-        config.protocols.clone()
+    let Some(edram) = &point.edram else {
+        request.sram = true;
+        return Ok(request);
     };
-    let profiles = if config.retention_profiles.is_empty() {
-        vec![RetentionProfile::Uniform]
-    } else {
-        config.retention_profiles.clone()
+    let PointPolicy::Builtin(policy) = &edram.policy else {
+        return Err(ApiError::new(
+            422,
+            "unsupported",
+            "custom policy models are in-process trait objects and cannot be \
+             dispatched to backends; run them with a local SweepRunner",
+        ));
     };
-    let mut points = Vec::with_capacity(config.total_runs());
-    for (workload, trace_file) in &workloads {
-        let base = PointRequest {
-            app: trace_file.is_none().then(|| workload.clone()),
-            trace: trace_file.clone(),
-            refs: Some(config.refs_per_thread),
-            seed: Some(config.seed),
-            cores: Some(config.cores),
-            ..PointRequest::default()
-        };
-        for &protocol in &protocols {
-            let protocol_label = (!protocol.is_default()).then(|| protocol.label().to_owned());
-            points.push(SweepPoint {
-                workload: workload.clone(),
-                kind: PointKind::Sram {
-                    key: format!(
-                        "{workload}{}",
-                        axis_suffix(protocol, RetentionProfile::Uniform)
-                    ),
-                },
-                request: PointRequest {
-                    sram: true,
-                    protocol: protocol_label.clone(),
-                    ..base.clone()
-                },
-            });
-            for &retention_us in &config.retentions_us {
-                for policy in &config.policies {
-                    for &profile in &profiles {
-                        points.push(SweepPoint {
-                            workload: workload.clone(),
-                            kind: PointKind::Edram {
-                                retention_us,
-                                policy: format!(
-                                    "{}{}",
-                                    policy.label(),
-                                    axis_suffix(protocol, profile)
-                                ),
-                            },
-                            request: PointRequest {
-                                policy: Some(policy.label()),
-                                retention_us: Some(retention_us),
-                                retention_profile: (!profile.is_default()).then(|| profile.label()),
-                                protocol: protocol_label.clone(),
-                                ..base.clone()
-                            },
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(points)
+    request.policy = Some(policy.label());
+    request.retention_us = Some(edram.retention_us);
+    request.retention_profile = (!edram.profile.is_default()).then(|| edram.profile.label());
+    Ok(request)
 }
 
 /// The canonical cache key of one point, derived through the same
@@ -1134,50 +963,10 @@ fn point_cache_key(request: &PointRequest, trace_dir: Option<&Path>) -> Option<S
         .map(|v| v.cache_key)
 }
 
-/// The fields the coordinator reads back out of a report body.
-struct ParsedReport {
-    execution_cycles: u64,
-    system_energy_j: f64,
-    dl1_accesses: u64,
-}
-
-/// Parses the three fields the merge needs from a backend's report JSON.
-/// The engine parser round-trips floats bit-exactly (the PR 5 property),
-/// so anomaly scores computed from these values match a local sweep's.
-fn parse_report(report: &str) -> Result<ParsedReport, ApiError> {
-    let malformed = || {
-        ApiError::new(
-            502,
-            "backend_failed",
-            "a backend returned a malformed report body",
-        )
-    };
-    let doc = parse(report).map_err(|_| malformed())?;
-    let execution_cycles = doc
-        .get("execution_cycles")
-        .and_then(Value::as_u64)
-        .ok_or_else(malformed)?;
-    let system_energy_j = doc
-        .get("energy_j")
-        .and_then(|e| e.get("system_total"))
-        .and_then(Value::as_num)
-        .ok_or_else(malformed)?;
-    let dl1_accesses = doc
-        .get("counts")
-        .and_then(|c| c.get("dl1_accesses"))
-        .and_then(Value::as_u64)
-        .ok_or_else(malformed)?;
-    Ok(ParsedReport {
-        execution_cycles,
-        system_energy_j,
-        dl1_accesses,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refrint_workloads::apps::AppPreset;
+    use refrint::prelude::{AppPreset, CoherenceProtocol, RefreshPolicy, RetentionProfile};
 
     #[test]
     fn point_request_bodies_only_carry_set_fields() {
@@ -1201,62 +990,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sweep_points_mirror_the_runner_enumeration() {
-        let config = ExperimentConfig {
-            apps: vec![AppPreset::Lu, AppPreset::Fft],
-            retentions_us: vec![50, 100],
-            policies: vec![
-                RefreshPolicy::edram_baseline(),
-                RefreshPolicy::recommended(),
-            ],
-            refs_per_thread: 500,
-            seed: 9,
-            cores: 2,
-            ..ExperimentConfig::default()
-        };
-        let points = sweep_points(&config).unwrap();
-        // Per workload: SRAM, then retention-major × policy-minor.
-        assert_eq!(points.len(), 2 * (1 + 2 * 2));
-        assert_eq!(points[0].workload, "lu");
-        assert_eq!(
-            points[0].kind,
-            PointKind::Sram {
-                key: "lu".to_owned()
-            }
-        );
-        assert!(points[0].request.sram);
-        assert_eq!(points[0].request.protocol, None);
-        assert_eq!(points[1].request.retention_profile, None);
-        assert_eq!(
-            points[1].kind,
-            PointKind::Edram {
-                retention_us: 50,
-                policy: RefreshPolicy::edram_baseline().label()
-            }
-        );
-        assert_eq!(
-            points[2].kind,
-            PointKind::Edram {
-                retention_us: 50,
-                policy: RefreshPolicy::recommended().label()
-            }
-        );
-        assert_eq!(
-            points[3].kind,
-            PointKind::Edram {
-                retention_us: 100,
-                policy: RefreshPolicy::edram_baseline().label()
-            }
-        );
-        assert_eq!(points[5].workload, "fft");
-        for p in &points {
-            assert_eq!(p.request.refs, Some(500));
-            assert_eq!(p.request.seed, Some(9));
-            assert_eq!(p.request.cores, Some(2));
-        }
-    }
-
+    /// Every plan point of an axis sweep becomes a `POST /run` body that
+    /// spells out only its non-default axes, so default points keep their
+    /// historical bodies and per-point cache keys.
     #[test]
     fn sweep_points_expand_protocol_and_retention_profile_axes() {
         let config = ExperimentConfig {
@@ -1272,80 +1008,37 @@ mod tests {
                 },
             ],
             refs_per_thread: 500,
+            seed: 9,
             cores: 2,
             ..ExperimentConfig::default()
         };
-        let points = sweep_points(&config).unwrap();
-        // Per protocol: one SRAM point plus retention × policy × profile.
-        assert_eq!(points.len(), 2 * (1 + 2));
-        assert_eq!(points.len(), config.total_runs());
-        let policy = RefreshPolicy::recommended().label();
-        let kinds: Vec<PointKind> = points.iter().map(|p| p.kind.clone()).collect();
+        let plan = SweepPlan::new(config).unwrap();
+        let bodies: Vec<String> = plan
+            .points()
+            .iter()
+            .map(|point| point_request(plan.config(), point).unwrap().body())
+            .collect();
+        let tail = "\"refs\":500,\"seed\":9,\"cores\":2}";
         assert_eq!(
-            kinds,
-            vec![
-                PointKind::Sram {
-                    key: "lu".to_owned()
-                },
-                PointKind::Edram {
-                    retention_us: 50,
-                    policy: policy.clone()
-                },
-                PointKind::Edram {
-                    retention_us: 50,
-                    policy: format!("{policy} bimodal(25,60)")
-                },
-                PointKind::Sram {
-                    key: "lu dragon".to_owned()
-                },
-                PointKind::Edram {
-                    retention_us: 50,
-                    policy: format!("{policy} dragon")
-                },
-                PointKind::Edram {
-                    retention_us: 50,
-                    policy: format!("{policy} dragon bimodal(25,60)")
-                },
+            bodies,
+            [
+                format!("{{\"app\":\"lu\",\"sram\":true,{tail}"),
+                format!("{{\"app\":\"lu\",\"policy\":\"R.WB(32,32)\",\"retention_us\":50,{tail}"),
+                format!(
+                    "{{\"app\":\"lu\",\"policy\":\"R.WB(32,32)\",\"retention_us\":50,\
+                     \"retention_profile\":\"bimodal(25,60)\",{tail}"
+                ),
+                format!("{{\"app\":\"lu\",\"sram\":true,\"protocol\":\"dragon\",{tail}"),
+                format!(
+                    "{{\"app\":\"lu\",\"policy\":\"R.WB(32,32)\",\"retention_us\":50,\
+                     \"protocol\":\"dragon\",{tail}"
+                ),
+                format!(
+                    "{{\"app\":\"lu\",\"policy\":\"R.WB(32,32)\",\"retention_us\":50,\
+                     \"retention_profile\":\"bimodal(25,60)\",\"protocol\":\"dragon\",{tail}"
+                ),
             ]
         );
-        // The forwarded bodies only carry non-default axis fields, so the
-        // default points' run bodies (and thus their per-point cache keys)
-        // are unchanged from a plain sweep.
-        assert_eq!(points[0].request.protocol, None);
-        assert_eq!(points[1].request.retention_profile, None);
-        assert_eq!(points[3].request.protocol.as_deref(), Some("dragon"));
-        assert_eq!(
-            points[5].request.retention_profile.as_deref(),
-            Some("bimodal(25,60)")
-        );
-        assert!(points[5].request.body().contains("\"protocol\":\"dragon\""));
-        assert!(points[5]
-            .request
-            .body()
-            .contains("\"retention_profile\":\"bimodal(25,60)\""));
-    }
-
-    #[test]
-    fn duplicate_labels_and_workloads_are_rejected() {
-        let config = ExperimentConfig {
-            apps: vec![AppPreset::Lu],
-            retentions_us: vec![50],
-            policies: vec![RefreshPolicy::recommended(), RefreshPolicy::recommended()],
-            cores: 2,
-            ..ExperimentConfig::default()
-        };
-        let err = sweep_points(&config).unwrap_err();
-        assert!(err.reason.contains("duplicate refresh-policy label"));
-
-        let config = ExperimentConfig {
-            apps: vec![AppPreset::Lu, AppPreset::Lu],
-            retentions_us: vec![50],
-            policies: vec![RefreshPolicy::recommended()],
-            cores: 2,
-            ..ExperimentConfig::default()
-        };
-        let err = sweep_points(&config).unwrap_err();
-        assert!(err.reason.contains("duplicate workload"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use refrint::experiment::ExperimentConfig;
 use refrint::simulation::{ObsConfig, SimulationBuilder};
-use refrint::sweep::SweepRunner;
+use refrint::sweep::{SweepPlan, SweepRunner};
 use refrint_engine::json::escape;
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::recorder::ObsSummary;
@@ -41,8 +41,8 @@ pub enum JobWork {
     },
     /// A full experiment sweep, run sequentially inside the worker.
     Sweep {
-        /// The validated experiment configuration.
-        config: ExperimentConfig,
+        /// The validated sweep plan.
+        plan: SweepPlan,
         /// Anomaly tunables for the `anomalies` array (the default tuning
         /// reproduces the CLI's bytes exactly).
         anomaly: AnomalyTuning,
@@ -449,7 +449,7 @@ impl SharedJobs {
 pub fn execute(work: &JobWork) -> JobOutput {
     match work {
         JobWork::Run { builder, app, .. } => run_one(builder, *app),
-        JobWork::Sweep { config, anomaly } => run_sweep(config, *anomaly),
+        JobWork::Sweep { plan, anomaly } => run_sweep(plan.config(), *anomaly),
     }
 }
 
@@ -640,7 +640,7 @@ mod tests {
             ..ExperimentConfig::default()
         };
         let out = execute(&JobWork::Sweep {
-            config: config.clone(),
+            plan: SweepPlan::new(config.clone()).unwrap(),
             anomaly: AnomalyTuning::default(),
         });
         assert_eq!(out.status, 200);

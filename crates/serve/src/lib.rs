@@ -515,7 +515,7 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
             Some(coordinator) => {
                 let total = match &work {
                     JobWork::Run { .. } => 1,
-                    JobWork::Sweep { config, .. } => config.total_runs() as u64,
+                    JobWork::Sweep { plan, .. } => plan.points().len() as u64,
                 };
                 let progress = Arc::new(JobProgress::new(total));
                 state

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use refrint::experiment::{run_sweep, ExperimentConfig};
+use refrint::experiment::ExperimentConfig;
 use refrint::prelude::*;
 use refrint::sweep::SweepProgress;
 use refrint_engine::time::Cycle;
@@ -134,7 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
 
     // ---- 3. Determinism: the parallel merge equals the sequential path. ---
-    let sequential = run_sweep(&config)?;
+    let sequential = SweepRunner::new(config.clone()).sequential().run()?;
     assert_eq!(
         format!("{sequential:?}"),
         format!("{parallel:?}"),

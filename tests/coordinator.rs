@@ -136,6 +136,40 @@ fn coordinator_axis_sweeps_match_the_local_runner() {
     }
 }
 
+/// A sweep whose reports would collide — a repeated policy label or a
+/// repeated workload — is refused at validation with the same 422, byte
+/// for byte, by a plain server and by a coordinator: both build the same
+/// sweep plan before anything runs.
+#[test]
+fn colliding_sweeps_get_the_same_answer_locally_and_through_a_coordinator() {
+    let backend = start_backend();
+    let coordinator = start_coordinator(&[&backend], None);
+    for body in [
+        "{\"apps\":[\"lu\"],\"policies\":[\"R.valid\",\"R.valid\"],\"refs\":400,\"cores\":2}",
+        "{\"apps\":[\"lu\",\"lu\"],\"refs\":400,\"cores\":2}",
+    ] {
+        let local = client::post(backend.addr(), "/sweep", body.as_bytes())
+            .expect("sweep reaches the plain server");
+        let fleet = client::post(coordinator.addr(), "/sweep", body.as_bytes())
+            .expect("sweep reaches the coordinator");
+        assert_eq!(local.status, 422, "{body}: {}", local.body_str());
+        assert_eq!(fleet.status, local.status, "{body}");
+        assert_eq!(fleet.body, local.body, "{body}");
+        assert!(
+            local.body_str().contains("\"invalid_config\""),
+            "{}",
+            local.body_str()
+        );
+        assert!(
+            local.body_str().contains("duplicate"),
+            "{}",
+            local.body_str()
+        );
+    }
+    coordinator.shutdown();
+    backend.shutdown();
+}
+
 #[test]
 fn backend_killed_mid_sweep_is_reassigned_without_changing_the_bytes() {
     let expected = local_sweep_bytes();

@@ -42,7 +42,7 @@ fn anomalies_of(doc: &str) -> Vec<Value> {
 #[test]
 fn a_clean_sweep_reports_no_anomalies_in_the_cli_json() {
     let results = small_sweep();
-    let doc = refrint_cli::json::sweep(&results);
+    let doc = refrint::json::sweep(&results);
     assert!(
         anomalies_of(&doc).is_empty(),
         "legitimate policy spread must not be flagged: {doc}"
@@ -60,7 +60,7 @@ fn a_planted_outlier_reaches_the_cli_json_and_only_it() {
         .expect("the recommended policy is in the paper sweep");
     results.edram.get_mut(&victim).unwrap().breakdown.dram *= 400.0;
 
-    let doc = refrint_cli::json::sweep(&results);
+    let doc = refrint::json::sweep(&results);
     let flagged = anomalies_of(&doc);
     assert!(!flagged.is_empty(), "the planted outlier must be reported");
     for a in &flagged {

@@ -7,7 +7,6 @@
 //! cases, and a failing case prints its inputs so it can be minimised by
 //! hand.
 
-use refrint_edram::exact::settle_exact;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_edram::schedule::{DecaySchedule, LineKind};
 use refrint_energy::accounting::EnergyCounts;
@@ -21,6 +20,7 @@ use refrint_mem::config::CacheGeometry;
 use refrint_mem::line::MesiState;
 use refrint_noc::routing::{hop_count, route};
 use refrint_noc::topology::{NodeId, Torus};
+use refrint_oracle::decay::OracleDecay;
 use refrint_workloads::generator::ThreadStream;
 use refrint_workloads::model::WorkloadModel;
 
@@ -55,8 +55,10 @@ fn arbitrary_kind(rng: &mut DeterministicRng) -> LineKind {
     }
 }
 
-/// The lazy decay-schedule algebra agrees with the exact
-/// event-per-opportunity replay on arbitrary policies and intervals.
+/// The lazy decay-schedule algebra agrees with the oracle's
+/// event-per-opportunity replay on arbitrary policies and intervals. The
+/// oracle steps through the opportunities itself rather than asking the
+/// schedule for them, so an opportunity-grid bug cannot hide on both sides.
 #[test]
 fn lazy_settlement_matches_exact_replay() {
     for case in 0..CASES {
@@ -67,16 +69,17 @@ fn lazy_settlement_matches_exact_replay() {
         let retention = rng.range(500, 5_000);
         let margin = ((retention as f64) * rng.unit() * 0.9) as u64;
         let offset = rng.below(5_000);
-        let schedule = DecaySchedule::new(
-            RefreshPolicy::new(time, data),
+        let policy = RefreshPolicy::new(time, data);
+        let (retention, margin, offset) = (
             Cycle::new(retention),
             Cycle::new(margin),
             Cycle::new(offset),
         );
+        let schedule = DecaySchedule::new(policy, retention, margin, offset);
         let touch = Cycle::new(rng.below(20_000));
         let until = touch + Cycle::new(rng.below(300_000));
         let lazy = schedule.settle(kind, touch, until);
-        let exact = settle_exact(&schedule, kind, touch, until);
+        let exact = OracleDecay::new(policy, retention, margin, offset).settle(kind, touch, until);
         assert_eq!(
             lazy, exact,
             "case {case}: {time:?} {data:?} {kind:?} retention={retention} \
