@@ -20,11 +20,6 @@ use refrint_workloads::classify::AppClass;
 pub mod results;
 pub mod throughput;
 
-/// The shared JSON implementation (escaping, rendering helpers, the
-/// typed-error parser), re-exported so bench consumers keep one import
-/// path after its extraction into `refrint-engine`.
-pub use refrint_engine::json;
-
 /// How large a sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

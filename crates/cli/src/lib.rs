@@ -10,9 +10,10 @@
 #![warn(missing_docs)]
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use refrint::experiment::ExperimentConfig;
-use refrint::simulation::{ObsConfig, Simulation, SimulationBuilder};
+use refrint::simulation::{ObsConfig, RunSpec, SimulationBuilder};
 use refrint::{CoherenceProtocol, RetentionProfile};
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
@@ -146,26 +147,48 @@ pub fn parse_format(args: &[String]) -> Result<OutputFormat, String> {
     }
 }
 
+/// Parses the optional value of `flag`; a value that does not parse is a
+/// usage error naming the flag.
+fn opt_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    opt_value(args, flag)
+        .map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`")))
+        .transpose()
+}
+
+/// Parses the run overrides `run`, `obs` and `trace replay` share —
+/// exactly the fields a `POST /run` body accepts: `--sram`, `--policy`,
+/// `--retention`, `--retention-profile`, `--protocol`, `--refs`, `--seed`
+/// and `--cores`.
+///
+/// # Errors
+///
+/// Returns a usage message for an invalid value.
+pub fn parse_run_spec(args: &[String]) -> Result<RunSpec, String> {
+    Ok(RunSpec {
+        sram: has_flag(args, "--sram"),
+        policy: opt_value(args, "--policy")
+            .map(|p| parse_policy(&p))
+            .transpose()?,
+        retention_us: opt_parsed(args, "--retention")?,
+        retention_profile: opt_value(args, "--retention-profile")
+            .map(|p| parse_retention_profile(&p))
+            .transpose()?,
+        protocol: opt_value(args, "--protocol")
+            .map(|p| parse_protocol(&p))
+            .transpose()?,
+        refs: opt_parsed(args, "--refs")?,
+        seed: opt_parsed(args, "--seed")?,
+        cores: opt_parsed(args, "--cores")?,
+    })
+}
+
 /// Options of the `run` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOptions {
     /// The application to run.
     pub app: AppPreset,
-    /// Use SRAM cells (the no-refresh baseline).
-    pub sram: bool,
-    /// Refresh policy label, if overridden.
-    pub policy: Option<RefreshPolicy>,
-    /// Retention time in microseconds, if overridden.
-    pub retention_us: Option<u64>,
-    /// Per-bank retention distribution (`--retention-profile`), if
-    /// overridden.
-    pub retention_profile: Option<RetentionProfile>,
-    /// Coherence protocol (`--protocol mesi|dragon`), if overridden.
-    pub protocol: Option<CoherenceProtocol>,
-    /// References per thread, if overridden.
-    pub refs: Option<u64>,
-    /// Workload seed, if overridden.
-    pub seed: Option<u64>,
+    /// The run overrides ([`parse_run_spec`]).
+    pub spec: RunSpec,
     /// Print the observability attribution table to stderr after the
     /// report (`--timing`; default sampling, stdout bytes unchanged).
     pub timing: bool,
@@ -182,40 +205,9 @@ impl RunOptions {
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let app_name = opt_value(args, "--app").ok_or("run requires --app <name>")?;
         let app: AppPreset = app_name.parse().map_err(|e| format!("{e}"))?;
-        let sram = has_flag(args, "--sram");
-        let policy = match opt_value(args, "--policy") {
-            Some(p) => Some(parse_policy(&p)?),
-            None => None,
-        };
-        let retention_us = match opt_value(args, "--retention") {
-            Some(r) => Some(r.parse().map_err(|_| format!("bad retention `{r}`"))?),
-            None => None,
-        };
-        let retention_profile = match opt_value(args, "--retention-profile") {
-            Some(p) => Some(parse_retention_profile(&p)?),
-            None => None,
-        };
-        let protocol = match opt_value(args, "--protocol") {
-            Some(p) => Some(parse_protocol(&p)?),
-            None => None,
-        };
-        let refs = match opt_value(args, "--refs") {
-            Some(n) => Some(n.parse().map_err(|_| format!("bad --refs `{n}`"))?),
-            None => None,
-        };
-        let seed = match opt_value(args, "--seed") {
-            Some(s) => Some(s.parse().map_err(|_| format!("bad --seed `{s}`"))?),
-            None => None,
-        };
         Ok(RunOptions {
             app,
-            sram,
-            policy,
-            retention_us,
-            retention_profile,
-            protocol,
-            refs,
-            seed,
+            spec: parse_run_spec(args)?,
             timing: has_flag(args, "--timing"),
             format: parse_format(args)?,
         })
@@ -224,33 +216,12 @@ impl RunOptions {
     /// The simulation builder these options describe.
     #[must_use]
     pub fn builder(&self) -> SimulationBuilder {
-        let mut builder = if self.sram {
-            Simulation::builder().sram_baseline()
-        } else {
-            Simulation::builder().edram_recommended()
-        };
-        if let Some(policy) = self.policy {
-            builder = builder.policy(policy);
-        }
-        if let Some(us) = self.retention_us {
-            builder = builder.retention_us(us);
-        }
-        if let Some(profile) = self.retention_profile {
-            builder = builder.retention_profile(profile);
-        }
-        if let Some(protocol) = self.protocol {
-            builder = builder.protocol(protocol);
-        }
-        if let Some(refs) = self.refs {
-            builder = builder.refs_per_thread(refs);
-        }
-        if let Some(seed) = self.seed {
-            builder = builder.seed(seed);
-        }
+        let builder = self.spec.builder();
         if self.timing {
-            builder = builder.observability(ObsConfig::default());
+            builder.observability(ObsConfig::default())
+        } else {
+            builder
         }
-        builder
     }
 }
 
@@ -261,22 +232,8 @@ impl RunOptions {
 pub struct ObsOptions {
     /// The application to run.
     pub app: AppPreset,
-    /// Use SRAM cells (the no-refresh baseline).
-    pub sram: bool,
-    /// Refresh policy label, if overridden.
-    pub policy: Option<RefreshPolicy>,
-    /// Retention time in microseconds, if overridden.
-    pub retention_us: Option<u64>,
-    /// Per-bank retention distribution, if overridden.
-    pub retention_profile: Option<RetentionProfile>,
-    /// Coherence protocol, if overridden.
-    pub protocol: Option<CoherenceProtocol>,
-    /// References per thread, if overridden.
-    pub refs: Option<u64>,
-    /// Workload seed, if overridden.
-    pub seed: Option<u64>,
-    /// Simulated cores, if overridden.
-    pub cores: Option<usize>,
+    /// The run overrides ([`parse_run_spec`]).
+    pub spec: RunSpec,
     /// Sample every Nth event (default 1: full sampling).
     pub sample_every: u32,
     /// Print the subsystem critical-path report instead of the export
@@ -299,44 +256,10 @@ impl ObsOptions {
             .ok_or("obs requires --app <name>")?
             .parse()
             .map_err(|e| format!("{e}"))?;
-        let sram = has_flag(args, "--sram");
-        let policy = match opt_value(args, "--policy") {
-            Some(p) => Some(parse_policy(&p)?),
-            None => None,
-        };
-        let retention_us = match opt_value(args, "--retention") {
-            Some(r) => Some(r.parse().map_err(|_| format!("bad retention `{r}`"))?),
-            None => None,
-        };
-        let retention_profile = match opt_value(args, "--retention-profile") {
-            Some(p) => Some(parse_retention_profile(&p)?),
-            None => None,
-        };
-        let protocol = match opt_value(args, "--protocol") {
-            Some(p) => Some(parse_protocol(&p)?),
-            None => None,
-        };
-        let refs = match opt_value(args, "--refs") {
-            Some(n) => Some(n.parse().map_err(|_| format!("bad --refs `{n}`"))?),
-            None => None,
-        };
-        let seed = match opt_value(args, "--seed") {
-            Some(s) => Some(s.parse().map_err(|_| format!("bad --seed `{s}`"))?),
-            None => None,
-        };
-        let cores = match opt_value(args, "--cores") {
-            Some(c) => Some(c.parse().map_err(|_| format!("bad --cores `{c}`"))?),
-            None => None,
-        };
-        let sample_every = match opt_value(args, "--sample") {
+        let sample_every = match opt_parsed::<u32>(args, "--sample")? {
             None => 1,
-            Some(v) => {
-                let n: u32 = v.parse().map_err(|_| format!("bad --sample `{v}`"))?;
-                if n == 0 {
-                    return Err("--sample must be at least 1".into());
-                }
-                n
-            }
+            Some(0) => return Err("--sample must be at least 1".into()),
+            Some(n) => n,
         };
         // The export is the point of this subcommand, so JSON is the
         // default; `--format text` prints the attribution table instead.
@@ -351,14 +274,7 @@ impl ObsOptions {
         };
         Ok(ObsOptions {
             app,
-            sram,
-            policy,
-            retention_us,
-            retention_profile,
-            protocol,
-            refs,
-            seed,
-            cores,
+            spec: parse_run_spec(args)?,
             sample_every,
             critical_path: has_flag(args, "--critical-path"),
             anomaly: parse_anomaly_tuning(args)?,
@@ -370,33 +286,9 @@ impl ObsOptions {
     /// enabled at the requested sampling rate.
     #[must_use]
     pub fn builder(&self) -> SimulationBuilder {
-        let mut builder = if self.sram {
-            Simulation::builder().sram_baseline()
-        } else {
-            Simulation::builder().edram_recommended()
-        };
-        if let Some(policy) = self.policy {
-            builder = builder.policy(policy);
-        }
-        if let Some(us) = self.retention_us {
-            builder = builder.retention_us(us);
-        }
-        if let Some(profile) = self.retention_profile {
-            builder = builder.retention_profile(profile);
-        }
-        if let Some(protocol) = self.protocol {
-            builder = builder.protocol(protocol);
-        }
-        if let Some(refs) = self.refs {
-            builder = builder.refs_per_thread(refs);
-        }
-        if let Some(seed) = self.seed {
-            builder = builder.seed(seed);
-        }
-        if let Some(cores) = self.cores {
-            builder = builder.cores(cores);
-        }
-        builder.observability(ObsConfig::sampled(self.sample_every))
+        self.spec
+            .builder()
+            .observability(ObsConfig::sampled(self.sample_every))
     }
 }
 
@@ -437,28 +329,13 @@ impl SweepOptions {
     ///
     /// Returns a usage message for invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let refs = match opt_value(args, "--refs") {
-            Some(n) => Some(n.parse().map_err(|_| format!("bad --refs `{n}`"))?),
-            None => None,
-        };
-        let apps = match opt_value(args, "--apps") {
-            Some(list) => Some(parse_apps(&list)?),
-            None => None,
-        };
-        let jobs = match opt_value(args, "--jobs") {
-            Some(j) => {
-                let jobs: usize = j.parse().map_err(|_| format!("bad --jobs `{j}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                Some(jobs)
-            }
-            None => None,
-        };
-        let cores = match opt_value(args, "--cores") {
-            Some(c) => Some(c.parse().map_err(|_| format!("bad --cores `{c}`"))?),
-            None => None,
-        };
+        let apps = opt_value(args, "--apps")
+            .map(|list| parse_apps(&list))
+            .transpose()?;
+        let jobs = opt_parsed::<usize>(args, "--jobs")?;
+        if jobs == Some(0) {
+            return Err("--jobs must be at least 1".into());
+        }
         let protocols = opt_values(args, "--protocol")
             .iter()
             .map(|p| parse_protocol(p))
@@ -468,10 +345,10 @@ impl SweepOptions {
             .map(|p| parse_retention_profile(p))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(SweepOptions {
-            refs,
+            refs: opt_parsed(args, "--refs")?,
             apps,
             jobs,
-            cores,
+            cores: opt_parsed(args, "--cores")?,
             progress: has_flag(args, "--progress"),
             protocols,
             retention_profiles,
@@ -546,18 +423,6 @@ impl TraceRecordOptions {
             .parse()
             .map_err(|e| format!("{e}"))?;
         let out = opt_value(args, "--out").ok_or("trace record requires --out <path>")?;
-        let cores = match opt_value(args, "--cores") {
-            Some(c) => Some(c.parse().map_err(|_| format!("bad --cores `{c}`"))?),
-            None => None,
-        };
-        let refs = match opt_value(args, "--refs") {
-            Some(n) => Some(n.parse().map_err(|_| format!("bad --refs `{n}`"))?),
-            None => None,
-        };
-        let seed = match opt_value(args, "--seed") {
-            Some(s) => Some(s.parse().map_err(|_| format!("bad --seed `{s}`"))?),
-            None => None,
-        };
         Ok(TraceRecordOptions {
             app,
             out: out.into(),
@@ -566,41 +431,33 @@ impl TraceRecordOptions {
             } else {
                 TraceFormat::Binary
             },
-            cores,
-            refs,
-            seed,
+            cores: opt_parsed(args, "--cores")?,
+            refs: opt_parsed(args, "--refs")?,
+            seed: opt_parsed(args, "--seed")?,
         })
     }
 
     /// The builder describing the chip the trace is recorded for.
     #[must_use]
     pub fn builder(&self) -> SimulationBuilder {
-        let mut builder = Simulation::builder();
-        if let Some(cores) = self.cores {
-            builder = builder.cores(cores);
+        RunSpec {
+            cores: self.cores,
+            refs: self.refs,
+            seed: self.seed,
+            ..RunSpec::default()
         }
-        if let Some(refs) = self.refs {
-            builder = builder.refs_per_thread(refs);
-        }
-        if let Some(seed) = self.seed {
-            builder = builder.seed(seed);
-        }
-        builder
+        .builder()
     }
 }
 
-/// Options of the `trace replay` subcommand: the trace plus the same
-/// configuration overrides as `run`.
+/// Options of the `trace replay` subcommand: the trace plus the same run
+/// overrides as `run`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceReplayOptions {
     /// The trace to replay.
     pub trace: PathBuf,
-    /// Use SRAM cells (the no-refresh baseline).
-    pub sram: bool,
-    /// Refresh policy label, if overridden.
-    pub policy: Option<RefreshPolicy>,
-    /// Retention time in microseconds, if overridden.
-    pub retention_us: Option<u64>,
+    /// The run overrides ([`parse_run_spec`]).
+    pub spec: RunSpec,
     /// Output rendering.
     pub format: OutputFormat,
 }
@@ -613,19 +470,9 @@ impl TraceReplayOptions {
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let trace = opt_value(args, "--trace").ok_or("trace replay requires --trace <path>")?;
-        let policy = match opt_value(args, "--policy") {
-            Some(p) => Some(parse_policy(&p)?),
-            None => None,
-        };
-        let retention_us = match opt_value(args, "--retention") {
-            Some(r) => Some(r.parse().map_err(|_| format!("bad retention `{r}`"))?),
-            None => None,
-        };
         Ok(TraceReplayOptions {
             trace: trace.into(),
-            sram: has_flag(args, "--sram"),
-            policy,
-            retention_us,
+            spec: parse_run_spec(args)?,
             format: parse_format(args)?,
         })
     }
@@ -633,18 +480,7 @@ impl TraceReplayOptions {
     /// The simulation builder these options describe.
     #[must_use]
     pub fn builder(&self) -> SimulationBuilder {
-        let mut builder = if self.sram {
-            Simulation::builder().sram_baseline()
-        } else {
-            Simulation::builder().edram_recommended()
-        };
-        if let Some(policy) = self.policy {
-            builder = builder.policy(policy);
-        }
-        if let Some(us) = self.retention_us {
-            builder = builder.retention_us(us);
-        }
-        builder.trace(&self.trace)
+        self.spec.builder().trace(&self.trace)
     }
 }
 
@@ -791,15 +627,13 @@ impl CheckOptions {
                 n
             }
         };
-        let protocol = match opt_value(args, "--protocol") {
-            Some(p) => Some(parse_protocol(&p)?),
-            None => None,
-        };
         Ok(CheckOptions {
             seed,
             scenarios,
             scenario: opt_value(args, "--scenario"),
-            protocol,
+            protocol: opt_value(args, "--protocol")
+                .map(|p| parse_protocol(&p))
+                .transpose()?,
             self_test: has_flag(args, "--self-test"),
             progress: has_flag(args, "--progress"),
         })
@@ -836,10 +670,9 @@ impl ServeOptions {
                 }
             }
         };
-        let latency_buckets = match opt_value(args, "--latency-buckets") {
-            Some(list) => Some(parse_latency_buckets(&list)?),
-            None => None,
-        };
+        let latency_buckets = opt_value(args, "--latency-buckets")
+            .map(|list| parse_latency_buckets(&list))
+            .transpose()?;
         let log_format = match opt_value(args, "--log-format").as_deref() {
             None => None,
             Some("text") => Some(LogFormat::Text),
@@ -970,7 +803,7 @@ mod tests {
         .unwrap();
         assert_eq!(opts.app, AppPreset::Lu);
         assert_eq!(
-            opts.policy,
+            opts.spec.policy,
             Some(RefreshPolicy::new(
                 TimePolicy::Refrint,
                 DataPolicy::write_back(4, 4)
@@ -1028,9 +861,9 @@ mod tests {
             "bimodal(25,60)",
         ]))
         .unwrap();
-        assert_eq!(opts.protocol, Some(CoherenceProtocol::Dragon));
+        assert_eq!(opts.spec.protocol, Some(CoherenceProtocol::Dragon));
         assert_eq!(
-            opts.retention_profile,
+            opts.spec.retention_profile,
             Some(RetentionProfile::Bimodal {
                 weak_pct: 25,
                 weak_retention_pct: 60
@@ -1052,7 +885,7 @@ mod tests {
 
         // Omitting the flags leaves the defaults untouched.
         let opts = RunOptions::parse(&args(&["--app", "lu"])).unwrap();
-        assert_eq!(opts.protocol, None);
+        assert_eq!(opts.spec.protocol, None);
         let config = opts.builder().build_config().unwrap();
         assert_eq!(config.protocol, CoherenceProtocol::Mesi);
         assert_eq!(config.retention_profile, RetentionProfile::Uniform);
@@ -1272,12 +1105,83 @@ mod tests {
         assert_eq!(opts.trace, PathBuf::from("/tmp/x.rft"));
         assert_eq!(opts.format, OutputFormat::Json);
         assert_eq!(
-            opts.policy,
+            opts.spec.policy,
             Some(RefreshPolicy::new(TimePolicy::Periodic, DataPolicy::Dirty))
         );
         assert!(TraceReplayOptions::parse(&args(&[]))
             .unwrap_err()
             .contains("--trace"));
+    }
+
+    /// `run`, `obs` and `trace replay` honour every field a `POST /run`
+    /// body accepts: one flag list builds the configuration the equivalent
+    /// JSON body builds.
+    #[test]
+    fn run_obs_and_trace_replay_build_what_post_run_builds() {
+        use refrint_serve::api::parse_run_request;
+        use refrint_serve::jobs::JobWork;
+
+        let dir = std::env::temp_dir().join(format!("refrint-cli-spec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("lu.rft");
+        let recorder = TraceRecordOptions::parse(&args(&[
+            "--app", "lu", "--out", "unused", "--cores", "2", "--refs", "300", "--seed", "5",
+        ]))
+        .unwrap();
+        recorder
+            .builder()
+            .build()
+            .unwrap()
+            .capture(AppPreset::Lu, &trace)
+            .unwrap();
+
+        let flags = [
+            "--cores",
+            "2",
+            "--seed",
+            "5",
+            "--refs",
+            "300",
+            "--protocol",
+            "dragon",
+            "--retention-profile",
+            "normal(10)",
+            "--policy",
+            "R.valid",
+            "--retention",
+            "100",
+        ];
+        let fields = "\"cores\":2,\"seed\":5,\"refs\":300,\"protocol\":\"dragon\",\
+                      \"retention_profile\":\"normal(10)\",\"policy\":\"R.valid\",\
+                      \"retention_us\":100";
+        let config = |builder: SimulationBuilder| format!("{:?}", builder.build_config().unwrap());
+        let served = |workload: &str| {
+            let body = format!("{{{workload},{fields}}}");
+            let root = refrint_engine::json::parse(&body).unwrap();
+            match parse_run_request(&root, Some(&dir)).unwrap().work {
+                JobWork::Run { workload, spec } => config(workload.builder(&spec)),
+                other => panic!("wrong work: {other:?}"),
+            }
+        };
+        let with = |head: &[&str]| args(&[head, &flags[..]].concat());
+
+        let run = RunOptions::parse(&with(&["--app", "lu"]))
+            .unwrap()
+            .builder();
+        let built = run.build_config().unwrap();
+        assert_eq!(built.label(), "eDRAM 100us R.valid dragon normal(10)");
+        assert_eq!(
+            (built.cores, built.seed, built.refs_per_thread),
+            (2, 5, Some(300))
+        );
+        let app = served("\"app\":\"lu\"");
+        assert_eq!(config(run), app);
+        let obs = ObsOptions::parse(&with(&["--app", "lu"])).unwrap();
+        assert_eq!(config(obs.builder()), app);
+        let replay =
+            TraceReplayOptions::parse(&with(&["--trace", trace.to_str().unwrap()])).unwrap();
+        assert_eq!(config(replay.builder()), served("\"trace\":\"lu.rft\""));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

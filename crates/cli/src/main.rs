@@ -36,14 +36,10 @@ refrint-cli <command> [options]
 Commands:
   show-config                      print the simulated architecture (paper Table 5.1)
   classify                         classify applications into Class 1/2/3 (paper Table 6.1)
-  run --app <name> [--sram] [--policy P.all|R.WB(32,32)|...] [--retention 50|100|200]
-      [--protocol mesi|dragon] [--retention-profile uniform|normal(S)|bimodal(W,R)]
-      [--refs <n>] [--seed <n>] [--timing] [--format text|json]
+  run --app <name> [RUN OVERRIDES] [--timing] [--format text|json]
                                    run one application and print the report
                                    (--timing adds the cycle/host-time table on stderr)
-  obs --app <name> [--sram] [--policy <label>] [--retention <us>]
-      [--protocol mesi|dragon] [--retention-profile <label>] [--refs <n>]
-      [--seed <n>] [--cores <n>] [--sample <n>] [--critical-path]
+  obs --app <name> [RUN OVERRIDES] [--sample <n>] [--critical-path]
       [--anomaly-threshold <z>] [--min-slice <n>] [--format json|text]
                                    run with full-sampling observability and print the
                                    OTLP-shaped span export (docs/observability.md);
@@ -56,8 +52,7 @@ Commands:
                                    coherence and per-bank retention axes)
   trace record --app <name> --out <file> [--cores <n>] [--refs <n>] [--seed <n>] [--text]
                                    capture a workload's reference streams to a trace
-  trace replay --trace <file> [--sram] [--policy <label>] [--retention <us>]
-               [--format text|json]
+  trace replay --trace <file> [RUN OVERRIDES] [--format text|json]
                                    replay a recorded trace through a configuration
   trace info --trace <file> [--format text|json]
                                    summarize a trace (threads, gaps, strides)
@@ -75,6 +70,11 @@ Commands:
                                    --coordinator dispatches jobs to --backend servers
                                    instead of simulating locally (docs/coordinator.md);
                                    --cache-dir persists results across restarts
+
+RUN OVERRIDES (run, obs, trace replay; the fields of a POST /run body):
+  [--sram] [--policy P.all|R.WB(32,32)|...] [--retention 50|100|200]
+  [--protocol mesi|dragon] [--retention-profile uniform|normal(S)|bimodal(W,R)]
+  [--refs <n>] [--seed <n>] [--cores <n>]
 ";
 
 fn main() -> ExitCode {

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use refrint_coherence::protocol::CoherenceProtocol;
 use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
-use refrint_edram::retention::RetentionConfig;
 use refrint_edram::variation::RetentionProfile;
 use refrint_trace::TraceFile;
 use refrint_workloads::apps::AppPreset;
@@ -184,12 +183,6 @@ impl ExperimentConfig {
         (self.apps.len() + self.traces.len())
             * protocols
             * (1 + self.retentions_us.len() * (self.policies.len() + self.models.len()) * profiles)
-    }
-
-    pub(crate) fn retention(us: u64) -> Result<RetentionConfig, RefrintError> {
-        RetentionConfig::from_microseconds(us).map_err(|e| RefrintError::InvalidConfig {
-            reason: e.to_string(),
-        })
     }
 }
 

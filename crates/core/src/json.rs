@@ -17,8 +17,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use refrint_engine::json::parse;
-pub use refrint_engine::json::{escape, num};
+use refrint_engine::json::{escape, num, parse};
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_trace::TraceSummary;
 

@@ -92,7 +92,8 @@ pub use refrint_coherence::protocol::CoherenceProtocol;
 pub use refrint_edram::variation::RetentionProfile;
 pub use report::SimReport;
 pub use simulation::{
-    BuildError, ObsConfig, ObsSummary, RelativeMetrics, RunOutcome, Simulation, SimulationBuilder,
+    BuildError, ObsConfig, ObsSummary, RelativeMetrics, RunOutcome, RunSpec, Simulation,
+    SimulationBuilder,
 };
 pub use sweep::{ProgressObserver, SweepProgress, SweepRunner};
 pub use system::CmpSystem;

@@ -141,7 +141,9 @@ mod tests {
         assert_eq!(meta.threads, 2);
         assert_eq!(meta.workload, "lu");
 
-        let live = CmpSystem::new(config()).unwrap().run_app(AppPreset::Lu);
+        let live = CmpSystem::new(config())
+            .unwrap()
+            .run_model(&AppPreset::Lu.model());
         let trace = TraceFile::open(&path).unwrap();
         let replayed = replay(&mut CmpSystem::new(config()).unwrap(), &trace).unwrap();
         assert_eq!(format!("{live:?}"), format!("{replayed:?}"));

@@ -44,6 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use refrint_coherence::protocol::CoherenceProtocol;
+use refrint_edram::error::EdramError;
 use refrint_edram::model::{PolicyFactory, PolicyRegistry};
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::retention::RetentionConfig;
@@ -149,12 +150,11 @@ impl fmt::Display for BuildError {
                 "a refresh {setting} was configured for SRAM cells, which never refresh \
                  (drop the {setting} or select eDRAM)"
             ),
-            BuildError::UnknownPolicy { label, valid } => write!(
-                f,
-                "unknown refresh policy `{label}`; valid labels are \
-                 `P|R.all|valid|dirty|WB(n,m)` — e.g. {}",
-                valid.join(", ")
-            ),
+            BuildError::UnknownPolicy { label, valid } => EdramError::UnknownPolicy {
+                label: label.clone(),
+                valid: valid.clone(),
+            }
+            .fmt(f),
             BuildError::ConflictingPolicySpecs => write!(
                 f,
                 "set at most one of policy(), policy_label() and policy_model()"
@@ -535,6 +535,54 @@ impl SimulationBuilder {
     }
 }
 
+/// One run point minus its workload: the overrides every front end
+/// describes a simulation with — `refrint-cli run`/`obs`/`trace replay`
+/// flags, a `POST /run` body, a coordinator's forwarded point and a sweep
+/// plan point — and their one mapping onto [`SimulationBuilder`]. Unset
+/// fields keep the preset's values: the recommended eDRAM chip, or the
+/// SRAM baseline with `sram`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunSpec {
+    /// Start from the SRAM baseline instead of the recommended eDRAM chip.
+    pub sram: bool,
+    /// The L3 refresh policy.
+    pub policy: Option<RefreshPolicy>,
+    /// The eDRAM retention time in microseconds.
+    pub retention_us: Option<u64>,
+    /// The per-bank retention distribution.
+    pub retention_profile: Option<RetentionProfile>,
+    /// The coherence protocol.
+    pub protocol: Option<CoherenceProtocol>,
+    /// References per workload thread.
+    pub refs: Option<u64>,
+    /// The workload seed.
+    pub seed: Option<u64>,
+    /// Simulated cores (one L3 bank each).
+    pub cores: Option<usize>,
+}
+
+impl RunSpec {
+    /// The builder this spec describes.
+    #[must_use]
+    pub fn builder(&self) -> SimulationBuilder {
+        SimulationBuilder {
+            base: Some(if self.sram {
+                BasePreset::SramBaseline
+            } else {
+                BasePreset::EdramRecommended
+            }),
+            policy: self.policy,
+            retention_us: self.retention_us,
+            retention_profile: self.retention_profile,
+            protocol: self.protocol,
+            cores: self.cores,
+            seed: self.seed,
+            refs_per_thread: self.refs,
+            ..SimulationBuilder::default()
+        }
+    }
+}
+
 /// A ready-to-run simulated system, produced by [`Simulation::builder`].
 #[derive(Debug)]
 pub struct Simulation {
@@ -559,7 +607,7 @@ impl Simulation {
 
     /// Runs one of the named application presets.
     pub fn run(&mut self, app: AppPreset) -> RunOutcome {
-        RunOutcome::new(self.system.run_app(app))
+        RunOutcome::new(self.system.run_model(&app.model()))
     }
 
     /// Runs an arbitrary workload model.

@@ -51,18 +51,16 @@ use refrint_coherence::protocol::CoherenceProtocol;
 use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::variation::RetentionProfile;
-use refrint_energy::tech::CellTech;
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_trace::TraceFile;
 use refrint_workloads::apps::AppPreset;
 
-use crate::config::SystemConfig;
 use crate::error::RefrintError;
 use crate::experiment::{ExperimentConfig, SweepResults, TraceSpec};
 use crate::json::{self, ReportBody};
 use crate::replay;
 use crate::report::SimReport;
-use crate::system::CmpSystem;
+use crate::simulation::RunSpec;
 
 /// A completed-run notification streamed by the [`SweepRunner`].
 #[derive(Debug, Clone)]
@@ -381,26 +379,28 @@ impl SweepPlan {
             .collect()
     }
 
-    /// The chip configuration that simulates `point`.
-    fn system_config(&self, point: &PlanPoint) -> Result<SystemConfig, RefrintError> {
-        let base = SystemConfig::sram_baseline()
-            .with_cores(self.config.cores)
-            .with_seed(self.config.seed)
-            .with_scale(self.config.refs_per_thread)
-            .with_protocol(point.protocol);
-        let Some(edram) = &point.edram else {
-            return Ok(base);
+    /// The run `point` simulates, minus its workload. A custom-model
+    /// point's spec leaves the policy unset (the model is an in-process
+    /// trait object, installed on top of [`RunSpec::builder`]), so its
+    /// private caches run the recommended preset's time policy.
+    #[must_use]
+    pub fn spec(&self, point: &PlanPoint) -> RunSpec {
+        let mut spec = RunSpec {
+            sram: point.edram.is_none(),
+            protocol: Some(point.protocol),
+            refs: Some(self.config.refs_per_thread),
+            seed: Some(self.config.seed),
+            cores: Some(self.config.cores),
+            ..RunSpec::default()
         };
-        let base = base
-            .with_cells(CellTech::Edram)
-            .with_retention(ExperimentConfig::retention(edram.retention_us)?)
-            .with_retention_profile(edram.profile);
-        Ok(match &edram.policy {
-            PointPolicy::Builtin(policy) => base.with_policy(*policy),
-            PointPolicy::Custom(factory) => base
-                .with_policy(RefreshPolicy::recommended())
-                .with_policy_model(Arc::clone(factory)),
-        })
+        if let Some(edram) = &point.edram {
+            spec.retention_us = Some(edram.retention_us);
+            spec.retention_profile = Some(edram.profile);
+            if let PointPolicy::Builtin(policy) = edram.policy {
+                spec.policy = Some(policy);
+            }
+        }
+        spec
     }
 }
 
@@ -477,14 +477,22 @@ impl SweepRunner {
         point: &PlanPoint,
         traces: &BTreeMap<String, TraceFile>,
     ) -> Result<SimReport, RefrintError> {
-        let mut system = CmpSystem::new(plan.system_config(point)?)?;
+        let mut builder = plan.spec(point).builder();
+        if let Some(EdramPoint {
+            policy: PointPolicy::Custom(factory),
+            ..
+        }) = &point.edram
+        {
+            builder = builder.policy_model(Arc::clone(factory));
+        }
+        let mut sim = builder.build()?;
         match &point.workload {
-            Workload::App(app) => Ok(system.run_app(*app)),
+            Workload::App(app) => Ok(sim.run(*app).report),
             Workload::Trace(spec) => {
                 let trace = traces
                     .get(&spec.name)
                     .expect("every trace was opened by the pre-check");
-                replay::replay(&mut system, trace)
+                replay::replay(sim.system_mut(), trace)
             }
         }
     }
@@ -671,7 +679,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("refrint-sweep-{}-trace.rft", std::process::id()));
         // Capture with exactly the chip parameters the sweep derives.
-        let capture_config = SystemConfig::sram_baseline()
+        let capture_config = crate::config::SystemConfig::sram_baseline()
             .with_cores(4)
             .with_seed(3)
             .with_scale(1_200);

@@ -37,7 +37,6 @@ use refrint_mem::line::{CacheLine, MesiState};
 use refrint_noc::routing::hop_count;
 use refrint_noc::topology::{NodeId, Torus};
 use refrint_obs::{ObsConfig, ObsSummary, Recorder, Subsystem};
-use refrint_workloads::apps::AppPreset;
 use refrint_workloads::generator::ThreadStream;
 use refrint_workloads::model::WorkloadModel;
 
@@ -214,13 +213,6 @@ impl CmpSystem {
     #[must_use]
     pub fn obs_enabled(&self) -> bool {
         self.obs.is_enabled()
-    }
-
-    /// Runs one of the named application presets, scaled by the
-    /// configuration's `refs_per_thread` override if set.
-    pub fn run_app(&mut self, app: AppPreset) -> SimReport {
-        let model = app.model();
-        self.run_model(&model)
     }
 
     /// Runs an arbitrary workload model (its thread count is adjusted to the
@@ -1042,9 +1034,11 @@ impl CmpSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulation::Simulation;
     use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
     use refrint_edram::retention::RetentionConfig;
     use refrint_energy::tech::CellTech;
+    use refrint_workloads::apps::AppPreset;
 
     fn small(cells: CellTech, policy: RefreshPolicy) -> SimReport {
         let cfg = SystemConfig::sram_baseline()
@@ -1054,7 +1048,7 @@ mod tests {
             .with_scale(3_000)
             .with_seed(11);
         let mut sys = CmpSystem::new(cfg).unwrap();
-        sys.run_app(AppPreset::Lu)
+        sys.run_model(&AppPreset::Lu.model())
     }
 
     #[test]
@@ -1133,11 +1127,14 @@ mod tests {
 
     #[test]
     fn small_core_count_configuration_works() {
-        let cfg = SystemConfig::edram_recommended()
-            .with_cores(4)
-            .with_scale(2_000);
-        let mut sys = CmpSystem::new(cfg).unwrap();
-        let r = sys.run_app(AppPreset::Barnes);
+        let r = Simulation::builder()
+            .edram_recommended()
+            .cores(4)
+            .refs_per_thread(2_000)
+            .build()
+            .unwrap()
+            .run(AppPreset::Barnes)
+            .report;
         assert_eq!(r.counts.dl1_accesses, 4 * 2_000);
         assert!(r.execution_cycles > 0);
     }
@@ -1145,14 +1142,20 @@ mod tests {
     #[test]
     fn dragon_runs_update_traffic_instead_of_invalidations() {
         use refrint_coherence::protocol::CoherenceProtocol;
-        let base = SystemConfig::edram_recommended()
-            .with_cores(4)
-            .with_scale(3_000)
-            .with_seed(11);
-        let mut mesi = CmpSystem::new(base.clone()).unwrap();
-        let rm = mesi.run_app(AppPreset::Radix);
-        let mut dragon = CmpSystem::new(base.with_protocol(CoherenceProtocol::Dragon)).unwrap();
-        let rd = dragon.run_app(AppPreset::Radix);
+        let run = |protocol| {
+            Simulation::builder()
+                .edram_recommended()
+                .cores(4)
+                .refs_per_thread(3_000)
+                .seed(11)
+                .protocol(protocol)
+                .build()
+                .unwrap()
+                .run(AppPreset::Radix)
+                .report
+        };
+        let rm = run(CoherenceProtocol::Mesi);
+        let rd = run(CoherenceProtocol::Dragon);
         assert!(rd.execution_cycles > 0);
         assert_eq!(rd.stats.get("coherence.invalidations_sent"), 0);
         assert!(
@@ -1163,15 +1166,7 @@ mod tests {
         // Same workload traffic either way.
         assert_eq!(rm.counts.dl1_accesses, rd.counts.dl1_accesses);
         // Dragon is deterministic too.
-        let mut again = CmpSystem::new(
-            SystemConfig::edram_recommended()
-                .with_cores(4)
-                .with_scale(3_000)
-                .with_seed(11)
-                .with_protocol(CoherenceProtocol::Dragon),
-        )
-        .unwrap();
-        let rd2 = again.run_app(AppPreset::Radix);
+        let rd2 = run(CoherenceProtocol::Dragon);
         assert_eq!(rd.execution_cycles, rd2.execution_cycles);
         assert_eq!(rd.counts, rd2.counts);
     }
@@ -1179,22 +1174,24 @@ mod tests {
     #[test]
     fn retention_profile_changes_refresh_behaviour_deterministically() {
         use refrint_edram::variation::RetentionProfile;
-        let base = SystemConfig::edram_recommended()
-            .with_cores(4)
-            .with_scale(3_000)
-            .with_seed(11);
-        let uniform = {
-            let mut sys = CmpSystem::new(base.clone()).unwrap();
-            sys.run_app(AppPreset::Lu)
+        let run = |profile| {
+            Simulation::builder()
+                .edram_recommended()
+                .cores(4)
+                .refs_per_thread(3_000)
+                .seed(11)
+                .retention_profile(profile)
+                .build()
+                .unwrap()
+                .run(AppPreset::Lu)
+                .report
         };
+        let uniform = run(RetentionProfile::Uniform);
         let profile = RetentionProfile::Bimodal {
             weak_pct: 50,
             weak_retention_pct: 40,
         };
-        let varied = {
-            let mut sys = CmpSystem::new(base.clone().with_retention_profile(profile)).unwrap();
-            sys.run_app(AppPreset::Lu)
-        };
+        let varied = run(profile);
         // Weak banks refresh more often than nominal ones.
         assert!(
             varied.counts.l3_refreshes > uniform.counts.l3_refreshes,
@@ -1202,10 +1199,7 @@ mod tests {
             varied.counts.l3_refreshes,
             uniform.counts.l3_refreshes
         );
-        let varied_again = {
-            let mut sys = CmpSystem::new(base.with_retention_profile(profile)).unwrap();
-            sys.run_app(AppPreset::Lu)
-        };
+        let varied_again = run(profile);
         assert_eq!(varied.counts, varied_again.counts);
         assert_eq!(varied.execution_cycles, varied_again.execution_cycles);
     }

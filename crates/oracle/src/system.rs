@@ -974,7 +974,7 @@ mod tests {
             .unwrap()
             .run_model(&app.model())
             .unwrap();
-        let sim = CmpSystem::new(cfg).unwrap().run_app(app);
+        let sim = CmpSystem::new(cfg).unwrap().run_model(&app.model());
         let diffs = crate::diff::diff_reports(&oracle, &sim);
         assert!(diffs.is_empty(), "oracle vs simulator: {diffs:?}");
     }
@@ -1040,7 +1040,9 @@ mod tests {
             .unwrap()
             .run_model(&AppPreset::Lu.model())
             .unwrap();
-        let sim = CmpSystem::new(cfg).unwrap().run_app(AppPreset::Lu);
+        let sim = CmpSystem::new(cfg)
+            .unwrap()
+            .run_model(&AppPreset::Lu.model());
         assert!(
             !crate::diff::diff_reports(&oracle, &sim).is_empty(),
             "the injected off-by-one must be visible"
@@ -1105,7 +1107,9 @@ mod tests {
             .unwrap()
             .run_model(&AppPreset::Radix.model())
             .unwrap();
-        let sim = CmpSystem::new(cfg).unwrap().run_app(AppPreset::Radix);
+        let sim = CmpSystem::new(cfg)
+            .unwrap()
+            .run_model(&AppPreset::Radix.model());
         assert!(
             !crate::diff::diff_reports(&oracle, &sim).is_empty(),
             "treating Dragon updates as invalidations must be visible"
@@ -1120,7 +1124,9 @@ mod tests {
             .unwrap()
             .run_model(&AppPreset::Radix.model())
             .unwrap();
-        let sim = CmpSystem::new(mesi).unwrap().run_app(AppPreset::Radix);
+        let sim = CmpSystem::new(mesi)
+            .unwrap()
+            .run_model(&AppPreset::Radix.model());
         assert!(crate::diff::diff_reports(&oracle, &sim).is_empty());
     }
 

@@ -12,16 +12,16 @@
 use std::path::{Path, PathBuf};
 
 use refrint::experiment::{ExperimentConfig, TraceSpec};
-use refrint::simulation::Simulation;
+use refrint::simulation::{RunSpec, SimulationBuilder};
 use refrint::sweep::SweepPlan;
 use refrint::{CoherenceProtocol, RefrintError, RetentionProfile};
+use refrint_edram::error::EdramError;
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_engine::json::{escape, Value};
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_workloads::apps::AppPreset;
 
-use crate::coordinator::PointRequest;
 use crate::jobs::JobWork;
 
 /// A typed API failure: HTTP status, machine-readable kind, human reason.
@@ -123,16 +123,11 @@ fn parse_app(name: &str) -> Result<AppPreset, ApiError> {
 
 fn parse_policy(label: &str) -> Result<RefreshPolicy, ApiError> {
     label.parse::<RefreshPolicy>().map_err(|_| {
-        let valid = PolicyRegistry::new().valid_labels();
-        ApiError::new(
-            422,
-            "unknown_policy",
-            format!(
-                "unknown refresh policy `{label}`; valid labels are \
-                 `P|R.all|valid|dirty|WB(n,m)` — e.g. {}",
-                valid.join(", ")
-            ),
-        )
+        let err = EdramError::UnknownPolicy {
+            label: label.to_owned(),
+            valid: PolicyRegistry::new().valid_labels(),
+        };
+        ApiError::new(422, "unknown_policy", err.to_string())
     })
 }
 
@@ -173,35 +168,136 @@ fn resolve_trace(name: &str, trace_dir: Option<&Path>) -> Result<PathBuf, ApiErr
     Ok(dir.join(name))
 }
 
-/// The canonical workload half of a run cache key.
-fn workload_key(app: Option<AppPreset>, trace: Option<&Path>) -> String {
-    match (app, trace) {
-        (Some(app), _) => format!("app:{}", app.name()),
-        (None, Some(path)) => {
-            // Canonicalize so `lu.rft` and an equivalent absolute spelling
-            // share a cache entry, and include the file's size and mtime
-            // so re-recording a trace in place invalidates old entries
-            // instead of serving stale bytes. The file exists (the builder
-            // opened it during validation), so failures here are transient
-            // races — fall back to the literal path / zero stamps.
-            let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
-            let (len, mtime_nanos) = std::fs::metadata(&canonical)
-                .map(|m| {
-                    let mtime = m
-                        .modified()
-                        .ok()
-                        .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                        .map_or(0, |d| d.as_nanos());
-                    (m.len(), mtime)
-                })
-                .unwrap_or((0, 0));
-            format!(
-                "trace:{}|len={len}|mtime={mtime_nanos}",
-                canonical.display()
-            )
+/// What a `POST /run` job simulates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunWorkload {
+    /// An application preset.
+    App(AppPreset),
+    /// A recorded trace.
+    Trace {
+        /// The plain file name a client sends and a coordinator forwards:
+        /// every server resolves it against its own trace directory.
+        name: String,
+        /// The file on this server.
+        path: PathBuf,
+    },
+}
+
+impl RunWorkload {
+    /// The workload's name: the preset name or the trace file name.
+    #[must_use]
+    pub fn name(&self) -> &str {
+        match self {
+            RunWorkload::App(app) => app.name(),
+            RunWorkload::Trace { name, .. } => name,
         }
-        (None, None) => unreachable!("validated requests always carry a workload"),
     }
+
+    /// The builder that runs this workload under `spec`.
+    #[must_use]
+    pub fn builder(&self, spec: &RunSpec) -> SimulationBuilder {
+        match self {
+            RunWorkload::App(_) => spec.builder(),
+            RunWorkload::Trace { path, .. } => spec.builder().trace(path),
+        }
+    }
+}
+
+/// The canonical cache-key spelling of a trace file.
+fn trace_key(path: &Path) -> String {
+    // Canonicalize so `lu.rft` and an equivalent absolute spelling share a
+    // cache entry, and include the file's size and mtime so re-recording a
+    // trace in place invalidates old entries instead of serving stale
+    // bytes. The file exists (the builder opened it during validation), so
+    // failures here are transient races — fall back to the literal path /
+    // zero stamps.
+    let canonical = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+    let (len, mtime_nanos) = std::fs::metadata(&canonical)
+        .map(|m| {
+            let mtime = m
+                .modified()
+                .ok()
+                .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
+                .map_or(0, |d| d.as_nanos());
+            (m.len(), mtime)
+        })
+        .unwrap_or((0, 0));
+    format!(
+        "trace:{}|len={len}|mtime={mtime_nanos}",
+        canonical.display()
+    )
+}
+
+/// Validates one run — the builder composes and checks its configuration,
+/// opening a trace — and returns its canonical cache key. `POST /run` and
+/// a coordinator's sweep points are keyed here, so their cache entries are
+/// interchangeable.
+///
+/// # Errors
+///
+/// `invalid_config` (422) with the typed `BuildError` rendering.
+pub(crate) fn run_key(workload: &RunWorkload, spec: &RunSpec) -> Result<String, ApiError> {
+    let config = workload
+        .builder(spec)
+        .build_config()
+        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
+    let workload = match workload {
+        RunWorkload::App(app) => format!("app:{}", app.name()),
+        RunWorkload::Trace { path, .. } => trace_key(path),
+    };
+    // `config.label()` carries ` dragon` / ` bimodal(25,60)` suffixes for
+    // non-default protocol and retention-profile axes, so the key
+    // distinguishes them — and spelling out the defaults (protocol mesi,
+    // uniform profile) leaves both the label and the key untouched.
+    Ok(format!(
+        "run|workload={workload}|config={}|cores={}|banks={}|seed={}|refs={}",
+        config.label(),
+        config.cores,
+        config.l3_banks,
+        config.seed,
+        config
+            .refs_per_thread
+            .map_or_else(|| "default".to_owned(), |r| r.to_string()),
+    ))
+}
+
+/// The `POST /run` body that asks a backend for `workload` under `spec`.
+/// It carries only the set fields, and the protocol and retention profile
+/// only when they differ from the defaults, so default points keep their
+/// historical bodies.
+pub(crate) fn run_body(workload: &RunWorkload, spec: &RunSpec) -> String {
+    let mut fields = vec![match workload {
+        RunWorkload::App(app) => format!("\"app\":\"{}\"", escape(app.name())),
+        RunWorkload::Trace { name, .. } => format!("\"trace\":\"{}\"", escape(name)),
+    }];
+    if spec.sram {
+        fields.push("\"sram\":true".to_owned());
+    }
+    if let Some(policy) = spec.policy {
+        fields.push(format!("\"policy\":\"{}\"", escape(&policy.label())));
+    }
+    if let Some(us) = spec.retention_us {
+        fields.push(format!("\"retention_us\":{us}"));
+    }
+    if let Some(profile) = spec.retention_profile.filter(|p| !p.is_default()) {
+        fields.push(format!(
+            "\"retention_profile\":\"{}\"",
+            escape(&profile.label())
+        ));
+    }
+    if let Some(protocol) = spec.protocol.filter(|p| !p.is_default()) {
+        fields.push(format!("\"protocol\":\"{}\"", protocol.label()));
+    }
+    if let Some(refs) = spec.refs {
+        fields.push(format!("\"refs\":{refs}"));
+    }
+    if let Some(seed) = spec.seed {
+        fields.push(format!("\"seed\":{seed}"));
+    }
+    if let Some(cores) = spec.cores {
+        fields.push(format!("\"cores\":{cores}"));
+    }
+    format!("{{{}}}", fields.join(","))
 }
 
 /// Parses and validates a `POST /run` body.
@@ -221,16 +317,8 @@ pub fn parse_run_request(
         .ok_or_else(|| schema_err("the request body must be a JSON object"))?;
 
     let mut app: Option<AppPreset> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_name: Option<String> = None;
-    let mut sram = false;
-    let mut policy: Option<RefreshPolicy> = None;
-    let mut retention_us: Option<u64> = None;
-    let mut retention_profile: Option<RetentionProfile> = None;
-    let mut protocol: Option<CoherenceProtocol> = None;
-    let mut refs: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut cores: Option<usize> = None;
+    let mut trace: Option<RunWorkload> = None;
+    let mut spec = RunSpec::default();
     let mut mode = SubmitMode::Sync;
 
     for (key, value) in fields {
@@ -238,22 +326,22 @@ pub fn parse_run_request(
             "app" => app = Some(parse_app(&str_field(value, "app")?)?),
             "trace" => {
                 let name = str_field(value, "trace")?;
-                trace = Some(resolve_trace(&name, trace_dir)?);
-                trace_name = Some(name);
+                let path = resolve_trace(&name, trace_dir)?;
+                trace = Some(RunWorkload::Trace { name, path });
             }
-            "sram" => sram = bool_field(value, "sram")?,
-            "policy" => policy = Some(parse_policy(&str_field(value, "policy")?)?),
-            "retention_us" => retention_us = Some(u64_field(value, "retention_us")?),
+            "sram" => spec.sram = bool_field(value, "sram")?,
+            "policy" => spec.policy = Some(parse_policy(&str_field(value, "policy")?)?),
+            "retention_us" => spec.retention_us = Some(u64_field(value, "retention_us")?),
             "retention_profile" => {
-                retention_profile = Some(parse_retention_profile(&str_field(
+                spec.retention_profile = Some(parse_retention_profile(&str_field(
                     value,
                     "retention_profile",
                 )?)?);
             }
-            "protocol" => protocol = Some(parse_protocol(&str_field(value, "protocol")?)?),
-            "refs" => refs = Some(u64_field(value, "refs")?),
-            "seed" => seed = Some(u64_field(value, "seed")?),
-            "cores" => cores = Some(usize_field(value, "cores")?),
+            "protocol" => spec.protocol = Some(parse_protocol(&str_field(value, "protocol")?)?),
+            "refs" => spec.refs = Some(u64_field(value, "refs")?),
+            "seed" => spec.seed = Some(u64_field(value, "seed")?),
+            "cores" => spec.cores = Some(usize_field(value, "cores")?),
             "mode" => mode = mode_field(value)?,
             other => {
                 return Err(schema_err(format!(
@@ -264,93 +352,20 @@ pub fn parse_run_request(
         }
     }
 
-    match (&app, &trace) {
+    let workload = match (app, trace) {
         (None, None) => return Err(schema_err("one of \"app\" or \"trace\" is required")),
         (Some(_), Some(_)) => {
             return Err(schema_err("\"app\" and \"trace\" are mutually exclusive"))
         }
-        _ => {}
-    }
-
-    let mut builder = if sram {
-        Simulation::builder().sram_baseline()
-    } else {
-        Simulation::builder().edram_recommended()
+        (Some(app), None) => RunWorkload::App(app),
+        (None, Some(trace)) => trace,
     };
-    if let Some(policy) = policy {
-        builder = builder.policy(policy);
-    }
-    if let Some(us) = retention_us {
-        builder = builder.retention_us(us);
-    }
-    if let Some(profile) = retention_profile {
-        builder = builder.retention_profile(profile);
-    }
-    if let Some(protocol) = protocol {
-        builder = builder.protocol(protocol);
-    }
-    if let Some(refs) = refs {
-        builder = builder.refs_per_thread(refs);
-    }
-    if let Some(seed) = seed {
-        builder = builder.seed(seed);
-    }
-    if let Some(cores) = cores {
-        builder = builder.cores(cores);
-    }
-    if let Some(path) = &trace {
-        builder = builder.trace(path);
-    }
-
     // Validate now (including opening the trace) so clients get a typed
     // 422 immediately instead of a failed job later, and so the cache key
     // is derived from the *resolved* configuration.
-    let config = builder
-        .build_config()
-        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
-
-    // `config.label()` carries ` dragon` / ` bimodal(25,60)` suffixes for
-    // non-default protocol and retention-profile axes, so the key below
-    // distinguishes them — and spelling out the defaults (protocol mesi,
-    // uniform profile) leaves both the label and the key untouched.
-    let cache_key = format!(
-        "run|workload={}|config={}|cores={}|banks={}|seed={}|refs={}",
-        workload_key(app, trace.as_deref()),
-        config.label(),
-        config.cores,
-        config.l3_banks,
-        config.seed,
-        config
-            .refs_per_thread
-            .map_or_else(|| "default".to_owned(), |r| r.to_string()),
-    );
-
-    // The request re-expressed from its *raw* fields (the trace name
-    // before resolution), so a coordinator can forward it to a backend
-    // that resolves against its own --trace-dir.
-    let point = PointRequest {
-        app: app.map(|a| a.name().to_owned()),
-        trace: trace_name,
-        sram,
-        policy: policy.map(|p| p.label()),
-        retention_us,
-        retention_profile: retention_profile
-            .filter(|p| !p.is_default())
-            .map(|p| p.label()),
-        protocol: protocol
-            .filter(|p| !p.is_default())
-            .map(|p| p.label().to_owned()),
-        refs,
-        seed,
-        cores,
-    };
-
+    let cache_key = run_key(&workload, &spec)?;
     Ok(ValidatedRequest {
-        work: JobWork::Run {
-            builder: Box::new(builder),
-            app,
-            point,
-        },
+        work: JobWork::Run { workload, spec },
         cache_key,
         mode,
     })
@@ -472,33 +487,18 @@ pub fn parse_sweep_request(
         };
         ApiError::new(422, "invalid_config", reason)
     })?;
-    let cfg = plan.config();
-
-    // Validate every derived point up front: building the first
-    // configuration catches retention/core errors without running anything.
-    for &retention in &cfg.retentions_us {
-        for policy in &cfg.policies {
-            Simulation::builder()
-                .edram_recommended()
-                .policy(*policy)
-                .retention_us(retention)
-                .cores(cfg.cores)
-                .build_config()
-                .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
-        }
+    // Validate every point's run up front, so a bad retention or core
+    // count is a typed 422 before anything runs.
+    for point in plan.points() {
+        plan.spec(point)
+            .builder()
+            .build_config()
+            .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
     }
-    Simulation::builder()
-        .sram_baseline()
-        .cores(cfg.cores)
-        .build_config()
-        .map_err(|e| ApiError::new(422, "invalid_config", e.to_string()))?;
 
+    let cfg = plan.config();
     let apps: Vec<&str> = cfg.apps.iter().map(|a| a.name()).collect();
-    let traces: Vec<String> = cfg
-        .traces
-        .iter()
-        .map(|t| workload_key(None, Some(&t.path)))
-        .collect();
+    let traces: Vec<String> = cfg.traces.iter().map(|t| trace_key(&t.path)).collect();
     let retentions: Vec<String> = cfg.retentions_us.iter().map(u64::to_string).collect();
     let policies: Vec<String> = cfg.policies.iter().map(RefreshPolicy::label).collect();
     let mut cache_key = format!(
@@ -612,13 +612,24 @@ mod tests {
             both.cache_key
         );
 
-        // The forwardable point request only carries non-default axes.
+        // The forwardable run body only carries non-default axes.
         match (&spelled.work, &both.work) {
-            (JobWork::Run { point: s, .. }, JobWork::Run { point: b, .. }) => {
-                assert_eq!(s.protocol, None);
-                assert_eq!(s.retention_profile, None);
-                assert_eq!(b.protocol.as_deref(), Some("dragon"));
-                assert_eq!(b.retention_profile.as_deref(), Some("bimodal(25,60)"));
+            (
+                JobWork::Run {
+                    workload: sw,
+                    spec: s,
+                },
+                JobWork::Run {
+                    workload: bw,
+                    spec: b,
+                },
+            ) => {
+                assert_eq!(run_body(sw, s), "{\"app\":\"lu\"}");
+                assert_eq!(
+                    run_body(bw, b),
+                    "{\"app\":\"lu\",\"retention_profile\":\"bimodal(25,60)\",\
+                     \"protocol\":\"dragon\"}"
+                );
             }
             other => panic!("wrong work: {other:?}"),
         }

@@ -5,11 +5,12 @@
 //! requests and fan them out over the existing HTTP API to a pool of
 //! backend nodes. A sweep is the same [`SweepPlan`] the local
 //! [`SweepRunner`](refrint::sweep::SweepRunner) executes in process: the
-//! coordinator only maps each planned point to a `POST /run` request,
-//! consults its caches and dispatches, then hands the report bodies back to
-//! [`SweepPlan::render`]. Every point is an independent simulation with its
-//! own seed-derived streams, so the response is **byte-identical** to a
-//! local run at any backend count by construction.
+//! coordinator only forwards each point's [`SweepPlan::spec`] as a
+//! `POST /run` body, consults its caches and dispatches, then hands the
+//! report bodies back to [`SweepPlan::render`]. Every point is an
+//! independent simulation with its own seed-derived streams, so the
+//! response is **byte-identical** to a local run at any backend count by
+//! construction.
 //!
 //! Failure handling: each point is retried with bounded exponential
 //! backoff across the pool; a backend that fails repeatedly trips a
@@ -25,22 +26,21 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use refrint::experiment::ExperimentConfig;
 use refrint::json::ReportBody;
-use refrint::sweep::{PlanPoint, PointPolicy, SweepPlan, Workload};
-use refrint_engine::json::{escape, parse};
+use refrint::simulation::RunSpec;
+use refrint::sweep::{EdramPoint, PlanPoint, PointPolicy, SweepPlan, Workload};
+use refrint_engine::json::escape;
 use refrint_engine::stats::Histogram;
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::log::{Level, LogFormat, Logger};
 use refrint_obs::otlp::point_span_id;
 use refrint_obs::span::{DispatchSpan, TraceContext};
 
-use crate::api::{self, ApiError};
+use crate::api::{self, ApiError, RunWorkload};
 use crate::client::{self, Timeouts};
 use crate::disk_cache::DiskCache;
 use crate::http::elapsed_nanos;
@@ -88,75 +88,6 @@ impl Default for CoordinatorOptions {
     }
 }
 
-/// A `POST /run` request re-expressed from its raw fields, so the
-/// coordinator can forward a validated job to a backend unchanged. The
-/// trace name is the client-supplied plain file name (pre-resolution):
-/// backends resolve it against their *own* `--trace-dir`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PointRequest {
-    /// Application preset name.
-    pub app: Option<String>,
-    /// Trace file name (plain, relative to the backend's trace dir).
-    pub trace: Option<String>,
-    /// SRAM baseline instead of the eDRAM configuration.
-    pub sram: bool,
-    /// Refresh-policy label.
-    pub policy: Option<String>,
-    /// Retention time in microseconds.
-    pub retention_us: Option<u64>,
-    /// Per-bank retention-distribution label (only set when non-default,
-    /// so default point bodies keep their historical bytes).
-    pub retention_profile: Option<String>,
-    /// Coherence-protocol label (only set when non-default).
-    pub protocol: Option<String>,
-    /// References per thread.
-    pub refs: Option<u64>,
-    /// Seed override.
-    pub seed: Option<u64>,
-    /// Core-count override.
-    pub cores: Option<usize>,
-}
-
-impl PointRequest {
-    /// The `POST /run` body this request serializes to (only the fields
-    /// that were actually set, so backend-side defaulting matches).
-    #[must_use]
-    pub fn body(&self) -> String {
-        let mut fields = Vec::new();
-        if let Some(app) = &self.app {
-            fields.push(format!("\"app\":\"{}\"", escape(app)));
-        }
-        if let Some(trace) = &self.trace {
-            fields.push(format!("\"trace\":\"{}\"", escape(trace)));
-        }
-        if self.sram {
-            fields.push("\"sram\":true".to_owned());
-        }
-        if let Some(policy) = &self.policy {
-            fields.push(format!("\"policy\":\"{}\"", escape(policy)));
-        }
-        if let Some(us) = self.retention_us {
-            fields.push(format!("\"retention_us\":{us}"));
-        }
-        if let Some(profile) = &self.retention_profile {
-            fields.push(format!("\"retention_profile\":\"{}\"", escape(profile)));
-        }
-        if let Some(protocol) = &self.protocol {
-            fields.push(format!("\"protocol\":\"{}\"", escape(protocol)));
-        }
-        if let Some(refs) = self.refs {
-            fields.push(format!("\"refs\":{refs}"));
-        }
-        if let Some(seed) = self.seed {
-            fields.push(format!("\"seed\":{seed}"));
-        }
-        if let Some(cores) = self.cores {
-            fields.push(format!("\"cores\":{cores}"));
-        }
-        format!("{{{}}}", fields.join(","))
-    }
-}
-
 /// One backend of the pool, with its health and dispatch accounting.
 #[derive(Debug)]
 struct BackendSlot {
@@ -189,14 +120,12 @@ impl BackendSlot {
     }
 }
 
-/// What a dispatched job may consult and update: the server's trace
-/// directory (per-point cache keys), its two result caches, its metrics
-/// counters, the request's trace context (propagated as `traceparent` on
-/// every dispatched `POST /run`) and the job's live progress.
+/// What a dispatched job may consult and update: the server's two result
+/// caches, its metrics counters, the request's trace context (propagated
+/// as `traceparent` on every dispatched `POST /run`) and the job's live
+/// progress.
 #[derive(Debug)]
 pub struct DispatchEnv<'a> {
-    /// The server's trace directory, for canonical per-point cache keys.
-    pub trace_dir: Option<&'a Path>,
     /// The in-memory result cache, consulted and fed per point.
     pub memory_cache: &'a Mutex<ResultCache>,
     /// The persistent result cache, when the server has one.
@@ -640,23 +569,29 @@ impl Coordinator {
     #[must_use]
     pub fn execute(&self, work: &JobWork, env: &DispatchEnv<'_>) -> JobOutput {
         match work {
-            JobWork::Run { point, .. } => self.execute_run(point, env),
+            JobWork::Run { workload, spec } => self.execute_run(workload, spec, env),
             JobWork::Sweep { plan, anomaly } => self.execute_sweep(plan, *anomaly, env),
         }
     }
 
-    fn execute_run(&self, point: &PointRequest, env: &DispatchEnv<'_>) -> JobOutput {
+    fn execute_run(
+        &self,
+        workload: &RunWorkload,
+        spec: &RunSpec,
+        env: &DispatchEnv<'_>,
+    ) -> JobOutput {
         let epoch = Instant::now();
         let spans = Mutex::new(Vec::new());
         let traceparent = env
             .trace
             .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, 0)));
-        match self.dispatch_point(&point.body(), traceparent.as_deref(), &spans, epoch) {
+        let body = api::run_body(workload, spec);
+        match self.dispatch_point(&body, traceparent.as_deref(), &spans, epoch) {
             Ok(dispatched) => {
                 let refs = ReportBody::parse(&dispatched.body).map_or(0, |r| r.dl1_accesses);
                 let outcome = PointOutcome {
                     index: 0,
-                    label: run_label(point),
+                    label: run_label(workload, spec),
                     node: dispatched.backend.to_string(),
                     backend_job: dispatched.job,
                     start_nanos: dispatched.start_nanos,
@@ -685,12 +620,12 @@ impl Coordinator {
         let epoch = Instant::now();
         let spans = Mutex::new(Vec::new());
         let points = plan.points();
-        let requests = match points
+        let runs = match points
             .iter()
-            .map(|point| point_request(plan.config(), point))
+            .map(|point| point_run(plan, point))
             .collect::<Result<Vec<_>, _>>()
         {
-            Ok(requests) => requests,
+            Ok(runs) => runs,
             Err(e) => return dispatch_failure(&e, spans),
         };
 
@@ -713,8 +648,7 @@ impl Coordinator {
             if index >= total {
                 break;
             }
-            let result =
-                self.run_point(index, &points[index], &requests[index], env, &spans, epoch);
+            let result = self.run_point(index, &points[index], &runs[index], env, &spans, epoch);
             if result.is_err() {
                 aborted.store(true, Ordering::Relaxed);
             }
@@ -762,12 +696,12 @@ impl Coordinator {
         &self,
         index: usize,
         point: &PlanPoint,
-        request: &PointRequest,
+        (workload, spec): &(RunWorkload, RunSpec),
         env: &DispatchEnv<'_>,
         spans: &Mutex<Vec<DispatchSpan>>,
         epoch: Instant,
     ) -> PointResult {
-        let key = point_cache_key(request, env.trace_dir);
+        let key = api::run_key(workload, spec).ok();
         let lookup = Instant::now();
         let cached = key.as_deref().and_then(|key| cache_lookup(key, env));
         let fresh = cached.is_none();
@@ -786,8 +720,12 @@ impl Coordinator {
             let traceparent = env
                 .trace
                 .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, index)));
-            let dispatched =
-                self.dispatch_point(&request.body(), traceparent.as_deref(), spans, epoch)?;
+            let dispatched = self.dispatch_point(
+                &api::run_body(workload, spec),
+                traceparent.as_deref(),
+                spans,
+                epoch,
+            )?;
             let outcome = PointOutcome {
                 index,
                 label: point.label(),
@@ -854,18 +792,14 @@ fn cache_lookup(key: &str, env: &DispatchEnv<'_>) -> Option<String> {
 
 /// The display label of a single-point `POST /run` job: workload plus the
 /// configuration axis it exercises.
-fn run_label(point: &PointRequest) -> String {
-    let workload = point
-        .app
-        .clone()
-        .or_else(|| point.trace.clone())
-        .unwrap_or_else(|| "run".to_owned());
-    if point.sram {
+fn run_label(workload: &RunWorkload, spec: &RunSpec) -> String {
+    let workload = workload.name();
+    if spec.sram {
         format!("{workload}/sram")
-    } else if let (Some(us), Some(policy)) = (point.retention_us, &point.policy) {
-        format!("{workload}/{us}us/{policy}")
+    } else if let (Some(us), Some(policy)) = (spec.retention_us, spec.policy) {
+        format!("{workload}/{us}us/{}", policy.label())
     } else {
-        workload
+        workload.to_owned()
     }
 }
 
@@ -910,82 +844,77 @@ fn record_cache_hit(spans: &Mutex<Vec<DispatchSpan>>, epoch: Instant, lookup: In
     }
 }
 
-/// The `POST /run` request that simulates `point` on a backend. A trace
-/// point forwards the trace's plain file name, which each backend resolves
-/// against its own trace directory. Non-default axes only are spelled out,
-/// so default points keep their historical bodies and cache keys.
-fn point_request(config: &ExperimentConfig, point: &PlanPoint) -> Result<PointRequest, ApiError> {
-    let mut request = PointRequest {
-        protocol: (!point.protocol.is_default()).then(|| point.protocol.label().to_owned()),
-        refs: Some(config.refs_per_thread),
-        seed: Some(config.seed),
-        cores: Some(config.cores),
-        ..PointRequest::default()
-    };
-    match &point.workload {
-        Workload::App(app) => request.app = Some(app.name().to_owned()),
+/// The run that simulates `point` on a backend: the plan's spec of the
+/// point, and its workload. A trace point forwards the trace's plain file
+/// name, which each backend resolves against its own trace directory.
+fn point_run(plan: &SweepPlan, point: &PlanPoint) -> Result<(RunWorkload, RunSpec), ApiError> {
+    let workload = match &point.workload {
+        Workload::App(app) => RunWorkload::App(*app),
         Workload::Trace(spec) => {
-            let file = spec.path.file_name().ok_or_else(|| {
+            let name = spec.path.file_name().ok_or_else(|| {
                 ApiError::new(
                     422,
                     "invalid_config",
                     format!("trace path `{}` has no file name", spec.path.display()),
                 )
             })?;
-            request.trace = Some(file.to_string_lossy().into_owned());
+            RunWorkload::Trace {
+                name: name.to_string_lossy().into_owned(),
+                path: spec.path.clone(),
+            }
         }
-    }
-    let Some(edram) = &point.edram else {
-        request.sram = true;
-        return Ok(request);
     };
-    let PointPolicy::Builtin(policy) = &edram.policy else {
+    if let Some(EdramPoint {
+        policy: PointPolicy::Custom(_),
+        ..
+    }) = &point.edram
+    {
         return Err(ApiError::new(
             422,
             "unsupported",
             "custom policy models are in-process trait objects and cannot be \
              dispatched to backends; run them with a local SweepRunner",
         ));
-    };
-    request.policy = Some(policy.label());
-    request.retention_us = Some(edram.retention_us);
-    request.retention_profile = (!edram.profile.is_default()).then(|| edram.profile.label());
-    Ok(request)
-}
-
-/// The canonical cache key of one point, derived through the same
-/// validation path `POST /run` uses — so a coordinator's per-point cache
-/// entries are interchangeable with direct run requests.
-fn point_cache_key(request: &PointRequest, trace_dir: Option<&Path>) -> Option<String> {
-    let root = parse(&request.body()).ok()?;
-    api::parse_run_request(&root, trace_dir)
-        .ok()
-        .map(|v| v.cache_key)
+    }
+    Ok((workload, plan.spec(point)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use refrint::experiment::ExperimentConfig;
     use refrint::prelude::{AppPreset, CoherenceProtocol, RefreshPolicy, RetentionProfile};
 
     #[test]
     fn point_request_bodies_only_carry_set_fields() {
-        let point = PointRequest {
-            app: Some("lu".to_owned()),
+        let spec = RunSpec {
             refs: Some(400),
             cores: Some(2),
-            ..PointRequest::default()
+            ..RunSpec::default()
         };
-        assert_eq!(point.body(), "{\"app\":\"lu\",\"refs\":400,\"cores\":2}");
-        assert_eq!(PointRequest::default().body(), "{}");
-        let sram = PointRequest {
-            trace: Some("lu.rft".to_owned()),
+        let lu = RunWorkload::App(AppPreset::Lu);
+        assert_eq!(
+            api::run_body(&lu, &spec),
+            "{\"app\":\"lu\",\"refs\":400,\"cores\":2}"
+        );
+        // Spelled-out default axes are left out.
+        let spelled = RunSpec {
+            protocol: Some(CoherenceProtocol::Mesi),
+            retention_profile: Some(RetentionProfile::Uniform),
+            ..spec
+        };
+        assert_eq!(api::run_body(&lu, &spelled), api::run_body(&lu, &spec));
+        let sram = RunSpec {
             sram: true,
             seed: Some(7),
-            ..PointRequest::default()
+            ..RunSpec::default()
+        };
+        let trace = RunWorkload::Trace {
+            name: "lu.rft".to_owned(),
+            path: "/traces/lu.rft".into(),
         };
         assert_eq!(
-            sram.body(),
+            api::run_body(&trace, &sram),
             "{\"trace\":\"lu.rft\",\"sram\":true,\"seed\":7}"
         );
     }
@@ -1016,7 +945,10 @@ mod tests {
         let bodies: Vec<String> = plan
             .points()
             .iter()
-            .map(|point| point_request(plan.config(), point).unwrap().body())
+            .map(|point| {
+                let (workload, spec) = point_run(&plan, point).unwrap();
+                api::run_body(&workload, &spec)
+            })
             .collect();
         let tail = "\"refs\":500,\"seed\":9,\"cores\":2}";
         assert_eq!(

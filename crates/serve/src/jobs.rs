@@ -14,30 +14,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use refrint::experiment::ExperimentConfig;
-use refrint::simulation::{ObsConfig, SimulationBuilder};
+use refrint::simulation::{ObsConfig, RunSpec};
 use refrint::sweep::{SweepPlan, SweepRunner};
 use refrint_engine::json::escape;
 use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::recorder::ObsSummary;
 use refrint_obs::span::{DispatchSpan, RequestTrace, Subsystem};
-use refrint_workloads::apps::AppPreset;
 
-use crate::coordinator::PointRequest;
+use crate::api::RunWorkload;
 
 /// What a worker executes for one job.
 #[derive(Debug, Clone)]
 pub enum JobWork {
-    /// One simulation: run `app`, or replay the builder's trace when `app`
-    /// is `None`.
+    /// One simulation: run an application or replay a trace.
     Run {
-        /// The validated builder (presets and overrides already applied),
-        /// boxed to keep the enum's variants comparably sized.
-        builder: Box<SimulationBuilder>,
-        /// The preset to run; `None` replays the configured trace.
-        app: Option<AppPreset>,
-        /// The request re-expressed as forwardable `POST /run` fields, so
-        /// a coordinator can dispatch it to a backend unchanged.
-        point: PointRequest,
+        /// What the run simulates.
+        workload: RunWorkload,
+        /// The validated run overrides; a coordinator forwards them to a
+        /// backend as a `POST /run` body.
+        spec: RunSpec,
     },
     /// A full experiment sweep, run sequentially inside the worker.
     Sweep {
@@ -448,7 +443,7 @@ impl SharedJobs {
 #[must_use]
 pub fn execute(work: &JobWork) -> JobOutput {
     match work {
-        JobWork::Run { builder, app, .. } => run_one(builder, *app),
+        JobWork::Run { workload, spec } => run_one(workload, spec),
         JobWork::Sweep { plan, anomaly } => run_sweep(plan.config(), *anomaly),
     }
 }
@@ -466,19 +461,19 @@ fn failure(reason: &str) -> JobOutput {
     )
 }
 
-fn run_one(builder: &SimulationBuilder, app: Option<AppPreset>) -> JobOutput {
+fn run_one(workload: &RunWorkload, spec: &RunSpec) -> JobOutput {
     // Observability at default sampling feeds the per-subsystem cycle
     // series on /metrics. Recording is non-perturbing, so the response
     // bytes stay identical to the CLI's (the test below proves it).
-    let obs_builder = builder.clone().observability(ObsConfig::default());
+    let obs_builder = workload.builder(spec).observability(ObsConfig::default());
     let mut sim = match obs_builder.build() {
         Ok(sim) => sim,
         Err(e) => return failure(&e.to_string()),
     };
     let start = Instant::now();
-    let outcome = match app {
-        Some(app) => sim.run(app),
-        None => match sim.replay() {
+    let outcome = match workload {
+        RunWorkload::App(app) => sim.run(*app),
+        RunWorkload::Trace { .. } => match sim.replay() {
             Ok(outcome) => outcome,
             Err(e) => return failure(&e.to_string()),
         },
@@ -591,15 +586,19 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refrint::simulation::Simulation;
+    use refrint_workloads::apps::AppPreset;
 
     #[test]
     fn run_jobs_produce_the_cli_bytes() {
-        let builder = Simulation::builder().cores(2).refs_per_thread(400).seed(3);
+        let spec = RunSpec {
+            cores: Some(2),
+            refs: Some(400),
+            seed: Some(3),
+            ..RunSpec::default()
+        };
         let out = execute(&JobWork::Run {
-            builder: Box::new(builder.clone()),
-            app: Some(AppPreset::Lu),
-            point: PointRequest::default(),
+            workload: RunWorkload::App(AppPreset::Lu),
+            spec,
         });
         assert_eq!(out.status, 200);
         assert!(out.refs > 0);
@@ -609,7 +608,7 @@ mod tests {
         );
         // The direct simulation runs WITHOUT observability; identical
         // bytes double as a span-neutrality check.
-        let mut direct = builder.build().unwrap();
+        let mut direct = spec.builder().build().unwrap();
         let expected = format!(
             "{}\n",
             refrint::json::report(&direct.run(AppPreset::Lu).report)
@@ -619,11 +618,15 @@ mod tests {
 
     #[test]
     fn failed_runs_are_500_json_not_panics() {
-        let builder = Simulation::builder().cores(2).trace("/nonexistent/x.rft");
         let out = execute(&JobWork::Run {
-            builder: Box::new(builder),
-            app: None,
-            point: PointRequest::default(),
+            workload: RunWorkload::Trace {
+                name: "x.rft".to_owned(),
+                path: "/nonexistent/x.rft".into(),
+            },
+            spec: RunSpec {
+                cores: Some(2),
+                ..RunSpec::default()
+            },
         });
         assert_eq!(out.status, 500);
         assert!(String::from_utf8_lossy(&out.body).contains("execution_failed"));

@@ -527,7 +527,6 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
                 coordinator.execute(
                     &work,
                     &DispatchEnv {
-                        trace_dir: state.options.trace_dir.as_deref(),
                         memory_cache: &state.cache,
                         disk_cache: state.disk_cache.as_ref(),
                         metrics: &state.metrics,

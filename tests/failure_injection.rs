@@ -42,7 +42,7 @@ fn sram_configuration_accepts_any_retention() {
         .with_retention(retention)
         .with_scale(500);
     let mut system = CmpSystem::new(config).expect("SRAM ignores retention");
-    let report = system.run_app(AppPreset::Lu);
+    let report = system.run_model(&AppPreset::Lu.model());
     assert_eq!(report.counts.total_refreshes(), 0);
 }
 
@@ -68,9 +68,13 @@ fn unknown_application_and_policy_labels_fail_to_parse() {
 
 #[test]
 fn single_reference_per_thread_runs_to_completion() {
-    let config = SystemConfig::edram_recommended().with_scale(1);
-    let mut system = CmpSystem::new(config).unwrap();
-    let report = system.run_app(AppPreset::Barnes);
+    let report = Simulation::builder()
+        .edram_recommended()
+        .refs_per_thread(1)
+        .build()
+        .unwrap()
+        .run(AppPreset::Barnes)
+        .report;
     assert_eq!(report.counts.dl1_accesses, 16);
     assert!(report.execution_cycles > 0);
     assert!(report.breakdown.is_physical());
@@ -78,12 +82,15 @@ fn single_reference_per_thread_runs_to_completion() {
 
 #[test]
 fn tiny_two_core_chip_still_maintains_inclusion_and_coherence() {
-    let config = SystemConfig::edram_recommended()
-        .with_cores(2)
-        .with_scale(4_000)
-        .with_seed(5);
-    let mut system = CmpSystem::new(config).unwrap();
-    let report = system.run_app(AppPreset::Radix);
+    let report = Simulation::builder()
+        .edram_recommended()
+        .cores(2)
+        .refs_per_thread(4_000)
+        .seed(5)
+        .build()
+        .unwrap()
+        .run(AppPreset::Radix)
+        .report;
     assert_eq!(report.counts.dl1_accesses, 2 * 4_000);
     // The directory saw traffic from both tiles and nothing went wrong.
     assert!(report.stats.get("coherence.reads") + report.stats.get("coherence.writes") > 0);

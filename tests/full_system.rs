@@ -78,18 +78,18 @@ fn refrint_beats_the_naive_edram_baseline() {
 
 #[test]
 fn longer_retention_reduces_refresh_activity() {
-    let short = {
-        let config = SystemConfig::edram_recommended()
-            .with_retention(RetentionConfig::microseconds_50())
-            .with_scale(6_000);
-        CmpSystem::new(config).unwrap().run_app(AppPreset::Barnes)
+    let barnes = |retention_us| {
+        Simulation::builder()
+            .edram_recommended()
+            .retention_us(retention_us)
+            .refs_per_thread(6_000)
+            .build()
+            .unwrap()
+            .run(AppPreset::Barnes)
+            .report
     };
-    let long = {
-        let config = SystemConfig::edram_recommended()
-            .with_retention(RetentionConfig::microseconds_200())
-            .with_scale(6_000);
-        CmpSystem::new(config).unwrap().run_app(AppPreset::Barnes)
-    };
+    let short = barnes(50);
+    let long = barnes(200);
     assert!(
         long.counts.total_refreshes() < short.counts.total_refreshes(),
         "200 us retention must refresh less than 50 us ({} vs {})",
@@ -120,18 +120,18 @@ fn runs_are_reproducible_across_system_instances() {
 
 #[test]
 fn different_seeds_change_the_interleaving_but_not_the_workload_size() {
-    let a = {
-        let config = SystemConfig::edram_recommended()
-            .with_scale(3_000)
-            .with_seed(1);
-        CmpSystem::new(config).unwrap().run_app(AppPreset::Radix)
+    let radix = |seed| {
+        Simulation::builder()
+            .edram_recommended()
+            .refs_per_thread(3_000)
+            .seed(seed)
+            .build()
+            .unwrap()
+            .run(AppPreset::Radix)
+            .report
     };
-    let b = {
-        let config = SystemConfig::edram_recommended()
-            .with_scale(3_000)
-            .with_seed(2);
-        CmpSystem::new(config).unwrap().run_app(AppPreset::Radix)
-    };
+    let a = radix(1);
+    let b = radix(2);
     assert_eq!(a.counts.dl1_accesses, b.counts.dl1_accesses);
     assert_ne!(
         (a.execution_cycles, a.counts.l3_accesses),

@@ -275,6 +275,43 @@ fn malformed_requests_get_typed_errors_not_dropped_connections() {
     server.shutdown();
 }
 
+/// `refrint-cli run`, `POST /run` and the builder reject an unknown policy
+/// label with one reason string, rendered by `refrint-edram`.
+#[test]
+fn unknown_policy_reasons_are_identical_across_front_ends() {
+    let cli = refrint_cli::RunOptions::parse(
+        &["--app", "lu", "--policy", "R.sometimes"].map(String::from),
+    )
+    .unwrap_err();
+    let server = start(ServerOptions::default());
+    let response = client::post(
+        server.addr(),
+        "/run",
+        b"{\"app\": \"lu\", \"policy\": \"R.sometimes\"}",
+    )
+    .unwrap();
+    server.shutdown();
+    assert_eq!(response.status, 422, "{}", response.body_str());
+    let doc = refrint_engine::json::parse(response.body_str().trim_end()).unwrap();
+    let served = doc
+        .get("error")
+        .and_then(|e| e.get("reason"))
+        .and_then(|r| r.as_str())
+        .unwrap()
+        .to_owned();
+    let built = Simulation::builder()
+        .policy_label("R.sometimes")
+        .build()
+        .unwrap_err()
+        .to_string();
+    assert_eq!(cli, served);
+    assert_eq!(built, served);
+    assert!(
+        served.starts_with("unknown refresh policy `R.sometimes`"),
+        "{served}"
+    );
+}
+
 #[test]
 fn async_jobs_poll_to_the_same_bytes() {
     let server = start(ServerOptions::default());
