@@ -2,9 +2,8 @@
 //!
 //! The document grammar (schema) lives here; the JSON mechanics — escaping,
 //! rendering, the typed-error parser — are the shared
-//! [`refrint_engine::json`] module (re-exported as [`crate::json`]), so the
-//! bench suite, the CLI and `refrint-serve` all speak through one
-//! implementation.
+//! [`refrint_engine::json`] module, so the bench suite, the CLI and
+//! `refrint-serve` all speak through one implementation.
 
 use std::fmt;
 

@@ -15,6 +15,7 @@
 //! The `perfgate` binary records these results to `BENCH_SIM.json` and
 //! fails CI when a metric regresses.
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use refrint::simulation::{ObsConfig, Simulation, SimulationBuilder};
@@ -188,7 +189,7 @@ fn builder_for(s: &Scenario, effort: Effort) -> SimulationBuilder {
 ///
 /// Building the system is excluded from the timed region; for replay
 /// scenarios the trace is read from `trace_path`, which must already exist.
-fn run_once(s: &Scenario, effort: Effort, trace_path: Option<&std::path::Path>) -> (u64, u64, f64) {
+fn run_once(s: &Scenario, effort: Effort, trace_path: Option<&Path>) -> (u64, u64, f64) {
     match s.driver {
         Driver::Synthetic => {
             let mut sim = builder_for(s, effort)
@@ -221,29 +222,45 @@ fn run_once(s: &Scenario, effort: Effort, trace_path: Option<&std::path::Path>) 
     }
 }
 
+/// Captures a replay scenario's trace to a temporary file, outside any
+/// timed region; synthetic scenarios need none.
+fn capture_trace(s: &Scenario, effort: Effort) -> Option<PathBuf> {
+    if s.driver != Driver::Replay {
+        return None;
+    }
+    let path = std::env::temp_dir().join(format!(
+        "refrint-throughput-{}-{}-{}.rft",
+        s.name,
+        effort.label(),
+        std::process::id()
+    ));
+    builder_for(s, effort)
+        .build()
+        .expect("throughput scenarios are valid configurations")
+        .capture(s.app, &path)
+        .expect("trace capture to the temp dir succeeds");
+    Some(path)
+}
+
+/// Runs one scenario once, untimed, and returns `(refs, execution_cycles)`:
+/// the deterministic half of a [`Measurement`], exactly as the warm-up run
+/// of [`measure`] computes it.
+#[must_use]
+pub fn simulate(s: &Scenario, effort: Effort) -> (u64, u64) {
+    let trace_path = capture_trace(s, effort);
+    let (refs, cycles, _) = run_once(s, effort, trace_path.as_deref());
+    if let Some(p) = trace_path {
+        let _ = std::fs::remove_file(p);
+    }
+    (refs, cycles)
+}
+
 /// Measures one scenario: one warm-up run, then `effort.repetitions()` timed
 /// runs; reports the median refs/sec (robust against scheduler noise).
 #[must_use]
 pub fn measure(s: &Scenario, effort: Effort) -> Measurement {
-    // Replay scenarios capture their trace once, outside the timed region.
-    let tmp;
-    let trace_path = if s.driver == Driver::Replay {
-        tmp = std::env::temp_dir().join(format!(
-            "refrint-throughput-{}-{}-{}.rft",
-            s.name,
-            effort.label(),
-            std::process::id()
-        ));
-        let capture_sim = builder_for(s, effort)
-            .build()
-            .expect("throughput scenarios are valid configurations");
-        capture_sim
-            .capture(s.app, &tmp)
-            .expect("trace capture to the temp dir succeeds");
-        Some(tmp.as_path())
-    } else {
-        None
-    };
+    let trace_path = capture_trace(s, effort);
+    let trace_path = trace_path.as_deref();
 
     let (refs, cycles, _) = run_once(s, effort, trace_path); // warm-up
     let mut rates: Vec<f64> = Vec::with_capacity(effort.repetitions());
@@ -316,18 +333,25 @@ mod tests {
     }
 
     #[test]
-    fn measuring_a_tiny_synthetic_scenario_is_deterministic() {
-        let s = Scenario {
-            name: "tiny",
-            app: AppPreset::Lu,
-            chip: Chip::EdramRecommended,
-            driver: Driver::Synthetic,
-        };
-        // Two independent measurements must agree on the simulated clock.
-        let a = measure(&s, Effort::Quick);
-        let b = measure(&s, Effort::Quick);
-        assert_eq!(a.execution_cycles, b.execution_cycles);
-        assert_eq!(a.refs, b.refs);
-        assert!(a.refs_per_sec > 0.0);
+    fn quick_runs_reproduce_the_committed_execution_cycles() {
+        // The exact-cycle half of the CI perf gate, untimed: every scenario
+        // must simulate the refs and cycles recorded in BENCH_SIM.json.
+        let doc = crate::results::parse(include_str!("../../../BENCH_SIM.json"))
+            .expect("BENCH_SIM.json parses");
+        assert_eq!(doc.mode, Effort::Quick.label());
+        let recorded: Vec<&str> = doc.metrics.iter().map(|m| m.name.as_str()).collect();
+        let names: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
+        assert_eq!(
+            recorded, names,
+            "BENCH_SIM.json lists the suite's scenarios"
+        );
+        for (s, m) in scenarios().iter().zip(&doc.metrics) {
+            assert_eq!(
+                simulate(s, Effort::Quick),
+                (m.refs, m.execution_cycles),
+                "scenario {} (refs, execution_cycles)",
+                s.name
+            );
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Each generator takes [`SweepResults`] and produces the same rows/series
 //! the paper plots, normalised to the full-SRAM baseline exactly as the
-//! paper does. The `refrint-bench` crate's `gen-figures` binary and the
-//! Criterion benches call into these functions.
+//! paper does. The `refrint-bench` crate's `gen-figures` binary prints
+//! them.
 
 use refrint_edram::policy::RefreshPolicy;
 use refrint_energy::report::{NormalizedSeries, StackedBar};

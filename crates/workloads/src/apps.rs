@@ -14,7 +14,7 @@
 //!   little sharing, so the L3 sees almost nothing after warm-up.
 //!
 //! These are synthetic analogues, not the original benchmarks; see the
-//! crate-level documentation and `DESIGN.md` for the substitution argument.
+//! crate-level documentation for the substitution argument.
 
 use std::fmt;
 use std::str::FromStr;

@@ -16,7 +16,8 @@
 //! that are *parameterised directly on those two axes* (plus write fraction,
 //! sharing degree and compute intensity), and provides one preset per paper
 //! application with parameters chosen to land it in the class the paper
-//! reports (Table 6.1). See `DESIGN.md` for the substitution rationale.
+//! reports (Table 6.1); `gen-figures --table 6.1` prints the classes they
+//! land in.
 //!
 //! * [`model`] — the tunable parameters of a synthetic application.
 //! * [`trace`] — the memory-reference record and per-thread stream iterator.
