@@ -228,21 +228,14 @@ fn post_traced(
     }
 }
 
-/// `trace <job-id>`: fetches `/jobs/<id>/trace` (retrying briefly while
-/// the server answers 202) and pretty-prints the span tree.
+/// `trace <job-id>`: fetches `/jobs/<id>/trace` and pretty-prints the
+/// span tree. A job still queued or running has no trace yet (HTTP 202).
 fn trace_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
     let id = opt_value(args, "--id")
         .or_else(|| positionals(args).into_iter().nth(1))
         .ok_or("trace requires a job id: trace <job-id>")?;
-    let path = format!("/jobs/{id}/trace");
-    let mut response = client::get(addr, &path).map_err(|e| format!("request failed: {e}"))?;
-    for _ in 0..40 {
-        if response.status != 202 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(250));
-        response = client::get(addr, &path).map_err(|e| format!("request failed: {e}"))?;
-    }
+    let response = client::get(addr, &format!("/jobs/{id}/trace"))
+        .map_err(|e| format!("request failed: {e}"))?;
     if response.status != 200 {
         print!("{}", response.body_str());
         return Err(format!("trace failed with HTTP {}", response.status));

@@ -376,7 +376,8 @@ impl JobTable {
 pub struct SharedJobs {
     /// The table, behind its lock.
     pub table: Mutex<JobTable>,
-    /// Signalled every time a job reaches a final state.
+    /// Signalled every time a job reaches a final state or has its trace
+    /// attached.
     pub done: Condvar,
 }
 
@@ -430,10 +431,29 @@ impl SharedJobs {
         self.done.notify_all();
     }
 
-    /// Attaches a request trace to a job.
+    /// Attaches a request trace to a job and wakes [`SharedJobs::traced`]
+    /// waiters.
     pub fn set_trace(&self, id: &str, trace: RequestTrace) {
         let mut table = self.table.lock().expect("job table lock");
         table.attach_trace(id, trace);
+        self.done.notify_all();
+    }
+
+    /// Job `id`, waiting at most `deadline` if it has finished but its
+    /// request trace is not attached yet (the connection handler attaches
+    /// it right after writing the response). A queued or running job is
+    /// returned at once.
+    #[must_use]
+    pub(crate) fn traced(&self, id: &str, deadline: Duration) -> Option<Job> {
+        let table = self.table.lock().expect("job table lock");
+        let (table, _) = self
+            .done
+            .wait_timeout_while(table, deadline, |t| {
+                t.get(id)
+                    .is_some_and(|job| job.output.is_some() && job.trace.is_none())
+            })
+            .expect("job table lock");
+        table.get(id).cloned()
     }
 }
 

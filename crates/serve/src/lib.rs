@@ -56,11 +56,11 @@ pub use refrint_engine::json::escape as json_escape;
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,44 +83,120 @@ use crate::metrics::Metrics;
 /// so a huge sweep cannot balloon its trace document).
 const MAX_STITCHED_POINTS: usize = 64;
 
-/// SIGTERM flag handling. On unix the handler is installed via the libc
-/// `signal` symbol (already linked by `std`); elsewhere the flag simply
-/// never fires and `POST /shutdown` is the only trigger.
+/// How long `GET /jobs/<id>/trace` waits for a finished job's trace. The
+/// connection handler attaches it right after writing the response, so
+/// the wait is normally microseconds.
+const TRACE_ATTACH_WAIT: Duration = Duration::from_secs(1);
+
+/// SIGTERM handling. On unix the handler is installed via the libc
+/// `signal` symbol (already linked by `std`). glibc's `signal` sets
+/// `SA_RESTART` and the signal may land on any thread, so a blocking
+/// `accept` is never interrupted by it: besides raising the flag, the
+/// handler writes one byte to a socket pair, and a waker thread blocked on
+/// the other end self-connects to every listener in its accept loop.
+/// Elsewhere the flag simply never fires and `POST /shutdown` is the only
+/// trigger.
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod sigterm {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::io::Read;
+    use std::net::SocketAddr;
+    use std::os::unix::io::IntoRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::{Mutex, Once, PoisonError};
 
     static TERM: AtomicBool = AtomicBool::new(false);
+    /// The write end of the waker's socket pair (never closed); -1 until
+    /// installed.
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+    /// Wake addresses of the listeners currently in their accept loop.
+    static LISTENERS: Mutex<Vec<SocketAddr>> = Mutex::new(Vec::new());
+    static INSTALL: Once = Once::new();
 
     extern "C" fn on_term(_signum: i32) {
-        // Only an atomic store: async-signal-safe.
-        TERM.store(true, Ordering::SeqCst);
+        // An atomic swap and at most one write(2), both async-signal-safe.
+        // Only the first SIGTERM writes, so the write never meets a full
+        // buffer (and never touches errno).
+        if !TERM.swap(true, Ordering::SeqCst) {
+            let fd = WAKE_FD.load(Ordering::SeqCst);
+            if fd >= 0 {
+                let byte = 1u8;
+                // SAFETY: `fd` is the socket pair's write end, which
+                // `install` leaks so it stays open for the process's
+                // lifetime, and the buffer is one readable byte.
+                unsafe {
+                    write(fd, std::ptr::addr_of!(byte).cast(), 1);
+                }
+            }
+        }
     }
 
     extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn write(fd: i32, buf: *const std::ffi::c_void, count: usize) -> isize;
     }
 
     pub fn install() {
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGTERM, on_term);
-        }
+        INSTALL.call_once(|| {
+            const SIGTERM: i32 = 15;
+            let (mut wakes, handler_end) = UnixStream::pair().expect("creating a socket pair");
+            WAKE_FD.store(handler_end.into_raw_fd(), Ordering::SeqCst);
+            std::thread::Builder::new()
+                .name("refrint-sigterm-waker".into())
+                .spawn(move || {
+                    if wakes.read_exact(&mut [0u8; 1]).is_ok() {
+                        let listeners = LISTENERS.lock().unwrap_or_else(PoisonError::into_inner);
+                        for &addr in listeners.iter() {
+                            super::wake(addr);
+                        }
+                    }
+                })
+                .expect("spawning the SIGTERM waker thread succeeds");
+            // SAFETY: `on_term` is an `extern "C" fn(i32)` that only does
+            // async-signal-safe work, and `WAKE_FD` is set before it can
+            // run.
+            unsafe {
+                signal(SIGTERM, on_term);
+            }
+        });
     }
 
     pub fn requested() -> bool {
         TERM.load(Ordering::SeqCst)
     }
+
+    /// Registers a listener about to block in `accept`. Registration comes
+    /// before the loop's first flag check, so a SIGTERM either is seen by
+    /// that check or finds the listener here.
+    pub fn register(addr: SocketAddr) {
+        LISTENERS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(addr);
+    }
+
+    pub fn unregister(addr: SocketAddr) {
+        let mut listeners = LISTENERS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = listeners.iter().position(|&a| a == addr) {
+            listeners.swap_remove(i);
+        }
+    }
 }
 
 #[cfg(not(unix))]
 mod sigterm {
+    use std::net::SocketAddr;
+
     pub fn install() {}
 
     pub fn requested() -> bool {
         false
     }
+
+    pub fn register(_addr: SocketAddr) {}
+
+    pub fn unregister(_addr: SocketAddr) {}
 }
 
 /// Installs the SIGTERM handler so a terminated server drains its queue
@@ -227,7 +303,12 @@ struct ServerState {
     logger: Logger,
     queue: Mutex<Option<SyncSender<String>>>,
     shutdown: AtomicBool,
-    active_connections: AtomicUsize,
+    /// Where a self-connect reaches the listener (see [`wake`]).
+    wake_addr: SocketAddr,
+    /// Connections being handled; the drain waits on `connections_closed`
+    /// for it to reach zero.
+    active_connections: Mutex<usize>,
+    connections_closed: Condvar,
     next_job: AtomicU64,
     coordinator: Option<Coordinator>,
     disk_cache: Option<DiskCache>,
@@ -242,8 +323,11 @@ impl ServerState {
         format!("j{:08x}", self.next_job.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// Raises the shutdown flag and wakes the accept loop (once).
     fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            wake(self.wake_addr);
+        }
     }
 
     fn shutting_down(&self) -> bool {
@@ -251,14 +335,39 @@ impl ServerState {
     }
 }
 
-/// Decrements the active-connection count when a handler exits, even by
-/// panic.
+/// A connection slot: decrements the active-connection count when the
+/// handler releases it or exits, even by panic, and signals the drain.
 struct ConnectionGuard(Arc<ServerState>);
 
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
-        self.0.active_connections.fetch_sub(1, Ordering::SeqCst);
+        *self
+            .0
+            .active_connections
+            .lock()
+            .expect("connection count lock") -= 1;
+        self.0.connections_closed.notify_all();
     }
+}
+
+/// Where a self-connect reaches a listener bound to `bound`: the same
+/// address, with an unspecified IP (`0.0.0.0`, `[::]`) replaced by
+/// loopback of the same family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// Unblocks an accept loop by connecting to it: the loop rechecks the
+/// shutdown flags after every `accept` and drops this connection.
+/// Best-effort: a listener that is already closed needs no wake.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// The simulation service: a bound listener plus its worker pool.
@@ -279,6 +388,7 @@ impl Server {
     /// Any socket error from binding.
     pub fn bind(addr: impl ToSocketAddrs, options: ServerOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let wake_addr = wake_addr(listener.local_addr()?);
         let (tx, rx) = std::sync::mpsc::sync_channel::<String>(options.queue_capacity.max(1));
         let worker_count = options.workers.max(1);
         // Metrics and logger come up before the disk cache so a corrupt
@@ -315,7 +425,9 @@ impl Server {
             logger,
             queue: Mutex::new(Some(tx)),
             shutdown: AtomicBool::new(false),
-            active_connections: AtomicUsize::new(0),
+            wake_addr,
+            active_connections: Mutex::new(0),
+            connections_closed: Condvar::new(),
             next_job: AtomicU64::new(1),
             coordinator,
             disk_cache,
@@ -371,29 +483,10 @@ impl Server {
             state,
             workers,
         } = self;
-        listener.set_nonblocking(true)?;
-        while !state.shutting_down() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let previous = state.active_connections.fetch_add(1, Ordering::SeqCst);
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || {
-                        let guard = ConnectionGuard(Arc::clone(&state));
-                        handle_connection(
-                            &state,
-                            stream,
-                            previous >= state.options.max_connections,
-                        );
-                        drop(guard);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        sigterm::register(state.wake_addr);
+        let accepted = accept_loop(&listener, &state);
+        sigterm::unregister(state.wake_addr);
+        accepted?;
 
         // Graceful drain. Close the listener first so clients connecting
         // mid-drain are refused immediately instead of handshaking into a
@@ -406,12 +499,14 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        let grace = std::time::Instant::now();
-        while state.active_connections.load(Ordering::SeqCst) > 0
-            && grace.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let active = state
+            .active_connections
+            .lock()
+            .expect("connection count lock");
+        let _ = state
+            .connections_closed
+            .wait_timeout_while(active, Duration::from_secs(5), |n| *n > 0)
+            .expect("connection count lock");
         state.logger.info("drain_done", &[]);
         Ok(())
     }
@@ -435,6 +530,36 @@ impl Server {
             thread: Some(thread),
         })
     }
+}
+
+/// Accepts connections, one handler thread each, until a shutdown is
+/// requested. `accept` blocks; [`ServerState::request_shutdown`] and the
+/// SIGTERM waker unblock it with a self-connect, which is dropped here.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> io::Result<()> {
+    while !state.shutting_down() {
+        match listener.accept() {
+            Ok(_) if state.shutting_down() => break,
+            Ok((stream, _peer)) => {
+                let previous = {
+                    let mut active = state
+                        .active_connections
+                        .lock()
+                        .expect("connection count lock");
+                    *active += 1;
+                    *active - 1
+                };
+                let state = Arc::clone(state);
+                std::thread::spawn(move || {
+                    let slot = ConnectionGuard(Arc::clone(&state));
+                    let over_capacity = previous >= state.options.max_connections;
+                    handle_connection(&state, stream, over_capacity, slot);
+                });
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Handle to a [`Server`] running on a background thread.
@@ -705,11 +830,13 @@ impl RequestCtx {
     }
 }
 
-fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capacity: bool) {
+fn handle_connection(
+    state: &Arc<ServerState>,
+    mut stream: TcpStream,
+    over_capacity: bool,
+    slot: ConnectionGuard,
+) {
     let started = std::time::Instant::now();
-    // Accepted sockets may inherit the listener's non-blocking mode on
-    // some platforms; force blocking + timeouts.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(state.options.read_timeout));
     let _ = stream.set_write_timeout(Some(state.options.read_timeout));
     state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
@@ -805,7 +932,10 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream, over_capac
     // with data still queued (e.g. an over-limit body rejected before it
     // was read) can RST the connection and destroy the response we just
     // wrote before the peer reads it. Signal end-of-response, then
-    // discard briefly and boundedly.
+    // discard briefly and boundedly. The slot is freed first: a client
+    // reconnects as soon as it sees the end of the response, and must not
+    // find its old connection still counted.
+    drop(slot);
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut sink = [0u8; 8 * 1024];
@@ -1134,12 +1264,18 @@ fn jobs_endpoint(state: &Arc<ServerState>, path: &str) -> Response {
     } else {
         (rest, JobView::Status)
     };
-    let job = {
-        let table = state.jobs.table.lock().expect("job table lock");
-        let Some(job) = table.get(id) else {
-            return ApiError::new(404, "not_found", format!("no job `{}`", escape(id))).into();
-        };
-        job.clone()
+    let job = match view {
+        JobView::Trace => state.jobs.traced(id, TRACE_ATTACH_WAIT),
+        _ => state
+            .jobs
+            .table
+            .lock()
+            .expect("job table lock")
+            .get(id)
+            .cloned(),
+    };
+    let Some(job) = job else {
+        return ApiError::new(404, "not_found", format!("no job `{}`", escape(id))).into();
     };
     match view {
         JobView::Result => match &job.output {
@@ -1153,9 +1289,9 @@ fn jobs_endpoint(state: &Arc<ServerState>, path: &str) -> Response {
 }
 
 /// Builds the OTLP-shaped `/jobs/<id>/trace` document for a finished,
-/// trace-carrying job. 202 (the status document) while the trace has not
-/// been attached yet — the connection handler attaches it only after the
-/// response bytes are on the wire.
+/// trace-carrying job. 202 (the status document) while the job is still
+/// queued or running, or if its trace was not attached within
+/// [`TRACE_ATTACH_WAIT`].
 fn trace_response(job: &Job) -> Response {
     let Some(trace) = &job.trace else {
         return Response::json(202, job.status_doc());
@@ -1243,31 +1379,25 @@ fn collect_subtrees(points: &[jobs::PointOutcome]) -> Vec<otlp::BackendSubtree> 
 }
 
 /// Fetches one backend's `GET /jobs/<id>/trace` document. The backend
-/// attaches a trace only after its response bytes are on the wire, so a
-/// brief 202 right after dispatch is expected — retried a few times.
+/// job has finished, so the backend waits for its trace to be attached
+/// rather than answering 202.
 fn fetch_backend_trace(node: &str, job: &str) -> Option<Value> {
     let addr: SocketAddr = node.parse().ok()?;
-    let path = format!("/jobs/{job}/trace");
-    for _ in 0..10 {
-        let answer = client::request_with_timeouts(
-            addr,
-            "GET",
-            &path,
-            None,
-            &[],
-            Timeouts {
-                connect: Duration::from_millis(500),
-                read: Duration::from_secs(2),
-                write: Duration::from_millis(500),
-            },
-        );
-        match answer {
-            Ok(r) if r.status == 200 => return parse(&r.body_str()).ok(),
-            Ok(r) if r.status == 202 => std::thread::sleep(Duration::from_millis(30)),
-            _ => return None,
-        }
-    }
-    None
+    let answer = client::request_with_timeouts(
+        addr,
+        "GET",
+        &format!("/jobs/{job}/trace"),
+        None,
+        &[],
+        Timeouts {
+            connect: Duration::from_millis(500),
+            read: Duration::from_secs(2),
+            write: Duration::from_millis(500),
+        },
+    )
+    .ok()
+    .filter(|r| r.status == 200)?;
+    parse(&answer.body_str()).ok()
 }
 
 /// `GET /metrics/history?window=S`: counter deltas and per-second rates
@@ -1495,5 +1625,62 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(rebound, "the listener must be closed after shutdown");
+    }
+
+    #[test]
+    fn idle_shutdown_and_post_shutdown_return_within_a_second() {
+        let server = start(ServerOptions::default());
+        let began = Instant::now();
+        server.shutdown();
+        let took = began.elapsed();
+        assert!(took < Duration::from_secs(1), "idle shutdown took {took:?}");
+
+        let server = start(ServerOptions::default());
+        let began = Instant::now();
+        let bye = client::post(server.addr(), "/shutdown", b"").unwrap();
+        assert_eq!(bye.status, 200);
+        // The flag is already raised, so this join only returns if the
+        // endpoint's own wake ended the accept loop.
+        server.shutdown();
+        let took = began.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "POST /shutdown took {took:?}"
+        );
+    }
+
+    /// A client reconnects the moment it sees the end of a response; its
+    /// previous connection must no longer count against the limit.
+    #[test]
+    fn a_closed_loop_client_at_the_connection_limit_is_never_refused() {
+        let server = start(ServerOptions {
+            max_connections: 1,
+            ..ServerOptions::default()
+        });
+        let addr = server.addr();
+        for _ in 0..300 {
+            let health = client::get(addr, "/healthz").unwrap();
+            assert_eq!(health.status, 200, "{}", health.body_str());
+        }
+        server.shutdown();
+    }
+
+    /// Each request opens a fresh connection, so any wait between a
+    /// connection arriving and the accept loop taking it is paid per
+    /// request (a 15 ms poll sleep made this ≥ 3 s).
+    #[test]
+    fn sequential_fresh_connections_pay_no_accept_floor() {
+        let server = start(ServerOptions::default());
+        let addr = server.addr();
+        let began = Instant::now();
+        for _ in 0..200 {
+            assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+        }
+        let took = began.elapsed();
+        server.shutdown();
+        assert!(
+            took < Duration::from_millis(1500),
+            "200 sequential GET /healthz took {took:?}"
+        );
     }
 }

@@ -250,18 +250,10 @@ fn disk_cache_survives_a_coordinator_restart() {
 /// deterministically from the trace id — are comparable across runs.
 const TRACEPARENT: &str = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01";
 
-/// Fetches `/jobs/<id>/trace`, retrying briefly while the trace is still
-/// being attached (202).
+/// Fetches a finished job's `/jobs/<id>/trace`. The server waits for the
+/// trace to be attached, so the first answer is the document.
 fn fetch_trace(addr: std::net::SocketAddr, id: &str) -> Value {
-    let path = format!("/jobs/{id}/trace");
-    let mut response = client::get(addr, &path).expect("trace request");
-    for _ in 0..100 {
-        if response.status != 202 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        response = client::get(addr, &path).expect("trace request");
-    }
+    let response = client::get(addr, &format!("/jobs/{id}/trace")).expect("trace request");
     assert_eq!(response.status, 200, "{}", response.body_str());
     parse(response.body_str().trim_end()).expect("trace document parses")
 }

@@ -740,18 +740,13 @@ fn protocol_and_retention_profile_axes_key_separately() {
 
 use refrint_engine::json::{parse, Value};
 
-/// Polls `/jobs/<id>/trace` until the trace is attached (202 until the
-/// connection handler has written the response bytes) and parses it.
+/// Fetches a finished job's `/jobs/<id>/trace` and parses it. The server
+/// waits for the connection handler to attach the trace, so the first
+/// answer is the document.
 fn fetch_trace(addr: std::net::SocketAddr, id: &str) -> Value {
-    for _ in 0..400 {
-        let r = client::get(addr, &format!("/jobs/{id}/trace")).unwrap();
-        if r.status == 200 {
-            return parse(&r.body_str()).expect("trace documents are valid JSON");
-        }
-        assert_eq!(r.status, 202, "unexpected trace status: {}", r.body_str());
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("trace for job {id} never became available");
+    let r = client::get(addr, &format!("/jobs/{id}/trace")).unwrap();
+    assert_eq!(r.status, 200, "unexpected trace status: {}", r.body_str());
+    parse(&r.body_str()).expect("trace documents are valid JSON")
 }
 
 /// The flat span list of an OTLP-shaped trace document.
