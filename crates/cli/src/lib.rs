@@ -239,8 +239,6 @@ pub struct ObsOptions {
     /// Print the subsystem critical-path report instead of the export
     /// (`--critical-path`).
     pub critical_path: bool,
-    /// Tuning of the span-duration anomaly scan printed to stderr.
-    pub anomaly: AnomalyTuning,
     /// Output rendering (JSON by default, unlike `run`).
     pub format: OutputFormat,
 }
@@ -277,7 +275,6 @@ impl ObsOptions {
             spec: parse_run_spec(args)?,
             sample_every,
             critical_path: has_flag(args, "--critical-path"),
-            anomaly: parse_anomaly_tuning(args)?,
             format,
         })
     }
@@ -1284,16 +1281,8 @@ mod tests {
         let opts = SweepOptions::parse(&args(&["--anomaly-threshold", "3.5", "--min-slice", "6"]))
             .unwrap();
         assert_eq!((opts.anomaly.threshold, opts.anomaly.min_slice), (3.5, 6));
-        let opts = ObsOptions::parse(&args(&[
-            "--app",
-            "lu",
-            "--critical-path",
-            "--anomaly-threshold",
-            "4.0",
-        ]))
-        .unwrap();
+        let opts = ObsOptions::parse(&args(&["--app", "lu", "--critical-path"])).unwrap();
         assert!(opts.critical_path);
-        assert_eq!(opts.anomaly.threshold, 4.0);
 
         for bad in [
             &["--anomaly-threshold", "-1"][..],

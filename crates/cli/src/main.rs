@@ -39,8 +39,7 @@ Commands:
   run --app <name> [RUN OVERRIDES] [--timing] [--format text|json]
                                    run one application and print the report
                                    (--timing adds the cycle/host-time table on stderr)
-  obs --app <name> [RUN OVERRIDES] [--sample <n>] [--critical-path]
-      [--anomaly-threshold <z>] [--min-slice <n>] [--format json|text]
+  obs --app <name> [RUN OVERRIDES] [--sample <n>] [--critical-path] [--format json|text]
                                    run with full-sampling observability and print the
                                    OTLP-shaped span export (docs/observability.md);
                                    --critical-path prints the bounding-subsystem report
@@ -169,7 +168,6 @@ fn obs(args: &[String]) -> Result<(), String> {
     let mut simulation = options.builder().build().map_err(|e| e.to_string())?;
     let outcome = simulation.run(options.app);
     let summary = simulation.obs_summary();
-    anomaly_scan(&summary, options.anomaly);
     if options.critical_path {
         println!(
             "{}",
@@ -185,47 +183,6 @@ fn obs(args: &[String]) -> Result<(), String> {
         OutputFormat::Text => println!("{summary}"),
     }
     Ok(())
-}
-
-/// Scores the sampled span durations per (subsystem, kind) slice and
-/// reports outliers on stderr, keeping stdout byte-identical whether or
-/// not anything is flagged.
-fn anomaly_scan(summary: &refrint_obs::ObsSummary, tuning: refrint_obs::anomaly::AnomalyTuning) {
-    use std::collections::BTreeMap;
-    let mut slices: BTreeMap<(&'static str, &'static str), Vec<f64>> = BTreeMap::new();
-    for span in &summary.sampled {
-        slices
-            .entry((span.subsystem.name(), span.kind))
-            .or_default()
-            .push(span.dur as f64);
-    }
-    // Cap the per-outlier lines so a jittery slice cannot flood stderr;
-    // the closing summary always carries the full count.
-    const MAX_LINES: usize = 8;
-    let mut flagged = 0usize;
-    for ((subsystem, kind), values) in &slices {
-        let flags =
-            refrint_obs::anomaly::flag_outliers_with(values, tuning.threshold, tuning.min_slice);
-        for f in &flags {
-            flagged += 1;
-            if flagged <= MAX_LINES {
-                eprintln!(
-                    "anomaly: {subsystem}/{kind} sample #{} dur {:.0} cycles (median {:.0}, robust z {:+.1})",
-                    f.index, f.value, f.median, f.robust_z
-                );
-            }
-        }
-    }
-    if flagged > MAX_LINES {
-        eprintln!("anomaly: ... and {} more", flagged - MAX_LINES);
-    }
-    eprintln!(
-        "anomaly scan: {flagged} outlier(s) in {} sampled span(s) across {} slice(s) (threshold {}, min slice {})",
-        summary.sampled.len(),
-        slices.len(),
-        tuning.threshold,
-        tuning.min_slice
-    );
 }
 
 fn sweep(args: &[String]) -> Result<(), String> {

@@ -6,7 +6,7 @@
 //! that the simulator threads through its access path, plus the analytics
 //! that turn sweeps into anomaly reports.
 //!
-//! Three pieces, all pure `std` like the rest of the workspace:
+//! Six pieces, all pure `std` like the rest of the workspace:
 //!
 //! * [`span`] — the [`Span`](span::Span) record, the
 //!   [`Subsystem`](span::Subsystem) taxonomy (cache / coherence / refresh /
@@ -26,9 +26,6 @@
 //!   stage bounding a request's wall latency, or — for a coordinator —
 //!   whether a fanned-out request was bound by queueing, the network, or
 //!   a straggler backend's sim time;
-//! * [`timeseries`] — a fixed-capacity ring of timestamped counter
-//!   snapshots (zero allocation at steady state) behind
-//!   `GET /metrics/history`;
 //! * [`log`] — a tiny levelled JSON/text line logger so serve-layer events
 //!   carry the trace id of the request that caused them.
 //!
@@ -46,10 +43,8 @@ pub mod log;
 pub mod otlp;
 pub mod recorder;
 pub mod span;
-pub mod timeseries;
 
 pub use critical_path::{fleet_critical_path, CriticalPath, FleetPoint, PathStep};
 pub use log::{Level, LogFormat, Logger};
 pub use recorder::{ObsConfig, ObsSummary, Recorder, SubsystemTotals};
 pub use span::{DispatchSpan, RequestTrace, Span, SpanRing, StageSpan, Subsystem, TraceContext};
-pub use timeseries::TimeSeriesRing;

@@ -15,9 +15,6 @@
 //!   tree with per-stage durations and the critical path marked. Fleet
 //!   traces from a coordinator are stitched across every resource group,
 //!   so backend subtrees appear under their dispatch anchors.
-//! * `watch <job-id> [--raw]` — follow `GET /jobs/<id>/progress`, a
-//!   chunked ndjson stream, printing one live status line per snapshot
-//!   (or the raw ndjson with `--raw`).
 //! * `obs-verify [--refs N] [--cores N]` — replay a known workload (two
 //!   distinct runs plus one repeat) and cross-check the `/metrics` deltas
 //!   against ground truth computed from the responses; exits non-zero on
@@ -34,7 +31,6 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use refrint_engine::json::{parse, Value};
 use refrint_serve::client::{self, HttpResponse};
@@ -53,8 +49,6 @@ Commands:
         [--expect-cache hit|miss]  POST /sweep and print the body
   job --id ID [--result]           GET /jobs/<id>[/result]
   trace <job-id>                   GET /jobs/<id>/trace, pretty-printed
-  watch <job-id> [--raw]           GET /jobs/<id>/progress and follow the
-                                   live progress stream (--raw: ndjson)
   obs-verify [--refs N] [--cores N]
                                    replay a known workload and cross-check
                                    /metrics deltas against the responses
@@ -66,7 +60,7 @@ Commands:
 
 /// Flags that take no value; every other `--flag` consumes the next
 /// argument.
-const BARE_FLAGS: &[&str] = &["--sram", "--result", "--raw"];
+const BARE_FLAGS: &[&str] = &["--sram", "--result"];
 
 fn opt_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -125,9 +119,6 @@ fn run(args: &[String]) -> Result<(), String> {
 
     if command == "trace" {
         return trace_command(args, addr);
-    }
-    if command == "watch" {
-        return watch_command(args, addr);
     }
     if command == "obs-verify" {
         return obs_verify_command(args, addr);
@@ -374,133 +365,6 @@ fn print_span(
             print_span(child, all, depth + 1, critical_stage, critical_subsystem);
         }
     }
-}
-
-fn find_bytes(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
-}
-
-/// `watch <job-id>`: follows the chunked ndjson stream from
-/// `GET /jobs/<id>/progress`, printing one line per snapshot. The stream
-/// is read incrementally off a raw socket (the shared client helper waits
-/// for EOF, which would defeat a live view).
-fn watch_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
-    let id = opt_value(args, "--id")
-        .or_else(|| positionals(args).into_iter().nth(1))
-        .ok_or("watch requires a job id: watch <job-id>")?;
-    let raw = has_flag(args, "--raw");
-
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| format!("socket: {e}"))?;
-    let request =
-        format!("GET /jobs/{id}/progress HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send: {e}"))?;
-
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = find_bytes(&buf, b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut tmp).map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            return Err("connection closed before the response header".to_owned());
-        }
-        buf.extend_from_slice(&tmp[..n]);
-    };
-    let header = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let status: u16 = header
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    if status != 200 {
-        while let Ok(n) = stream.read(&mut tmp) {
-            if n == 0 {
-                break;
-            }
-            buf.extend_from_slice(&tmp[..n]);
-        }
-        print!("{}", String::from_utf8_lossy(&buf[header_end..]));
-        return Err(format!("watch failed with HTTP {status}"));
-    }
-    buf.drain(..header_end);
-
-    let mut last_status = String::new();
-    'stream: loop {
-        // Drain every complete chunk already buffered; each chunk is one
-        // ndjson snapshot line.
-        while let Some(size_end) = find_bytes(&buf, b"\r\n") {
-            let size_hex = String::from_utf8_lossy(&buf[..size_end]).trim().to_owned();
-            let size = usize::from_str_radix(&size_hex, 16)
-                .map_err(|_| format!("bad chunk size `{size_hex}`"))?;
-            if size == 0 {
-                break 'stream;
-            }
-            if buf.len() < size_end + 2 + size + 2 {
-                break;
-            }
-            let line = String::from_utf8_lossy(&buf[size_end + 2..size_end + 2 + size])
-                .trim_end()
-                .to_owned();
-            buf.drain(..size_end + 2 + size + 2);
-            if let Ok(doc) = parse(&line) {
-                if let Some(s) = doc.get("status").and_then(Value::as_str) {
-                    last_status = s.to_owned();
-                }
-                if raw {
-                    println!("{line}");
-                } else {
-                    println!("{}", format_progress(&doc));
-                }
-            } else if raw {
-                println!("{line}");
-            }
-        }
-        let n = stream.read(&mut tmp).map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&tmp[..n]);
-    }
-    if last_status == "failed" {
-        Err("job failed".to_owned())
-    } else {
-        Ok(())
-    }
-}
-
-/// Renders one progress snapshot as a single human-readable line.
-fn format_progress(doc: &Value) -> String {
-    let status = doc.get("status").and_then(Value::as_str).unwrap_or("?");
-    let Some(total) = doc.get("total").and_then(Value::as_u64) else {
-        return format!("status {status}");
-    };
-    let done = doc.get("done").and_then(Value::as_u64).unwrap_or(0);
-    let pct = (done * 100).checked_div(total).unwrap_or(0);
-    let rate = doc
-        .get("refs_per_sec")
-        .and_then(Value::as_num)
-        .unwrap_or(0.0);
-    let eta = doc
-        .get("eta_seconds")
-        .and_then(Value::as_num)
-        .map(|e| format!("{e:.1}s"))
-        .unwrap_or_else(|| "-".to_owned());
-    let nodes = match doc.get("per_node") {
-        Some(Value::Obj(entries)) => entries
-            .iter()
-            .map(|(node, count)| format!("{node}:{}", count.as_u64().unwrap_or(0)))
-            .collect::<Vec<_>>()
-            .join(" "),
-        _ => String::new(),
-    };
-    format!("{status} {done}/{total} ({pct}%)  refs/s {rate:.0}  eta {eta}  [{nodes}]")
 }
 
 /// Scrapes `GET /metrics` into a map from metric name to the sum of its

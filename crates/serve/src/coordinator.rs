@@ -44,7 +44,7 @@ use crate::api::{self, ApiError, RunWorkload};
 use crate::client::{self, Timeouts};
 use crate::disk_cache::DiskCache;
 use crate::http::elapsed_nanos;
-use crate::jobs::{JobOutput, JobProgress, JobWork, PointOutcome, ResultCache};
+use crate::jobs::{JobOutput, JobWork, PointOutcome, ResultCache};
 use crate::metrics::{Metrics, LATENCY_BOUNDS_MICROS};
 
 /// Dispatch attempts recorded per job before the span list is capped (a
@@ -121,9 +121,8 @@ impl BackendSlot {
 }
 
 /// What a dispatched job may consult and update: the server's two result
-/// caches, its metrics counters, the request's trace context (propagated
-/// as `traceparent` on every dispatched `POST /run`) and the job's live
-/// progress.
+/// caches, its metrics counters and the request's trace context
+/// (propagated as `traceparent` on every dispatched `POST /run`).
 #[derive(Debug)]
 pub struct DispatchEnv<'a> {
     /// The in-memory result cache, consulted and fed per point.
@@ -136,8 +135,6 @@ pub struct DispatchEnv<'a> {
     /// `traceparent` naming the deterministic point anchor span, so the
     /// backend's trace arrives pre-parented for stitching.
     pub trace: Option<&'a TraceContext>,
-    /// Live progress for `GET /jobs/<id>/progress`, updated per point.
-    pub progress: Option<&'a JobProgress>,
 }
 
 /// One finished sweep point: the report to merge plus the
@@ -145,7 +142,7 @@ pub struct DispatchEnv<'a> {
 type PointResult = Result<(ReportBody, PointOutcome), ApiError>;
 
 /// A successfully dispatched point: the backend's verbatim response body
-/// plus where and when it ran, for trace stitching and live progress.
+/// plus where and when it ran, for trace stitching.
 #[derive(Debug)]
 struct Dispatched {
     body: String,
@@ -247,18 +244,6 @@ impl Coordinator {
     #[must_use]
     pub fn backend_count(&self) -> usize {
         self.pool.lock().expect("backend pool lock").len()
-    }
-
-    /// The resolved addresses of every registered backend (scrape list
-    /// for the coordinator's per-backend metrics history).
-    #[must_use]
-    pub fn backend_addrs(&self) -> Vec<SocketAddr> {
-        self.pool
-            .lock()
-            .expect("backend pool lock")
-            .iter()
-            .map(|slot| slot.addr)
-            .collect()
     }
 
     /// The `GET /backends` JSON document.
@@ -597,9 +582,6 @@ impl Coordinator {
                     start_nanos: dispatched.start_nanos,
                     dur_nanos: dispatched.dur_nanos,
                 };
-                if let Some(progress) = env.progress {
-                    progress.record_point(&outcome.node, refs);
-                }
                 let mut output = JobOutput::from_bytes(200, Arc::new(dispatched.body.into_bytes()));
                 output.refs = refs;
                 output.sim_seconds = epoch.elapsed().as_secs_f64();
@@ -745,9 +727,6 @@ impl Coordinator {
         })?;
         if let Some(key) = key.as_deref().filter(|_| fresh) {
             self.cache_insert(key, &body, env);
-        }
-        if let Some(progress) = env.progress {
-            progress.record_point(&outcome.node, report.dl1_accesses);
         }
         Ok((report, outcome))
     }

@@ -8,8 +8,7 @@
 //! [`ResultCache`] under the request's canonical key, so an identical
 //! request is answered with the very same bytes without re-simulating.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -82,8 +81,7 @@ impl JobStatus {
 }
 
 /// Where and when one point of a fanned-out job actually ran, recorded by
-/// the coordinator for trace stitching (`/jobs/<id>/trace`) and the live
-/// progress stream.
+/// the coordinator for trace stitching (`/jobs/<id>/trace`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointOutcome {
     /// The point's index in the sweep's deterministic enumeration (0 for
@@ -100,82 +98,6 @@ pub struct PointOutcome {
     pub start_nanos: u64,
     /// Dispatch round-trip duration in nanoseconds.
     pub dur_nanos: u64,
-}
-
-/// Live progress of a fanned-out job, shared between the executing worker
-/// and `GET /jobs/<id>/progress` streamers. Counters are atomics so the
-/// worker's hot path never blocks on a streaming reader.
-#[derive(Debug)]
-pub struct JobProgress {
-    started: Instant,
-    total: u64,
-    done: AtomicU64,
-    refs: AtomicU64,
-    per_node: Mutex<BTreeMap<String, u64>>,
-}
-
-impl JobProgress {
-    /// Fresh progress for a job of `total` points.
-    #[must_use]
-    pub fn new(total: u64) -> JobProgress {
-        JobProgress {
-            started: Instant::now(),
-            total,
-            done: AtomicU64::new(0),
-            refs: AtomicU64::new(0),
-            per_node: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Records one completed point: where it ran and how many data
-    /// references it simulated.
-    pub fn record_point(&self, node: &str, refs: u64) {
-        self.done.fetch_add(1, Ordering::Relaxed);
-        self.refs.fetch_add(refs, Ordering::Relaxed);
-        let mut per_node = self.per_node.lock().expect("progress per-node lock");
-        *per_node.entry(node.to_owned()).or_insert(0) += 1;
-    }
-
-    /// Points completed so far.
-    #[must_use]
-    pub fn done(&self) -> u64 {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// One ndjson progress line: points done/total, refs/sec throughput,
-    /// a naive linear ETA (`null` until the first point lands) and the
-    /// per-node completion shares.
-    #[must_use]
-    pub fn snapshot(&self, status: &str) -> String {
-        let done = self.done.load(Ordering::Relaxed);
-        let refs = self.refs.load(Ordering::Relaxed);
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let refs_per_sec = if elapsed > 0.0 {
-            refs as f64 / elapsed
-        } else {
-            0.0
-        };
-        let eta = if done > 0 && done < self.total {
-            format!("{:.3}", elapsed / done as f64 * (self.total - done) as f64)
-        } else if done >= self.total {
-            "0.000".to_owned()
-        } else {
-            "null".to_owned()
-        };
-        let per_node = self.per_node.lock().expect("progress per-node lock");
-        let nodes: Vec<String> = per_node
-            .iter()
-            .map(|(node, count)| format!("\"{}\":{count}", escape(node)))
-            .collect();
-        format!(
-            "{{\"status\":\"{}\",\"total\":{},\"done\":{done},\"refs\":{refs},\
-             \"elapsed_seconds\":{elapsed:.3},\"refs_per_sec\":{refs_per_sec:.1},\
-             \"eta_seconds\":{eta},\"per_node\":{{{}}}}}\n",
-            escape(status),
-            self.total,
-            nodes.join(","),
-        )
-    }
 }
 
 /// The outcome of executing a job.
@@ -252,9 +174,6 @@ pub struct Job {
     /// The request trace recorded by the connection handler, attached
     /// after the response is written (`GET /jobs/<id>/trace`).
     pub trace: Option<RequestTrace>,
-    /// Live progress, attached when a coordinator worker claims the job
-    /// (`GET /jobs/<id>/progress` streams from it while the job runs).
-    pub progress: Option<Arc<JobProgress>>,
 }
 
 impl Job {
@@ -339,13 +258,6 @@ impl JobTable {
     pub fn attach_trace(&mut self, id: &str, trace: RequestTrace) {
         if let Some(job) = self.jobs.get_mut(id) {
             job.trace = Some(trace);
-        }
-    }
-
-    /// Attaches live progress when a worker claims the job.
-    pub fn set_progress(&mut self, id: &str, progress: Arc<JobProgress>) {
-        if let Some(job) = self.jobs.get_mut(id) {
-            job.progress = Some(progress);
         }
     }
 
@@ -698,7 +610,6 @@ mod tests {
                 output: None,
                 cached: false,
                 trace: None,
-                progress: None,
             });
         }
         assert_eq!(table.len(), 5, "queued jobs are never pruned");
@@ -724,7 +635,6 @@ mod tests {
             output: None,
             cached: false,
             trace: None,
-            progress: None,
         });
         assert!(shared.wait_for("j1", Duration::from_millis(50)).is_none());
         let bg = {

@@ -15,10 +15,8 @@
 //! | `GET /jobs/<id>` | job status document |
 //! | `GET /jobs/<id>/result` | the job's result bytes (202 while pending) |
 //! | `GET /jobs/<id>/trace` | OTLP-shaped span tree (fleet-stitched on a coordinator) |
-//! | `GET /jobs/<id>/progress` | chunked ndjson live progress (points done, refs/sec, ETA) |
 //! | `GET /healthz` | liveness + uptime |
 //! | `GET /metrics` | Prometheus text counters |
-//! | `GET /metrics/history?window=S` | counter deltas and rates over the last `S` seconds |
 //! | `GET /backends` | coordinator mode: the backend pool and its health |
 //! | `POST /backends` | coordinator mode: register a backend (`{"addr":"host:port"}`) |
 //! | `POST /shutdown` | graceful shutdown (also triggered by SIGTERM) |
@@ -54,8 +52,8 @@ pub mod metrics;
 /// binary.
 pub use refrint_engine::json::escape as json_escape;
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::collections::HashMap;
+use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,14 +66,13 @@ use refrint_engine::json::{escape, num, parse, Value};
 use refrint_obs::log::{Level, LogFormat, Logger};
 use refrint_obs::otlp;
 use refrint_obs::span::{RequestTrace, StageSpan, TraceContext};
-use refrint_obs::timeseries::TimeSeriesRing;
 
 use crate::api::{ApiError, SubmitMode, ValidatedRequest};
 use crate::client::Timeouts;
 use crate::coordinator::{Coordinator, CoordinatorOptions, DispatchEnv};
 use crate::disk_cache::DiskCache;
 use crate::http::{elapsed_nanos, HttpError, Request, Response};
-use crate::jobs::{Job, JobOutput, JobProgress, JobStatus, JobWork, ResultCache, SharedJobs};
+use crate::jobs::{Job, JobOutput, JobStatus, JobWork, ResultCache, SharedJobs};
 use crate::metrics::Metrics;
 
 /// Points whose backend span trees are fetched and stitched into a
@@ -243,15 +240,6 @@ pub struct ServerOptions {
     pub disk_cache_dir: Option<PathBuf>,
     /// Bodies retained in the persistent result cache (LRU).
     pub disk_cache_capacity: usize,
-    /// How often the background tick snapshots the counters into the
-    /// `/metrics/history` time-series ring (and, on a coordinator, scrapes
-    /// each backend's `/metrics`).
-    pub metrics_interval: Duration,
-    /// Snapshots retained per time-series ring.
-    pub history_windows: usize,
-    /// How often `GET /jobs/<id>/progress` emits a progress line while the
-    /// job is still running.
-    pub progress_interval: Duration,
 }
 
 impl Default for ServerOptions {
@@ -273,19 +261,8 @@ impl Default for ServerOptions {
             coordinator: None,
             disk_cache_dir: None,
             disk_cache_capacity: 512,
-            metrics_interval: Duration::from_secs(1),
-            history_windows: 512,
-            progress_interval: Duration::from_millis(200),
         }
     }
-}
-
-/// The retained time-series: the node's own counter ring plus, on a
-/// coordinator, one ring per scraped backend.
-#[derive(Debug)]
-struct HistoryState {
-    local: TimeSeriesRing,
-    backends: BTreeMap<String, TimeSeriesRing>,
 }
 
 /// A submitted job's work item, enqueue instant and inbound trace
@@ -312,10 +289,6 @@ struct ServerState {
     next_job: AtomicU64,
     coordinator: Option<Coordinator>,
     disk_cache: Option<DiskCache>,
-    /// The time-series epoch: every ring timestamp is milliseconds since
-    /// this instant.
-    epoch: Instant,
-    history: Mutex<HistoryState>,
 }
 
 impl ServerState {
@@ -413,10 +386,6 @@ impl Server {
             .map(|opts| Coordinator::new(opts, options.log_level, options.log_format))
             .transpose()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.reason))?;
-        let history = HistoryState {
-            local: TimeSeriesRing::new(metrics.history_names(), options.history_windows),
-            backends: BTreeMap::new(),
-        };
         let state = Arc::new(ServerState {
             jobs: SharedJobs::new(options.retained_jobs),
             work: Mutex::new(HashMap::new()),
@@ -432,8 +401,6 @@ impl Server {
             coordinator,
             disk_cache,
             options,
-            epoch: Instant::now(),
-            history: Mutex::new(history),
         });
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..worker_count)
@@ -446,15 +413,6 @@ impl Server {
                     .expect("spawning a worker thread succeeds")
             })
             .collect();
-        {
-            // The tick thread is detached: it holds only an Arc and exits
-            // on its own shortly after the shutdown flag is raised.
-            let state = Arc::clone(&state);
-            std::thread::Builder::new()
-                .name("refrint-metrics-tick".into())
-                .spawn(move || history_tick_loop(&state))
-                .expect("spawning the metrics tick thread succeeds");
-        }
         Ok(Server {
             listener,
             state,
@@ -637,29 +595,15 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
         state.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
         let execute_started = Instant::now();
         let mut output = match &state.coordinator {
-            Some(coordinator) => {
-                let total = match &work {
-                    JobWork::Run { .. } => 1,
-                    JobWork::Sweep { plan, .. } => plan.points().len() as u64,
-                };
-                let progress = Arc::new(JobProgress::new(total));
-                state
-                    .jobs
-                    .table
-                    .lock()
-                    .expect("job table lock")
-                    .set_progress(&id, Arc::clone(&progress));
-                coordinator.execute(
-                    &work,
-                    &DispatchEnv {
-                        memory_cache: &state.cache,
-                        disk_cache: state.disk_cache.as_ref(),
-                        metrics: &state.metrics,
-                        trace: trace.as_ref(),
-                        progress: Some(&progress),
-                    },
-                )
-            }
+            Some(coordinator) => coordinator.execute(
+                &work,
+                &DispatchEnv {
+                    memory_cache: &state.cache,
+                    disk_cache: state.disk_cache.as_ref(),
+                    metrics: &state.metrics,
+                    trace: trace.as_ref(),
+                },
+            ),
             None => jobs::execute(&work),
         };
         output.queue_nanos = queue_nanos;
@@ -708,101 +652,6 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
         }
         state.jobs.finish(&id, output);
     }
-}
-
-/// Feeds the local time-series ring — and, on a coordinator, one ring per
-/// scraped backend — every `metrics_interval` until shutdown. The push is
-/// allocation-free in steady state: the snapshot vector and every ring
-/// window are reused in place.
-fn history_tick_loop(state: &Arc<ServerState>) {
-    let mut values = Vec::new();
-    loop {
-        let interval = state.options.metrics_interval;
-        let slept = Instant::now();
-        while slept.elapsed() < interval {
-            if state.shutting_down() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20).min(interval));
-        }
-        let t_millis = u64::try_from(state.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
-        state.metrics.history_values(&mut values);
-        {
-            let mut history = state.history.lock().expect("history lock");
-            history.local.push(t_millis, &values);
-        }
-        if let Some(coordinator) = &state.coordinator {
-            scrape_backends(state, coordinator, t_millis);
-        }
-    }
-}
-
-/// The backend counters a coordinator retains per-node series for, as
-/// `(Prometheus name, series name)` pairs.
-const BACKEND_SERIES: [(&str, &str); 5] = [
-    ("refrint_http_requests_total", "http_requests"),
-    ("refrint_jobs_completed_total", "jobs_completed"),
-    ("refrint_refs_simulated_total", "refs_simulated"),
-    ("refrint_cache_hits_total", "cache_hits"),
-    ("refrint_cache_misses_total", "cache_misses"),
-];
-
-/// Scrapes each registered backend's `/metrics` with short timeouts and
-/// pushes the extracted counters into that backend's ring. Best-effort: an
-/// unreachable backend simply contributes no window this tick.
-fn scrape_backends(state: &Arc<ServerState>, coordinator: &Coordinator, t_millis: u64) {
-    for addr in coordinator.backend_addrs() {
-        let answer = client::request_with_timeouts(
-            addr,
-            "GET",
-            "/metrics",
-            None,
-            &[],
-            Timeouts {
-                connect: Duration::from_millis(500),
-                read: Duration::from_secs(2),
-                write: Duration::from_millis(500),
-            },
-        );
-        let Ok(response) = answer else { continue };
-        if response.status != 200 {
-            continue;
-        }
-        let values = parse_scrape(&response.body_str());
-        let mut history = state.history.lock().expect("history lock");
-        history
-            .backends
-            .entry(addr.to_string())
-            .or_insert_with(|| {
-                TimeSeriesRing::new(
-                    BACKEND_SERIES
-                        .iter()
-                        .map(|(_, s)| (*s).to_owned())
-                        .collect(),
-                    state.options.history_windows,
-                )
-            })
-            .push(t_millis, &values);
-    }
-}
-
-/// Extracts the [`BACKEND_SERIES`] counters from a Prometheus text body,
-/// index-aligned with the series names.
-fn parse_scrape(body: &str) -> Vec<u64> {
-    let mut values = vec![0u64; BACKEND_SERIES.len()];
-    for line in body.lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(name), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        if let Some(i) = BACKEND_SERIES.iter().position(|(p, _)| *p == name) {
-            values[i] = value.parse::<u64>().unwrap_or(0);
-        }
-    }
-    values
 }
 
 /// Per-request tracing state threaded through routing: the trace context
@@ -864,19 +713,6 @@ fn handle_connection(
                 ctx.trace = request
                     .header("traceparent")
                     .and_then(TraceContext::parse_traceparent);
-                if request.method == "GET" {
-                    if let Some(id) = request
-                        .path
-                        .strip_prefix("/jobs/")
-                        .and_then(|rest| rest.strip_suffix("/progress"))
-                    {
-                        // A streaming response, written chunk by chunk as
-                        // the job advances — it cannot go through the
-                        // buffered write below.
-                        stream_progress(state, &mut stream, id, started);
-                        return;
-                    }
-                }
                 route(state, &request, &mut ctx)
             }
             Err(e) => error_response(&e),
@@ -999,10 +835,6 @@ fn route(state: &Arc<ServerState>, request: &Request, ctx: &mut RequestCtx) -> R
         "/run" | "/sweep" => match method {
             "POST" => submit_endpoint(state, path, &request.body, ctx),
             _ => method_not_allowed("POST"),
-        },
-        _ if path.starts_with("/metrics/") => match method {
-            "GET" => metrics_history_endpoint(state, path),
-            _ => method_not_allowed("GET"),
         },
         _ if path.starts_with("/jobs/") => match method {
             "GET" => jobs_endpoint(state, path),
@@ -1149,7 +981,6 @@ fn submit(state: &Arc<ServerState>, request: ValidatedRequest, ctx: &mut Request
             output: Some(JobOutput::from_bytes(200, body.clone())),
             cached: true,
             trace: None,
-            progress: None,
         };
         let doc = job.status_doc();
         state.jobs.table.lock().expect("job table lock").insert(job);
@@ -1185,7 +1016,6 @@ fn submit(state: &Arc<ServerState>, request: ValidatedRequest, ctx: &mut Request
         output: None,
         cached: false,
         trace: None,
-        progress: None,
     };
     let doc = job.status_doc();
     state.jobs.table.lock().expect("job table lock").insert(job);
@@ -1400,139 +1230,6 @@ fn fetch_backend_trace(node: &str, job: &str) -> Option<Value> {
     parse(&answer.body_str()).ok()
 }
 
-/// `GET /metrics/history?window=S`: counter deltas and per-second rates
-/// over the last `S` seconds (default 60), computed from the background
-/// tick's ring. On a coordinator the document also carries one entry per
-/// scraped backend.
-fn metrics_history_endpoint(state: &Arc<ServerState>, path: &str) -> Response {
-    let (route, query) = path.split_once('?').map_or((path, ""), |(r, q)| (r, q));
-    if route != "/metrics/history" {
-        return ApiError::new(404, "not_found", format!("no such endpoint `{route}`")).into();
-    }
-    let mut window_secs: u64 = 60;
-    for pair in query.split('&') {
-        if let Some(v) = pair.strip_prefix("window=") {
-            match v.parse::<u64>() {
-                Ok(secs) if secs > 0 => window_secs = secs,
-                _ => {
-                    return ApiError::new(
-                        400,
-                        "bad_query",
-                        "window must be a positive integer of seconds",
-                    )
-                    .into();
-                }
-            }
-        }
-    }
-    let window_millis = window_secs.saturating_mul(1000);
-    let history = state.history.lock().expect("history lock");
-    let mut doc = format!(
-        "{{\"window_seconds\":{window_secs},\"interval_ms\":{},\"node\":{}",
-        state.options.metrics_interval.as_millis(),
-        ring_json(&history.local, window_millis),
-    );
-    if state.coordinator.is_some() {
-        let backends: Vec<String> = history
-            .backends
-            .iter()
-            .map(|(addr, ring)| format!("\"{}\":{}", escape(addr), ring_json(ring, window_millis)))
-            .collect();
-        doc.push_str(&format!(",\"backends\":{{{}}}", backends.join(",")));
-    }
-    doc.push_str("}\n");
-    Response::json(200, doc)
-}
-
-/// One ring's history document: window bookkeeping plus, per series,
-/// either the horizon delta + rate (counters) or the latest value
-/// (gauges). `null` deltas mean the ring has fewer than two windows.
-fn ring_json(ring: &TimeSeriesRing, window_millis: u64) -> String {
-    let newest = ring.newest();
-    let mut series = Vec::with_capacity(ring.names().len());
-    for name in ring.names() {
-        if metrics::HISTORY_GAUGES.contains(&name.as_str()) {
-            let value = newest
-                .and_then(|w| ring.column(name).and_then(|c| w.values.get(c).copied()))
-                .unwrap_or(0);
-            series.push(format!("\"{}\":{{\"value\":{value}}}", escape(name)));
-        } else {
-            let delta = ring.delta(name, window_millis);
-            let rate = ring.rate_per_sec(name, window_millis);
-            series.push(format!(
-                "\"{}\":{{\"delta\":{},\"rate_per_sec\":{}}}",
-                escape(name),
-                delta.map_or_else(|| "null".to_owned(), |d| d.to_string()),
-                rate.map_or_else(|| "null".to_owned(), |r| format!("{r:.3}")),
-            ));
-        }
-    }
-    format!(
-        "{{\"windows\":{},\"dropped\":{},\"series\":{{{}}}}}",
-        ring.len(),
-        ring.dropped(),
-        series.join(",")
-    )
-}
-
-/// `GET /jobs/<id>/progress`: a chunked ndjson stream of progress lines,
-/// one every `progress_interval`, ending with the line that carries the
-/// job's terminal status. Jobs without live progress (local execution,
-/// cache hits) stream their status transitions only.
-fn stream_progress(state: &Arc<ServerState>, stream: &mut TcpStream, id: &str, started: Instant) {
-    let found = state
-        .jobs
-        .table
-        .lock()
-        .expect("job table lock")
-        .get(id)
-        .is_some();
-    if !found {
-        state.metrics.http_errors.fetch_add(1, Ordering::Relaxed);
-        let response: Response =
-            ApiError::new(404, "not_found", format!("no job `{}`", escape(id))).into();
-        response.write(stream);
-        return;
-    }
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    loop {
-        let (status, progress) = {
-            let table = state.jobs.table.lock().expect("job table lock");
-            let Some(job) = table.get(id) else { break };
-            (job.status, job.progress.clone())
-        };
-        let line = progress.map_or_else(
-            || format!("{{\"status\":\"{}\"}}\n", status.label()),
-            |p| p.snapshot(status.label()),
-        );
-        if write_chunk(stream, line.as_bytes()).is_err() {
-            return; // the client went away mid-stream
-        }
-        if matches!(status, JobStatus::Done | JobStatus::Failed)
-            || state.shutting_down()
-            || started.elapsed() > state.options.request_deadline
-        {
-            break;
-        }
-        std::thread::sleep(state.options.progress_interval);
-    }
-    let _ = stream.write_all(b"0\r\n\r\n");
-    state
-        .metrics
-        .record_request_micros(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-}
-
-/// Writes one HTTP/1.1 chunk (hex length line, payload, CRLF).
-fn write_chunk(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<()> {
-    stream.write_all(format!("{:x}\r\n", bytes.len()).as_bytes())?;
-    stream.write_all(bytes)?;
-    stream.write_all(b"\r\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1555,8 +1252,13 @@ mod tests {
         let metrics = client::get(addr, "/metrics").unwrap();
         assert_eq!(metrics.status, 200);
         assert!(metrics.body_str().contains("refrint_http_requests_total"));
-        let missing = client::get(addr, "/nope").unwrap();
-        assert_eq!(missing.status, 404);
+        for path in ["/nope", "/metrics/history", "/jobs/j00000001/progress"] {
+            let missing = client::get(addr, path).unwrap();
+            assert_eq!(missing.status, 404, "{path}");
+            let body = parse(&missing.body_str()).expect("a JSON error body");
+            let kind = body.get("error").and_then(|e| e.get("kind"));
+            assert_eq!(kind.and_then(Value::as_str), Some("not_found"), "{path}");
+        }
         let wrong_method = client::get(addr, "/run").unwrap();
         assert_eq!(wrong_method.status, 405);
         assert_eq!(wrong_method.header("Allow"), Some("POST"));

@@ -327,82 +327,7 @@ impl Metrics {
         ));
         out
     }
-
-    /// Names of the counters a [`TimeSeriesRing`] window retains,
-    /// index-aligned with [`history_values`](Metrics::history_values).
-    /// The request-latency histogram contributes its raw (non-cumulative)
-    /// per-bucket counts — each bucket is individually monotonic, so
-    /// window deltas merge histograms correctly.
-    #[must_use]
-    pub fn history_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = [
-            "http_requests",
-            "http_errors",
-            "jobs_submitted",
-            "jobs_completed",
-            "jobs_failed",
-            "cache_hits",
-            "cache_misses",
-            "disk_cache_hits",
-            "disk_cache_misses",
-            "disk_cache_resets",
-            "refs_simulated",
-            "sim_micros",
-            "queue_depth",
-            "workers_busy",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        for s in Subsystem::ALL {
-            names.push(format!("subsystem_cycles_{}", s.name()));
-        }
-        let h = self.request_micros.lock().expect("latency histogram lock");
-        for bound in h.bounds() {
-            names.push(format!("request_micros_bucket_{bound}"));
-        }
-        names.push("request_micros_bucket_inf".to_owned());
-        names.push("request_micros_count".to_owned());
-        names.push("request_micros_sum".to_owned());
-        names
-    }
-
-    /// Snapshots every history counter into `out` (cleared first), in
-    /// [`history_names`](Metrics::history_names) order. `out` is reused
-    /// across ticks so the background sampler allocates nothing at steady
-    /// state.
-    pub fn history_values(&self, out: &mut Vec<u64>) {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        out.clear();
-        out.extend([
-            get(&self.http_requests),
-            get(&self.http_errors),
-            get(&self.jobs_submitted),
-            get(&self.jobs_completed),
-            get(&self.jobs_failed),
-            get(&self.cache_hits),
-            get(&self.cache_misses),
-            get(&self.disk_cache_hits),
-            get(&self.disk_cache_misses),
-            get(&self.disk_cache_resets),
-            get(&self.refs_simulated),
-            get(&self.sim_micros),
-            get(&self.queue_depth),
-            get(&self.workers_busy),
-        ]);
-        for s in Subsystem::ALL {
-            out.push(get(&self.subsystem_cycles[s.index()]));
-        }
-        let h = self.request_micros.lock().expect("latency histogram lock");
-        out.extend(h.buckets().iter().copied());
-        out.push(h.count());
-        out.push(h.sum());
-    }
 }
-
-/// History names that are point-in-time gauges rather than monotonic
-/// counters — `/metrics/history` reports their latest value, not a delta.
-pub const HISTORY_GAUGES: [&str; 2] = ["queue_depth", "workers_busy"];
 
 impl Default for Metrics {
     fn default() -> Self {
@@ -419,11 +344,13 @@ mod tests {
         let m = Metrics::new();
         m.http_requests.fetch_add(3, Ordering::Relaxed);
         m.cache_hits.fetch_add(1, Ordering::Relaxed);
+        m.disk_cache_resets.fetch_add(1, Ordering::Relaxed);
         m.record_job(true, 1000, 0.5, &[10, 0, 20, 0, 30]);
         m.record_job(false, 0, 0.0, &[0; Subsystem::COUNT]);
         let doc = m.render();
         assert!(doc.contains("refrint_http_requests_total 3"));
         assert!(doc.contains("refrint_cache_hits_total 1"));
+        assert!(doc.contains("refrint_disk_cache_resets_total 1"));
         assert!(doc.contains("refrint_jobs_completed_total 1"));
         assert!(doc.contains("refrint_jobs_failed_total 1"));
         assert!(doc.contains("refrint_refs_simulated_total 1000"));
@@ -491,31 +418,6 @@ mod tests {
             );
         }
         assert!(!doc.contains("not_a_stage"));
-    }
-
-    #[test]
-    fn history_snapshot_is_name_aligned_and_reusable() {
-        let m = Metrics::new();
-        m.http_requests.fetch_add(7, Ordering::Relaxed);
-        m.disk_cache_resets.fetch_add(1, Ordering::Relaxed);
-        m.record_request_micros(2_000);
-        let names = m.history_names();
-        let mut values = Vec::new();
-        m.history_values(&mut values);
-        assert_eq!(names.len(), values.len(), "names and values stay aligned");
-        let col = |n: &str| names.iter().position(|x| x == n).unwrap();
-        assert_eq!(values[col("http_requests")], 7);
-        assert_eq!(values[col("disk_cache_resets")], 1);
-        assert_eq!(values[col("request_micros_count")], 1);
-        assert_eq!(values[col("request_micros_sum")], 2_000);
-        assert_eq!(values[col("request_micros_bucket_5000")], 1);
-        assert_eq!(values[col("request_micros_bucket_inf")], 0);
-        // The scratch vector is reused without growing misaligned.
-        m.http_requests.fetch_add(1, Ordering::Relaxed);
-        m.history_values(&mut values);
-        assert_eq!(values.len(), names.len());
-        assert_eq!(values[col("http_requests")], 8);
-        assert!(m.render().contains("refrint_disk_cache_resets_total 1"));
     }
 
     #[test]

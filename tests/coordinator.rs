@@ -354,93 +354,10 @@ fn stitched_fleet_trace_is_deterministic_across_backend_counts() {
     );
 }
 
+/// An async sweep fans out on a coordinator worker and its polled result
+/// is the local runner's bytes.
 #[test]
-fn metrics_history_tracks_node_and_backend_series() {
-    let backend = start_backend();
-    let options = ServerOptions {
-        coordinator: Some(CoordinatorOptions {
-            backends: vec![backend.addr().to_string()],
-            ..CoordinatorOptions::default()
-        }),
-        metrics_interval: Duration::from_millis(25),
-        ..ServerOptions::default()
-    };
-    let coordinator = Server::bind("127.0.0.1:0", options)
-        .expect("bind an ephemeral coordinator port")
-        .spawn()
-        .expect("spawn the coordinator accept loop");
-    let addr = coordinator.addr();
-
-    let run = client::post(addr, "/run", b"{\"app\":\"lu\",\"refs\":400,\"cores\":2}")
-        .expect("run request");
-    assert_eq!(run.status, 200, "{}", run.body_str());
-
-    // The tick thread fills the local ring and scrapes the backend every
-    // 25 ms; the backend's http_requests counter moves on every scrape, so
-    // its windowed delta must become positive.
-    let mut settled = false;
-    for _ in 0..400 {
-        let history = client::get(addr, "/metrics/history?window=60").expect("history request");
-        assert_eq!(history.status, 200, "{}", history.body_str());
-        let doc = parse(history.body_str().trim_end()).expect("history document parses");
-        let node_windows = doc
-            .get("node")
-            .and_then(|n| n.get("windows"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        let node_has_series = doc
-            .get("node")
-            .and_then(|n| n.get("series"))
-            .and_then(|s| s.get("jobs_completed"))
-            .is_some();
-        let backend_requests_delta = doc
-            .get("backends")
-            .and_then(|b| b.get(&backend.addr().to_string()))
-            .and_then(|r| r.get("series"))
-            .and_then(|s| s.get("http_requests"))
-            .and_then(|s| s.get("delta"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-        if node_windows >= 2 && node_has_series && backend_requests_delta >= 1 {
-            settled = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(
-        settled,
-        "the history rings never accumulated local windows and backend scrapes"
-    );
-
-    // A malformed window is a typed 400, not a crash or a default.
-    let bad = client::get(addr, "/metrics/history?window=nope").expect("bad-window request");
-    assert_eq!(bad.status, 400, "{}", bad.body_str());
-    assert!(bad.body_str().contains("bad_query"));
-
-    coordinator.shutdown();
-    backend.shutdown();
-}
-
-/// Splits a chunked transfer-encoded body back into its payload bytes.
-fn dechunk(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut rest = raw;
-    while let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
-        let size_hex = std::str::from_utf8(&rest[..pos])
-            .expect("chunk size line")
-            .trim();
-        let size = usize::from_str_radix(size_hex, 16).expect("hex chunk size");
-        if size == 0 {
-            break;
-        }
-        out.extend_from_slice(&rest[pos + 2..pos + 2 + size]);
-        rest = &rest[pos + 2 + size + 2..];
-    }
-    out
-}
-
-#[test]
-fn progress_stream_follows_an_async_sweep_to_done() {
+fn async_sweep_through_a_coordinator_matches_the_local_bytes() {
     let backend = start_backend();
     let coordinator = start_coordinator(&[&backend], None);
     let addr = coordinator.addr();
@@ -454,48 +371,23 @@ fn progress_stream_follows_an_async_sweep_to_done() {
         .expect("async response names its job")
         .to_owned();
 
-    // The stream has no Content-Length, so the client helper reads the
-    // whole chunked body to EOF — i.e. until the job reaches a terminal
-    // status and the server closes the stream.
-    let response =
-        client::get(addr, &format!("/jobs/{id}/progress")).expect("progress stream request");
-    assert_eq!(response.status, 200);
-    assert_eq!(response.header("Transfer-Encoding"), Some("chunked"));
-
-    let body = dechunk(&response.body);
-    let text = String::from_utf8(body).expect("ndjson stream is UTF-8");
-    let lines: Vec<Value> = text
-        .lines()
-        .map(|l| parse(l).expect("each progress line parses"))
-        .collect();
-    assert!(!lines.is_empty(), "the stream must carry at least one line");
-
-    // `done` only ever grows, and the final snapshot is the finished job.
-    let done_of = |doc: &Value| doc.get("done").and_then(Value::as_u64).unwrap_or(0);
-    for pair in lines.windows(2) {
-        assert!(done_of(&pair[1]) >= done_of(&pair[0]), "progress regressed");
+    let mut result = None;
+    for _ in 0..1200 {
+        let r = client::get(addr, &format!("/jobs/{id}/result")).expect("result request");
+        if r.status != 202 {
+            result = Some(r);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
     }
-    let last = lines.last().expect("at least one line");
-    assert_eq!(last.get("status").and_then(Value::as_str), Some("done"));
-    assert_eq!(last.get("total").and_then(Value::as_u64), Some(14));
-    assert_eq!(done_of(last), 14);
-    assert!(
-        last.get("refs").and_then(Value::as_u64).unwrap_or(0) > 0,
-        "the terminal snapshot reports simulated refs"
-    );
-    let per_node = last
-        .get("per_node")
-        .and_then(|p| p.get(&backend.addr().to_string()))
-        .and_then(Value::as_u64);
+    let result = result.expect("the async sweep finishes");
+    assert_eq!(result.status, 200, "{}", result.body_str());
+    assert!(result.body_str().contains("\"anomalies\""));
     assert_eq!(
-        per_node,
-        Some(14),
-        "all 14 points ran on the single backend"
+        result.body,
+        local_sweep_bytes(),
+        "an async coordinator sweep must be byte-identical to a local SweepRunner"
     );
-
-    // Unknown jobs get a plain 404, not a stream.
-    let missing = client::get(addr, "/jobs/zzz/progress").expect("missing-job request");
-    assert_eq!(missing.status, 404);
 
     coordinator.shutdown();
     backend.shutdown();
