@@ -14,8 +14,6 @@
 //!   or update, and the messages that must cross the network. The
 //!   [`protocol::CoherenceEngine`] enum selects MESI or Dragon at
 //!   construction time.
-//! * [`msg`] — coherence message descriptors used for traffic/energy
-//!   accounting.
 //!
 //! The protocol is evaluated *transactionally*: the CMP simulator resolves an
 //! entire request in one call and derives its latency from the message

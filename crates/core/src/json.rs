@@ -4,8 +4,7 @@
 //! derives this module hand-emits the small, stable document shapes every
 //! front end needs: one [`SimReport`] (`refrint-cli run --format json`, the
 //! `refrint-serve` `POST /run` response), full [`SweepResults`]
-//! (`sweep --format json`, `POST /sweep`), and a
-//! [`TraceSummary`](refrint_trace::TraceSummary)
+//! (`sweep --format json`, `POST /sweep`), and a [`TraceSummary`]
 //! (`trace info --format json`). Keeping exactly one implementation here is
 //! what makes the server's byte-identity guarantee checkable: the CLI and
 //! the service render through the same code.

@@ -99,18 +99,8 @@ impl CmpSystem {
 
         let tiles = (0..cfg.cores)
             .map(|t| Tile {
-                dl1: Cache::with_replacement(
-                    &format!("dl1.{t}"),
-                    cfg.dl1.geometry,
-                    cfg.dl1.replacement,
-                    cfg.seed ^ (t as u64),
-                ),
-                l2: Cache::with_replacement(
-                    &format!("l2.{t}"),
-                    cfg.l2.geometry,
-                    cfg.l2.replacement,
-                    cfg.seed ^ (0x100 + t as u64),
-                ),
+                dl1: Cache::new(&format!("dl1.{t}"), cfg.dl1.geometry),
+                l2: Cache::new(&format!("l2.{t}"), cfg.l2.geometry),
                 dl1_refresh: RefreshDomain::new(
                     &cfg.dl1,
                     private_policy,
@@ -149,12 +139,7 @@ impl CmpSystem {
                 )
                 .map_err(RefrintError::from)?;
                 Ok(L3Bank {
-                    cache: Cache::with_replacement(
-                        &format!("l3.{b}"),
-                        cfg.l3_bank.geometry,
-                        cfg.l3_bank.replacement,
-                        cfg.seed ^ (0x200 + b as u64),
-                    ),
+                    cache: Cache::new(&format!("l3.{b}"), cfg.l3_bank.geometry),
                     refresh,
                 })
             })
@@ -715,13 +700,11 @@ impl CmpSystem {
             self.counts.l2_refreshes += s.refreshes;
             if let Some(l) = self.tiles[target].l2.line_mut(line) {
                 l.state = MesiState::Shared;
-                l.meta.mark_clean();
                 l.meta.touch(now);
             }
         }
         if let Some(l) = self.tiles[target].dl1.line_mut(line) {
             l.state = MesiState::Shared;
-            l.meta.mark_clean();
             l.meta.touch(now);
         }
         latency

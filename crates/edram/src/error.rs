@@ -17,11 +17,6 @@ pub enum EdramError {
         /// The offending label.
         label: String,
     },
-    /// A sentry-bit grouping configuration was invalid.
-    InvalidSentryConfig {
-        /// Description of the violated constraint.
-        reason: String,
-    },
     /// A policy label matched neither a registered custom policy nor the
     /// built-in descriptor grammar.
     UnknownPolicy {
@@ -45,9 +40,6 @@ impl fmt::Display for EdramError {
             }
             EdramError::InvalidPolicy { label } => {
                 write!(f, "cannot parse refresh policy label `{label}`")
-            }
-            EdramError::InvalidSentryConfig { reason } => {
-                write!(f, "invalid sentry-bit configuration: {reason}")
             }
             EdramError::UnknownPolicy { label, valid } => {
                 write!(
@@ -83,9 +75,6 @@ mod tests {
         }
         .to_string()
         .contains("Z.9"));
-        assert!(EdramError::InvalidSentryConfig { reason: "y".into() }
-            .to_string()
-            .contains("sentry"));
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //!   happens to an untouched line between two touches is deterministic, so
 //!   refresh counts, write-back times and invalidation times are computed in
 //!   O(1) when the line is next touched (or at end of simulation).
-//! * [`sentry`] — sentry-bit grouping and the priority-encoder service model.
 //! * [`controller`] — periodic group-burst blocking and Refrint interrupt
 //!   contention, the two execution-time costs of refreshing.
 //!
@@ -63,7 +62,6 @@ pub mod model;
 pub mod policy;
 pub mod retention;
 pub mod schedule;
-pub mod sentry;
 pub mod variation;
 
 pub use controller::{PeriodicBurstModel, RefrintContention};
@@ -72,5 +70,4 @@ pub use model::{PolicyBinding, PolicyFactory, PolicyRegistry, RefreshAction, Ref
 pub use policy::{DataPolicy, RefreshPolicy, TimePolicy};
 pub use retention::RetentionConfig;
 pub use schedule::{DecaySchedule, LineKind, Settlement};
-pub use sentry::SentryGroupConfig;
 pub use variation::RetentionProfile;

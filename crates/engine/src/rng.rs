@@ -1,7 +1,7 @@
 //! Deterministic random-number generation.
 //!
 //! Every stochastic component of the simulator (workload address streams,
-//! random replacement, jitter) draws from a [`DeterministicRng`] seeded from
+//! per-bank retention variation) draws from a [`DeterministicRng`] seeded from
 //! the experiment configuration, so that runs are exactly reproducible and
 //! independent streams can be derived per thread / per component without
 //! correlation.

@@ -11,7 +11,6 @@ use refrint_engine::time::Cycle;
 use crate::addr::LineAddr;
 use crate::config::CacheGeometry;
 use crate::line::{CacheLine, MesiState};
-use crate::replacement::ReplacementKind;
 use crate::set::CacheSet;
 
 /// The outcome of looking up a line.
@@ -74,19 +73,8 @@ impl Cache {
     /// Creates an empty cache with the given geometry and LRU replacement.
     #[must_use]
     pub fn new(name: &str, geometry: CacheGeometry) -> Self {
-        Self::with_replacement(name, geometry, ReplacementKind::Lru, 0)
-    }
-
-    /// Creates an empty cache with an explicit replacement policy and seed.
-    #[must_use]
-    pub fn with_replacement(
-        name: &str,
-        geometry: CacheGeometry,
-        replacement: ReplacementKind,
-        seed: u64,
-    ) -> Self {
         let sets = (0..geometry.num_sets())
-            .map(|i| CacheSet::new(geometry.ways(), replacement, seed.wrapping_add(i)))
+            .map(|_| CacheSet::new(geometry.ways()))
             .collect();
         Cache {
             name: name.to_owned(),
@@ -251,11 +239,7 @@ impl Cache {
         let set = &mut self.sets[set_index as usize];
         match set.find(addr) {
             Some(way) => {
-                let line = set.line_mut(way).expect("found way is occupied");
-                line.state = state;
-                if !state.is_dirty() {
-                    line.meta.mark_clean();
-                }
+                set.line_mut(way).expect("found way is occupied").state = state;
                 true
             }
             None => false,

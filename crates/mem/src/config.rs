@@ -10,7 +10,6 @@ use std::fmt;
 use refrint_engine::time::Cycle;
 
 use crate::error::MemError;
-use crate::replacement::ReplacementKind;
 
 /// Which level of the hierarchy a cache belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -168,8 +167,8 @@ impl fmt::Display for CacheGeometry {
     }
 }
 
-/// Full configuration of one cache level: geometry, latency, write and
-/// replacement policy, and (for the L3) the number of banks.
+/// Full configuration of one cache level: geometry, latency, write policy
+/// and refresh-group sizing. Every level uses true-LRU replacement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLevelConfig {
     /// Which level this configures.
@@ -180,8 +179,6 @@ pub struct CacheLevelConfig {
     pub access_latency: Cycle,
     /// Write policy.
     pub write_policy: WritePolicy,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
     /// Number of independent sub-arrays per bank reported by CACTI; used to
     /// size the periodic-refresh groups (paper Section 5: 4 groups per bank).
     pub subarrays: u32,
@@ -196,7 +193,6 @@ impl CacheLevelConfig {
             geometry: CacheGeometry::new(32 * 1024, 2, 64).expect("paper IL1 geometry is valid"),
             access_latency: Cycle::new(1),
             write_policy: WritePolicy::WriteThrough,
-            replacement: ReplacementKind::Lru,
             subarrays: 4,
         }
     }
@@ -209,7 +205,6 @@ impl CacheLevelConfig {
             geometry: CacheGeometry::new(32 * 1024, 4, 64).expect("paper DL1 geometry is valid"),
             access_latency: Cycle::new(1),
             write_policy: WritePolicy::WriteThrough,
-            replacement: ReplacementKind::Lru,
             subarrays: 4,
         }
     }
@@ -222,7 +217,6 @@ impl CacheLevelConfig {
             geometry: CacheGeometry::new(256 * 1024, 8, 64).expect("paper L2 geometry is valid"),
             access_latency: Cycle::new(2),
             write_policy: WritePolicy::WriteBack,
-            replacement: ReplacementKind::Lru,
             subarrays: 4,
         }
     }
@@ -235,7 +229,6 @@ impl CacheLevelConfig {
             geometry: CacheGeometry::new(1024 * 1024, 8, 64).expect("paper L3 geometry is valid"),
             access_latency: Cycle::new(4),
             write_policy: WritePolicy::WriteBack,
-            replacement: ReplacementKind::Lru,
             subarrays: 4,
         }
     }

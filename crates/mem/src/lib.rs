@@ -6,10 +6,9 @@
 //!
 //! * [`addr`] — physical addresses, line addresses, and the static
 //!   address-to-bank mapping used by the shared L3.
-//! * [`line`] — per-line coherence/validity state and residency metadata
-//!   (last-touch cycle, dirty-since cycle, refresh counters) consumed by the
-//!   eDRAM refresh policies.
-//! * [`replacement`] — LRU, pseudo-LRU (tree) and random replacement.
+//! * [`line`](mod@line) — per-line coherence/validity state and the
+//!   last-touch cycle the eDRAM refresh policies settle from.
+//! * [`replacement`] — the per-set true-LRU order.
 //! * [`set`] / [`cache`] — set-associative arrays with configurable geometry.
 //! * [`config`] — cache geometry and latency configuration (paper Table 5.1).
 //! * [`dram`] — the off-chip DRAM model (fixed 40 ns access in the paper).
@@ -47,4 +46,3 @@ pub use config::{CacheGeometry, CacheLevelConfig};
 pub use dram::DramModel;
 pub use error::MemError;
 pub use line::{CacheLine, LineMeta, MesiState};
-pub use replacement::ReplacementKind;

@@ -3,8 +3,7 @@
 //! The refresh policies of the paper (Table 3.1) decide what to do with a
 //! line purely from its *state* (valid / dirty) and a small per-line `Count`
 //! maintained alongside the tag bits (Section 4.2). [`LineMeta`] carries the
-//! timestamps and counters the eDRAM crate needs to evaluate those policies
-//! lazily.
+//! one timestamp the eDRAM crate needs to evaluate those policies lazily.
 
 use std::fmt;
 
@@ -90,59 +89,20 @@ impl fmt::Display for MesiState {
 ///
 /// `last_touch` is the cycle of the most recent *normal* (non-refresh) access
 /// — exactly the event that resets the paper's per-line `Count` and recharges
-/// the Sentry bit. `dirty_since` records when the line last became dirty, so
-/// end-of-simulation write-back accounting can be exact.
+/// the Sentry bit. Everything else a policy needs (refresh counts, write-back
+/// and invalidation times) follows from it and the line's state by the lazy
+/// decay algebra, so nothing else is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineMeta {
     /// Cycle of the last normal access (fill, read hit, or write hit).
     pub last_touch: Cycle,
-    /// Cycle at which the line was filled into this cache.
-    pub fill_time: Cycle,
-    /// Cycle at which the line most recently transitioned to dirty, if dirty.
-    pub dirty_since: Option<Cycle>,
-    /// Number of refreshes this line has received since its last touch
-    /// (maintained by the lazy refresh accounting when it settles a line).
-    pub refreshes_since_touch: u64,
-    /// Total number of times this line has been refreshed while resident.
-    pub total_refreshes: u64,
 }
 
 impl LineMeta {
-    /// Metadata for a line filled (and therefore touched) at `now`.
-    #[must_use]
-    pub fn filled_at(now: Cycle) -> Self {
-        LineMeta {
-            last_touch: now,
-            fill_time: now,
-            dirty_since: None,
-            refreshes_since_touch: 0,
-            total_refreshes: 0,
-        }
-    }
-
     /// Records a normal access at `now`, recharging the implicit sentry bit
     /// and resetting the policy count.
     pub fn touch(&mut self, now: Cycle) {
         self.last_touch = now;
-        self.refreshes_since_touch = 0;
-    }
-
-    /// Records that the line became dirty at `now` (no-op if already dirty).
-    pub fn mark_dirty(&mut self, now: Cycle) {
-        if self.dirty_since.is_none() {
-            self.dirty_since = Some(now);
-        }
-    }
-
-    /// Records that the line was cleaned (written back) at some point.
-    pub fn mark_clean(&mut self) {
-        self.dirty_since = None;
-    }
-
-    /// Records `n` refreshes applied to the line.
-    pub fn add_refreshes(&mut self, n: u64) {
-        self.refreshes_since_touch += n;
-        self.total_refreshes += n;
     }
 }
 
@@ -163,11 +123,11 @@ impl CacheLine {
     /// Creates a line filled at `now` in the given state.
     #[must_use]
     pub fn new(addr: LineAddr, state: MesiState, now: Cycle) -> Self {
-        let mut meta = LineMeta::filled_at(now);
-        if state.is_dirty() {
-            meta.mark_dirty(now);
+        CacheLine {
+            addr,
+            state,
+            meta: LineMeta { last_touch: now },
         }
-        CacheLine { addr, state, meta }
     }
 
     /// Whether the line holds valid data.
@@ -198,27 +158,17 @@ impl CacheLine {
             self.state = MesiState::Modified;
         }
         self.meta.touch(now);
-        self.meta.mark_dirty(now);
     }
 
     /// Applies a write-back at `now`: the line stays valid but becomes clean
     /// (the paper's "Valid Clean" state after WB(n,·) expires).
     pub fn write_back(&mut self) {
         self.state = self.state.after_writeback();
-        self.meta.mark_clean();
-    }
-
-    /// Downgrades the line to `Shared` (e.g. a remote read of a Modified
-    /// line after the data has been forwarded/written back).
-    pub fn downgrade_to_shared(&mut self) {
-        self.state = MesiState::Shared;
-        self.meta.mark_clean();
     }
 
     /// Invalidates the line.
     pub fn invalidate(&mut self) {
         self.state = MesiState::Invalid;
-        self.meta.mark_clean();
     }
 }
 
@@ -253,7 +203,6 @@ mod tests {
         assert_eq!(MesiState::SharedModified.mnemonic(), 'm');
         // write() must not promote Sm to M behind the protocol's back.
         let mut line = CacheLine::new(LineAddr::new(2), MesiState::SharedModified, Cycle::new(3));
-        assert_eq!(line.meta.dirty_since, Some(Cycle::new(3)));
         line.write(Cycle::new(9));
         assert_eq!(line.state, MesiState::SharedModified);
         line.write_back();
@@ -277,30 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn meta_touch_resets_refresh_count() {
-        let mut m = LineMeta::filled_at(Cycle::new(10));
-        m.add_refreshes(5);
-        assert_eq!(m.refreshes_since_touch, 5);
-        assert_eq!(m.total_refreshes, 5);
-        m.touch(Cycle::new(100));
-        assert_eq!(m.refreshes_since_touch, 0);
-        assert_eq!(m.total_refreshes, 5);
-        assert_eq!(m.last_touch, Cycle::new(100));
-        assert_eq!(m.fill_time, Cycle::new(10));
-    }
-
-    #[test]
-    fn dirty_tracking() {
-        let mut m = LineMeta::filled_at(Cycle::ZERO);
-        assert_eq!(m.dirty_since, None);
-        m.mark_dirty(Cycle::new(5));
-        m.mark_dirty(Cycle::new(50));
-        assert_eq!(m.dirty_since, Some(Cycle::new(5)), "first dirtying wins");
-        m.mark_clean();
-        assert_eq!(m.dirty_since, None);
-    }
-
-    #[test]
     fn line_read_write_lifecycle() {
         let mut line = CacheLine::new(LineAddr::new(0x42), MesiState::Exclusive, Cycle::new(1));
         assert!(line.is_valid());
@@ -309,7 +234,7 @@ mod tests {
         line.write(Cycle::new(10));
         assert_eq!(line.state, MesiState::Modified);
         assert!(line.is_dirty());
-        assert_eq!(line.meta.dirty_since, Some(Cycle::new(10)));
+        assert_eq!(line.meta.last_touch, Cycle::new(10));
 
         line.write_back();
         assert_eq!(line.state, MesiState::Shared);
@@ -323,16 +248,10 @@ mod tests {
     }
 
     #[test]
-    fn new_modified_line_records_dirty_since_fill() {
-        let line = CacheLine::new(LineAddr::new(1), MesiState::Modified, Cycle::new(7));
-        assert_eq!(line.meta.dirty_since, Some(Cycle::new(7)));
-    }
-
-    #[test]
-    fn downgrade_cleans_line() {
-        let mut line = CacheLine::new(LineAddr::new(1), MesiState::Modified, Cycle::new(7));
-        line.downgrade_to_shared();
-        assert_eq!(line.state, MesiState::Shared);
-        assert_eq!(line.meta.dirty_since, None);
+    fn cache_line_is_24_bytes() {
+        // Tag, state and last-touch cycle: every probe walks these bytes, so
+        // a field that nothing reads would show up here first.
+        assert_eq!(std::mem::size_of::<LineMeta>(), 8);
+        assert_eq!(std::mem::size_of::<CacheLine>(), 24);
     }
 }

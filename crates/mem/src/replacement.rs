@@ -1,266 +1,95 @@
-//! Replacement policies for set-associative caches.
+//! True-LRU replacement for set-associative caches.
 //!
 //! The paper does not dwell on replacement (normal LRU-class policies are
 //! assumed: "any line which is not being used is quickly replaced by the
-//! normal cache replacement policies", Section 6.2). We provide true LRU
-//! (the default), tree pseudo-LRU and random replacement so the effect of
-//! the choice can be studied as an ablation.
+//! normal cache replacement policies", Section 6.2). Every cache in the
+//! simulated chip uses true LRU, which is also what `refrint-oracle` models
+//! independently.
 
-use std::fmt;
-
-use refrint_engine::rng::DeterministicRng;
-
-/// Which replacement policy a cache uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementKind {
-    /// True least-recently-used.
-    #[default]
-    Lru,
-    /// Tree-based pseudo-LRU (as commonly implemented in hardware).
-    TreePlru,
-    /// Uniform random victim selection.
-    Random,
-}
-
-impl fmt::Display for ReplacementKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplacementKind::Lru => write!(f, "lru"),
-            ReplacementKind::TreePlru => write!(f, "tree-plru"),
-            ReplacementKind::Random => write!(f, "random"),
-        }
-    }
-}
-
-/// Per-set replacement state.
+/// Per-set LRU order.
 ///
-/// One `ReplacementState` instance is kept per cache set; the cache informs
-/// it of accesses and asks it for victims.
+/// One `ReplacementState` instance is kept per cache set; the set informs it
+/// of accesses and asks it for the victim once every way is valid (free ways
+/// are chosen by [`CacheSet::pick_victim`](crate::set::CacheSet::pick_victim)
+/// before this is consulted).
 #[derive(Debug, Clone)]
-pub enum ReplacementState {
-    /// LRU: ways ordered from most- to least-recently used.
-    Lru {
-        /// `order[0]` is the MRU way, `order[ways-1]` the LRU way.
-        order: Vec<u8>,
-    },
-    /// Tree pseudo-LRU over `ways` leaves (ways must be a power of two).
-    TreePlru {
-        /// Internal node bits of the PLRU tree (ways - 1 of them).
-        bits: Vec<bool>,
-        /// Associativity.
-        ways: u8,
-    },
-    /// Random replacement with its own deterministic stream.
-    Random {
-        /// Associativity.
-        ways: u8,
-        /// Deterministic random stream for victim selection.
-        rng: DeterministicRng,
-    },
+pub struct ReplacementState {
+    /// `order[0]` is the MRU way, `order[ways-1]` the LRU way.
+    order: Vec<u8>,
 }
 
 impl ReplacementState {
-    /// Creates replacement state for a set with `ways` ways.
+    /// Creates the LRU order for a set with `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `ways` is 0 or greater than 128, or if `TreePlru` is
-    /// requested with a non-power-of-two associativity.
+    /// Panics if `ways` is 0 or greater than 128.
     #[must_use]
-    pub fn new(kind: ReplacementKind, ways: u8, seed: u64) -> Self {
+    pub fn new(ways: u8) -> Self {
         assert!(ways > 0 && ways <= 128, "unsupported associativity {ways}");
-        match kind {
-            ReplacementKind::Lru => ReplacementState::Lru {
-                order: (0..ways).collect(),
-            },
-            ReplacementKind::TreePlru => {
-                assert!(
-                    ways.is_power_of_two(),
-                    "tree pseudo-LRU requires power-of-two associativity"
-                );
-                ReplacementState::TreePlru {
-                    bits: vec![false; (ways as usize).saturating_sub(1)],
-                    ways,
-                }
-            }
-            ReplacementKind::Random => ReplacementState::Random {
-                ways,
-                rng: DeterministicRng::from_seed(seed),
-            },
+        ReplacementState {
+            order: (0..ways).collect(),
         }
     }
 
     /// Notifies the policy that `way` was accessed (hit or fill).
     pub fn on_access(&mut self, way: u8) {
-        match self {
-            ReplacementState::Lru { order } => {
-                if let Some(pos) = order.iter().position(|&w| w == way) {
-                    order.remove(pos);
-                    order.insert(0, way);
-                }
-            }
-            ReplacementState::TreePlru { bits, ways } => {
-                // Walk from the root towards the accessed leaf, setting each
-                // internal bit to point *away* from the path taken.
-                let ways = *ways as usize;
-                if ways == 1 {
-                    return;
-                }
-                let mut node = 0usize;
-                let mut lo = 0usize;
-                let mut hi = ways;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let go_right = (way as usize) >= mid;
-                    bits[node] = !go_right;
-                    node = 2 * node + if go_right { 2 } else { 1 };
-                    if go_right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-            }
-            ReplacementState::Random { .. } => {}
+        if let Some(pos) = self.order.iter().position(|&w| w == way) {
+            self.order.remove(pos);
+            self.order.insert(0, way);
         }
     }
 
-    /// Chooses a victim way. `valid` reports, per way, whether that way holds
-    /// a valid line; invalid ways are always preferred.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `valid.len()` differs from the associativity.
-    pub fn victim(&mut self, valid: &[bool]) -> u8 {
-        assert_eq!(usize::from(self.ways()), valid.len(), "way count mismatch");
-        // Invalid ways are free: use the lowest-numbered one.
-        if let Some(free) = valid.iter().position(|v| !v) {
-            return free as u8;
-        }
-        self.victim_all_valid()
-    }
-
-    /// Chooses a victim way assuming every way holds a valid line — the
-    /// allocation-free fast path used by the cache's fill machinery (the
-    /// caller scans for free ways itself).
-    pub fn victim_all_valid(&mut self) -> u8 {
-        match self {
-            ReplacementState::Lru { order } => *order.last().expect("associativity is non-zero"),
-            ReplacementState::TreePlru { bits, ways } => {
-                let ways = *ways as usize;
-                if ways == 1 {
-                    return 0;
-                }
-                let mut node = 0usize;
-                let mut lo = 0usize;
-                let mut hi = ways;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let go_right = bits[node];
-                    node = 2 * node + if go_right { 2 } else { 1 };
-                    if go_right {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo as u8
-            }
-            ReplacementState::Random { ways, rng } => rng.below(u64::from(*ways)) as u8,
-        }
+    /// The least-recently-used way: the victim when every way holds a
+    /// valid line.
+    #[must_use]
+    pub fn victim(&self) -> u8 {
+        *self.order.last().expect("associativity is non-zero")
     }
 
     /// The associativity this state was built for.
     #[must_use]
     pub fn ways(&self) -> u8 {
-        match self {
-            ReplacementState::Lru { order } => order.len() as u8,
-            ReplacementState::TreePlru { ways, .. } | ReplacementState::Random { ways, .. } => {
-                *ways
-            }
-        }
+        self.order.len() as u8
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::LineAddr;
+    use crate::line::MesiState;
+    use crate::set::{line_in, CacheSet};
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut s = ReplacementState::new(ReplacementKind::Lru, 4, 0);
+        let mut s = ReplacementState::new(4);
         // Touch ways in order 0,1,2,3 — way 0 is now LRU.
         for w in 0..4 {
             s.on_access(w);
         }
-        assert_eq!(s.victim(&[true; 4]), 0);
+        assert_eq!(s.victim(), 0);
         // Touch way 0 again; way 1 becomes LRU.
         s.on_access(0);
-        assert_eq!(s.victim(&[true; 4]), 1);
+        assert_eq!(s.victim(), 1);
     }
 
     #[test]
     fn invalid_way_preferred_over_lru() {
-        let mut s = ReplacementState::new(ReplacementKind::Lru, 4, 0);
-        for w in 0..4 {
-            s.on_access(w);
+        let mut s = CacheSet::new(4);
+        for i in 0..4u64 {
+            let way = s.pick_victim();
+            assert_eq!(way, i as usize);
+            s.install(way, line_in(i, MesiState::Shared, i));
         }
-        assert_eq!(s.victim(&[true, true, false, true]), 2);
-    }
-
-    #[test]
-    fn plru_never_evicts_most_recent() {
-        let mut s = ReplacementState::new(ReplacementKind::TreePlru, 8, 0);
-        for i in 0..1000u32 {
-            let way = (i % 8) as u8;
-            s.on_access(way);
-            let victim = s.victim(&[true; 8]);
-            assert_ne!(victim, way, "PLRU must not evict the just-accessed way");
-        }
-    }
-
-    #[test]
-    fn plru_single_way() {
-        let mut s = ReplacementState::new(ReplacementKind::TreePlru, 1, 0);
-        s.on_access(0);
-        assert_eq!(s.victim(&[true]), 0);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed_and_in_range() {
-        let mut a = ReplacementState::new(ReplacementKind::Random, 8, 1234);
-        let mut b = ReplacementState::new(ReplacementKind::Random, 8, 1234);
-        for _ in 0..64 {
-            let va = a.victim(&[true; 8]);
-            let vb = b.victim(&[true; 8]);
-            assert_eq!(va, vb);
-            assert!(va < 8);
-        }
+        // Way 0 is LRU, but the freed way 2 is taken first.
+        s.invalidate(LineAddr::new(2));
+        assert_eq!(s.pick_victim(), 2);
     }
 
     #[test]
     fn ways_accessor() {
-        assert_eq!(ReplacementState::new(ReplacementKind::Lru, 4, 0).ways(), 4);
-        assert_eq!(
-            ReplacementState::new(ReplacementKind::TreePlru, 8, 0).ways(),
-            8
-        );
-        assert_eq!(
-            ReplacementState::new(ReplacementKind::Random, 16, 0).ways(),
-            16
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn plru_rejects_non_power_of_two() {
-        let _ = ReplacementState::new(ReplacementKind::TreePlru, 6, 0);
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(ReplacementKind::Lru.to_string(), "lru");
-        assert_eq!(ReplacementKind::TreePlru.to_string(), "tree-plru");
-        assert_eq!(ReplacementKind::Random.to_string(), "random");
+        assert_eq!(ReplacementState::new(4).ways(), 4);
+        assert_eq!(ReplacementState::new(16).ways(), 16);
     }
 }

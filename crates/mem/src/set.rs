@@ -3,10 +3,10 @@
 use refrint_engine::time::Cycle;
 
 use crate::addr::LineAddr;
-use crate::line::{CacheLine, MesiState};
-use crate::replacement::{ReplacementKind, ReplacementState};
+use crate::line::{CacheLine, LineMeta, MesiState};
+use crate::replacement::ReplacementState;
 
-/// One set: a fixed number of ways plus replacement state.
+/// One set: a fixed number of ways plus their LRU order.
 ///
 /// Ways are stored as a flat `Vec<CacheLine>` (no `Option` boxing): an
 /// empty way is simply a line in [`MesiState::Invalid`]. This keeps the
@@ -25,17 +25,17 @@ fn empty_way() -> CacheLine {
     CacheLine {
         addr: LineAddr::new(0),
         state: MesiState::Invalid,
-        meta: crate::line::LineMeta::default(),
+        meta: LineMeta::default(),
     }
 }
 
 impl CacheSet {
     /// Creates an empty set with `ways` ways.
     #[must_use]
-    pub fn new(ways: u8, replacement: ReplacementKind, seed: u64) -> Self {
+    pub fn new(ways: u8) -> Self {
         CacheSet {
             ways: vec![empty_way(); ways as usize],
-            replacement: ReplacementState::new(replacement, ways, seed),
+            replacement: ReplacementState::new(ways),
         }
     }
 
@@ -69,13 +69,13 @@ impl CacheSet {
         self.replacement.on_access(way as u8);
     }
 
-    /// Picks a victim way for a fill, preferring invalid ways (lowest
-    /// numbered first, matching [`ReplacementState::victim`]).
+    /// Picks a victim way for a fill: the lowest-numbered invalid way if
+    /// there is one, otherwise the LRU way.
     pub fn pick_victim(&mut self) -> usize {
         if let Some(free) = self.ways.iter().position(|l| !l.is_valid()) {
             return free;
         }
-        usize::from(self.replacement.victim_all_valid())
+        usize::from(self.replacement.victim())
     }
 
     /// Installs `line` into `way`, returning whatever valid line was evicted.
@@ -128,7 +128,7 @@ mod tests {
     use super::*;
 
     fn set4() -> CacheSet {
-        CacheSet::new(4, ReplacementKind::Lru, 0)
+        CacheSet::new(4)
     }
 
     #[test]

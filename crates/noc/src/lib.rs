@@ -8,9 +8,7 @@
 //! * [`routing`] — dimension-ordered routing with wraparound links and the
 //!   resulting hop counts,
 //! * [`latency`] — per-hop router/link latency and message serialisation into
-//!   flits,
-//! * [`traffic`] — message classes, per-class counters and flit-hop energy
-//!   accounting inputs.
+//!   flits.
 //!
 //! # Example
 //!
@@ -33,10 +31,8 @@ pub mod error;
 pub mod latency;
 pub mod routing;
 pub mod topology;
-pub mod traffic;
 
 pub use error::NocError;
 pub use latency::LinkParams;
 pub use routing::{hop_count, route};
 pub use topology::{NodeId, Torus};
-pub use traffic::{MessageClass, TrafficAccount};

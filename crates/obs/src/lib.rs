@@ -8,13 +8,13 @@
 //!
 //! Six pieces, all pure `std` like the rest of the workspace:
 //!
-//! * [`span`] — the [`Span`](span::Span) record, the
-//!   [`Subsystem`](span::Subsystem) taxonomy (cache / coherence / refresh /
+//! * [`span`] — the [`Span`] record, the
+//!   [`Subsystem`] taxonomy (cache / coherence / refresh /
 //!   NoC / DRAM) and a fixed-size overwriting ring buffer;
-//! * [`recorder`] — the [`Recorder`](recorder::Recorder) the simulator owns:
+//! * [`recorder`] — the [`Recorder`] the simulator owns:
 //!   exact simulated-cycle attribution per subsystem, sampled host wall-time
 //!   attribution, and a sampled span ring, summarised into an
-//!   [`ObsSummary`](recorder::ObsSummary);
+//!   [`ObsSummary`];
 //! * [`otlp`] — renders a summary as an OTLP-shaped JSON document through
 //!   the shared `refrint_engine::json` emitter, including the per-request
 //!   span-tree documents `refrint-serve` exposes at `GET /jobs/<id>/trace`;

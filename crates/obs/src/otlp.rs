@@ -160,7 +160,7 @@ pub fn render(summary: &ObsSummary, config_label: &str, workload: &str) -> Strin
     emit(&document(summary, config_label, workload))
 }
 
-/// The slot [`span_id`] derives a request's root span id from.
+/// The slot `span_id` derives a request's root span id from.
 pub const ROOT_SPAN_SLOT: u64 = 0x524f_4f54; // "ROOT"
 const STAGE_SPAN_SLOT: u64 = 0x1000;
 const DISPATCH_SPAN_SLOT: u64 = 0x2000;

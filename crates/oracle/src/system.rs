@@ -27,7 +27,6 @@ use refrint_energy::breakdown::EnergyBreakdown;
 use refrint_engine::stats::StatRegistry;
 use refrint_engine::time::Cycle;
 use refrint_mem::line::MesiState;
-use refrint_mem::replacement::ReplacementKind;
 use refrint_workloads::generator::ThreadStream;
 use refrint_workloads::model::WorkloadModel;
 use refrint_workloads::trace::MemRef;
@@ -43,7 +42,7 @@ pub enum OracleError {
     /// The configuration fails validation (same rules as the simulator).
     InvalidConfig(String),
     /// The configuration is valid but outside the oracle's deliberately
-    /// small modelling scope (custom policy models, non-LRU replacement).
+    /// small modelling scope (custom L3 policy models).
     Unsupported(String),
     /// A trace-driven run failed to decode its input.
     Trace(String),
@@ -171,8 +170,7 @@ impl OracleSystem {
     ///
     /// [`OracleError::InvalidConfig`] if the configuration fails the shared
     /// validation rules; [`OracleError::Unsupported`] for custom L3 policy
-    /// models or non-LRU replacement, which the oracle deliberately does
-    /// not model.
+    /// models, which the oracle deliberately does not model.
     pub fn new(cfg: SystemConfig) -> Result<Self, OracleError> {
         Self::build(cfg, None)
     }
@@ -194,14 +192,6 @@ impl OracleSystem {
             return Err(OracleError::Unsupported(
                 "custom L3 policy models are not part of the oracle's scope".into(),
             ));
-        }
-        for (name, level) in [("dl1", &cfg.dl1), ("l2", &cfg.l2), ("l3", &cfg.l3_bank)] {
-            if level.replacement != ReplacementKind::Lru {
-                return Err(OracleError::Unsupported(format!(
-                    "{name} uses {} replacement; the oracle models true LRU only",
-                    level.replacement
-                )));
-            }
         }
 
         let retention = cfg.retention;
@@ -948,7 +938,6 @@ mod tests {
     use super::*;
     use refrint::system::CmpSystem;
     use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
-    use refrint_energy::tech::CellTech;
     use refrint_noc::routing::hop_count;
     use refrint_noc::topology::{NodeId, Torus};
     use refrint_workloads::apps::AppPreset;
@@ -1132,12 +1121,13 @@ mod tests {
 
     #[test]
     fn unsupported_configurations_are_typed_errors() {
-        let mut cfg = SystemConfig::edram_recommended();
-        cfg.dl1.replacement = ReplacementKind::Random;
+        // The same refresh policy, installed as an opaque model: the oracle
+        // only implements the built-in descriptors, so it must refuse.
+        let cfg = SystemConfig::edram_recommended()
+            .with_policy_model(std::sync::Arc::new(RefreshPolicy::recommended()));
         assert!(matches!(
             OracleSystem::new(cfg),
             Err(OracleError::Unsupported(_))
         ));
-        let _ = CellTech::Edram; // silence unused import on some cfgs
     }
 }

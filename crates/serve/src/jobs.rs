@@ -343,7 +343,7 @@ impl SharedJobs {
         self.done.notify_all();
     }
 
-    /// Attaches a request trace to a job and wakes [`SharedJobs::traced`]
+    /// Attaches a request trace to a job and wakes `SharedJobs::traced`
     /// waiters.
     pub fn set_trace(&self, id: &str, trace: RequestTrace) {
         let mut table = self.table.lock().expect("job table lock");
