@@ -17,9 +17,7 @@ use refrint::simulation::{ObsConfig, RunSpec, SimulationBuilder};
 use refrint::{CoherenceProtocol, RetentionProfile};
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
-use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::log::LogFormat;
-use refrint_trace::TraceFormat;
 use refrint_workloads::apps::AppPreset;
 
 /// Returns the value following `name` in `args`, if present.
@@ -95,31 +93,6 @@ pub fn parse_protocol(label: &str) -> Result<CoherenceProtocol, String> {
 /// Returns the profile grammar error as a string.
 pub fn parse_retention_profile(label: &str) -> Result<RetentionProfile, String> {
     label.parse::<RetentionProfile>().map_err(|e| e.to_string())
-}
-
-/// Parses the optional `--anomaly-threshold <z>` and `--min-slice <n>`
-/// flags into an [`AnomalyTuning`], rejecting non-finite or negative
-/// thresholds and a zero minimum slice with the tuning's typed error.
-///
-/// # Errors
-///
-/// Returns a usage message for unparsable values and the
-/// [`refrint_obs::anomaly::TuningError`] rendering for invalid ones.
-pub fn parse_anomaly_tuning(args: &[String]) -> Result<AnomalyTuning, String> {
-    let defaults = AnomalyTuning::default();
-    let threshold = match opt_value(args, "--anomaly-threshold") {
-        Some(v) => v
-            .parse::<f64>()
-            .map_err(|_| format!("bad --anomaly-threshold `{v}`"))?,
-        None => defaults.threshold,
-    };
-    let min_slice = match opt_value(args, "--min-slice") {
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| format!("bad --min-slice `{v}`"))?,
-        None => defaults.min_slice,
-    };
-    AnomalyTuning::new(threshold, min_slice).map_err(|e| e.to_string())
 }
 
 /// How a report is rendered to stdout.
@@ -312,9 +285,6 @@ pub struct SweepOptions {
     pub retention_profiles: Vec<RetentionProfile>,
     /// Traces to sweep alongside the applications (`--trace`, repeatable).
     pub traces: Vec<PathBuf>,
-    /// Tuning of the sweep's anomaly pass (`--anomaly-threshold`,
-    /// `--min-slice`; the default reproduces PR-6 behaviour exactly).
-    pub anomaly: AnomalyTuning,
     /// Output rendering.
     pub format: OutputFormat,
 }
@@ -353,7 +323,6 @@ impl SweepOptions {
                 .into_iter()
                 .map(Into::into)
                 .collect(),
-            anomaly: parse_anomaly_tuning(args)?,
             format: parse_format(args)?,
         })
     }
@@ -398,8 +367,6 @@ pub struct TraceRecordOptions {
     pub app: AppPreset,
     /// Output trace path.
     pub out: PathBuf,
-    /// On-disk format (`--text` selects the readable format).
-    pub format: TraceFormat,
     /// Threads/cores to record, if overridden.
     pub cores: Option<usize>,
     /// References per thread, if overridden.
@@ -423,11 +390,6 @@ impl TraceRecordOptions {
         Ok(TraceRecordOptions {
             app,
             out: out.into(),
-            format: if has_flag(args, "--text") {
-                TraceFormat::Text
-            } else {
-                TraceFormat::Binary
-            },
             cores: opt_parsed(args, "--cores")?,
             refs: opt_parsed(args, "--refs")?,
             seed: opt_parsed(args, "--seed")?,
@@ -522,9 +484,6 @@ pub struct ServeOptions {
     pub max_body: Option<usize>,
     /// Directory trace workloads are served from.
     pub trace_dir: Option<PathBuf>,
-    /// `/metrics` latency histogram bucket bounds in microseconds, if
-    /// overridden (`--latency-buckets 1ms,10ms,...`).
-    pub latency_buckets: Option<Vec<u64>>,
     /// Structured-log format (`--log-format json|text`), if overridden.
     pub log_format: Option<LogFormat>,
     /// Coordinator mode: dispatch jobs to backends instead of simulating
@@ -534,49 +493,6 @@ pub struct ServeOptions {
     pub backends: Vec<String>,
     /// Directory of the persistent result cache (`--cache-dir`).
     pub cache_dir: Option<PathBuf>,
-}
-
-/// Parses one `--latency-buckets` bound — `250us`, `5ms`, `2s`, or a bare
-/// number of microseconds — into microseconds.
-#[must_use]
-pub fn parse_bucket_micros(v: &str) -> Option<u64> {
-    let v = v.trim();
-    let (digits, scale) = if let Some(d) = v.strip_suffix("us") {
-        (d, 1)
-    } else if let Some(d) = v.strip_suffix("ms") {
-        (d, 1_000)
-    } else if let Some(d) = v.strip_suffix('s') {
-        (d, 1_000_000)
-    } else {
-        (v, 1)
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_mul(scale).filter(|&micros| micros > 0)
-}
-
-/// Parses a comma-separated `--latency-buckets` list into strictly
-/// ascending microsecond bounds.
-///
-/// # Errors
-///
-/// Returns a usage message for unparsable, non-positive or non-ascending
-/// bounds.
-pub fn parse_latency_buckets(list: &str) -> Result<Vec<u64>, String> {
-    let bounds: Vec<u64> = list
-        .split(',')
-        .map(|item| {
-            parse_bucket_micros(item).ok_or_else(|| {
-                format!("bad --latency-buckets bound `{item}` (expected e.g. 250us, 5ms, 2s)")
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    if bounds.is_empty() {
-        return Err("--latency-buckets needs at least one bound".into());
-    }
-    if !bounds.windows(2).all(|w| w[0] < w[1]) {
-        return Err("--latency-buckets bounds must be strictly ascending".into());
-    }
-    Ok(bounds)
 }
 
 /// Parsed options of the `check` subcommand (differential conformance
@@ -667,9 +583,6 @@ impl ServeOptions {
                 }
             }
         };
-        let latency_buckets = opt_value(args, "--latency-buckets")
-            .map(|list| parse_latency_buckets(&list))
-            .transpose()?;
         let log_format = match opt_value(args, "--log-format").as_deref() {
             None => None,
             Some("text") => Some(LogFormat::Text),
@@ -692,7 +605,6 @@ impl ServeOptions {
             cache: positive("--cache")?,
             max_body: positive("--max-body")?,
             trace_dir: opt_value(args, "--trace-dir").map(Into::into),
-            latency_buckets,
             log_format,
             coordinator,
             backends,
@@ -718,9 +630,6 @@ impl ServeOptions {
             options.max_body_bytes = max_body;
         }
         options.trace_dir = self.trace_dir.clone();
-        if let Some(bounds) = &self.latency_buckets {
-            options.latency_bounds_micros.clone_from(bounds);
-        }
         if let Some(format) = self.log_format {
             options.log_format = format;
         }
@@ -1011,6 +920,8 @@ mod tests {
         .unwrap();
         assert_eq!(opts.sample_every, 64);
         assert_eq!(opts.format, OutputFormat::Text);
+        let opts = ObsOptions::parse(&args(&["--app", "lu", "--critical-path"])).unwrap();
+        assert!(opts.critical_path);
 
         // The axis flags mirror `run`: they reach the built config's label.
         let opts = ObsOptions::parse(&args(&[
@@ -1068,12 +979,10 @@ mod tests {
             "100",
             "--seed",
             "7",
-            "--text",
         ]))
         .unwrap();
         assert_eq!(opts.app, AppPreset::Fft);
         assert_eq!(opts.out, PathBuf::from("/tmp/x.rft"));
-        assert_eq!(opts.format, TraceFormat::Text);
         let config = opts.builder().build_config().unwrap();
         assert_eq!(config.cores, 4);
         assert_eq!(config.seed, 7);
@@ -1209,6 +1118,8 @@ mod tests {
             "4096",
             "--trace-dir",
             "/tmp/traces",
+            "--log-format",
+            "json",
         ]))
         .unwrap();
         assert_eq!(opts.addr, "127.0.0.1:7878");
@@ -1218,6 +1129,7 @@ mod tests {
         assert_eq!(server.cache_capacity, 9);
         assert_eq!(server.max_body_bytes, 4096);
         assert_eq!(server.trace_dir, Some(PathBuf::from("/tmp/traces")));
+        assert_eq!(server.log_format, LogFormat::Json);
 
         assert!(ServeOptions::parse(&args(&[]))
             .unwrap_err()
@@ -1237,6 +1149,8 @@ mod tests {
         );
         assert!(opts.server_options().coordinator.is_none());
         assert_eq!(opts.server_options().disk_cache_dir, None);
+        assert_eq!(opts.server_options().log_format, LogFormat::Text);
+        assert!(ServeOptions::parse(&args(&["--addr", "x", "--log-format", "yaml"])).is_err());
     }
 
     #[test]
@@ -1272,70 +1186,6 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("--coordinator"));
-    }
-
-    #[test]
-    fn anomaly_tuning_flags_parse_and_validate() {
-        let opts = SweepOptions::parse(&args(&[])).unwrap();
-        assert!(opts.anomaly.is_default());
-        let opts = SweepOptions::parse(&args(&["--anomaly-threshold", "3.5", "--min-slice", "6"]))
-            .unwrap();
-        assert_eq!((opts.anomaly.threshold, opts.anomaly.min_slice), (3.5, 6));
-        let opts = ObsOptions::parse(&args(&["--app", "lu", "--critical-path"])).unwrap();
-        assert!(opts.critical_path);
-
-        for bad in [
-            &["--anomaly-threshold", "-1"][..],
-            &["--anomaly-threshold", "NaN"],
-            &["--anomaly-threshold", "inf"],
-            &["--min-slice", "0"],
-            &["--min-slice", "many"],
-        ] {
-            assert!(
-                SweepOptions::parse(&args(bad)).is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn latency_bucket_flags_parse_suffixes_and_reject_disorder() {
-        assert_eq!(parse_bucket_micros("250us"), Some(250));
-        assert_eq!(parse_bucket_micros("5ms"), Some(5_000));
-        assert_eq!(parse_bucket_micros("2s"), Some(2_000_000));
-        assert_eq!(parse_bucket_micros("123"), Some(123));
-        assert_eq!(parse_bucket_micros("0ms"), None);
-        assert_eq!(parse_bucket_micros("fast"), None);
-
-        let opts = ServeOptions::parse(&args(&[
-            "--addr",
-            "127.0.0.1:0",
-            "--latency-buckets",
-            "1ms,10ms,100ms,1s",
-            "--log-format",
-            "json",
-        ]))
-        .unwrap();
-        let server = opts.server_options();
-        assert_eq!(
-            server.latency_bounds_micros,
-            vec![1_000, 10_000, 100_000, 1_000_000]
-        );
-        assert_eq!(server.log_format, LogFormat::Json);
-
-        // Defaults are untouched when the flags are absent.
-        let opts = ServeOptions::parse(&args(&["--addr", "127.0.0.1:0"])).unwrap();
-        let defaults = refrint_serve::ServerOptions::default();
-        assert_eq!(
-            opts.server_options().latency_bounds_micros,
-            defaults.latency_bounds_micros
-        );
-        assert_eq!(opts.server_options().log_format, LogFormat::Text);
-
-        assert!(parse_latency_buckets("10ms,1ms").is_err());
-        assert!(parse_latency_buckets("1ms,1ms").is_err());
-        assert!(parse_latency_buckets("soon").is_err());
-        assert!(ServeOptions::parse(&args(&["--addr", "x", "--log-format", "yaml"])).is_err());
     }
 
     #[test]

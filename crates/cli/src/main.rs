@@ -45,11 +45,11 @@ Commands:
                                    --critical-path prints the bounding-subsystem report
   sweep [--refs <n>] [--apps a,b] [--trace <file>]... [--cores <n>] [--jobs <n>]
         [--protocol mesi|dragon]... [--retention-profile <label>]...
-        [--anomaly-threshold <z>] [--min-slice <n>] [--progress] [--format text|json]
+        [--progress] [--format text|json]
                                    run the policy sweep across worker threads
                                    (repeat --protocol / --retention-profile to add
                                    coherence and per-bank retention axes)
-  trace record --app <name> --out <file> [--cores <n>] [--refs <n>] [--seed <n>] [--text]
+  trace record --app <name> --out <file> [--cores <n>] [--refs <n>] [--seed <n>]
                                    capture a workload's reference streams to a trace
   trace replay --trace <file> [RUN OVERRIDES] [--format text|json]
                                    replay a recorded trace through a configuration
@@ -61,8 +61,8 @@ Commands:
                                    --protocol pins every scenario's coherence protocol,
                                    which is how CI runs one conformance leg per protocol)
   serve --addr HOST:PORT [--workers <n>] [--queue <n>] [--cache <n>]
-        [--max-body <bytes>] [--trace-dir <dir>] [--latency-buckets 1ms,10ms,...]
-        [--log-format text|json] [--cache-dir <dir>]
+        [--max-body <bytes>] [--trace-dir <dir>] [--log-format text|json]
+        [--cache-dir <dir>]
         [--coordinator] [--backend HOST:PORT]...
                                    run the HTTP simulation service (see docs/serve.md);
                                    REFRINT_LOG=error|warn|info|debug sets log verbosity;
@@ -207,7 +207,7 @@ fn sweep(args: &[String]) -> Result<(), String> {
     );
     let results = runner.run().map_err(|e| e.to_string())?;
     if options.format == OutputFormat::Json {
-        println!("{}", json::sweep_tuned(&results, options.anomaly));
+        println!("{}", json::sweep(&results));
         return Ok(());
     }
     for &retention in &results.retentions_us {
@@ -243,7 +243,7 @@ fn trace_record(args: &[String]) -> Result<(), String> {
     let options = TraceRecordOptions::parse(args)?;
     let simulation = options.builder().build().map_err(|e| e.to_string())?;
     let meta = simulation
-        .capture_model_as(&options.app.model(), &options.out, options.format)
+        .capture(options.app, &options.out)
         .map_err(|e| e.to_string())?;
     eprintln!(
         "recorded {} ({} threads, seed {:#x}) to {}",

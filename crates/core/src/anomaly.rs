@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use refrint_obs::anomaly::{flag_outliers_with, AnomalyTuning};
+use refrint_obs::anomaly::{flag_outliers, DEFAULT_THRESHOLD};
 
 use crate::experiment::SweepResults;
 use crate::report::SimReport;
@@ -80,27 +80,26 @@ pub struct SweepAnomaly {
 
 /// Scores every eDRAM point in `results` against its three axis
 /// neighbourhoods and returns the points whose modified z-score magnitude
-/// reaches the tuning's threshold for some metric (in slices of at least
-/// the tuning's minimum size). Each `(point, metric)` pair is reported at
-/// most once — the axis with the largest score. Output order follows the
-/// sweep's own (workload, retention, policy) order, so the report is
-/// deterministic.
+/// reaches [`DEFAULT_THRESHOLD`] for some metric (in slices of at least
+/// `refrint_obs::anomaly::MIN_SLICE` points). Each `(point, metric)` pair
+/// is reported at most once — the axis with the largest score. Output
+/// order follows the sweep's own (workload, retention, policy) order, so
+/// the report is deterministic.
 #[must_use]
-pub fn detect_tuned(results: &SweepResults, tuning: AnomalyTuning) -> Vec<SweepAnomaly> {
+pub fn detect(results: &SweepResults) -> Vec<SweepAnomaly> {
     let points: Vec<_> = results
         .edram
         .iter()
         .map(|(key, r)| (key, PointMetrics::of(r)))
         .collect();
-    detect_points(&points, tuning)
+    detect_points(&points)
 }
 
-/// [`detect_tuned`] over bare `(key, metrics)` pairs, sorted ascending by
+/// [`detect`] over bare `(key, metrics)` pairs, sorted ascending by
 /// key — the order a `BTreeMap` iterates in, which fixes the output order
 /// and the slice grouping tie-breaks.
 pub(crate) fn detect_points(
     points: &[(&(String, u64, String), PointMetrics)],
-    tuning: AnomalyTuning,
 ) -> Vec<SweepAnomaly> {
     debug_assert!(
         points.windows(2).all(|w| w[0].0 < w[1].0),
@@ -123,7 +122,7 @@ pub(crate) fn detect_points(
             }
             for indices in slices.values() {
                 let slice: Vec<f64> = indices.iter().map(|&i| values[i]).collect();
-                for flag in flag_outliers_with(&slice, tuning.threshold, tuning.min_slice) {
+                for flag in flag_outliers(&slice, DEFAULT_THRESHOLD) {
                     let i = indices[flag.index];
                     let (workload, retention_us, policy) = points[i].0;
                     let entry = SweepAnomaly {
@@ -176,7 +175,7 @@ mod tests {
     #[test]
     fn a_real_sweep_is_clean_at_the_default_threshold() {
         let results = small_sweep();
-        let flagged = detect_tuned(&results, AnomalyTuning::default());
+        let flagged = detect(&results);
         assert!(
             flagged.is_empty(),
             "legitimate policy spread must not be flagged: {flagged:?}"
@@ -197,7 +196,7 @@ mod tests {
         let report = results.edram.get_mut(&victim).unwrap();
         report.breakdown.dram *= 400.0;
 
-        let flagged = detect_tuned(&results, AnomalyTuning::default());
+        let flagged = detect(&results);
         assert!(!flagged.is_empty(), "the perturbed point must be flagged");
         for a in &flagged {
             assert_eq!(
@@ -210,26 +209,5 @@ mod tests {
             assert!(a.robust_z > 0.0);
             assert!(a.robust_z.is_finite());
         }
-    }
-
-    #[test]
-    fn tuned_detection_responds_to_threshold_and_min_slice() {
-        let mut results = small_sweep();
-        let victim = results
-            .edram
-            .keys()
-            .find(|(_, _, p)| p == "R.WB(32,32)")
-            .cloned()
-            .unwrap();
-        results.edram.get_mut(&victim).unwrap().breakdown.dram *= 400.0;
-
-        let default_flags = detect_tuned(&results, AnomalyTuning::default());
-        assert!(!default_flags.is_empty());
-        // A minimum slice larger than any neighbourhood silences the pass.
-        let silenced = detect_tuned(&results, AnomalyTuning::new(8.0, 10_000).unwrap());
-        assert!(silenced.is_empty(), "min_slice gates scoring: {silenced:?}");
-        // A looser threshold flags at least as much as the default.
-        let loose = detect_tuned(&results, AnomalyTuning::new(1.0, 4).unwrap());
-        assert!(loose.len() >= default_flags.len());
     }
 }

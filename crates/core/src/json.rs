@@ -17,8 +17,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use refrint_engine::json::{escape, num, parse};
-use refrint_obs::anomaly::AnomalyTuning;
-use refrint_trace::TraceSummary;
+use refrint_trace::{TraceSummary, FORMAT_VERSION};
 
 use crate::anomaly::{self, PointMetrics, SweepAnomaly};
 use crate::experiment::SweepResults;
@@ -151,14 +150,6 @@ fn sweep_anomaly(a: &SweepAnomaly) -> String {
 /// deterministic.
 #[must_use]
 pub fn sweep(results: &SweepResults) -> String {
-    sweep_tuned(results, AnomalyTuning::default())
-}
-
-/// [`sweep`] with caller-chosen anomaly tunables. The default tuning
-/// reproduces [`sweep`] byte for byte; only the `anomalies` array can
-/// differ under a non-default tuning.
-#[must_use]
-pub fn sweep_tuned(results: &SweepResults, tuning: AnomalyTuning) -> String {
     let workloads: Vec<String> = results
         .apps
         .iter()
@@ -170,7 +161,6 @@ pub fn sweep_tuned(results: &SweepResults, tuning: AnomalyTuning) -> String {
         &results.retentions_us,
         &results.sram,
         &results.edram,
-        tuning,
     )
 }
 
@@ -183,7 +173,6 @@ pub(crate) fn render_sweep<R: SweepEntry>(
     retentions_us: &[u64],
     sram: &BTreeMap<String, R>,
     edram: &BTreeMap<(String, u64, String), R>,
-    tuning: AnomalyTuning,
 ) -> String {
     let mut runs = Vec::with_capacity(sram.len() + edram.len());
     for (workload, r) in sram {
@@ -202,7 +191,7 @@ pub(crate) fn render_sweep<R: SweepEntry>(
         ));
     }
     let points: Vec<_> = edram.iter().map(|(key, r)| (key, r.metrics())).collect();
-    let anomalies: Vec<String> = anomaly::detect_points(&points, tuning)
+    let anomalies: Vec<String> = anomaly::detect_points(&points)
         .iter()
         .map(sweep_anomaly)
         .collect();
@@ -244,13 +233,13 @@ pub fn trace_summary(s: &TraceSummary) -> String {
     let per_thread: Vec<String> = s.per_thread.iter().map(u64::to_string).collect();
     format!(
         concat!(
-            "{{\"workload\":\"{}\",\"format\":\"{}\",\"threads\":{},\"seed\":{},",
+            "{{\"workload\":\"{}\",\"format\":\"binary v{}\",\"threads\":{},\"seed\":{},",
             "\"records\":{},\"reads\":{},\"writes\":{},\"per_thread\":[{}],",
             "\"gap_cycles\":{},\"addr_stride_bytes\":{},",
             "\"min_addr\":{},\"max_addr\":{},\"address_span_bytes\":{}}}"
         ),
         escape(&s.meta.workload),
-        escape(&s.format.to_string()),
+        FORMAT_VERSION,
         s.meta.threads,
         s.meta.seed,
         s.records,

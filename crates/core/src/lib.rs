@@ -115,7 +115,7 @@ pub mod prelude {
     pub use refrint_edram::schedule::LineKind;
     pub use refrint_edram::variation::RetentionProfile;
     pub use refrint_energy::tech::CellTech;
-    pub use refrint_trace::{TraceError, TraceFile, TraceFormat, TraceMeta, TraceSummary};
+    pub use refrint_trace::{TraceError, TraceFile, TraceMeta, TraceSummary};
     pub use refrint_workloads::apps::AppPreset;
     pub use refrint_workloads::classify::AppClass;
 }

@@ -12,10 +12,7 @@ use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
 
-use refrint_trace::{
-    capture_model, TextTraceWriter, ThreadRefs, TraceError, TraceFile, TraceFormat, TraceMeta,
-    TraceWriter,
-};
+use refrint_trace::{capture_model, ThreadRefs, TraceError, TraceFile, TraceMeta, TraceWriter};
 use refrint_workloads::model::WorkloadModel;
 use refrint_workloads::trace::MemRef;
 
@@ -24,8 +21,8 @@ use crate::error::RefrintError;
 use crate::report::SimReport;
 use crate::system::CmpSystem;
 
-/// Captures the streams `config` would run for `model` into `path`, in the
-/// given on-disk format. Returns the written trace's metadata.
+/// Captures the streams `config` would run for `model` into a trace at
+/// `path`. Returns the written trace's metadata.
 ///
 /// # Errors
 ///
@@ -35,21 +32,12 @@ pub fn capture_to_path(
     config: &SystemConfig,
     model: &WorkloadModel,
     path: impl AsRef<Path>,
-    format: TraceFormat,
 ) -> Result<TraceMeta, RefrintError> {
     config.validate()?;
     let model = config.adjusted_model(model);
     let meta = TraceMeta::new(&model.name, model.threads, config.seed);
-    match format {
-        TraceFormat::Binary => {
-            let mut writer = TraceWriter::create(path, &meta)?;
-            capture_model(&model, config.seed, &mut writer)?;
-        }
-        TraceFormat::Text => {
-            let mut writer = TextTraceWriter::create(path, &meta)?;
-            capture_model(&model, config.seed, &mut writer)?;
-        }
-    }
+    let mut writer = TraceWriter::create(path, &meta)?;
+    capture_model(&model, config.seed, &mut writer)?;
     Ok(meta)
 }
 
@@ -131,13 +119,7 @@ mod tests {
     #[test]
     fn capture_then_replay_reproduces_the_live_report() {
         let path = tmp("roundtrip.rft");
-        let meta = capture_to_path(
-            &config(),
-            &AppPreset::Lu.model(),
-            &path,
-            TraceFormat::Binary,
-        )
-        .unwrap();
+        let meta = capture_to_path(&config(), &AppPreset::Lu.model(), &path).unwrap();
         assert_eq!(meta.threads, 2);
         assert_eq!(meta.workload, "lu");
 
@@ -153,13 +135,7 @@ mod tests {
     #[test]
     fn thread_core_mismatch_is_a_typed_error() {
         let path = tmp("mismatch.rft");
-        capture_to_path(
-            &config(),
-            &AppPreset::Fft.model(),
-            &path,
-            TraceFormat::Binary,
-        )
-        .unwrap();
+        capture_to_path(&config(), &AppPreset::Fft.model(), &path).unwrap();
         let trace = TraceFile::open(&path).unwrap();
         let four_cores = SystemConfig::edram_recommended().with_cores(4);
         let err = replay(&mut CmpSystem::new(four_cores).unwrap(), &trace).unwrap_err();

@@ -51,7 +51,7 @@ use refrint_edram::retention::RetentionConfig;
 use refrint_edram::variation::RetentionProfile;
 use refrint_energy::breakdown::EnergyBreakdown;
 use refrint_energy::tech::CellTech;
-use refrint_trace::{TraceFile, TraceFormat, TraceMeta};
+use refrint_trace::{TraceFile, TraceMeta};
 use refrint_workloads::apps::AppPreset;
 use refrint_workloads::model::WorkloadModel;
 
@@ -641,7 +641,7 @@ impl Simulation {
     }
 
     /// Records the reference streams this simulation would run for `app`
-    /// (same seed, core count and scale) to a binary trace at `path`, so
+    /// (same seed, core count and scale) to a trace at `path`, so
     /// [`SimulationBuilder::trace`] can replay the run elsewhere.
     ///
     /// # Errors
@@ -652,10 +652,10 @@ impl Simulation {
         app: AppPreset,
         path: impl AsRef<Path>,
     ) -> Result<TraceMeta, RefrintError> {
-        self.capture_model_as(&app.model(), path, TraceFormat::Binary)
+        self.capture_model(&app.model(), path)
     }
 
-    /// Records an arbitrary workload model to a binary trace at `path`.
+    /// Records an arbitrary workload model to a trace at `path`.
     ///
     /// # Errors
     ///
@@ -665,22 +665,7 @@ impl Simulation {
         model: &WorkloadModel,
         path: impl AsRef<Path>,
     ) -> Result<TraceMeta, RefrintError> {
-        self.capture_model_as(model, path, TraceFormat::Binary)
-    }
-
-    /// Records an arbitrary workload model to a trace at `path` in the
-    /// chosen on-disk format.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulation::capture`].
-    pub fn capture_model_as(
-        &self,
-        model: &WorkloadModel,
-        path: impl AsRef<Path>,
-        format: TraceFormat,
-    ) -> Result<TraceMeta, RefrintError> {
-        replay::capture_to_path(self.system.config(), model, path, format)
+        replay::capture_to_path(self.system.config(), model, path)
     }
 
     /// The underlying system simulator, for advanced use.

@@ -51,7 +51,6 @@ use refrint_coherence::protocol::CoherenceProtocol;
 use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::variation::RetentionProfile;
-use refrint_obs::anomaly::AnomalyTuning;
 use refrint_trace::TraceFile;
 use refrint_workloads::apps::AppPreset;
 
@@ -333,21 +332,20 @@ impl SweepPlan {
 
     /// Renders the sweep document from rendered per-point reports, given
     /// in plan order — the path for results that arrive as text, such as
-    /// `POST /run` responses. The bytes equal [`json::sweep_tuned`] over
+    /// `POST /run` responses. The bytes equal [`json::sweep`] over
     /// the same results computed in process.
     ///
     /// # Panics
     ///
     /// If `reports` does not hold exactly one report per point.
     #[must_use]
-    pub fn render(&self, reports: Vec<ReportBody>, tuning: AnomalyTuning) -> String {
+    pub fn render(&self, reports: Vec<ReportBody>) -> String {
         let merged = self.merge(reports);
         json::render_sweep(
             &self.workload_names(),
             &self.config.retentions_us,
             &merged.sram,
             &merged.edram,
-            tuning,
         )
     }
 
@@ -683,13 +681,7 @@ mod tests {
             .with_cores(4)
             .with_seed(3)
             .with_scale(1_200);
-        crate::replay::capture_to_path(
-            &capture_config,
-            &AppPreset::Lu.model(),
-            &path,
-            refrint_trace::TraceFormat::Binary,
-        )
-        .unwrap();
+        crate::replay::capture_to_path(&capture_config, &AppPreset::Lu.model(), &path).unwrap();
 
         let mut config = tiny_config();
         config.apps = vec![AppPreset::Lu];
@@ -821,8 +813,17 @@ mod tests {
 
     #[test]
     fn rendering_report_bodies_reproduces_the_in_process_document() {
-        let config = tiny_config();
-        let results = SweepRunner::new(config.clone()).workers(2).run().unwrap();
+        // One small workload over the paper's policies: a slice large
+        // enough for the anomaly pass to flag a corrupted point, so the
+        // scored metrics read back out of the bodies are compared too.
+        let mut config = tiny_config();
+        config.apps = vec![AppPreset::Blackscholes];
+        config.policies = RefreshPolicy::paper_sweep();
+        config.refs_per_thread = 400;
+        config.cores = 2;
+        let mut results = SweepRunner::new(config.clone()).workers(2).run().unwrap();
+        let victim = results.edram.values_mut().next().unwrap();
+        victim.breakdown.dram *= 400.0;
         let plan = SweepPlan::new(config).unwrap();
         // Each point's report as it travels over HTTP: rendered, with the
         // trailing newline a served body carries, then read back.
@@ -837,12 +838,9 @@ mod tests {
                 ReportBody::parse(&format!("{}\n", json::report(report))).unwrap()
             })
             .collect();
-        // A zero threshold flags points, so the scored metrics read back
-        // out of the bodies are compared too.
-        let tuning = AnomalyTuning::new(0.0, 2).unwrap();
-        let doc = plan.render(bodies, tuning);
+        let doc = plan.render(bodies);
         assert!(doc.contains("\"robust_z\""), "{doc}");
-        assert_eq!(doc, json::sweep_tuned(&results, tuning));
+        assert_eq!(doc, json::sweep(&results));
     }
 
     #[test]

@@ -23,79 +23,6 @@ pub const MIN_SLICE: usize = 4;
 /// deviant point yields a large *finite* score (∞ would not survive JSON).
 pub const MAX_Z: f64 = 1e9;
 
-/// Why an [`AnomalyTuning`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TuningError {
-    /// The threshold was NaN or infinite.
-    ThresholdNotFinite,
-    /// The threshold was negative (z magnitudes are compared, so a
-    /// negative cutoff would flag everything).
-    ThresholdNegative,
-    /// A zero minimum slice would score empty neighbourhoods.
-    MinSliceZero,
-}
-
-impl std::fmt::Display for TuningError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TuningError::ThresholdNotFinite => {
-                write!(f, "anomaly threshold must be a finite number")
-            }
-            TuningError::ThresholdNegative => write!(f, "anomaly threshold must be non-negative"),
-            TuningError::MinSliceZero => write!(f, "minimum slice size must be at least 1"),
-        }
-    }
-}
-
-impl std::error::Error for TuningError {}
-
-/// Validated anomaly-detection tunables: the z-score cutoff and the
-/// smallest neighbourhood slice worth scoring. The defaults reproduce the
-/// hardcoded constants ([`DEFAULT_THRESHOLD`], [`MIN_SLICE`]) exactly, so
-/// default-tuned output is byte-identical to the untuned path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnomalyTuning {
-    /// Points scoring at or above this modified z magnitude are flagged.
-    pub threshold: f64,
-    /// Slices smaller than this are never scored.
-    pub min_slice: usize,
-}
-
-impl Default for AnomalyTuning {
-    fn default() -> Self {
-        AnomalyTuning {
-            threshold: DEFAULT_THRESHOLD,
-            min_slice: MIN_SLICE,
-        }
-    }
-}
-
-impl AnomalyTuning {
-    /// Validates and builds a tuning; rejects non-finite or negative
-    /// thresholds and a zero slice minimum with a typed error.
-    pub fn new(threshold: f64, min_slice: usize) -> Result<AnomalyTuning, TuningError> {
-        if !threshold.is_finite() {
-            return Err(TuningError::ThresholdNotFinite);
-        }
-        if threshold < 0.0 {
-            return Err(TuningError::ThresholdNegative);
-        }
-        if min_slice == 0 {
-            return Err(TuningError::MinSliceZero);
-        }
-        Ok(AnomalyTuning {
-            threshold,
-            min_slice,
-        })
-    }
-
-    /// Whether this is exactly the default tuning.
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        *self == AnomalyTuning::default()
-    }
-}
-
 /// The median of `values`, or `None` when empty. Non-finite inputs are
 /// ignored.
 #[must_use]
@@ -185,13 +112,7 @@ pub struct Flag {
 /// anomalous against two neighbours.
 #[must_use]
 pub fn flag_outliers(values: &[f64], threshold: f64) -> Vec<Flag> {
-    flag_outliers_with(values, threshold, MIN_SLICE)
-}
-
-/// [`flag_outliers`] with a caller-chosen minimum slice size.
-#[must_use]
-pub fn flag_outliers_with(values: &[f64], threshold: f64, min_slice: usize) -> Vec<Flag> {
-    if values.len() < min_slice.max(1) {
+    if values.len() < MIN_SLICE {
         return Vec::new();
     }
     let med = median(values).unwrap_or(f64::NAN);
@@ -256,51 +177,6 @@ mod tests {
         // Fully constant slices flag nothing.
         let constant = vec![5.0; 8];
         assert!(flag_outliers(&constant, 4.0).is_empty());
-    }
-
-    #[test]
-    fn tuning_validates_and_defaults_match_the_constants() {
-        let d = AnomalyTuning::default();
-        assert_eq!(d.threshold, DEFAULT_THRESHOLD);
-        assert_eq!(d.min_slice, MIN_SLICE);
-        assert!(d.is_default());
-        assert!(AnomalyTuning::new(8.0, 4).unwrap().is_default());
-        assert!(!AnomalyTuning::new(3.5, 4).unwrap().is_default());
-
-        assert_eq!(
-            AnomalyTuning::new(f64::NAN, 4),
-            Err(TuningError::ThresholdNotFinite)
-        );
-        assert_eq!(
-            AnomalyTuning::new(f64::INFINITY, 4),
-            Err(TuningError::ThresholdNotFinite)
-        );
-        assert_eq!(
-            AnomalyTuning::new(-1.0, 4),
-            Err(TuningError::ThresholdNegative)
-        );
-        assert_eq!(AnomalyTuning::new(8.0, 0), Err(TuningError::MinSliceZero));
-        assert!(TuningError::ThresholdNegative
-            .to_string()
-            .contains("non-negative"));
-    }
-
-    #[test]
-    fn min_slice_tuning_controls_what_gets_scored() {
-        // Three points: below the default minimum, so the default path is
-        // silent — but a lowered minimum scores (and flags) them.
-        let values = vec![1.0, 1.0, 1.0, 100.0];
-        assert!(flag_outliers_with(&values[..3], DEFAULT_THRESHOLD, 4).is_empty());
-        let flags = flag_outliers_with(&values, 3.0, 3);
-        assert_eq!(flags.len(), 1);
-        assert_eq!(flags[0].index, 3);
-        // And a raised minimum silences a slice the default would score.
-        assert!(flag_outliers_with(&values, 3.0, 5).is_empty());
-        // flag_outliers delegates with the default minimum.
-        assert_eq!(
-            flag_outliers(&values, 3.0),
-            flag_outliers_with(&values, 3.0, MIN_SLICE)
-        );
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   the shared `refrint_engine::json` emitter, including the per-request
 //!   span-tree documents `refrint-serve` exposes at `GET /jobs/<id>/trace`;
 //! * [`anomaly`] — robust z-scores (median/MAD) and a neighbourhood-slice
-//!   outlier detector for sweep results, with validated tunables
-//!   ([`anomaly::AnomalyTuning`]);
+//!   outlier detector for sweep results;
 //! * [`critical_path`] — reduces a span tree to the chain that bounds it:
 //!   the subsystem bounding a run's `execution_cycles`, the lifecycle
 //!   stage bounding a request's wall latency, or — for a coordinator —

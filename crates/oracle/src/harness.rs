@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use refrint::replay;
 use refrint::report::SimReport;
 use refrint::system::CmpSystem;
-use refrint_trace::{TraceFile, TraceFormat};
+use refrint_trace::TraceFile;
 use refrint_workloads::trace::MemRef;
 
 use crate::diff::{diff_reports, FieldDiff};
@@ -199,7 +199,7 @@ fn run_pair(
     // simulator's streaming decoder, and feed the oracle the same records.
     let path = trace_path(scenario);
     let result = (|| {
-        replay::capture_to_path(&cfg, &model, &path, TraceFormat::Binary)
+        replay::capture_to_path(&cfg, &model, &path)
             .map_err(|e| OracleError::Trace(e.to_string()))?;
         let trace = TraceFile::open(&path).map_err(|e| OracleError::Trace(e.to_string()))?;
         let meta = trace.meta().clone();

@@ -19,7 +19,6 @@ use refrint_edram::error::EdramError;
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_engine::json::{escape, Value};
-use refrint_obs::anomaly::AnomalyTuning;
 use refrint_workloads::apps::AppPreset;
 
 use crate::jobs::JobWork;
@@ -96,11 +95,6 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, ApiError> {
 
 fn usize_field(v: &Value, key: &str) -> Result<usize, ApiError> {
     Ok(u64_field(v, key)? as usize)
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, ApiError> {
-    v.as_num()
-        .ok_or_else(|| schema_err(format!("\"{key}\" must be a number")))
 }
 
 fn bool_field(v: &Value, key: &str) -> Result<bool, ApiError> {
@@ -387,8 +381,6 @@ pub fn parse_sweep_request(
 
     let mut cfg = ExperimentConfig::quick();
     let mut mode = SubmitMode::Sync;
-    let mut anomaly_threshold: Option<f64> = None;
-    let mut anomaly_min_slice: Option<u64> = None;
 
     for (key, value) in fields {
         match key.as_str() {
@@ -454,26 +446,15 @@ pub fn parse_sweep_request(
             "seed" => cfg.seed = u64_field(value, "seed")?,
             "cores" => cfg.cores = usize_field(value, "cores")?,
             "mode" => mode = mode_field(value)?,
-            "anomaly_threshold" => {
-                anomaly_threshold = Some(f64_field(value, "anomaly_threshold")?);
-            }
-            "min_slice" => anomaly_min_slice = Some(u64_field(value, "min_slice")?),
             other => {
                 return Err(schema_err(format!(
                     "unknown field \"{other}\" (expected apps, traces, policies, \
                      retentions_us, protocols, retention_profiles, refs, seed, \
-                     cores, mode, anomaly_threshold, min_slice)"
+                     cores, mode)"
                 )))
             }
         }
     }
-
-    let defaults = AnomalyTuning::default();
-    let anomaly = AnomalyTuning::new(
-        anomaly_threshold.unwrap_or(defaults.threshold),
-        anomaly_min_slice.map_or(defaults.min_slice, |n| n as usize),
-    )
-    .map_err(|e| ApiError::new(422, "invalid_tuning", e.to_string()))?;
 
     if cfg.apps.is_empty() && cfg.traces.is_empty() {
         return Err(schema_err("a sweep needs at least one app or trace"));
@@ -523,18 +504,9 @@ pub fn parse_sweep_request(
         let labels: Vec<String> = cfg.retention_profiles.iter().map(|p| p.label()).collect();
         cache_key.push_str(&format!("|profiles={}", labels.join(";")));
     }
-    // Default-tuned sweeps keep their PR-4 cache keys (and thus their
-    // cached bytes); only a non-default tuning gets its own entries.
-    if !anomaly.is_default() {
-        cache_key.push_str(&format!(
-            "|z={}|slice={}",
-            refrint_engine::json::num(anomaly.threshold),
-            anomaly.min_slice
-        ));
-    }
 
     Ok(ValidatedRequest {
-        work: JobWork::Sweep { plan, anomaly },
+        work: JobWork::Sweep { plan },
         cache_key,
         mode,
     })
@@ -580,6 +552,13 @@ mod tests {
         assert!(err.reason.contains("required"));
         let err = run("{\"app\": \"lu\", \"trace\": \"x.rft\"}").unwrap_err();
         assert!(err.reason.contains("mutually exclusive") || err.kind == "traces_unavailable");
+        // A sweep's anomaly pass has no tunables: these are unknown fields.
+        for field in ["anomaly_threshold", "min_slice"] {
+            let body = format!("{{\"apps\": [\"lu\"], \"{field}\": 3}}");
+            let err = parse_sweep_request(&parse(&body).unwrap(), None).unwrap_err();
+            assert_eq!((err.status, err.kind), (422, "schema"));
+            assert!(err.reason.contains(field), "{}", err.reason);
+        }
     }
 
     #[test]
@@ -737,10 +716,7 @@ mod tests {
         assert!(v.cache_key.starts_with("sweep|apps=lu|"));
         assert!(v.cache_key.contains("pol=P.all"));
         match &v.work {
-            JobWork::Sweep { plan, anomaly } => {
-                assert_eq!(plan.points().len(), 2);
-                assert!(anomaly.is_default());
-            }
+            JobWork::Sweep { plan } => assert_eq!(plan.points().len(), 2),
             other => panic!("wrong work: {other:?}"),
         }
 
@@ -756,54 +732,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind, "invalid_config");
-    }
-
-    #[test]
-    fn sweep_anomaly_tuning_is_validated_and_keys_separately() {
-        let base = "{\"apps\": [\"lu\"], \"retentions_us\": [50], \
-                    \"policies\": [\"P.all\"], \"refs\": 1000, \"cores\": 2";
-        let default_key = parse_sweep_request(&parse(&format!("{base}}}")).unwrap(), None)
-            .unwrap()
-            .cache_key;
-        // Spelling out the defaults keeps the default cache key.
-        let spelled = parse_sweep_request(
-            &parse(&format!(
-                "{base}, \"anomaly_threshold\": 8.0, \"min_slice\": 4}}"
-            ))
-            .unwrap(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(spelled.cache_key, default_key);
-        // A non-default tuning is carried and keyed separately.
-        let tuned = parse_sweep_request(
-            &parse(&format!(
-                "{base}, \"anomaly_threshold\": 3.5, \"min_slice\": 6}}"
-            ))
-            .unwrap(),
-            None,
-        )
-        .unwrap();
-        assert_ne!(tuned.cache_key, default_key);
-        match &tuned.work {
-            JobWork::Sweep { anomaly, .. } => {
-                assert_eq!((anomaly.threshold, anomaly.min_slice), (3.5, 6));
-            }
-            other => panic!("wrong work: {other:?}"),
-        }
-        // Invalid tunables are typed 422s.
-        let err = parse_sweep_request(
-            &parse(&format!("{base}, \"anomaly_threshold\": -1.0}}")).unwrap(),
-            None,
-        )
-        .unwrap_err();
-        assert_eq!((err.status, err.kind), (422, "invalid_tuning"));
-        let err = parse_sweep_request(
-            &parse(&format!("{base}, \"min_slice\": 0}}")).unwrap(),
-            None,
-        )
-        .unwrap_err();
-        assert_eq!((err.status, err.kind), (422, "invalid_tuning"));
     }
 
     #[test]

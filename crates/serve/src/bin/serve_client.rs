@@ -19,10 +19,6 @@
 //!   distinct runs plus one repeat) and cross-check the `/metrics` deltas
 //!   against ground truth computed from the responses; exits non-zero on
 //!   any counter drift.
-//! * `loadtest [--clients N] [--requests N] [--app NAME] [--refs N]`
-//!   `[--cores N] [--out FILE]` — hammer `POST /run` from N concurrent
-//!   clients and print a latency-percentile summary as JSON
-//!   (`BENCH_SERVE.json` is a committed baseline of this output).
 //! * `shutdown` — `POST /shutdown`.
 //!
 //! Exit status is non-zero on any non-2xx response, and on an
@@ -52,9 +48,6 @@ Commands:
   obs-verify [--refs N] [--cores N]
                                    replay a known workload and cross-check
                                    /metrics deltas against the responses
-  loadtest [--clients N] [--requests N] [--app NAME] [--refs N] [--cores N]
-           [--out FILE]            POST /run from N concurrent clients and
-                                   print a latency summary as JSON
   shutdown                         POST /shutdown
 ";
 
@@ -122,9 +115,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     if command == "obs-verify" {
         return obs_verify_command(args, addr);
-    }
-    if command == "loadtest" {
-        return loadtest_command(args, addr);
     }
     let response = match command.as_str() {
         "health" => client::get(addr, "/healthz"),
@@ -555,119 +545,6 @@ fn obs_verify_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
             failures.join(", ")
         ))
     }
-}
-
-/// `loadtest`: N concurrent clients each issue M sequential `POST /run`
-/// requests and the latency distribution is printed as JSON. One warmup
-/// request populates the result cache first, so the numbers measure the
-/// server's HTTP and cache path under concurrency — the serving overhead —
-/// not N copies of the same simulation.
-fn loadtest_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
-    let positive = |flag: &str, default: usize| -> Result<usize, String> {
-        match opt_value(args, flag) {
-            None => Ok(default),
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => Ok(n),
-                _ => Err(format!("bad {flag} `{v}` (expected a positive integer)")),
-            },
-        }
-    };
-    let clients = positive("--clients", 32)?;
-    let requests = positive("--requests", 10)?;
-    let mut body = run_body(args)?;
-    if body == "{}" {
-        body = "{\"app\":\"lu\",\"refs\":400,\"cores\":2}".to_owned();
-    }
-
-    let warmup = client::post(addr, "/run", body.as_bytes())
-        .map_err(|e| format!("warmup request failed: {e}"))?;
-    if warmup.status != 200 {
-        return Err(format!(
-            "warmup request failed with HTTP {}: {}",
-            warmup.status,
-            warmup.body_str().trim()
-        ));
-    }
-
-    let started = std::time::Instant::now();
-    let mut latencies_micros: Vec<u64> = Vec::with_capacity(clients * requests);
-    let mut errors = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let body = body.as_str();
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(requests);
-                    let mut errors = 0u64;
-                    for _ in 0..requests {
-                        let sent = std::time::Instant::now();
-                        match client::post(addr, "/run", body.as_bytes()) {
-                            Ok(r) if r.status == 200 => {
-                                let micros =
-                                    u64::try_from(sent.elapsed().as_micros()).unwrap_or(u64::MAX);
-                                latencies.push(micros);
-                            }
-                            _ => errors += 1,
-                        }
-                    }
-                    (latencies, errors)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (latencies, thread_errors) = handle.join().expect("loadtest thread");
-            latencies_micros.extend(latencies);
-            errors += thread_errors;
-        }
-    });
-    let duration_seconds = started.elapsed().as_secs_f64();
-
-    latencies_micros.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if latencies_micros.is_empty() {
-            return 0;
-        }
-        let rank =
-            ((latencies_micros.len() as f64 * p).ceil() as usize).clamp(1, latencies_micros.len());
-        latencies_micros[rank - 1]
-    };
-    let mean = if latencies_micros.is_empty() {
-        0
-    } else {
-        latencies_micros.iter().sum::<u64>() / latencies_micros.len() as u64
-    };
-    let total = clients * requests;
-    let rps = if duration_seconds > 0.0 {
-        total as f64 / duration_seconds
-    } else {
-        0.0
-    };
-    let doc = format!(
-        concat!(
-            "{{\"clients\":{},\"requests_per_client\":{},\"total_requests\":{},",
-            "\"errors\":{},\"duration_seconds\":{:.3},\"requests_per_second\":{:.1},",
-            "\"latency_micros\":{{\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}}}\n"
-        ),
-        clients,
-        requests,
-        total,
-        errors,
-        duration_seconds,
-        rps,
-        mean,
-        percentile(0.50),
-        percentile(0.90),
-        percentile(0.99),
-        latencies_micros.last().copied().unwrap_or(0),
-    );
-    print!("{doc}");
-    if let Some(out) = opt_value(args, "--out") {
-        std::fs::write(&out, doc.as_bytes()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    }
-    if errors > 0 {
-        return Err(format!("{errors} of {total} requests failed"));
-    }
-    Ok(())
 }
 
 fn sweep_body(args: &[String]) -> Result<String, String> {

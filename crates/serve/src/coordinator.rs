@@ -35,7 +35,6 @@ use refrint::simulation::RunSpec;
 use refrint::sweep::{EdramPoint, PlanPoint, PointPolicy, SweepPlan, Workload};
 use refrint_engine::json::escape;
 use refrint_engine::stats::Histogram;
-use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::log::{Level, LogFormat, Logger};
 use refrint_obs::otlp::point_span_id;
 use refrint_obs::span::{DispatchSpan, TraceContext};
@@ -555,7 +554,7 @@ impl Coordinator {
     pub fn execute(&self, work: &JobWork, env: &DispatchEnv<'_>) -> JobOutput {
         match work {
             JobWork::Run { workload, spec } => self.execute_run(workload, spec, env),
-            JobWork::Sweep { plan, anomaly } => self.execute_sweep(plan, *anomaly, env),
+            JobWork::Sweep { plan } => self.execute_sweep(plan, env),
         }
     }
 
@@ -593,12 +592,7 @@ impl Coordinator {
         }
     }
 
-    fn execute_sweep(
-        &self,
-        plan: &SweepPlan,
-        anomaly: AnomalyTuning,
-        env: &DispatchEnv<'_>,
-    ) -> JobOutput {
+    fn execute_sweep(&self, plan: &SweepPlan, env: &DispatchEnv<'_>) -> JobOutput {
         let epoch = Instant::now();
         let spans = Mutex::new(Vec::new());
         let points = plan.points();
@@ -661,7 +655,7 @@ impl Coordinator {
             }
         }
         let refs = reports.iter().map(|r| r.dl1_accesses).sum();
-        let doc = plan.render(reports, anomaly);
+        let doc = plan.render(reports);
         let mut output = JobOutput::from_bytes(200, Arc::new(format!("{doc}\n").into_bytes()));
         output.refs = refs;
         output.sim_seconds = epoch.elapsed().as_secs_f64();

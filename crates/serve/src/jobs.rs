@@ -16,7 +16,6 @@ use refrint::experiment::ExperimentConfig;
 use refrint::simulation::{ObsConfig, RunSpec};
 use refrint::sweep::{SweepPlan, SweepRunner};
 use refrint_engine::json::escape;
-use refrint_obs::anomaly::AnomalyTuning;
 use refrint_obs::recorder::ObsSummary;
 use refrint_obs::span::{DispatchSpan, RequestTrace, Subsystem};
 
@@ -37,9 +36,6 @@ pub enum JobWork {
     Sweep {
         /// The validated sweep plan.
         plan: SweepPlan,
-        /// Anomaly tunables for the `anomalies` array (the default tuning
-        /// reproduces the CLI's bytes exactly).
-        anomaly: AnomalyTuning,
     },
 }
 
@@ -376,7 +372,7 @@ impl SharedJobs {
 pub fn execute(work: &JobWork) -> JobOutput {
     match work {
         JobWork::Run { workload, spec } => run_one(workload, spec),
-        JobWork::Sweep { plan, anomaly } => run_sweep(plan.config(), *anomaly),
+        JobWork::Sweep { plan } => run_sweep(plan.config()),
     }
 }
 
@@ -434,7 +430,7 @@ fn run_one(workload: &RunWorkload, spec: &RunSpec) -> JobOutput {
     }
 }
 
-fn run_sweep(config: &ExperimentConfig, anomaly: AnomalyTuning) -> JobOutput {
+fn run_sweep(config: &ExperimentConfig) -> JobOutput {
     // Sequential inside the worker: concurrency comes from the worker
     // pool, and the merged results are identical for any worker count.
     let start = Instant::now();
@@ -449,9 +445,8 @@ fn run_sweep(config: &ExperimentConfig, anomaly: AnomalyTuning) -> JobOutput {
         .chain(results.edram.values())
         .map(|r| r.counts.dl1_accesses)
         .sum();
-    // With the default tuning these are exactly the bytes
-    // `refrint-cli sweep --format json` prints.
-    let body = format!("{}\n", refrint::json::sweep_tuned(&results, anomaly));
+    // Exactly the bytes `refrint-cli sweep --format json` prints.
+    let body = format!("{}\n", refrint::json::sweep(&results));
     let mut output = JobOutput::from_bytes(200, Arc::new(body.into_bytes()));
     output.refs = refs;
     output.sim_seconds = sim_seconds;
@@ -576,7 +571,6 @@ mod tests {
         };
         let out = execute(&JobWork::Sweep {
             plan: SweepPlan::new(config.clone()).unwrap(),
-            anomaly: AnomalyTuning::default(),
         });
         assert_eq!(out.status, 200);
         let results = SweepRunner::new(config).sequential().run().unwrap();

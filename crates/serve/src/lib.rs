@@ -224,9 +224,6 @@ pub struct ServerOptions {
     pub retained_jobs: usize,
     /// Directory trace workloads are served from (`"trace": "name.rft"`).
     pub trace_dir: Option<PathBuf>,
-    /// Upper bounds (in microseconds) of the `/metrics` latency histogram
-    /// buckets, shared by the request and per-stage families.
-    pub latency_bounds_micros: Vec<u64>,
     /// Structured-log line format (stderr).
     pub log_format: LogFormat,
     /// Minimum level logged. The library default is [`Level::Error`]
@@ -255,7 +252,6 @@ impl Default for ServerOptions {
             max_connections: 64,
             retained_jobs: 256,
             trace_dir: None,
-            latency_bounds_micros: metrics::LATENCY_BOUNDS_MICROS.to_vec(),
             log_format: LogFormat::Text,
             log_level: Level::Error,
             coordinator: None,
@@ -366,7 +362,7 @@ impl Server {
         let worker_count = options.workers.max(1);
         // Metrics and logger come up before the disk cache so a corrupt
         // index is observable: warned about and counted, never silent.
-        let metrics = Metrics::with_latency_bounds(&options.latency_bounds_micros);
+        let metrics = Metrics::new();
         let logger = Logger::to_stderr(options.log_level, options.log_format);
         let disk_cache = options
             .disk_cache_dir

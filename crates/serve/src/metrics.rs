@@ -26,8 +26,9 @@ use std::time::Instant;
 use refrint_engine::stats::Histogram;
 use refrint_obs::span::{Subsystem, REQUEST_STAGES};
 
-/// The default request-latency bucket bounds, in microseconds. Scrapes of
-/// a server started without `--latency-buckets` see exactly these.
+/// The request-latency bucket bounds, in microseconds, shared by the
+/// request and per-stage histograms and the coordinator's per-backend
+/// dispatch latency.
 pub const LATENCY_BOUNDS_MICROS: [u64; 10] = [
     100, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 30_000_000,
 ];
@@ -76,16 +77,9 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Fresh counters with the default latency buckets; uptime starts now.
+    /// Fresh counters; uptime starts now.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_latency_bounds(&LATENCY_BOUNDS_MICROS)
-    }
-
-    /// Fresh counters with caller-chosen latency bucket bounds (ascending
-    /// microseconds), shared by the request and per-stage histograms.
-    #[must_use]
-    pub fn with_latency_bounds(bounds_micros: &[u64]) -> Self {
         Metrics {
             started: Instant::now(),
             http_requests: AtomicU64::new(0),
@@ -103,9 +97,9 @@ impl Metrics {
             queue_depth: AtomicU64::new(0),
             workers_busy: AtomicU64::new(0),
             subsystem_cycles: std::array::from_fn(|_| AtomicU64::new(0)),
-            request_micros: Mutex::new(Histogram::with_bounds(bounds_micros)),
+            request_micros: Mutex::new(Histogram::with_bounds(&LATENCY_BOUNDS_MICROS)),
             stage_micros: std::array::from_fn(|_| {
-                Mutex::new(Histogram::with_bounds(bounds_micros))
+                Mutex::new(Histogram::with_bounds(&LATENCY_BOUNDS_MICROS))
             }),
         }
     }
@@ -418,21 +412,5 @@ mod tests {
             );
         }
         assert!(!doc.contains("not_a_stage"));
-    }
-
-    #[test]
-    fn custom_latency_bounds_reshape_both_histogram_families() {
-        let m = Metrics::with_latency_bounds(&[10, 100]);
-        m.record_request_micros(50);
-        m.record_stage_micros("write", 5);
-        let doc = m.render();
-        assert!(doc.contains("refrint_http_request_duration_seconds_bucket{le=\"0.00001\"} 0"));
-        assert!(doc.contains("refrint_http_request_duration_seconds_bucket{le=\"0.0001\"} 1"));
-        assert!(
-            doc.contains("refrint_request_stage_seconds_bucket{stage=\"write\",le=\"0.00001\"} 1")
-        );
-        // The default bounds are unchanged by the knob existing.
-        let default_doc = Metrics::new().render();
-        assert!(default_doc.contains("refrint_http_request_duration_seconds_bucket{le=\"30\"} 0"));
     }
 }

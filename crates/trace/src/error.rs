@@ -50,15 +50,6 @@ pub enum TraceError {
         /// Description of the violation.
         reason: String,
     },
-    /// A text-format line did not parse.
-    Parse {
-        /// Byte offset of the start of the offending line.
-        offset: u64,
-        /// 1-based line number of the offending line.
-        line: u64,
-        /// Description of the violation.
-        reason: String,
-    },
     /// A thread index outside the trace's thread count was requested.
     ThreadOutOfRange {
         /// The requested thread.
@@ -93,7 +84,7 @@ impl fmt::Display for TraceError {
             TraceError::BadMagic { offset, found } => write!(
                 f,
                 "not a refrint trace: bad magic {found:02x?} at byte {offset} \
-                 (expected `RFRT` or `# refrint-trace`)"
+                 (expected `RFRT`)"
             ),
             TraceError::UnsupportedVersion {
                 offset,
@@ -110,14 +101,6 @@ impl fmt::Display for TraceError {
             TraceError::Corrupt { offset, reason } => {
                 write!(f, "corrupt trace at byte {offset}: {reason}")
             }
-            TraceError::Parse {
-                offset,
-                line,
-                reason,
-            } => write!(
-                f,
-                "trace parse error at line {line} (byte {offset}): {reason}"
-            ),
             TraceError::ThreadOutOfRange { thread, threads } => write!(
                 f,
                 "thread {thread} out of range for a {threads}-thread trace"
@@ -154,12 +137,6 @@ mod tests {
             supported: 1,
         };
         assert!(e.to_string().contains("version 9"));
-        let e = TraceError::Parse {
-            offset: 40,
-            line: 3,
-            reason: "bad kind".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Shared format constants, trace metadata and the varint/zigzag
-//! primitives both the binary writer and reader are built from.
+//! Format constants, trace metadata and the varint/zigzag primitives the
+//! writer and reader are built from.
 //!
 //! The byte-level layout is specified in the crate-level documentation.
 
-use std::fmt;
 use std::io::Read;
 
 use crate::error::TraceError;
@@ -11,33 +10,12 @@ use crate::error::TraceError;
 /// Magic bytes opening a binary trace.
 pub const BINARY_MAGIC: [u8; 4] = *b"RFRT";
 
-/// First line of a text trace (exact match).
-pub const TEXT_MAGIC_LINE: &str = "# refrint-trace v1 text";
-
 /// Newest format version this build reads and writes.
 pub const FORMAT_VERSION: u16 = 1;
 
 /// Largest encodable compute gap: the binary tag packs
 /// `(gap << 1 | is_write) + 1` into a `u64`, so two bits are reserved.
 pub const MAX_GAP_CYCLES: u64 = (1 << 62) - 1;
-
-/// Which on-disk representation a trace uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// The compact varint-delta binary format.
-    Binary,
-    /// The line-oriented human-readable format.
-    Text,
-}
-
-impl fmt::Display for TraceFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceFormat::Binary => write!(f, "binary v{FORMAT_VERSION}"),
-            TraceFormat::Text => write!(f, "text v{FORMAT_VERSION}"),
-        }
-    }
-}
 
 /// The header metadata of a trace: what was captured, by how many threads,
 /// and from which workload seed.
@@ -230,11 +208,5 @@ mod tests {
     fn meta_rejects_zero_threads() {
         assert!(TraceMeta::new("x", 0, 0).validate().is_err());
         assert!(TraceMeta::new("x", 4, 0).validate().is_ok());
-    }
-
-    #[test]
-    fn format_display() {
-        assert!(TraceFormat::Binary.to_string().contains("binary"));
-        assert!(TraceFormat::Text.to_string().contains("text"));
     }
 }

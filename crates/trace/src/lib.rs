@@ -6,10 +6,9 @@
 //! shared between machines, archived next to its results, or replayed
 //! bit-for-bit through a different system configuration. Both the writer
 //! and the reader are streaming: no path through this crate ever holds a
-//! whole trace in memory (the binary writer buffers at most one thread
-//! block).
+//! whole trace in memory (the writer buffers at most one thread block).
 //!
-//! # Binary format (version 1)
+//! # Format (version 1)
 //!
 //! All multi-byte integers are little-endian; `varint` is LEB128 (7 payload
 //! bits per byte, high bit = continuation, at most 10 bytes).
@@ -42,31 +41,12 @@
 //! sequential runs (the common case for the synthetic workloads) cost two
 //! bytes per reference.
 //!
-//! # Text format (version 1)
-//!
-//! A line-oriented, human-readable mirror of the same model. Blank lines
-//! and `#` comments are ignored after the first line:
-//!
-//! ```text
-//! # refrint-trace v1 text
-//! workload <name>
-//! seed <u64>
-//! threads <n>
-//! thread 0
-//! +<gap> R|W 0x<addr-hex>
-//! ...
-//! end
-//! thread 1
-//! ...
-//! end
-//! ```
-//!
 //! # Errors
 //!
 //! Malformed input never panics: every failure is a typed [`TraceError`]
 //! carrying the byte offset of the offending data ([`TraceError::BadMagic`],
 //! [`TraceError::UnsupportedVersion`], [`TraceError::Truncated`],
-//! [`TraceError::Corrupt`], [`TraceError::Parse`], ...).
+//! [`TraceError::Corrupt`], ...).
 //!
 //! # Example
 //!
@@ -97,10 +77,10 @@ pub mod writer;
 
 pub use capture::capture_model;
 pub use error::TraceError;
-pub use format::{TraceFormat, TraceMeta, FORMAT_VERSION};
+pub use format::{TraceMeta, FORMAT_VERSION};
 pub use reader::{ThreadRefs, TraceFile};
 pub use summary::TraceSummary;
-pub use writer::{TextTraceWriter, TraceSink, TraceWriter};
+pub use writer::TraceWriter;
 
 // Re-exported so trace consumers need not depend on refrint-workloads
 // directly for the record type.

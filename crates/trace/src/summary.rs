@@ -5,7 +5,7 @@ use std::fmt;
 use refrint_engine::stats::Histogram;
 
 use crate::error::TraceError;
-use crate::format::{TraceFormat, TraceMeta};
+use crate::format::{TraceMeta, FORMAT_VERSION};
 use crate::reader::TraceFile;
 
 /// Aggregate statistics of a trace, computed in one streaming pass:
@@ -15,8 +15,6 @@ use crate::reader::TraceFile;
 pub struct TraceSummary {
     /// The trace's header metadata.
     pub meta: TraceMeta,
-    /// The on-disk format the trace uses.
-    pub format: TraceFormat,
     /// Total references.
     pub records: u64,
     /// Load references.
@@ -45,7 +43,6 @@ impl TraceSummary {
     pub fn collect(trace: &TraceFile) -> Result<Self, TraceError> {
         let meta = trace.meta().clone();
         let mut summary = TraceSummary {
-            format: trace.format(),
             records: 0,
             reads: 0,
             writes: 0,
@@ -109,7 +106,7 @@ fn distribution_line(h: &Histogram) -> String {
 impl fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "workload        : {}", self.meta.workload)?;
-        writeln!(f, "format          : {}", self.format)?;
+        writeln!(f, "format          : binary v{FORMAT_VERSION}")?;
         writeln!(f, "threads         : {}", self.meta.threads)?;
         writeln!(f, "seed            : {:#x}", self.meta.seed)?;
         writeln!(

@@ -1,61 +1,20 @@
-//! Streaming trace writers.
+//! Streaming trace writer.
 //!
-//! [`TraceWriter`] emits the compact binary format; [`TextTraceWriter`]
-//! emits the human-readable mirror. Both implement [`TraceSink`], the
-//! capture-side interface: threads are written in order, one at a time, and
-//! only the current thread's encoded block is buffered (the binary block
-//! header carries the block's byte length, which is only known once the
-//! thread ends) — the whole trace never lives in memory.
+//! [`TraceWriter`] emits the binary format. Threads are written in order,
+//! one at a time, and only the current thread's encoded block is buffered
+//! (the block header carries the block's byte length, which is only known
+//! once the thread ends) — the whole trace never lives in memory.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use refrint_workloads::trace::{AccessKind, MemRef};
+use refrint_workloads::trace::MemRef;
 
 use crate::error::TraceError;
 use crate::format::{
     push_varint, zigzag_encode, TraceMeta, BINARY_MAGIC, FORMAT_VERSION, MAX_GAP_CYCLES,
-    TEXT_MAGIC_LINE,
 };
-
-/// The capture-side interface: a sequence of
-/// `begin_thread(0..threads) / record* / end_thread` calls followed by one
-/// `finish`. Implemented by both on-disk formats.
-pub trait TraceSink {
-    /// Starts the block for `thread`. Threads must be written in order,
-    /// starting at 0.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidMeta`] on out-of-order threads, [`TraceError::Io`]
-    /// on write failures.
-    fn begin_thread(&mut self, thread: usize) -> Result<(), TraceError>;
-
-    /// Appends one reference to the current thread's block.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidMeta`] outside a thread block or for a gap
-    /// beyond [`MAX_GAP_CYCLES`], [`TraceError::Io`] on write failures.
-    fn record(&mut self, r: &MemRef) -> Result<(), TraceError>;
-
-    /// Ends the current thread's block.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidMeta`] outside a thread block, [`TraceError::Io`]
-    /// on write failures.
-    fn end_thread(&mut self) -> Result<(), TraceError>;
-
-    /// Completes the trace. Every declared thread must have been written.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::InvalidMeta`] if threads are missing, [`TraceError::Io`]
-    /// on flush failures.
-    fn finish(&mut self) -> Result<(), TraceError>;
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterState {
@@ -70,67 +29,9 @@ enum WriterState {
     Finished,
 }
 
-fn check_gap(r: &MemRef) -> Result<(), TraceError> {
-    if r.gap_cycles > MAX_GAP_CYCLES {
-        return Err(TraceError::InvalidMeta {
-            reason: format!(
-                "gap of {} cycles exceeds the encodable maximum {MAX_GAP_CYCLES}",
-                r.gap_cycles
-            ),
-        });
-    }
-    Ok(())
-}
-
-fn begin_check(state: WriterState, thread: usize, threads: usize) -> Result<(), TraceError> {
-    if thread >= threads {
-        return Err(TraceError::InvalidMeta {
-            reason: format!("thread {thread} out of range for a {threads}-thread trace header"),
-        });
-    }
-    match state {
-        WriterState::Between { next } if next == thread => Ok(()),
-        WriterState::Between { next } => Err(TraceError::InvalidMeta {
-            reason: format!("threads must be written in order: expected {next}, got {thread}"),
-        }),
-        WriterState::InThread { thread: t } => Err(TraceError::InvalidMeta {
-            reason: format!("begin_thread({thread}) while thread {t} is still open"),
-        }),
-        WriterState::Finished => Err(TraceError::InvalidMeta {
-            reason: "begin_thread after finish".into(),
-        }),
-    }
-}
-
-fn in_thread(state: WriterState, what: &str) -> Result<usize, TraceError> {
-    match state {
-        WriterState::InThread { thread } => Ok(thread),
-        _ => Err(TraceError::InvalidMeta {
-            reason: format!("{what} outside a thread block"),
-        }),
-    }
-}
-
-fn finish_check(state: WriterState, threads: usize) -> Result<(), TraceError> {
-    match state {
-        WriterState::Between { next } if next == threads => Ok(()),
-        WriterState::Between { next } => Err(TraceError::InvalidMeta {
-            reason: format!("finish with only {next} of {threads} threads written"),
-        }),
-        WriterState::InThread { thread } => Err(TraceError::InvalidMeta {
-            reason: format!("finish while thread {thread} is still open"),
-        }),
-        WriterState::Finished => Err(TraceError::InvalidMeta {
-            reason: "finish called twice".into(),
-        }),
-    }
-}
-
-// ------------------------------------------------------------------ //
-// Binary writer
-// ------------------------------------------------------------------ //
-
-/// Streaming writer for the binary trace format.
+/// Streaming writer for the binary trace format: a sequence of
+/// `begin_thread(0..threads) / record* / end_thread` calls followed by one
+/// `finish` (or [`TraceWriter::into_inner`]).
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     out: W,
@@ -193,39 +94,56 @@ impl<W: Write> TraceWriter<W> {
         self.records
     }
 
-    /// Finishes the trace and returns the underlying writer.
+    /// Starts the block for `thread`. Threads must be written in order,
+    /// starting at 0.
     ///
     /// # Errors
     ///
-    /// See [`TraceSink::finish`].
-    pub fn into_inner(mut self) -> Result<W, TraceError> {
-        if self.state != WriterState::Finished {
-            TraceSink::finish(&mut self)?;
+    /// [`TraceError::InvalidMeta`] on out-of-order threads.
+    pub fn begin_thread(&mut self, thread: usize) -> Result<(), TraceError> {
+        if thread >= self.threads {
+            return Err(TraceError::InvalidMeta {
+                reason: format!(
+                    "thread {thread} out of range for a {}-thread trace header",
+                    self.threads
+                ),
+            });
         }
-        Ok(self.out)
-    }
-
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        self.out
-            .write_all(bytes)
-            .map_err(|e| TraceError::io(self.written, &e))?;
-        self.written += bytes.len() as u64;
-        Ok(())
-    }
-}
-
-impl<W: Write> TraceSink for TraceWriter<W> {
-    fn begin_thread(&mut self, thread: usize) -> Result<(), TraceError> {
-        begin_check(self.state, thread, self.threads)?;
+        let misuse = match self.state {
+            WriterState::Between { next } if next == thread => None,
+            WriterState::Between { next } => Some(format!(
+                "threads must be written in order: expected {next}, got {thread}"
+            )),
+            WriterState::InThread { thread: t } => Some(format!(
+                "begin_thread({thread}) while thread {t} is still open"
+            )),
+            WriterState::Finished => Some("begin_thread after finish".into()),
+        };
+        if let Some(reason) = misuse {
+            return Err(TraceError::InvalidMeta { reason });
+        }
         self.state = WriterState::InThread { thread };
         self.prev_addr = 0;
         self.block.clear();
         Ok(())
     }
 
-    fn record(&mut self, r: &MemRef) -> Result<(), TraceError> {
-        in_thread(self.state, "record")?;
-        check_gap(r)?;
+    /// Appends one reference to the current thread's block.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidMeta`] outside a thread block or for a gap
+    /// beyond [`MAX_GAP_CYCLES`].
+    pub fn record(&mut self, r: &MemRef) -> Result<(), TraceError> {
+        self.open_thread("record")?;
+        if r.gap_cycles > MAX_GAP_CYCLES {
+            return Err(TraceError::InvalidMeta {
+                reason: format!(
+                    "gap of {} cycles exceeds the encodable maximum {MAX_GAP_CYCLES}",
+                    r.gap_cycles
+                ),
+            });
+        }
         let tag = ((r.gap_cycles << 1) | u64::from(r.is_write())) + 1;
         push_varint(&mut self.block, tag);
         let delta = r.addr.raw().wrapping_sub(self.prev_addr) as i64;
@@ -235,8 +153,14 @@ impl<W: Write> TraceSink for TraceWriter<W> {
         Ok(())
     }
 
-    fn end_thread(&mut self) -> Result<(), TraceError> {
-        let thread = in_thread(self.state, "end_thread")?;
+    /// Ends the current thread's block and writes it out.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidMeta`] outside a thread block, [`TraceError::Io`]
+    /// on write failures.
+    pub fn end_thread(&mut self) -> Result<(), TraceError> {
+        let thread = self.open_thread("end_thread")?;
         self.block.push(0); // record terminator
         let mut head = Vec::with_capacity(12);
         push_varint(&mut head, thread as u64);
@@ -248,123 +172,63 @@ impl<W: Write> TraceSink for TraceWriter<W> {
         Ok(())
     }
 
-    fn finish(&mut self) -> Result<(), TraceError> {
-        finish_check(self.state, self.threads)?;
+    /// Completes the trace. Every declared thread must have been written.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidMeta`] if threads are missing, [`TraceError::Io`]
+    /// on flush failures.
+    pub fn finish(&mut self) -> Result<(), TraceError> {
+        let misuse = match self.state {
+            WriterState::Between { next } if next == self.threads => None,
+            WriterState::Between { next } => Some(format!(
+                "finish with only {next} of {} threads written",
+                self.threads
+            )),
+            WriterState::InThread { thread } => {
+                Some(format!("finish while thread {thread} is still open"))
+            }
+            WriterState::Finished => Some("finish called twice".into()),
+        };
+        if let Some(reason) = misuse {
+            return Err(TraceError::InvalidMeta { reason });
+        }
         self.out
             .flush()
             .map_err(|e| TraceError::io(self.written, &e))?;
         self.state = WriterState::Finished;
         Ok(())
     }
-}
 
-// ------------------------------------------------------------------ //
-// Text writer
-// ------------------------------------------------------------------ //
-
-/// Streaming writer for the human-readable text format.
-#[derive(Debug)]
-pub struct TextTraceWriter<W: Write> {
-    out: W,
-    threads: usize,
-    state: WriterState,
-    written: u64,
-    records: u64,
-}
-
-impl TextTraceWriter<BufWriter<File>> {
-    /// Creates `path` and writes the text header for `meta`.
+    /// Finishes the trace (unless already finished) and returns the
+    /// underlying writer.
     ///
     /// # Errors
     ///
-    /// See [`TraceWriter::create`].
-    pub fn create(path: impl AsRef<Path>, meta: &TraceMeta) -> Result<Self, TraceError> {
-        let file = File::create(path).map_err(|e| TraceError::io(0, &e))?;
-        Self::new(BufWriter::new(file), meta)
-    }
-}
-
-impl<W: Write> TextTraceWriter<W> {
-    /// Wraps `out` and writes the text header for `meta`.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceWriter::new`].
-    pub fn new(out: W, meta: &TraceMeta) -> Result<Self, TraceError> {
-        meta.validate()?;
-        let mut writer = TextTraceWriter {
-            out,
-            threads: meta.threads,
-            state: WriterState::Between { next: 0 },
-            written: 0,
-            records: 0,
-        };
-        writer.write_line(&format!(
-            "{TEXT_MAGIC_LINE}\nworkload {}\nseed {}\nthreads {}",
-            meta.workload, meta.seed, meta.threads
-        ))?;
-        Ok(writer)
-    }
-
-    /// Total references written so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Finishes the trace and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceSink::finish`].
+    /// See [`TraceWriter::finish`].
     pub fn into_inner(mut self) -> Result<W, TraceError> {
         if self.state != WriterState::Finished {
-            TraceSink::finish(&mut self)?;
+            self.finish()?;
         }
         Ok(self.out)
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), TraceError> {
+    /// The thread whose block is open, or [`TraceError::InvalidMeta`]
+    /// naming `what` was called outside one.
+    fn open_thread(&self, what: &str) -> Result<usize, TraceError> {
+        match self.state {
+            WriterState::InThread { thread } => Ok(thread),
+            _ => Err(TraceError::InvalidMeta {
+                reason: format!("{what} outside a thread block"),
+            }),
+        }
+    }
+
+    fn write_all(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
         self.out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
+            .write_all(bytes)
             .map_err(|e| TraceError::io(self.written, &e))?;
-        self.written += line.len() as u64 + 1;
-        Ok(())
-    }
-}
-
-impl<W: Write> TraceSink for TextTraceWriter<W> {
-    fn begin_thread(&mut self, thread: usize) -> Result<(), TraceError> {
-        begin_check(self.state, thread, self.threads)?;
-        self.state = WriterState::InThread { thread };
-        self.write_line(&format!("thread {thread}"))
-    }
-
-    fn record(&mut self, r: &MemRef) -> Result<(), TraceError> {
-        in_thread(self.state, "record")?;
-        check_gap(r)?;
-        let kind = match r.kind {
-            AccessKind::Read => 'R',
-            AccessKind::Write => 'W',
-        };
-        self.records += 1;
-        self.write_line(&format!("+{} {} {:#x}", r.gap_cycles, kind, r.addr.raw()))
-    }
-
-    fn end_thread(&mut self) -> Result<(), TraceError> {
-        let thread = in_thread(self.state, "end_thread")?;
-        self.write_line("end")?;
-        self.state = WriterState::Between { next: thread + 1 };
-        Ok(())
-    }
-
-    fn finish(&mut self) -> Result<(), TraceError> {
-        finish_check(self.state, self.threads)?;
-        self.out
-            .flush()
-            .map_err(|e| TraceError::io(self.written, &e))?;
-        self.state = WriterState::Finished;
+        self.written += bytes.len() as u64;
         Ok(())
     }
 }
@@ -373,6 +237,7 @@ impl<W: Write> TraceSink for TextTraceWriter<W> {
 mod tests {
     use super::*;
     use refrint_mem::addr::Addr;
+    use refrint_workloads::trace::AccessKind;
 
     fn meta() -> TraceMeta {
         TraceMeta::new("unit", 2, 7)
@@ -419,7 +284,7 @@ mod tests {
     fn records_outside_blocks_are_rejected() {
         let mut w = TraceWriter::new(Vec::new(), &meta()).unwrap();
         assert!(w.record(&r(0, 0, false)).is_err());
-        assert!(TraceSink::end_thread(&mut w).is_err());
+        assert!(w.end_thread().is_err());
     }
 
     #[test]
@@ -427,7 +292,7 @@ mod tests {
         let mut w = TraceWriter::new(Vec::new(), &meta()).unwrap();
         w.begin_thread(0).unwrap();
         w.end_thread().unwrap();
-        let err = TraceSink::finish(&mut w).unwrap_err();
+        let err = w.finish().unwrap_err();
         assert!(err.to_string().contains("1 of 2"), "{err}");
     }
 
@@ -440,24 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn text_writer_emits_readable_lines() {
-        let mut w = TextTraceWriter::new(Vec::new(), &meta()).unwrap();
-        w.begin_thread(0).unwrap();
-        w.record(&r(3, 0x40, true)).unwrap();
-        w.end_thread().unwrap();
-        w.begin_thread(1).unwrap();
-        w.end_thread().unwrap();
-        let text = String::from_utf8(w.into_inner().unwrap()).unwrap();
-        assert!(text.starts_with(TEXT_MAGIC_LINE));
-        assert!(text.contains("workload unit"));
-        assert!(text.contains("thread 0"));
-        assert!(text.contains("+3 W 0x40"));
-        assert!(text.contains("end"));
-    }
-
-    #[test]
     fn zero_thread_meta_is_rejected() {
         assert!(TraceWriter::new(Vec::new(), &TraceMeta::new("x", 0, 0)).is_err());
-        assert!(TextTraceWriter::new(Vec::new(), &TraceMeta::new("x", 0, 0)).is_err());
     }
 }

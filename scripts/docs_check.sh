@@ -9,18 +9,28 @@
 #      crates/serve/src/lib.rs, and vice versa.
 #   4. Every `--flag` in the docs/serve.md flag table appears in the CLI
 #      usage text.
+#   5. No doc shows a flag or command that no longer exists:
+#      a. every `--flag` on a README/docs line that invokes
+#         `refrint-cli <subcommand>` appears in `refrint-cli help`;
+#      b. every `serve-client <command>` the docs mention is listed in
+#         serve-client's usage.
 #
-# Usage: scripts/docs_check.sh [path/to/refrint-cli]
-# (defaults to target/release/refrint-cli; build it first)
+# Usage: scripts/docs_check.sh [path/to/refrint-cli] [path/to/serve-client]
+# (default to target/release/refrint-cli and the serve-client next to it;
+# build both first: cargo build --release -p refrint-cli -p refrint-serve)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CLI="${1:-target/release/refrint-cli}"
-if [ ! -x "$CLI" ]; then
-    echo "docs-check: $CLI not found — run 'cargo build --release -p refrint-cli' first" >&2
-    exit 1
-fi
+CLIENT="${2:-$(dirname "$CLI")/serve-client}"
+for bin in "$CLI" "$CLIENT"; do
+    if [ ! -x "$bin" ]; then
+        echo "docs-check: $bin not found — run" \
+            "'cargo build --release -p refrint-cli -p refrint-serve' first" >&2
+        exit 1
+    fi
+done
 
 fail=0
 err() {
@@ -92,6 +102,29 @@ documented_flags=$(grep -oE '^\| `--[a-z-]+' docs/serve.md | grep -oE '\-\-[a-z-
 for flag in $documented_flags; do
     printf '%s\n' "$help_output" | grep -qF -- "$flag" ||
         err "docs/serve.md documents serve flag $flag but '$CLI help' does not mention it"
+done
+
+# --- 5a. flags on documented refrint-cli invocations exist -------------------
+# A flag matches only as a whole word, so `--trace` is not vouched for by
+# `--trace-dir`.
+while IFS=: read -r doc lineno text; do
+    for flag in $(printf '%s\n' "$text" | grep -oE -- '--[a-z][a-z-]*' | sort -u); do
+        printf '%s\n' "$help_output" | grep -qE -- "${flag}([^a-z-]|\$)" ||
+            err "$doc:$lineno shows $flag on a refrint-cli line but '$CLI help' has no such flag"
+    done
+done < <(grep -nE 'refrint-cli [a-z]' "${docs[@]}")
+
+# --- 5b. documented serve-client commands exist ------------------------------
+# serve-client prints its usage (and fails) when run without arguments.
+client_usage=$("$CLIENT" 2>&1 || true)
+client_commands=$(printf '%s\n' "$client_usage" |
+    awk '/^Commands:/{found=1; next} found && /^  [a-z]/ {print $1}' | sort -u)
+[ -n "$client_commands" ] || err "could not parse the Commands section of '$CLIENT' usage"
+documented_client_commands=$(grep -ohE 'serve-client( --addr [^ ]+)? [a-z][a-z-]*' "${docs[@]}" |
+    awk '{print $NF}' | sort -u)
+for cmd in $documented_client_commands; do
+    printf '%s\n' "$client_commands" | grep -qx "$cmd" ||
+        err "docs mention 'serve-client $cmd' but '$CLIENT' usage lists no such command"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -944,8 +944,7 @@ fn untraced_requests_mint_deterministic_trace_ids_and_hits_are_traceable() {
 
 /// Tracing and logging observe without perturbing: the exact bytes of a
 /// `/run` response are identical whether the request carried a
-/// `traceparent`, whether debug JSON logging is on, and whether the
-/// latency buckets were customised.
+/// `traceparent` and whether debug JSON logging is on.
 #[test]
 fn tracing_and_logging_never_change_response_bytes() {
     use refrint_obs::log::{Level, LogFormat};
@@ -961,7 +960,6 @@ fn tracing_and_logging_never_change_response_bytes() {
     let noisy = start(ServerOptions {
         log_level: Level::Debug,
         log_format: LogFormat::Json,
-        latency_bounds_micros: vec![1_000, 100_000, 10_000_000],
         ..ServerOptions::default()
     });
     let traced = client::request_with_headers(
@@ -978,75 +976,7 @@ fn tracing_and_logging_never_change_response_bytes() {
     assert_eq!(traced.status, 200, "{}", traced.body_str());
     assert_eq!(
         traced.body, expected,
-        "debug logging + tracing + custom buckets must not change the body"
-    );
-
-    // The custom buckets really are live.
-    let metrics = client::get(noisy.addr(), "/metrics").unwrap().body_str();
-    assert!(
-        metrics.contains("refrint_http_request_duration_seconds_bucket{le=\"0.001\"}"),
-        "custom latency buckets must reach the histogram:\n{metrics}"
+        "debug logging + tracing must not change the body"
     );
     noisy.shutdown();
-}
-
-#[test]
-fn sweep_anomaly_tuning_is_honoured_and_validated() {
-    let server = start(ServerOptions::default());
-    let addr = server.addr();
-
-    // A custom tuning renders through the same emitter as the CLI's
-    // --anomaly-threshold/--min-slice flags.
-    let tuned_expected = {
-        let mut cfg = ExperimentConfig::quick().with_refs_per_thread(400);
-        cfg.apps = vec![AppPreset::Lu];
-        cfg.cores = 2;
-        let results = SweepRunner::new(cfg).sequential().run().unwrap();
-        let tuning = refrint_obs::anomaly::AnomalyTuning::new(2.5, 3).unwrap();
-        format!("{}\n", refrint::json::sweep_tuned(&results, tuning)).into_bytes()
-    };
-    let tuned = client::post(
-        addr,
-        "/sweep",
-        b"{\"apps\": [\"lu\"], \"refs\": 400, \"cores\": 2, \
-          \"anomaly_threshold\": 2.5, \"min_slice\": 3}",
-    )
-    .unwrap();
-    assert_eq!(tuned.status, 200, "{}", tuned.body_str());
-    assert_eq!(tuned.body, tuned_expected);
-
-    // The default-tuned sweep of the same config is a different cache
-    // entry (PR-4 keys unchanged), and repeating the tuned request hits.
-    let default_tuned = client::post(
-        addr,
-        "/sweep",
-        b"{\"apps\": [\"lu\"], \"refs\": 400, \"cores\": 2}",
-    )
-    .unwrap();
-    assert_eq!(default_tuned.header("X-Refrint-Cache"), Some("miss"));
-    let again = client::post(
-        addr,
-        "/sweep",
-        b"{\"apps\": [\"lu\"], \"refs\": 400, \"cores\": 2, \
-          \"anomaly_threshold\": 2.5, \"min_slice\": 3}",
-    )
-    .unwrap();
-    assert_eq!(again.header("X-Refrint-Cache"), Some("hit"));
-    assert_eq!(again.body, tuned_expected);
-
-    // Bad tuning values get typed 422s, never a panic.
-    for bad in [
-        "{\"apps\": [\"lu\"], \"anomaly_threshold\": -2.0}",
-        "{\"apps\": [\"lu\"], \"min_slice\": 0}",
-    ] {
-        let response = client::post(addr, "/sweep", bad.as_bytes()).unwrap();
-        assert_eq!(response.status, 422, "{bad}: {}", response.body_str());
-        assert!(
-            response.body_str().contains("invalid_tuning"),
-            "{bad}: {}",
-            response.body_str()
-        );
-    }
-
-    server.shutdown();
 }

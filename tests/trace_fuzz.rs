@@ -2,18 +2,15 @@
 //! at every offset of a valid trace must always yield either a successful
 //! decode (some byte flips are semantically benign) or a typed
 //! [`TraceError`] carrying a plausible byte offset — never a panic and
-//! never an unbounded loop.
-//!
-//! Both on-disk formats are fuzzed: the binary `.rft` (varint-delta
-//! records behind a block index) and its human-readable text mirror
-//! (line-oriented, `Parse` errors).
+//! never an unbounded loop. The `.rft` format stores varint-delta records
+//! behind a block index.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use refrint::config::SystemConfig;
 use refrint::replay::capture_to_path;
 use refrint_engine::rng::DeterministicRng;
-use refrint_trace::{TraceError, TraceFile, TraceFormat};
+use refrint_trace::{TraceError, TraceFile};
 use refrint_workloads::apps::AppPreset;
 
 /// The byte offset a decoder error names, if its variant carries one.
@@ -23,8 +20,7 @@ fn error_offset(err: &TraceError) -> Option<u64> {
         | TraceError::BadMagic { offset, .. }
         | TraceError::UnsupportedVersion { offset, .. }
         | TraceError::Truncated { offset, .. }
-        | TraceError::Corrupt { offset, .. }
-        | TraceError::Parse { offset, .. } => Some(*offset),
+        | TraceError::Corrupt { offset, .. } => Some(*offset),
         _ => None,
     }
 }
@@ -52,7 +48,7 @@ fn assert_decodes_or_errors(bytes: &[u8], what: &str) -> Option<u64> {
             // Every error renders its offset for xxd-level debugging.
             let text = err.to_string();
             assert!(
-                text.contains("byte") || text.contains("line"),
+                text.contains("byte"),
                 "{what}: display lacks an offset: {text}"
             );
             None
@@ -61,28 +57,29 @@ fn assert_decodes_or_errors(bytes: &[u8], what: &str) -> Option<u64> {
 }
 
 /// Captures a small but multi-thread, multi-block trace.
-fn valid_trace(format: TraceFormat, name: &str) -> Vec<u8> {
+fn valid_trace(name: &str) -> Vec<u8> {
     let path = std::env::temp_dir().join(format!("refrint-fuzz-{}-{name}.rft", std::process::id()));
     let cfg = SystemConfig::edram_recommended()
         .with_cores(2)
         .with_scale(60)
         .with_seed(33);
-    capture_to_path(&cfg, &AppPreset::Lu.model(), &path, format).expect("capture a valid trace");
+    capture_to_path(&cfg, &AppPreset::Lu.model(), &path).expect("capture a valid trace");
     let bytes = std::fs::read(&path).expect("read the trace back");
     std::fs::remove_file(&path).ok();
     bytes
 }
 
-fn fuzz_format(format: TraceFormat, name: &str) {
-    let original = valid_trace(format, name);
+#[test]
+fn binary_traces_survive_mutation_and_truncation() {
+    let original = valid_trace("mutations");
     let baseline = decode(&original).expect("the untouched trace decodes");
-    assert!(baseline > 0, "the {name} trace has records");
+    assert!(baseline > 0, "the trace has records");
 
     // Truncation at every length. A strict prefix must never decode to
     // *more* records than the original, and most lengths must error.
     let mut truncation_errors = 0u64;
     for len in 0..original.len() {
-        let what = format!("{name} truncated to {len} bytes");
+        let what = format!("truncated to {len} bytes");
         match assert_decodes_or_errors(&original[..len], &what) {
             Some(records) => assert!(records <= baseline, "{what}: grew to {records} records"),
             None => truncation_errors += 1,
@@ -90,7 +87,7 @@ fn fuzz_format(format: TraceFormat, name: &str) {
     }
     assert!(
         truncation_errors as usize >= original.len() / 2,
-        "{name}: only {truncation_errors} of {} truncations errored — \
+        "only {truncation_errors} of {} truncations errored — \
          the decoder is not actually checking lengths",
         original.len()
     );
@@ -107,20 +104,10 @@ fn fuzz_format(format: TraceFormat, name: &str) {
             }
             let mut mutated = original.clone();
             mutated[offset] = value;
-            let what = format!("{name} byte {offset} set to {value:#04x}");
+            let what = format!("byte {offset} set to {value:#04x}");
             let _ = assert_decodes_or_errors(&mutated, &what);
         }
     }
-}
-
-#[test]
-fn binary_traces_survive_mutation_and_truncation() {
-    fuzz_format(TraceFormat::Binary, "binary");
-}
-
-#[test]
-fn text_traces_survive_mutation_and_truncation() {
-    fuzz_format(TraceFormat::Text, "text");
 }
 
 /// The offset classes the format defines — magic, version, header fields,
@@ -128,7 +115,7 @@ fn text_traces_survive_mutation_and_truncation() {
 /// exact expected error class.
 #[test]
 fn offset_classes_report_typed_errors() {
-    let original = valid_trace(TraceFormat::Binary, "classes");
+    let original = valid_trace("classes");
 
     // Magic (bytes 0..4).
     let mut bad_magic = original.clone();

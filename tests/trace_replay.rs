@@ -1,10 +1,10 @@
 //! Cross-crate trace tests: capture→replay determinism (the subsystem's
-//! core guarantee) and binary/text round-trip properties over randomized
-//! workloads from the in-repo deterministic case generator.
+//! core guarantee) and round-trip properties over randomized workloads
+//! from the in-repo deterministic case generator.
 
 use refrint::prelude::*;
 use refrint_engine::rng::DeterministicRng;
-use refrint_trace::{capture_model, TextTraceWriter, TraceWriter};
+use refrint_trace::{capture_model, TraceWriter};
 use refrint_workloads::model::WorkloadModel;
 use refrint_workloads::trace::MemRef;
 use refrint_workloads::ThreadStream;
@@ -91,10 +91,10 @@ fn decode_all(trace: &TraceFile) -> Vec<Vec<MemRef>> {
         .collect()
 }
 
-/// Both on-disk formats reproduce arbitrary generated streams exactly, and
-/// agree with each other, over a few dozen randomized workloads.
+/// Traces reproduce arbitrary generated streams exactly, over a few dozen
+/// randomized workloads.
 #[test]
-fn binary_and_text_round_trip_arbitrary_workloads() {
+fn traces_round_trip_arbitrary_workloads() {
     for case in 0..48u64 {
         let mut rng = DeterministicRng::from_seed(0x7ACE).fork(case);
         let model = arbitrary_model(&mut rng, case);
@@ -106,47 +106,8 @@ fn binary_and_text_round_trip_arbitrary_workloads() {
         capture_model(&model, seed, &mut binary).unwrap();
         let binary = TraceFile::from_bytes(binary.into_inner().unwrap()).unwrap();
         assert_eq!(binary.meta(), &meta, "case {case}");
-        assert_eq!(decode_all(&binary), expected, "case {case}: binary");
-
-        let mut text = TextTraceWriter::new(Vec::new(), &meta).unwrap();
-        capture_model(&model, seed, &mut text).unwrap();
-        let text = TraceFile::from_bytes(text.into_inner().unwrap()).unwrap();
-        assert_eq!(text.meta(), &meta, "case {case}");
-        assert_eq!(decode_all(&text), expected, "case {case}: text");
+        assert_eq!(decode_all(&binary), expected, "case {case}");
     }
-}
-
-/// Text traces replay through the simulator exactly like binary ones.
-#[test]
-fn text_traces_replay_identically_to_binary_traces() {
-    let build = || {
-        Simulation::builder()
-            .edram_recommended()
-            .cores(2)
-            .refs_per_thread(800)
-            .seed(5)
-            .build()
-            .unwrap()
-    };
-    let bin_path = tmp("fmt.rft");
-    let text_path = tmp("fmt.rftt");
-    build().capture(AppPreset::Radix, &bin_path).unwrap();
-    build()
-        .capture_model_as(&AppPreset::Radix.model(), &text_path, TraceFormat::Text)
-        .unwrap();
-    let replay = |path: &std::path::Path| {
-        let mut sim = Simulation::builder()
-            .edram_recommended()
-            .refs_per_thread(800)
-            .seed(5)
-            .trace(path)
-            .build()
-            .unwrap();
-        format!("{:?}", sim.replay().unwrap().report)
-    };
-    assert_eq!(replay(&bin_path), replay(&text_path));
-    std::fs::remove_file(&bin_path).ok();
-    std::fs::remove_file(&text_path).ok();
 }
 
 /// Malformed files yield typed errors with byte offsets, never panics.
