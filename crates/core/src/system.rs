@@ -355,7 +355,7 @@ impl CmpSystem {
             // Write-through: the store also updates the L2 copy. Its latency
             // is hidden by the store buffer, but energy and coherence are not.
             self.counts.l2_accesses += 1;
-            if let Some(l2_line) = self.tiles[tile].l2.line(line).copied() {
+            if let Some(l2_line) = self.tiles[tile].l2.line(line) {
                 if !l2_line.state.can_write_silently() && !upgraded {
                     beyond += self.l3_transaction(tile, line, true, now);
                     // The transaction may have settled the line away (a
@@ -474,16 +474,14 @@ impl CmpSystem {
         // Settle the L3 line: it may have been refreshed, written back, or
         // invalidated by the policy since its last touch.
         let mut present = false;
-        if let Some(l) = self.l3[bank].cache.line(line).copied() {
+        if let Some(l) = self.l3[bank].cache.line(line) {
             let s = self.l3[bank]
                 .refresh
                 .settle(line_kind(&l), l.meta.last_touch, now);
             self.counts.l3_refreshes += s.refreshes;
             if s.writeback_at.is_some() {
                 self.counts.dram_writes += 1;
-                if let Some(lm) = self.l3[bank].cache.line_mut(line) {
-                    lm.write_back();
-                }
+                self.l3[bank].cache.update(line, CacheLine::write_back);
             }
             if s.invalidated_at.is_some() {
                 self.policy_invalidate_l3(bank, line, now);
@@ -561,7 +559,7 @@ impl CmpSystem {
         beyond += worst_remote;
 
         // Fill (or update) the requester's L2.
-        match self.tiles[tile].l2.line(line).copied() {
+        match self.tiles[tile].l2.line(line) {
             Some(_) => {
                 self.tiles[tile].l2.set_state(line, outcome.fill_state);
                 self.tiles[tile].l2.read_hit(line, now);
@@ -612,9 +610,7 @@ impl CmpSystem {
                 latency += self.cfg.link.message_latency(hops, self.line_size);
                 if absorb_dirty_into_l3 {
                     self.counts.l3_accesses += 1;
-                    if let Some(l3_line) = self.l3[bank].cache.line_mut(line) {
-                        l3_line.write(now);
-                    }
+                    self.l3[bank].cache.update(line, |l| l.write(now));
                 } else {
                     self.counts.dram_writes += 1;
                 }
@@ -655,9 +651,7 @@ impl CmpSystem {
             self.tiles[owner].dl1.set_state(line, MesiState::Shared);
             if was_dirty {
                 self.counts.l3_accesses += 1;
-                if let Some(l3_line) = self.l3[bank].cache.line_mut(line) {
-                    l3_line.write(now);
-                }
+                self.l3[bank].cache.update(line, |l| l.write(now));
             }
         } else {
             let l2_state = if was_dirty {
@@ -692,21 +686,15 @@ impl CmpSystem {
             .message_latency(hops, self.cfg.link.control_bytes)
             * 2;
 
-        if let Some(prev) = self.tiles[target].l2.line(line).copied() {
+        if let Some(prev) = self.tiles[target].l2.line(line) {
             let s =
                 self.tiles[target]
                     .l2_refresh
                     .settle(line_kind(&prev), prev.meta.last_touch, now);
             self.counts.l2_refreshes += s.refreshes;
-            if let Some(l) = self.tiles[target].l2.line_mut(line) {
-                l.state = MesiState::Shared;
-                l.meta.touch(now);
-            }
+            self.tiles[target].l2.update(line, |l| replicate(l, now));
         }
-        if let Some(l) = self.tiles[target].dl1.line_mut(line) {
-            l.state = MesiState::Shared;
-            l.meta.touch(now);
-        }
+        self.tiles[target].dl1.update(line, |l| replicate(l, now));
         latency
     }
 
@@ -732,8 +720,7 @@ impl CmpSystem {
         if evicted.needs_writeback() {
             self.counts.noc_flit_hops += u64::from(hops) * self.data_flits;
             self.counts.l3_accesses += 1;
-            if let Some(l3_line) = self.l3[bank].cache.line_mut(line) {
-                l3_line.write(now);
+            if self.l3[bank].cache.update(line, |l| l.write(now)) {
                 self.schedule_l3_invalidation(bank, line, now);
             } else {
                 // The L3 copy is already gone (decayed); the data goes to
@@ -841,7 +828,7 @@ impl CmpSystem {
     /// Schedules the eager policy-invalidation check for an L3 line that was
     /// just touched at `now`.
     fn schedule_l3_invalidation(&mut self, bank: usize, line: LineAddr, now: Cycle) {
-        let Some(l3_line) = self.l3[bank].cache.line(line).copied() else {
+        let Some(l3_line) = self.l3[bank].cache.line(line) else {
             return;
         };
         let kind = line_kind(&l3_line);
@@ -862,7 +849,7 @@ impl CmpSystem {
         while self.invalidations.peek_time().is_some_and(|t| t <= now) {
             let ev = self.invalidations.pop().expect("peeked event exists");
             let PendingInvalidation { bank, line, touch } = ev.event;
-            let Some(current) = self.l3[bank].cache.line(line).copied() else {
+            let Some(current) = self.l3[bank].cache.line(line) else {
                 continue;
             };
             if !current.is_valid() || current.meta.last_touch != touch {
@@ -890,9 +877,7 @@ impl CmpSystem {
                     0,
                     bank as u64,
                 );
-                if let Some(lm) = self.l3[bank].cache.line_mut(line) {
-                    lm.write_back();
-                }
+                self.l3[bank].cache.update(line, CacheLine::write_back);
             }
             if s.invalidated_at.is_some() {
                 self.policy_invalidate_l3(bank, line, ev.at);
@@ -1012,6 +997,13 @@ impl CmpSystem {
         }
         out
     }
+}
+
+/// A Dragon update merged into a replica: it stays valid as a clean sharer,
+/// and rewriting its cells recharges it at `now`.
+fn replicate(line: &mut CacheLine, now: Cycle) {
+    line.state = MesiState::Shared;
+    line.meta.touch(now);
 }
 
 #[cfg(test)]

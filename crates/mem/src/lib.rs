@@ -8,8 +8,9 @@
 //!   address-to-bank mapping used by the shared L3.
 //! * [`line`](mod@line) — per-line coherence/validity state and the
 //!   last-touch cycle the eDRAM refresh policies settle from.
-//! * [`replacement`] — the per-set true-LRU order.
-//! * [`set`] / [`cache`] — set-associative arrays with configurable geometry.
+//! * [`cache`] — the set-associative array: one zero-initialised way word
+//!   (tag, state, LRU rank) and one last-touch word per way, true-LRU
+//!   replacement, and a list of the sets a run has filled.
 //! * [`config`] — cache geometry and latency configuration (paper Table 5.1).
 //! * [`dram`] — the off-chip DRAM model (fixed 40 ns access in the paper).
 //!
@@ -37,8 +38,6 @@ pub mod config;
 pub mod dram;
 pub mod error;
 pub mod line;
-pub mod replacement;
-pub mod set;
 
 pub use addr::{Addr, LineAddr};
 pub use cache::{Cache, EvictedLine, LookupOutcome};

@@ -108,7 +108,8 @@ impl LineMeta {
 
 /// A cache line: identity (line address), coherence state, and residency
 /// metadata. Data contents are not simulated — only state and timing matter
-/// for energy and refresh behaviour.
+/// for energy and refresh behaviour. [`Cache`](crate::cache::Cache) stores
+/// lines packed and hands out copies of this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLine {
     /// The line address stored in this way.
@@ -140,12 +141,6 @@ impl CacheLine {
     #[must_use]
     pub fn is_dirty(&self) -> bool {
         self.state.is_dirty()
-    }
-
-    /// Applies a read access at `now`.
-    pub fn read(&mut self, now: Cycle) {
-        debug_assert!(self.is_valid(), "read of an invalid line");
-        self.meta.touch(now);
     }
 
     /// Applies a write access at `now`, upgrading the line to Modified. A
@@ -240,18 +235,7 @@ mod tests {
         assert_eq!(line.state, MesiState::Shared);
         assert!(!line.is_dirty());
 
-        line.read(Cycle::new(20));
-        assert_eq!(line.meta.last_touch, Cycle::new(20));
-
         line.invalidate();
         assert!(!line.is_valid());
-    }
-
-    #[test]
-    fn cache_line_is_24_bytes() {
-        // Tag, state and last-touch cycle: every probe walks these bytes, so
-        // a field that nothing reads would show up here first.
-        assert_eq!(std::mem::size_of::<LineMeta>(), 8);
-        assert_eq!(std::mem::size_of::<CacheLine>(), 24);
     }
 }

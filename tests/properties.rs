@@ -13,13 +13,15 @@ use refrint_energy::accounting::EnergyCounts;
 use refrint_energy::breakdown::EnergyBreakdown;
 use refrint_energy::tech::{CellTech, TechnologyParams};
 use refrint_engine::rng::DeterministicRng;
+use refrint_engine::stats::StatRegistry;
 use refrint_engine::time::Cycle;
 use refrint_mem::addr::{Addr, LineAddr};
 use refrint_mem::cache::Cache;
 use refrint_mem::config::CacheGeometry;
-use refrint_mem::line::MesiState;
+use refrint_mem::line::{CacheLine, MesiState};
 use refrint_noc::routing::{hop_count, route};
 use refrint_noc::topology::{NodeId, Torus};
+use refrint_oracle::cache::{OracleCache, OracleLine};
 use refrint_oracle::decay::OracleDecay;
 use refrint_workloads::generator::ThreadStream;
 use refrint_workloads::model::WorkloadModel;
@@ -181,31 +183,84 @@ fn address_decomposition_round_trips() {
     }
 }
 
-/// A cache never exceeds its capacity, and flushing returns exactly the
-/// dirty lines.
+/// The packed cache array agrees with the oracle's naive one, operation by
+/// operation, on seeded random streams over 1–16 ways × 1–64 sets: every
+/// hit or miss, every pre-access line, every evicted line (which pins the
+/// LRU victim), and at the end the counters and the resident lines. The
+/// array also never exceeds its capacity and counts its dirty lines right.
 #[test]
-fn cache_occupancy_and_flush() {
+fn cache_array_matches_the_oracle_cache() {
+    let as_oracle = |l: CacheLine| OracleLine {
+        addr: l.addr.raw(),
+        state: l.state,
+        last_touch: l.meta.last_touch,
+    };
+    let states = [
+        MesiState::Shared,
+        MesiState::Exclusive,
+        MesiState::Modified,
+        MesiState::SharedModified,
+    ];
     for case in 0..CASES {
         let mut rng = rng_for(5, case);
-        let geometry = CacheGeometry::new(16 * 1024, 4, 64).unwrap();
+        let ways = [1u8, 2, 4, 8, 16][case as usize % 5];
+        let sets = 1u64 << rng.below(7);
+        let geometry = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64).unwrap();
         let mut cache = Cache::new("prop", geometry);
-        let ops = rng.range(1, 300);
-        for i in 0..ops {
-            let line = LineAddr::new(rng.below(4096));
-            let write = rng.below(2) == 1;
+        let mut oracle = OracleCache::new(sets, usize::from(ways));
+        // About three lines per way, so sets fill, evict and refill.
+        let span = sets * u64::from(ways) * 3;
+        for i in 0..rng.range(50, 600) {
+            let addr = rng.below(span);
+            let line = LineAddr::new(addr);
             let now = Cycle::new(i);
-            if cache.lookup(line, now).is_none() {
-                cache.fill(line, MesiState::Exclusive, now);
-            }
-            if write {
-                cache.write_hit(line, now);
+            let state = states[rng.below(4) as usize];
+            let resident = oracle.line(addr).is_some();
+            assert_eq!(cache.line(line).is_some(), resident, "case {case} op {i}");
+            let ctx = format!("case {case} ({sets}x{ways}) op {i} line {addr}");
+            match rng.below(6) {
+                0 => assert_eq!(
+                    cache.lookup_prev(line, now).map(|(l, _)| as_oracle(l)),
+                    oracle.lookup_prev(addr, now),
+                    "{ctx}"
+                ),
+                1 if resident => {
+                    cache.read_hit(line, now);
+                    oracle.read_hit(addr, now);
+                }
+                2 if resident => {
+                    cache.write_hit(line, now);
+                    oracle.write_hit(addr, now);
+                }
+                3 => {
+                    assert_eq!(cache.set_state(line, state), resident, "{ctx}");
+                    oracle.set_state(addr, state);
+                }
+                4 => assert_eq!(
+                    cache.invalidate(line).map(as_oracle),
+                    oracle.invalidate(addr),
+                    "{ctx}"
+                ),
+                _ if !resident => assert_eq!(
+                    cache.fill(line, state, now).map(|e| as_oracle(e.line)),
+                    oracle.fill(addr, state, now),
+                    "{ctx}"
+                ),
+                _ => {}
             }
         }
+        let stats = |r: StatRegistry| -> Vec<(String, u64)> {
+            r.iter().map(|(k, v)| (k.to_owned(), v)).collect()
+        };
+        assert_eq!(stats(cache.stats()), stats(oracle.stats()), "case {case}");
+        let mut lines: Vec<OracleLine> = cache.iter_valid().map(as_oracle).collect();
+        let mut expect = oracle.valid_lines();
+        lines.sort_by_key(|l| l.addr);
+        expect.sort_by_key(|l| l.addr);
+        assert_eq!(lines, expect, "case {case}");
         assert!(cache.occupancy() <= geometry.num_lines(), "case {case}");
-        let dirty_before = cache.dirty_count();
-        let flushed = cache.flush();
-        assert_eq!(flushed.len() as u64, dirty_before, "case {case}");
-        assert_eq!(cache.occupancy(), 0, "case {case}");
+        let dirty = expect.iter().filter(|l| l.is_dirty()).count() as u64;
+        assert_eq!(cache.dirty_count(), dirty, "case {case}");
     }
 }
 
