@@ -1,12 +1,8 @@
 //! `gen-figures`: regenerate every table and figure of the paper's
 //! evaluation section from the configuration sweep, plus two ablations.
 //!
-//! Usage:
-//!
-//! ```text
-//! gen-figures [--scale smoke|default|long] [--apps fft,lu,...] \
-//!             [--figure 6.1|6.2|6.3|6.4] [--table 6.1|A1|A3] [--csv]
-//! ```
+//! `gen-figures --help` prints the usage, rendered from
+//! [`refrint_cli::args::GEN_FIGURES`].
 //!
 //! With no `--figure`/`--table` argument every artefact is produced, in
 //! the order Table 6.1, Figures 6.1–6.4, the headline, A1, A3. The
@@ -18,6 +14,8 @@ use std::process::ExitCode;
 use refrint::experiment::SweepResults;
 use refrint::figures::{self, AppSelection};
 use refrint_bench::{experiment, sweep, Scale};
+use refrint_cli::args::GEN_FIGURES;
+use refrint_cli::parse_apps;
 use refrint_edram::controller::PeriodicBurstModel;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_edram::schedule::{DecaySchedule, LineKind};
@@ -83,49 +81,28 @@ impl Options {
     }
 }
 
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options {
-        scale: Scale::Default,
-        apps: None,
-        artefacts: Vec::new(),
-        csv: false,
-    };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                opts.scale = match v.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "default" => Scale::Default,
-                    "long" => Scale::Long,
-                    other => return Err(format!("unknown scale `{other}`")),
-                };
-            }
-            "--apps" => {
-                let v = args.next().ok_or("--apps needs a value")?;
-                let mut apps = Vec::new();
-                for name in v.split(',') {
-                    apps.push(name.parse::<AppPreset>().map_err(|e| format!("{e}"))?);
-                }
-                opts.apps = Some(apps);
-            }
-            flag @ ("--figure" | "--table") => {
-                let v = args.next().ok_or(format!("{flag} needs a value"))?;
-                opts.artefacts.push(Artefact::select(flag, &v)?);
-            }
-            "--csv" => opts.csv = true,
-            "--help" | "-h" => {
-                println!(
-                    "gen-figures [--scale smoke|default|long] [--apps a,b,c] \
-                     [--figure 6.1|6.2|6.3|6.4] [--table 6.1|A1|A3] [--csv]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+fn parse_args(args: &[String]) -> Result<Options, String> {
+    let p = GEN_FIGURES.parse("", args)?;
+    if p.flag("--help") {
+        print!("{}", GEN_FIGURES.usage());
+        std::process::exit(0);
+    }
+    let mut artefacts = Vec::new();
+    for flag in ["--figure", "--table"] {
+        for value in p.values(flag) {
+            artefacts.push(Artefact::select(flag, value)?);
         }
     }
-    Ok(opts)
+    Ok(Options {
+        scale: match p.choice("--scale") {
+            "smoke" => Scale::Smoke,
+            "long" => Scale::Long,
+            _ => Scale::Default,
+        },
+        apps: p.parse("--apps", parse_apps)?,
+        artefacts,
+        csv: p.flag("--csv"),
+    })
 }
 
 fn print_series(series: &[NormalizedSeries], csv: bool) {
@@ -253,7 +230,8 @@ fn print_ablation_a3() {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("gen-figures: {e}");
@@ -287,7 +265,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        parse_args(args.iter().map(|a| (*a).to_owned()))
+        parse_args(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `perfgate` — record and gate simulator-throughput baselines.
 //!
-//! Subcommands (flag-style, consistent with `refrint-cli`):
+//! One bare flag picks the mode, and the files are positionals; the flags
+//! are declared in [`refrint_cli::args::PERFGATE`], which also renders the
+//! usage:
 //!
 //! * `perfgate --record [FILE]` — run the `sim_throughput` suite and write
 //!   the results document (default `BENCH_SIM.json`).
@@ -25,30 +27,25 @@ use std::process::ExitCode;
 
 use refrint_bench::results::{self, ResultsDoc};
 use refrint_bench::throughput::{self, Effort, Measurement};
-use refrint_cli::{has_flag, opt_value};
+use refrint_cli::args::{Parsed, PERFGATE};
 use refrint_engine::json::{escape, num};
 
 const DEFAULT_FILE: &str = "BENCH_SIM.json";
 const DEFAULT_TOLERANCE: f64 = 0.10;
 
-fn usage() -> &'static str {
-    "usage:\n  \
-     perfgate --record [FILE] [--mode quick|full]\n  \
-     perfgate --check FILE [--tolerance FRAC] [--mode quick|full] [--against RESULTS]\n  \
-     \x20              [--format text|json]\n  \
-     perfgate --compare OLD NEW [--min-ratio NAME=R]\n"
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = if has_flag(&args, "--record") {
-        record(&args)
-    } else if has_flag(&args, "--check") {
-        check(&args)
-    } else if has_flag(&args, "--compare") {
-        compare(&args)
-    } else {
-        Err(usage().to_owned())
+    let result = match PERFGATE.parse("", &args) {
+        Err(e) => Err(e.to_string()),
+        Ok(p) => match (p.flag("--record"), p.flag("--check"), p.flag("--compare")) {
+            (true, false, false) => record(&p),
+            (false, true, false) => check(&p),
+            (false, false, true) => compare(&p),
+            _ => Err(format!(
+                "give one of --record, --check or --compare\n\n{}",
+                PERFGATE.usage()
+            )),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -59,34 +56,30 @@ fn main() -> ExitCode {
     }
 }
 
-/// The positional value after `flag` (the next argument not starting
-/// with `--`).
-fn positional_after(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
-        .cloned()
-}
-
-fn parse_mode(args: &[String]) -> Result<Option<Effort>, String> {
-    match opt_value(args, "--mode") {
-        None => Ok(None),
-        Some(m) => Effort::parse(&m)
-            .map(Some)
-            .ok_or_else(|| format!("unknown --mode '{m}' (expected quick or full)")),
+/// The baseline or results file `--record` and `--check` name (default
+/// `BENCH_SIM.json`).
+fn one_file(p: &Parsed) -> Result<&str, String> {
+    match p.operands() {
+        [] => Ok(DEFAULT_FILE),
+        [file] => Ok(file),
+        [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
     }
 }
 
-fn record(args: &[String]) -> Result<(), String> {
-    let file = positional_after(args, "--record").unwrap_or_else(|| DEFAULT_FILE.to_owned());
-    let effort = parse_mode(args)?.unwrap_or(Effort::Quick);
+fn parse_mode(p: &Parsed) -> Result<Option<Effort>, String> {
+    p.parse("--mode", |m| {
+        Effort::parse(m).ok_or_else(|| format!("unknown --mode '{m}' (expected quick or full)"))
+    })
+}
+
+fn record(p: &Parsed) -> Result<(), String> {
+    let file = one_file(p)?;
+    let effort = parse_mode(p)?.unwrap_or(Effort::Quick);
     let doc = ResultsDoc {
         mode: effort.label().to_owned(),
         metrics: throughput::run_suite(effort),
     };
-    std::fs::write(&file, results::render(&doc))
-        .map_err(|e| format!("cannot write {file}: {e}"))?;
+    std::fs::write(file, results::render(&doc)).map_err(|e| format!("cannot write {file}: {e}"))?;
     println!(
         "recorded {} metrics to {file} (mode: {})",
         doc.metrics.len(),
@@ -164,18 +157,10 @@ fn render_verdict_json(
     )
 }
 
-fn check(args: &[String]) -> Result<(), String> {
-    let file = positional_after(args, "--check").unwrap_or_else(|| DEFAULT_FILE.to_owned());
-    let json_output = match opt_value(args, "--format").as_deref() {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => {
-            return Err(format!(
-                "unknown --format `{other}` (expected `text` or `json`)"
-            ))
-        }
-    };
-    let tolerance = match opt_value(args, "--tolerance") {
+fn check(p: &Parsed) -> Result<(), String> {
+    let file = one_file(p)?;
+    let json_output = p.choice("--format") == "json";
+    let tolerance = match p.value("--tolerance") {
         None => DEFAULT_TOLERANCE,
         Some(t) => t
             .parse::<f64>()
@@ -183,7 +168,7 @@ fn check(args: &[String]) -> Result<(), String> {
             .filter(|t| (0.0..1.0).contains(t))
             .ok_or_else(|| format!("--tolerance must be a fraction in [0, 1), got '{t}'"))?,
     };
-    let baseline = load(&file)?;
+    let baseline = load(file)?;
     let baseline_effort = Effort::parse(&baseline.mode)
         .ok_or_else(|| format!("{file}: unknown recorded mode '{}'", baseline.mode))?;
 
@@ -191,9 +176,9 @@ fn check(args: &[String]) -> Result<(), String> {
     // of re-running the suite (CI records once for the artifact, then
     // checks that same document). Modes must match so the exact
     // simulated-cycle comparison stays meaningful.
-    let (current, same_mode) = match opt_value(args, "--against") {
+    let (current, same_mode) = match p.value("--against") {
         Some(results_file) => {
-            let recorded = load(&results_file)?;
+            let recorded = load(results_file)?;
             if recorded.mode != baseline.mode {
                 return Err(format!(
                     "{results_file} was recorded in {} mode but {file} is a {} baseline; \
@@ -204,7 +189,7 @@ fn check(args: &[String]) -> Result<(), String> {
             (recorded.metrics, true)
         }
         None => {
-            let effort = parse_mode(args)?.unwrap_or(baseline_effort);
+            let effort = parse_mode(p)?.unwrap_or(baseline_effort);
             let same_mode = effort == baseline_effort;
             if !same_mode {
                 eprintln!(
@@ -280,7 +265,7 @@ fn check(args: &[String]) -> Result<(), String> {
             cycles_ok: ok_cycles,
         });
     }
-    let rebaseline = rebaseline_command(&file, &baseline.mode);
+    let rebaseline = rebaseline_command(file, &baseline.mode);
     if json_output {
         println!(
             "{}",
@@ -307,21 +292,12 @@ fn check(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn compare(args: &[String]) -> Result<(), String> {
-    let old_file = positional_after(args, "--compare")
-        .ok_or_else(|| format!("--compare needs two files\n{}", usage()))?;
-    let new_file = {
-        let idx = args
-            .iter()
-            .position(|a| a == &old_file)
-            .expect("positional value exists");
-        args.get(idx + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .ok_or_else(|| format!("--compare needs two files\n{}", usage()))?
+fn compare(p: &Parsed) -> Result<(), String> {
+    let [old_file, new_file] = p.operands() else {
+        return Err(format!("--compare needs two files\n\n{}", PERFGATE.usage()));
     };
-    let old = load(&old_file)?;
-    let new = load(&new_file)?;
+    let old = load(old_file)?;
+    let new = load(new_file)?;
 
     println!(
         "{:<16} {:>14} {:>14} {:>8}",
@@ -339,13 +315,13 @@ fn compare(args: &[String]) -> Result<(), String> {
         }
     }
 
-    if let Some(spec) = opt_value(args, "--min-ratio") {
+    if let Some(spec) = p.value("--min-ratio") {
         let (name, min) = spec
             .split_once('=')
             .and_then(|(n, r)| r.parse::<f64>().ok().map(|r| (n.to_owned(), r)))
             .ok_or_else(|| format!("--min-ratio expects NAME=R, got '{spec}'"))?;
-        let o = find_metric(&old, &name, &old_file)?;
-        let n = find_metric(&new, &name, &new_file)?;
+        let o = find_metric(&old, &name, old_file)?;
+        let n = find_metric(&new, &name, new_file)?;
         let ratio = n.refs_per_sec / o.refs_per_sec;
         if ratio < min {
             return Err(format!(

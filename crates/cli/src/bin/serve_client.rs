@@ -1,14 +1,14 @@
 //! `serve-client` — a command-line client for `refrint-serve`, used by the
 //! CI smoke job and for manual poking without `curl`.
 //!
-//! Commands (all need `--addr HOST:PORT`):
+//! Commands (all need `--addr HOST:PORT`; `serve-client` alone prints the
+//! usage, rendered from [`refrint_cli::args::SERVE_CLIENT`]):
 //!
 //! * `health` — `GET /healthz`, exit 0 on 200.
 //! * `metrics` — `GET /metrics`, print the exposition text.
-//! * `run --app <name> [--refs N] [--cores N] [--seed N] [--policy L]`
-//!   `[--retention US] [--sram] [--trace NAME] [--expect-cache hit|miss]`
-//!   — `POST /run`, print the result body (byte-identical to
-//!   `refrint-cli run --format json`).
+//! * `run --app <name>|--trace <name> [RUN OVERRIDES]` — `POST /run`,
+//!   print the result body (byte-identical to `refrint-cli run --format
+//!   json` with the same overrides).
 //! * `sweep [--apps a,b] [--refs N] [--cores N]` — `POST /sweep`.
 //! * `job --id ID [--result]` — `GET /jobs/<id>[/result]`.
 //! * `trace <job-id>` — `GET /jobs/<id>/trace`, pretty-print the span
@@ -21,76 +21,18 @@
 //!   any counter drift.
 //! * `shutdown` — `POST /shutdown`.
 //!
-//! Exit status is non-zero on any non-2xx response, and on an
-//! `--expect-cache` mismatch (the smoke job uses this to prove the second
-//! identical request was served from the cache).
+//! Exit status is non-zero on an argument the usage does not list, on any
+//! non-2xx response, and on an `--expect-cache` mismatch (the smoke job
+//! uses this to prove the second identical request was served from the
+//! cache).
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
 
+use refrint_cli::args::{Parsed, SERVE_CLIENT};
+use refrint_cli::{client_run_body, parse_apps};
 use refrint_engine::json::{parse, Value};
 use refrint_serve::client::{self, HttpResponse};
-
-const USAGE: &str = "\
-serve-client --addr HOST:PORT <command>
-
-Commands:
-  health                           GET /healthz
-  metrics                          GET /metrics
-  run --app <name> [--refs N] [--cores N] [--seed N] [--policy L]
-      [--retention US] [--sram] [--trace NAME] [--mode sync|async]
-      [--traceparent TP] [--expect-cache hit|miss]
-                                   POST /run and print the body
-  sweep [--apps a,b] [--refs N] [--cores N] [--mode sync|async]
-        [--expect-cache hit|miss]  POST /sweep and print the body
-  job --id ID [--result]           GET /jobs/<id>[/result]
-  trace <job-id>                   GET /jobs/<id>/trace, pretty-printed
-  obs-verify [--refs N] [--cores N]
-                                   replay a known workload and cross-check
-                                   /metrics deltas against the responses
-  shutdown                         POST /shutdown
-";
-
-/// Flags that take no value; every other `--flag` consumes the next
-/// argument.
-const BARE_FLAGS: &[&str] = &["--sram", "--result"];
-
-fn opt_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// The positional arguments in order: flags and their values are skipped,
-/// so flag order relative to the command does not matter.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut found = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if arg.starts_with("--") {
-            i += if BARE_FLAGS.contains(&arg.as_str()) {
-                1
-            } else {
-                2
-            };
-        } else {
-            found.push(arg.clone());
-            i += 1;
-        }
-    }
-    found
-}
-
-/// The first positional argument (the command name).
-fn command(args: &[String]) -> Option<String> {
-    positionals(args).into_iter().next()
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,43 +46,50 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let addr: SocketAddr = opt_value(args, "--addr")
-        .ok_or(format!("--addr HOST:PORT is required\n{USAGE}"))?
+    let (command, rest) = SERVE_CLIENT
+        .split(args)
+        .map_err(|e| format!("{e}\n\n{}", SERVE_CLIENT.usage()))?;
+    let p = SERVE_CLIENT.parse(command.name, &rest)?;
+    let addr: SocketAddr = p
+        .value("--addr")
+        .ok_or("--addr HOST:PORT is required")?
         .parse()
         .map_err(|e| format!("bad --addr: {e}"))?;
-    let command = command(args).ok_or(format!("a command is required\n{USAGE}"))?;
 
-    if command == "trace" {
-        return trace_command(args, addr);
-    }
-    if command == "obs-verify" {
-        return obs_verify_command(args, addr);
-    }
-    let response = match command.as_str() {
-        "health" => client::get(addr, "/healthz"),
-        "metrics" => client::get(addr, "/metrics"),
-        "shutdown" => client::post(addr, "/shutdown", b""),
-        "run" => post_traced(args, addr, "/run", &run_body(args)?),
-        "sweep" => post_traced(args, addr, "/sweep", &sweep_body(args)?),
+    let (response, expect_cache) = match command.name {
+        "trace" => return trace_command(&p, addr),
+        "obs-verify" => return obs_verify_command(&p, addr),
+        "health" => (client::get(addr, "/healthz"), None),
+        "metrics" => (client::get(addr, "/metrics"), None),
+        "shutdown" => (client::post(addr, "/shutdown", b""), None),
+        "run" => {
+            let body = client_run_body(&p)?;
+            (
+                post_traced(&p, addr, "/run", &body),
+                p.value("--expect-cache"),
+            )
+        }
+        "sweep" => {
+            let body = sweep_body(&p)?;
+            (
+                post_traced(&p, addr, "/sweep", &body),
+                p.value("--expect-cache"),
+            )
+        }
         "job" => {
-            let id = opt_value(args, "--id").ok_or("job requires --id ID")?;
-            let path = if has_flag(args, "--result") {
+            let id = p.value("--id").ok_or("job requires --id ID")?;
+            let path = if p.flag("--result") {
                 format!("/jobs/{id}/result")
             } else {
                 format!("/jobs/{id}")
             };
-            client::get(addr, &path)
+            (client::get(addr, &path), None)
         }
-        other => return Err(format!("unknown command `{other}`\n{USAGE}")),
-    }
-    .map_err(|e| format!("request failed: {e}"))?;
-
-    finish(args, &command, &response)
-}
-
-fn finish(args: &[String], command: &str, response: &HttpResponse) -> Result<(), String> {
+        other => unreachable!("`{other}` is in the serve-client table but has no handler"),
+    };
+    let response = response.map_err(|e| format!("request failed: {e}"))?;
     print!("{}", response.body_str());
-    if let Some(expected) = opt_value(args, "--expect-cache") {
+    if let Some(expected) = expect_cache {
         let got = response.header("X-Refrint-Cache").unwrap_or("(absent)");
         if got != expected {
             return Err(format!(
@@ -151,59 +100,27 @@ fn finish(args: &[String], command: &str, response: &HttpResponse) -> Result<(),
     if response.status / 100 == 2 {
         Ok(())
     } else {
-        Err(format!("{command} failed with HTTP {}", response.status))
+        Err(format!(
+            "{} failed with HTTP {}",
+            command.name, response.status
+        ))
     }
-}
-
-/// Builds the `POST /run` JSON body from the flags. Values are numbers or
-/// policy/app labels — none need escaping beyond what the grammar forbids,
-/// but labels are escaped anyway for robustness.
-fn run_body(args: &[String]) -> Result<String, String> {
-    let mut fields = Vec::new();
-    let escape = refrint_serve::json_escape;
-    if let Some(app) = opt_value(args, "--app") {
-        fields.push(format!("\"app\":\"{}\"", escape(&app)));
-    }
-    if let Some(trace) = opt_value(args, "--trace") {
-        fields.push(format!("\"trace\":\"{}\"", escape(&trace)));
-    }
-    if has_flag(args, "--sram") {
-        fields.push("\"sram\":true".to_owned());
-    }
-    if let Some(policy) = opt_value(args, "--policy") {
-        fields.push(format!("\"policy\":\"{}\"", escape(&policy)));
-    }
-    for (flag, key) in [
-        ("--retention", "retention_us"),
-        ("--refs", "refs"),
-        ("--seed", "seed"),
-        ("--cores", "cores"),
-    ] {
-        if let Some(v) = opt_value(args, flag) {
-            let n: u64 = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
-            fields.push(format!("\"{key}\":{n}"));
-        }
-    }
-    if let Some(mode) = opt_value(args, "--mode") {
-        fields.push(format!("\"mode\":\"{}\"", escape(&mode)));
-    }
-    Ok(format!("{{{}}}", fields.join(",")))
 }
 
 /// `POST`s a body, forwarding a `--traceparent` header when given.
 fn post_traced(
-    args: &[String],
+    p: &Parsed,
     addr: SocketAddr,
     path: &str,
     body: &str,
 ) -> std::io::Result<HttpResponse> {
-    match opt_value(args, "--traceparent") {
+    match p.value("--traceparent") {
         Some(tp) => client::request_with_headers(
             addr,
             "POST",
             path,
             Some(body.as_bytes()),
-            &[("traceparent", tp.as_str())],
+            &[("traceparent", tp)],
         ),
         None => client::post(addr, path, body.as_bytes()),
     }
@@ -211,9 +128,10 @@ fn post_traced(
 
 /// `trace <job-id>`: fetches `/jobs/<id>/trace` and pretty-prints the
 /// span tree. A job still queued or running has no trace yet (HTTP 202).
-fn trace_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
-    let id = opt_value(args, "--id")
-        .or_else(|| positionals(args).into_iter().nth(1))
+fn trace_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
+    let id = p
+        .operands()
+        .first()
         .ok_or("trace requires a job id: trace <job-id>")?;
     let response = client::get(addr, &format!("/jobs/{id}/trace"))
         .map_err(|e| format!("request failed: {e}"))?;
@@ -387,15 +305,9 @@ fn scrape_counters(addr: SocketAddr) -> Result<std::collections::HashMap<String,
 /// the `/metrics` deltas against ground truth computed from the responses
 /// themselves. Every run uses fresh seeds so warm caches from earlier
 /// traffic cannot skew the counts. Fails loudly on any drift.
-fn obs_verify_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
-    let numeric = |flag: &str, default: u64| -> Result<u64, String> {
-        match opt_value(args, flag) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad {flag} `{v}`")),
-        }
-    };
-    let refs = numeric("--refs", 400)?;
-    let cores = numeric("--cores", 2)?;
+fn obs_verify_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
+    let refs = p.number::<u64>("--refs")?.unwrap_or(400);
+    let cores = p.number::<u64>("--cores")?.unwrap_or(2);
     // Seeds unique to this invocation, so the first two runs are always
     // cache misses even against a long-lived server. Kept well below 2^53:
     // JSON numbers travel as f64, where bigger integers collapse onto
@@ -547,24 +459,21 @@ fn obs_verify_command(args: &[String], addr: SocketAddr) -> Result<(), String> {
     }
 }
 
-fn sweep_body(args: &[String]) -> Result<String, String> {
+/// The `POST /sweep` body for the flags.
+fn sweep_body(p: &Parsed) -> Result<String, String> {
     let mut fields = Vec::new();
-    let escape = refrint_serve::json_escape;
-    if let Some(apps) = opt_value(args, "--apps") {
-        let list: Vec<String> = apps
-            .split(',')
-            .map(|a| format!("\"{}\"", escape(a.trim())))
-            .collect();
-        fields.push(format!("\"apps\":[{}]", list.join(",")));
+    if let Some(apps) = p.parse("--apps", parse_apps)? {
+        let names: Vec<String> = apps.iter().map(|a| format!("\"{}\"", a.name())).collect();
+        fields.push(format!("\"apps\":[{}]", names.join(",")));
     }
-    for (flag, key) in [("--refs", "refs"), ("--cores", "cores")] {
-        if let Some(v) = opt_value(args, flag) {
-            let n: u64 = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
-            fields.push(format!("\"{key}\":{n}"));
-        }
+    if let Some(refs) = p.number::<u64>("--refs")? {
+        fields.push(format!("\"refs\":{refs}"));
     }
-    if let Some(mode) = opt_value(args, "--mode") {
-        fields.push(format!("\"mode\":\"{}\"", escape(&mode)));
+    if let Some(cores) = p.number::<u64>("--cores")? {
+        fields.push(format!("\"cores\":{cores}"));
+    }
+    if let Some(mode) = p.value("--mode") {
+        fields.push(format!("\"mode\":\"{mode}\""));
     }
     Ok(format!("{{{}}}", fields.join(",")))
 }

@@ -1,49 +1,33 @@
-//! Argument parsing and command plumbing for `refrint-cli`, kept in a
+//! Command plumbing for `refrint-cli` and `serve-client`, kept in a
 //! library so every parser is unit-testable.
 //!
-//! The CLI is a thin shell over [`refrint::simulation::Simulation`] (single
-//! runs) and [`refrint::sweep::SweepRunner`] (policy sweeps); everything
-//! user-facing — flag parsing, policy-label resolution with helpful errors,
-//! sweep sizing — lives here.
+//! Both binaries are thin shells: `refrint-cli` over
+//! [`refrint::simulation::Simulation`] (single runs) and
+//! [`refrint::sweep::SweepRunner`] (policy sweeps), `serve-client` over
+//! the `refrint-serve` HTTP API. Every command line is checked against the
+//! flag tables in [`args`], which also render the usage text, so the
+//! binaries reject what they do not understand. What the flags mean —
+//! policy-label resolution with helpful errors, sweep sizing, the
+//! `POST /run` body — lives here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
-use std::str::FromStr;
+pub mod args;
 
+use std::path::PathBuf;
+
+use args::{Parsed, REFRINT_CLI};
 use refrint::experiment::ExperimentConfig;
 use refrint::simulation::{ObsConfig, RunSpec, SimulationBuilder};
 use refrint::{CoherenceProtocol, RetentionProfile};
 use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_obs::log::LogFormat;
+use refrint_serve::api::{run_body, RunWorkload};
+use refrint_serve::coordinator::CoordinatorOptions;
+use refrint_serve::ServerOptions;
 use refrint_workloads::apps::AppPreset;
-
-/// Returns the value following `name` in `args`, if present.
-#[must_use]
-pub fn opt_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Whether the bare flag `name` is present.
-#[must_use]
-pub fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-/// Returns every value following an occurrence of `name` in `args`
-/// (for repeatable options such as `--trace`).
-#[must_use]
-pub fn opt_values(args: &[String], name: &str) -> Vec<String> {
-    args.windows(2)
-        .filter(|w| w[0] == name)
-        .map(|w| w[1].clone())
-        .collect()
-}
 
 /// Parses a `--policy` label, round-tripping every label
 /// [`RefreshPolicy::label`] can emit (`P.all`, `R.valid`, `R.WB(32,32)`,
@@ -95,6 +79,21 @@ pub fn parse_retention_profile(label: &str) -> Result<RetentionProfile, String> 
     label.parse::<RetentionProfile>().map_err(|e| e.to_string())
 }
 
+/// The `--seed` value, decimal or `0x` hex, wherever the flag appears.
+fn seed(p: &Parsed) -> Result<Option<u64>, String> {
+    p.parse("--seed", |v| {
+        parse_u64(v).ok_or_else(|| format!("bad --seed `{v}`"))
+    })
+}
+
+/// The required `--app` of `command`.
+fn app(p: &Parsed, command: &str) -> Result<AppPreset, String> {
+    p.value("--app")
+        .ok_or_else(|| format!("{command} requires --app <name>"))?
+        .parse()
+        .map_err(|e| format!("{e}"))
+}
+
 /// How a report is rendered to stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
@@ -105,53 +104,34 @@ pub enum OutputFormat {
     Json,
 }
 
-/// Parses the optional `--format text|json` flag.
-///
-/// # Errors
-///
-/// Returns a usage message for unknown formats.
-pub fn parse_format(args: &[String]) -> Result<OutputFormat, String> {
-    match opt_value(args, "--format").as_deref() {
-        None | Some("text") => Ok(OutputFormat::Text),
-        Some("json") => Ok(OutputFormat::Json),
-        Some(other) => Err(format!(
-            "unknown --format `{other}` (expected `text` or `json`)"
-        )),
+impl OutputFormat {
+    /// The `--format` word given, or the command's default.
+    fn of(p: &Parsed) -> Self {
+        if p.choice("--format") == "json" {
+            OutputFormat::Json
+        } else {
+            OutputFormat::Text
+        }
     }
 }
 
-/// Parses the optional value of `flag`; a value that does not parse is a
-/// usage error naming the flag.
-fn opt_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    opt_value(args, flag)
-        .map(|v| v.parse().map_err(|_| format!("bad {flag} `{v}`")))
-        .transpose()
-}
-
-/// Parses the run overrides `run`, `obs` and `trace replay` share —
-/// exactly the fields a `POST /run` body accepts: `--sram`, `--policy`,
-/// `--retention`, `--retention-profile`, `--protocol`, `--refs`, `--seed`
-/// and `--cores`.
+/// Parses the run overrides ([`args::RUN_OVERRIDES`]) — exactly the fields
+/// a `POST /run` body accepts: `--sram`, `--policy`, `--retention`,
+/// `--retention-profile`, `--protocol`, `--refs`, `--seed` and `--cores`.
 ///
 /// # Errors
 ///
 /// Returns a usage message for an invalid value.
-pub fn parse_run_spec(args: &[String]) -> Result<RunSpec, String> {
+pub fn parse_run_spec(p: &Parsed) -> Result<RunSpec, String> {
     Ok(RunSpec {
-        sram: has_flag(args, "--sram"),
-        policy: opt_value(args, "--policy")
-            .map(|p| parse_policy(&p))
-            .transpose()?,
-        retention_us: opt_parsed(args, "--retention")?,
-        retention_profile: opt_value(args, "--retention-profile")
-            .map(|p| parse_retention_profile(&p))
-            .transpose()?,
-        protocol: opt_value(args, "--protocol")
-            .map(|p| parse_protocol(&p))
-            .transpose()?,
-        refs: opt_parsed(args, "--refs")?,
-        seed: opt_parsed(args, "--seed")?,
-        cores: opt_parsed(args, "--cores")?,
+        sram: p.flag("--sram"),
+        policy: p.parse("--policy", parse_policy)?,
+        retention_us: p.number("--retention")?,
+        retention_profile: p.parse("--retention-profile", parse_retention_profile)?,
+        protocol: p.parse("--protocol", parse_protocol)?,
+        refs: p.number("--refs")?,
+        seed: seed(p)?,
+        cores: p.number("--cores")?,
     })
 }
 
@@ -176,13 +156,12 @@ impl RunOptions {
     ///
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let app_name = opt_value(args, "--app").ok_or("run requires --app <name>")?;
-        let app: AppPreset = app_name.parse().map_err(|e| format!("{e}"))?;
+        let p = REFRINT_CLI.parse("run", args)?;
         Ok(RunOptions {
-            app,
-            spec: parse_run_spec(args)?,
-            timing: has_flag(args, "--timing"),
-            format: parse_format(args)?,
+            app: app(&p, "run")?,
+            spec: parse_run_spec(&p)?,
+            timing: p.flag("--timing"),
+            format: OutputFormat::of(&p),
         })
     }
 
@@ -223,32 +202,13 @@ impl ObsOptions {
     ///
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let app: AppPreset = opt_value(args, "--app")
-            .ok_or("obs requires --app <name>")?
-            .parse()
-            .map_err(|e| format!("{e}"))?;
-        let sample_every = match opt_parsed::<u32>(args, "--sample")? {
-            None => 1,
-            Some(0) => return Err("--sample must be at least 1".into()),
-            Some(n) => n,
-        };
-        // The export is the point of this subcommand, so JSON is the
-        // default; `--format text` prints the attribution table instead.
-        let format = match opt_value(args, "--format").as_deref() {
-            None | Some("json") => OutputFormat::Json,
-            Some("text") => OutputFormat::Text,
-            Some(other) => {
-                return Err(format!(
-                    "unknown --format `{other}` (expected `text` or `json`)"
-                ))
-            }
-        };
+        let p = REFRINT_CLI.parse("obs", args)?;
         Ok(ObsOptions {
-            app,
-            spec: parse_run_spec(args)?,
-            sample_every,
-            critical_path: has_flag(args, "--critical-path"),
-            format,
+            app: app(&p, "obs")?,
+            spec: parse_run_spec(&p)?,
+            sample_every: p.positive("--sample")?.unwrap_or(1),
+            critical_path: p.flag("--critical-path"),
+            format: OutputFormat::of(&p),
         })
     }
 
@@ -296,34 +256,23 @@ impl SweepOptions {
     ///
     /// Returns a usage message for invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let apps = opt_value(args, "--apps")
-            .map(|list| parse_apps(&list))
-            .transpose()?;
-        let jobs = opt_parsed::<usize>(args, "--jobs")?;
-        if jobs == Some(0) {
-            return Err("--jobs must be at least 1".into());
-        }
-        let protocols = opt_values(args, "--protocol")
-            .iter()
-            .map(|p| parse_protocol(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        let retention_profiles = opt_values(args, "--retention-profile")
-            .iter()
-            .map(|p| parse_retention_profile(p))
-            .collect::<Result<Vec<_>, _>>()?;
+        let p = REFRINT_CLI.parse("sweep", args)?;
         Ok(SweepOptions {
-            refs: opt_parsed(args, "--refs")?,
-            apps,
-            jobs,
-            cores: opt_parsed(args, "--cores")?,
-            progress: has_flag(args, "--progress"),
-            protocols,
-            retention_profiles,
-            traces: opt_values(args, "--trace")
-                .into_iter()
-                .map(Into::into)
-                .collect(),
-            format: parse_format(args)?,
+            refs: p.number("--refs")?,
+            apps: p.parse("--apps", parse_apps)?,
+            jobs: p.positive("--jobs")?,
+            cores: p.number("--cores")?,
+            progress: p.flag("--progress"),
+            protocols: p
+                .values("--protocol")
+                .map(parse_protocol)
+                .collect::<Result<_, _>>()?,
+            retention_profiles: p
+                .values("--retention-profile")
+                .map(parse_retention_profile)
+                .collect::<Result<_, _>>()?,
+            traces: p.values("--trace").map(PathBuf::from).collect(),
+            format: OutputFormat::of(&p),
         })
     }
 
@@ -382,17 +331,16 @@ impl TraceRecordOptions {
     ///
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let app: AppPreset = opt_value(args, "--app")
-            .ok_or("trace record requires --app <name>")?
-            .parse()
-            .map_err(|e| format!("{e}"))?;
-        let out = opt_value(args, "--out").ok_or("trace record requires --out <path>")?;
+        let p = REFRINT_CLI.parse("trace record", args)?;
         Ok(TraceRecordOptions {
-            app,
-            out: out.into(),
-            cores: opt_parsed(args, "--cores")?,
-            refs: opt_parsed(args, "--refs")?,
-            seed: opt_parsed(args, "--seed")?,
+            app: app(&p, "trace record")?,
+            out: p
+                .value("--out")
+                .ok_or("trace record requires --out <path>")?
+                .into(),
+            cores: p.number("--cores")?,
+            refs: p.number("--refs")?,
+            seed: seed(&p)?,
         })
     }
 
@@ -428,11 +376,14 @@ impl TraceReplayOptions {
     ///
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let trace = opt_value(args, "--trace").ok_or("trace replay requires --trace <path>")?;
+        let p = REFRINT_CLI.parse("trace replay", args)?;
         Ok(TraceReplayOptions {
-            trace: trace.into(),
-            spec: parse_run_spec(args)?,
-            format: parse_format(args)?,
+            trace: p
+                .value("--trace")
+                .ok_or("trace replay requires --trace <path>")?
+                .into(),
+            spec: parse_run_spec(&p)?,
+            format: OutputFormat::of(&p),
         })
     }
 
@@ -460,39 +411,26 @@ impl TraceInfoOptions {
     /// Returns a usage message if `--trace` is missing or the format is
     /// unknown.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let trace = opt_value(args, "--trace").ok_or("trace info requires --trace <path>")?;
+        let p = REFRINT_CLI.parse("trace info", args)?;
         Ok(TraceInfoOptions {
-            trace: trace.into(),
-            format: parse_format(args)?,
+            trace: p
+                .value("--trace")
+                .ok_or("trace info requires --trace <path>")?
+                .into(),
+            format: OutputFormat::of(&p),
         })
     }
 }
 
-/// Options of the `serve` subcommand: the listen address plus the server
-/// tunables worth exposing on the command line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Options of the `serve` subcommand: the listen address and the server
+/// options its flags describe, defaults filled from
+/// [`ServerOptions::default`].
+#[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Address to listen on (e.g. `127.0.0.1:7878`).
     pub addr: String,
-    /// Simulation worker threads, if overridden.
-    pub workers: Option<usize>,
-    /// Job-queue capacity, if overridden.
-    pub queue: Option<usize>,
-    /// Result-cache capacity, if overridden.
-    pub cache: Option<usize>,
-    /// Request-body size limit in bytes, if overridden.
-    pub max_body: Option<usize>,
-    /// Directory trace workloads are served from.
-    pub trace_dir: Option<PathBuf>,
-    /// Structured-log format (`--log-format json|text`), if overridden.
-    pub log_format: Option<LogFormat>,
-    /// Coordinator mode: dispatch jobs to backends instead of simulating
-    /// locally (`--coordinator`).
-    pub coordinator: bool,
-    /// Backend addresses to register at startup (repeatable `--backend`).
-    pub backends: Vec<String>,
-    /// Directory of the persistent result cache (`--cache-dir`).
-    pub cache_dir: Option<PathBuf>,
+    /// The server's options.
+    pub server: ServerOptions,
 }
 
 /// Parsed options of the `check` subcommand (differential conformance
@@ -526,29 +464,22 @@ impl CheckOptions {
     ///
     /// Returns a usage message for invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let seed = match opt_value(args, "--seed") {
-            None => Self::DEFAULT_SEED,
-            Some(v) => parse_u64(&v).ok_or_else(|| format!("bad --seed `{v}`"))?,
-        };
-        let scenarios = match opt_value(args, "--scenarios") {
+        let p = REFRINT_CLI.parse("check", args)?;
+        let scenarios = match p.value("--scenarios") {
             None => 200,
-            Some(v) => {
-                let n = parse_u64(&v).ok_or_else(|| format!("bad --scenarios `{v}`"))?;
-                if n == 0 {
-                    return Err("--scenarios must be at least 1".into());
-                }
-                n
-            }
+            Some(v) => match parse_u64(v) {
+                None => return Err(format!("bad --scenarios `{v}`")),
+                Some(0) => return Err("--scenarios must be at least 1".into()),
+                Some(n) => n,
+            },
         };
         Ok(CheckOptions {
-            seed,
+            seed: seed(&p)?.unwrap_or(Self::DEFAULT_SEED),
             scenarios,
-            scenario: opt_value(args, "--scenario"),
-            protocol: opt_value(args, "--protocol")
-                .map(|p| parse_protocol(&p))
-                .transpose()?,
-            self_test: has_flag(args, "--self-test"),
-            progress: has_flag(args, "--progress"),
+            scenario: p.value("--scenario").map(str::to_owned),
+            protocol: p.parse("--protocol", parse_protocol)?,
+            self_test: p.flag("--self-test"),
+            progress: p.flag("--progress"),
         })
     }
 }
@@ -570,78 +501,61 @@ impl ServeOptions {
     ///
     /// Returns a usage message for missing/invalid options.
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let addr = opt_value(args, "--addr").ok_or("serve requires --addr HOST:PORT")?;
-        let positive = |flag: &str| -> Result<Option<usize>, String> {
-            match opt_value(args, flag) {
-                None => Ok(None),
-                Some(v) => {
-                    let n: usize = v.parse().map_err(|_| format!("bad {flag} `{v}`"))?;
-                    if n == 0 {
-                        return Err(format!("{flag} must be at least 1"));
-                    }
-                    Ok(Some(n))
-                }
+        let p = REFRINT_CLI.parse("serve", args)?;
+        let addr = p.value("--addr").ok_or("serve requires --addr HOST:PORT")?;
+        let mut server = ServerOptions::default();
+        for (flag, field) in [
+            ("--workers", &mut server.workers),
+            ("--queue", &mut server.queue_capacity),
+            ("--cache", &mut server.cache_capacity),
+            ("--max-body", &mut server.max_body_bytes),
+        ] {
+            if let Some(n) = p.positive(flag)? {
+                *field = n;
             }
-        };
-        let log_format = match opt_value(args, "--log-format").as_deref() {
-            None => None,
-            Some("text") => Some(LogFormat::Text),
-            Some("json") => Some(LogFormat::Json),
-            Some(other) => {
-                return Err(format!(
-                    "unknown --log-format `{other}` (expected `text` or `json`)"
-                ))
-            }
-        };
-        let coordinator = has_flag(args, "--coordinator");
-        let backends = opt_values(args, "--backend");
-        if !coordinator && !backends.is_empty() {
+        }
+        server.trace_dir = p.value("--trace-dir").map(PathBuf::from);
+        server.log_format = LogFormat::parse(p.choice("--log-format")).unwrap_or_default();
+        server.disk_cache_dir = p.value("--cache-dir").map(PathBuf::from);
+        let backends: Vec<String> = p.values("--backend").map(str::to_owned).collect();
+        if p.flag("--coordinator") {
+            server.coordinator = Some(CoordinatorOptions {
+                backends,
+                ..CoordinatorOptions::default()
+            });
+        } else if !backends.is_empty() {
             return Err("--backend only makes sense with --coordinator".into());
         }
         Ok(ServeOptions {
-            addr,
-            workers: positive("--workers")?,
-            queue: positive("--queue")?,
-            cache: positive("--cache")?,
-            max_body: positive("--max-body")?,
-            trace_dir: opt_value(args, "--trace-dir").map(Into::into),
-            log_format,
-            coordinator,
-            backends,
-            cache_dir: opt_value(args, "--cache-dir").map(Into::into),
+            addr: addr.to_owned(),
+            server,
         })
     }
+}
 
-    /// The server options these flags describe (defaults filled from
-    /// [`refrint_serve::ServerOptions::default`]).
-    #[must_use]
-    pub fn server_options(&self) -> refrint_serve::ServerOptions {
-        let mut options = refrint_serve::ServerOptions::default();
-        if let Some(workers) = self.workers {
-            options.workers = workers;
-        }
-        if let Some(queue) = self.queue {
-            options.queue_capacity = queue;
-        }
-        if let Some(cache) = self.cache {
-            options.cache_capacity = cache;
-        }
-        if let Some(max_body) = self.max_body {
-            options.max_body_bytes = max_body;
-        }
-        options.trace_dir = self.trace_dir.clone();
-        if let Some(format) = self.log_format {
-            options.log_format = format;
-        }
-        if self.coordinator {
-            options.coordinator = Some(refrint_serve::coordinator::CoordinatorOptions {
-                backends: self.backends.clone(),
-                ..refrint_serve::coordinator::CoordinatorOptions::default()
-            });
-        }
-        options.disk_cache_dir = self.cache_dir.clone();
-        options
+/// The `POST /run` body `serve-client run` sends: the run point through
+/// the server's own [`run_body`], plus `mode` when `--mode` is given.
+///
+/// # Errors
+///
+/// Returns a usage message unless exactly one of `--app` and `--trace` is
+/// given, or for an invalid value.
+pub fn client_run_body(p: &Parsed) -> Result<String, String> {
+    let workload = match (p.value("--app"), p.value("--trace")) {
+        (Some(_), None) => RunWorkload::App(app(p, "run")?),
+        // The server resolves the name in its own trace directory.
+        (None, Some(name)) => RunWorkload::Trace {
+            name: name.to_owned(),
+            path: PathBuf::from(name),
+        },
+        _ => return Err("run requires exactly one of --app <name> and --trace <name>".into()),
+    };
+    let mut body = run_body(&workload, &parse_run_spec(p)?);
+    if let Some(mode) = p.value("--mode") {
+        body.pop();
+        body.push_str(&format!(",\"mode\":\"{mode}\"}}"));
     }
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -862,16 +776,19 @@ mod tests {
 
     #[test]
     fn format_flag_parses_and_rejects_unknowns() {
-        assert_eq!(parse_format(&args(&[])).unwrap(), OutputFormat::Text);
+        let format = |list: &[&str]| TraceInfoOptions::parse(&args(list)).map(|o| o.format);
+        assert_eq!(format(&["--trace", "x"]).unwrap(), OutputFormat::Text);
         assert_eq!(
-            parse_format(&args(&["--format", "text"])).unwrap(),
+            format(&["--trace", "x", "--format", "text"]).unwrap(),
             OutputFormat::Text
         );
         assert_eq!(
-            parse_format(&args(&["--format", "json"])).unwrap(),
+            format(&["--trace", "x", "--format", "json"]).unwrap(),
             OutputFormat::Json
         );
-        assert!(parse_format(&args(&["--format", "xml"])).is_err());
+        assert!(format(&["--trace", "x", "--format", "xml"])
+            .unwrap_err()
+            .contains("xml"));
         let opts = RunOptions::parse(&args(&["--app", "lu", "--format", "json"])).unwrap();
         assert_eq!(opts.format, OutputFormat::Json);
         let opts = SweepOptions::parse(&args(&["--format", "json"])).unwrap();
@@ -1019,9 +936,10 @@ mod tests {
             .contains("--trace"));
     }
 
-    /// `run`, `obs` and `trace replay` honour every field a `POST /run`
-    /// body accepts: one flag list builds the configuration the equivalent
-    /// JSON body builds.
+    /// `run`, `obs`, `trace replay` and `serve-client run` honour every
+    /// field a `POST /run` body accepts: one flag list builds the
+    /// configuration the equivalent JSON body builds, and so does the body
+    /// `serve-client` sends for it.
     #[test]
     fn run_obs_and_trace_replay_build_what_post_run_builds() {
         use refrint_serve::api::parse_run_request;
@@ -1061,15 +979,19 @@ mod tests {
                       \"retention_profile\":\"normal(10)\",\"policy\":\"R.valid\",\
                       \"retention_us\":100";
         let config = |builder: SimulationBuilder| format!("{:?}", builder.build_config().unwrap());
-        let served = |workload: &str| {
-            let body = format!("{{{workload},{fields}}}");
-            let root = refrint_engine::json::parse(&body).unwrap();
+        let posted = |body: &str| {
+            let root = refrint_engine::json::parse(body).unwrap();
             match parse_run_request(&root, Some(&dir)).unwrap().work {
                 JobWork::Run { workload, spec } => config(workload.builder(&spec)),
                 other => panic!("wrong work: {other:?}"),
             }
         };
+        let served = |workload: &str| posted(&format!("{{{workload},{fields}}}"));
         let with = |head: &[&str]| args(&[head, &flags[..]].concat());
+        let client = |head: &[&str]| {
+            let parsed = args::SERVE_CLIENT.parse("run", &with(head)).unwrap();
+            posted(&client_run_body(&parsed).unwrap())
+        };
 
         let run = RunOptions::parse(&with(&["--app", "lu"]))
             .unwrap()
@@ -1086,8 +1008,26 @@ mod tests {
         assert_eq!(config(obs.builder()), app);
         let replay =
             TraceReplayOptions::parse(&with(&["--trace", trace.to_str().unwrap()])).unwrap();
-        assert_eq!(config(replay.builder()), served("\"trace\":\"lu.rft\""));
+        let trace_served = served("\"trace\":\"lu.rft\"");
+        assert_eq!(config(replay.builder()), trace_served);
+        assert_eq!(client(&["--app", "lu"]), app);
+        assert_eq!(client(&["--trace", "lu.rft"]), trace_served);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_seed_trace_record_prints_is_accepted_by_run() {
+        // `trace record` reports its seed as `{:#x}`.
+        let printed = format!("{:#x}", 0xbeef_u64);
+        let opts = RunOptions::parse(&args(&["--app", "lu", "--seed", &printed])).unwrap();
+        assert_eq!(opts.spec.seed, Some(0xbeef));
+        let opts =
+            TraceRecordOptions::parse(&args(&["--app", "lu", "--out", "x", "--seed", &printed]))
+                .unwrap();
+        assert_eq!(opts.seed, Some(0xbeef));
+        assert!(RunOptions::parse(&args(&["--app", "lu", "--seed", "0xg"]))
+            .unwrap_err()
+            .contains("--seed"));
     }
 
     #[test]
@@ -1123,7 +1063,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(opts.addr, "127.0.0.1:7878");
-        let server = opts.server_options();
+        let server = opts.server;
         assert_eq!(server.workers, 3);
         assert_eq!(server.queue_capacity, 16);
         assert_eq!(server.cache_capacity, 9);
@@ -1140,16 +1080,15 @@ mod tests {
                 .contains("--workers")
         );
         // Defaults pass straight through.
-        let opts = ServeOptions::parse(&args(&["--addr", "127.0.0.1:0"])).unwrap();
-        let defaults = refrint_serve::ServerOptions::default();
-        assert_eq!(opts.server_options().workers, defaults.workers);
-        assert_eq!(
-            opts.server_options().queue_capacity,
-            defaults.queue_capacity
-        );
-        assert!(opts.server_options().coordinator.is_none());
-        assert_eq!(opts.server_options().disk_cache_dir, None);
-        assert_eq!(opts.server_options().log_format, LogFormat::Text);
+        let server = ServeOptions::parse(&args(&["--addr", "127.0.0.1:0"]))
+            .unwrap()
+            .server;
+        let defaults = ServerOptions::default();
+        assert_eq!(server.workers, defaults.workers);
+        assert_eq!(server.queue_capacity, defaults.queue_capacity);
+        assert!(server.coordinator.is_none());
+        assert_eq!(server.disk_cache_dir, None);
+        assert_eq!(server.log_format, LogFormat::Text);
         assert!(ServeOptions::parse(&args(&["--addr", "x", "--log-format", "yaml"])).is_err());
     }
 
@@ -1167,11 +1106,9 @@ mod tests {
             "/tmp/refrint-cache",
         ]))
         .unwrap();
-        assert!(opts.coordinator);
-        assert_eq!(opts.backends, vec!["127.0.0.1:7001", "127.0.0.1:7002"]);
-        let server = opts.server_options();
+        let server = opts.server;
         let coordinator = server.coordinator.expect("coordinator options are set");
-        assert_eq!(coordinator.backends.len(), 2);
+        assert_eq!(coordinator.backends, ["127.0.0.1:7001", "127.0.0.1:7002"]);
         assert_eq!(
             server.disk_cache_dir,
             Some(PathBuf::from("/tmp/refrint-cache"))

@@ -22,6 +22,7 @@ use refrint::config::SystemConfig;
 use refrint::figures::headline_summary;
 use refrint::json;
 use refrint::sweep::{SweepProgress, SweepRunner};
+use refrint_cli::args::REFRINT_CLI;
 use refrint_cli::{
     ObsOptions, OutputFormat, RunOptions, ServeOptions, SweepOptions, TraceInfoOptions,
     TraceRecordOptions, TraceReplayOptions,
@@ -30,73 +31,27 @@ use refrint_trace::{TraceFile, TraceSummary};
 use refrint_workloads::apps::AppPreset;
 use refrint_workloads::classify::{classify, ClassifierConfig};
 
-const USAGE: &str = "\
-refrint-cli <command> [options]
-
-Commands:
-  show-config                      print the simulated architecture (paper Table 5.1)
-  classify                         classify applications into Class 1/2/3 (paper Table 6.1)
-  run --app <name> [RUN OVERRIDES] [--timing] [--format text|json]
-                                   run one application and print the report
-                                   (--timing adds the cycle/host-time table on stderr)
-  obs --app <name> [RUN OVERRIDES] [--sample <n>] [--critical-path] [--format json|text]
-                                   run with full-sampling observability and print the
-                                   OTLP-shaped span export (docs/observability.md);
-                                   --critical-path prints the bounding-subsystem report
-  sweep [--refs <n>] [--apps a,b] [--trace <file>]... [--cores <n>] [--jobs <n>]
-        [--protocol mesi|dragon]... [--retention-profile <label>]...
-        [--progress] [--format text|json]
-                                   run the policy sweep across worker threads
-                                   (repeat --protocol / --retention-profile to add
-                                   coherence and per-bank retention axes)
-  trace record --app <name> --out <file> [--cores <n>] [--refs <n>] [--seed <n>]
-                                   capture a workload's reference streams to a trace
-  trace replay --trace <file> [RUN OVERRIDES] [--format text|json]
-                                   replay a recorded trace through a configuration
-  trace info --trace <file> [--format text|json]
-                                   summarize a trace (threads, gaps, strides)
-  check [--seed <n>] [--scenarios <n>] [--scenario \"<spec>\"] [--protocol mesi|dragon]
-        [--self-test] [--progress]
-                                   run the oracle conformance harness (docs/testing.md;
-                                   --protocol pins every scenario's coherence protocol,
-                                   which is how CI runs one conformance leg per protocol)
-  serve --addr HOST:PORT [--workers <n>] [--queue <n>] [--cache <n>]
-        [--max-body <bytes>] [--trace-dir <dir>] [--log-format text|json]
-        [--cache-dir <dir>]
-        [--coordinator] [--backend HOST:PORT]...
-                                   run the HTTP simulation service (see docs/serve.md);
-                                   REFRINT_LOG=error|warn|info|debug sets log verbosity;
-                                   --coordinator dispatches jobs to --backend servers
-                                   instead of simulating locally (docs/coordinator.md);
-                                   --cache-dir persists results across restarts
-
-RUN OVERRIDES (run, obs, trace replay; the fields of a POST /run body):
-  [--sram] [--policy P.all|R.WB(32,32)|...] [--retention 50|100|200]
-  [--protocol mesi|dragon] [--retention-profile uniform|normal(S)|bimodal(W,R)]
-  [--refs <n>] [--seed <n>] [--cores <n>]
-";
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprint!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let rest = &args[1..];
-    let result = match command.as_str() {
-        "show-config" => show_config(),
-        "classify" => classify_apps(),
-        "run" => run_one(rest),
-        "obs" => obs(rest),
-        "sweep" => sweep(rest),
-        "trace" => trace(rest),
-        "check" => check(rest),
-        "serve" => serve(rest),
-        "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+    if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
+        print!("{}", REFRINT_CLI.usage());
+        return ExitCode::SUCCESS;
+    }
+    let result = match REFRINT_CLI.split(&args) {
+        Err(e) => Err(format!("{e}\n\n{}", REFRINT_CLI.usage())),
+        Ok((command, rest)) => match command.name {
+            "show-config" => no_flags("show-config", &rest).and_then(|()| show_config()),
+            "classify" => no_flags("classify", &rest).and_then(|()| classify_apps()),
+            "run" => run_one(&rest),
+            "obs" => obs(&rest),
+            "sweep" => sweep(&rest),
+            "trace record" => trace_record(&rest),
+            "trace replay" => trace_replay(&rest),
+            "trace info" => trace_info(&rest),
+            "check" => check(&rest),
+            "serve" => serve(&rest),
+            other => unreachable!("`{other}` is in the refrint-cli table but has no handler"),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -105,6 +60,12 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Rejects any argument to a command that takes none.
+fn no_flags(command: &str, args: &[String]) -> Result<(), String> {
+    REFRINT_CLI.parse(command, args)?;
+    Ok(())
 }
 
 fn show_config() -> Result<(), String> {
@@ -224,19 +185,6 @@ fn sweep(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn trace(args: &[String]) -> Result<(), String> {
-    let Some(sub) = args.first() else {
-        return Err(format!("trace requires a subcommand\n{USAGE}"));
-    };
-    let rest = &args[1..];
-    match sub.as_str() {
-        "record" => trace_record(rest),
-        "replay" => trace_replay(rest),
-        "info" => trace_info(rest),
-        other => Err(format!("unknown trace subcommand `{other}`\n{USAGE}")),
-    }
 }
 
 fn trace_record(args: &[String]) -> Result<(), String> {
@@ -362,26 +310,24 @@ fn check(args: &[String]) -> Result<(), String> {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
-    let options = ServeOptions::parse(args)?;
+    let ServeOptions { addr, mut server } = ServeOptions::parse(args)?;
     refrint_serve::install_sigterm_handler();
-    let mut server_options = options.server_options();
     // The library default is quiet (errors only); the CLI serves humans, so
     // default to info and let REFRINT_LOG override in either direction.
-    server_options.log_level =
+    server.log_level =
         refrint_obs::log::Level::from_env("REFRINT_LOG", refrint_obs::log::Level::Info);
-    let server = refrint_serve::Server::bind(options.addr.as_str(), server_options)
-        .map_err(|e| format!("cannot bind {}: {e}", options.addr))?;
+    let backends = server.coordinator.as_ref().map(|c| c.backends.len());
+    let server = refrint_serve::Server::bind(addr.as_str(), server)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    if options.coordinator {
-        eprintln!(
-            "refrint-serve: coordinating {} backend(s) on http://{addr} \
-             (POST /run, POST /sweep, POST /backends)",
-            options.backends.len()
-        );
-    } else {
-        eprintln!(
+    match backends {
+        Some(backends) => eprintln!(
+            "refrint-serve: coordinating {backends} backend(s) on http://{addr} \
+             (POST /run, POST /sweep, POST /backends)"
+        ),
+        None => eprintln!(
             "refrint-serve: listening on http://{addr} (POST /run, POST /sweep, GET /healthz)"
-        );
+        ),
     }
     server.run().map_err(|e| e.to_string())
 }

@@ -255,11 +255,12 @@ pub(crate) fn run_key(workload: &RunWorkload, spec: &RunSpec) -> Result<String, 
     ))
 }
 
-/// The `POST /run` body that asks a backend for `workload` under `spec`.
-/// It carries only the set fields, and the protocol and retention profile
-/// only when they differ from the defaults, so default points keep their
-/// historical bodies.
-pub(crate) fn run_body(workload: &RunWorkload, spec: &RunSpec) -> String {
+/// The `POST /run` body that asks a server for `workload` under `spec`: a
+/// coordinator forwards it to a backend, and `serve-client run` sends it.
+/// A trace travels by name only. The body carries only the set fields, and
+/// the protocol and retention profile only when they differ from the
+/// defaults, so default points keep their historical bodies.
+pub fn run_body(workload: &RunWorkload, spec: &RunSpec) -> String {
     let mut fields = vec![match workload {
         RunWorkload::App(app) => format!("\"app\":\"{}\"", escape(app.name())),
         RunWorkload::Trace { name, .. } => format!("\"trace\":\"{}\"", escape(name)),

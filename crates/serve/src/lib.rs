@@ -5,6 +5,9 @@
 //! which is where the PR 3 throughput work starts to pay off at scale. It
 //! is built entirely on `std` — `TcpListener`, `sync_channel`, threads —
 //! matching the workspace's offline, no-external-dependency constraint.
+//! The crate is a library only: `refrint-cli serve` runs it, and its
+//! command-line client, `serve-client`, lives in `refrint-cli` with the
+//! other front ends.
 //!
 //! # API
 //!
@@ -47,10 +50,6 @@ pub mod disk_cache;
 pub mod http;
 pub mod jobs;
 pub mod metrics;
-
-/// The shared JSON string escaper, re-exported for the `serve-client`
-/// binary.
-pub use refrint_engine::json::escape as json_escape;
 
 use std::collections::HashMap;
 use std::io;

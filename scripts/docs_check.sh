@@ -13,11 +13,13 @@
 #      a. every `--flag` on a README/docs line that invokes
 #         `refrint-cli <subcommand>` appears in `refrint-cli help`;
 #      b. every `serve-client <command>` the docs mention is listed in
-#         serve-client's usage.
+#         serve-client's usage;
+#      c. every `--flag` on a README/docs line that invokes `serve-client`
+#         appears in serve-client's usage.
 #
 # Usage: scripts/docs_check.sh [path/to/refrint-cli] [path/to/serve-client]
 # (default to target/release/refrint-cli and the serve-client next to it;
-# build both first: cargo build --release -p refrint-cli -p refrint-serve)
+# build both first: cargo build --release -p refrint-cli)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,7 +29,7 @@ CLIENT="${2:-$(dirname "$CLI")/serve-client}"
 for bin in "$CLI" "$CLIENT"; do
     if [ ! -x "$bin" ]; then
         echo "docs-check: $bin not found — run" \
-            "'cargo build --release -p refrint-cli -p refrint-serve' first" >&2
+            "'cargo build --release -p refrint-cli' first" >&2
         exit 1
     fi
 done
@@ -126,6 +128,15 @@ for cmd in $documented_client_commands; do
     printf '%s\n' "$client_commands" | grep -qx "$cmd" ||
         err "docs mention 'serve-client $cmd' but '$CLIENT' usage lists no such command"
 done
+
+# --- 5c. flags on documented serve-client invocations exist -----------------
+# Matched as a whole word, like 5a.
+while IFS=: read -r doc lineno text; do
+    for flag in $(printf '%s\n' "$text" | grep -oE -- '--[a-z][a-z-]*' | sort -u); do
+        printf '%s\n' "$client_usage" | grep -qE -- "${flag}([^a-z-]|\$)" ||
+            err "$doc:$lineno shows $flag on a serve-client line but '$CLIENT' usage has no such flag"
+    done
+done < <(grep -nE 'serve-client( --addr [^ ]+)? [a-z]' "${docs[@]}")
 
 if [ "$fail" -ne 0 ]; then
     exit 1

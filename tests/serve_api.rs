@@ -571,7 +571,7 @@ fn cli_serve_options_reach_the_server() {
     .map(|s| (*s).to_owned())
     .collect();
     let options = refrint_cli::ServeOptions::parse(&args).unwrap();
-    let server = start(options.server_options());
+    let server = start(options.server);
     let addr = server.addr();
     // The 512-byte body limit is live.
     let mut big = b"{\"app\": \"lu\", \"pad\": \"".to_vec();
