@@ -30,7 +30,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 
 use refrint_cli::args::{Parsed, SERVE_CLIENT};
-use refrint_cli::{client_run_body, parse_apps};
+use refrint_cli::{client_run_body, out, outln, parse_apps};
 use refrint_engine::json::{parse, Value};
 use refrint_serve::client::{self, HttpResponse};
 
@@ -88,7 +88,7 @@ fn run(args: &[String]) -> Result<(), String> {
         other => unreachable!("`{other}` is in the serve-client table but has no handler"),
     };
     let response = response.map_err(|e| format!("request failed: {e}"))?;
-    print!("{}", response.body_str());
+    out!("{}", response.body_str());
     if let Some(expected) = expect_cache {
         let got = response.header("X-Refrint-Cache").unwrap_or("(absent)");
         if got != expected {
@@ -136,7 +136,7 @@ fn trace_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
     let response = client::get(addr, &format!("/jobs/{id}/trace"))
         .map_err(|e| format!("request failed: {e}"))?;
     if response.status != 200 {
-        print!("{}", response.body_str());
+        out!("{}", response.body_str());
         return Err(format!("trace failed with HTTP {}", response.status));
     }
     print_trace(&response.body_str())
@@ -203,7 +203,7 @@ fn print_trace(text: &str) -> Result<(), String> {
     let critical_stage = attr(resource_attrs, "refrint.request_critical_stage").unwrap_or("-");
     let critical_subsystem = attr(resource_attrs, "refrint.run_critical_subsystem");
     if let Some(first) = spans.first() {
-        println!("trace {}", span_field(first, "traceId"));
+        outln!("trace {}", span_field(first, "traceId"));
     }
     for (key, label) in [
         ("refrint.job", "job"),
@@ -215,7 +215,7 @@ fn print_trace(text: &str) -> Result<(), String> {
         ("refrint.fleet_straggler", "fleet straggler"),
     ] {
         if let Some(v) = attr(resource_attrs, key) {
-            println!("{label}: {v}");
+            outln!("{label}: {v}");
         }
     }
 
@@ -230,12 +230,12 @@ fn print_trace(text: &str) -> Result<(), String> {
         print_span(root, &spans, 0, critical_stage, critical_subsystem);
     }
     if let Some(subsystem) = critical_subsystem {
-        println!("run critical subsystem: {subsystem}");
+        outln!("run critical subsystem: {subsystem}");
     }
     if let Some(step) = attr(resource_attrs, "refrint.fleet_critical_step") {
-        println!("fleet critical step: {step}");
+        outln!("fleet critical step: {step}");
     }
-    println!("request critical stage: {critical_stage}");
+    outln!("request critical stage: {critical_stage}");
     Ok(())
 }
 
@@ -266,7 +266,7 @@ fn print_span(
     let node = attr(attrs, "refrint.node")
         .map(|n| format!("  @{n}"))
         .unwrap_or_default();
-    println!("{}{name}  [{duration}]{node}{marker}", "  ".repeat(depth));
+    outln!("{}{name}  [{duration}]{node}{marker}", "  ".repeat(depth));
     let id = span_field(span, "spanId");
     for &child in all {
         if span_field(child, "parentSpanId") == id {
@@ -331,7 +331,7 @@ fn obs_verify_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
     } else {
         "single node"
     };
-    println!("obs-verify: target {addr} ({mode}), refs {refs}, cores {cores}");
+    outln!("obs-verify: target {addr} ({mode}), refs {refs}, cores {cores}");
 
     let before = scrape_counters(addr)?;
     let run = |seed: u64| -> Result<HttpResponse, String> {
@@ -346,9 +346,9 @@ fn obs_verify_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
     let mut failures: Vec<&str> = Vec::new();
     let mut check = |name: &'static str, ok: bool, detail: String| {
         if ok {
-            println!("ok:   {name} ({detail})");
+            outln!("ok:   {name} ({detail})");
         } else {
-            println!("FAIL: {name} ({detail})");
+            outln!("FAIL: {name} ({detail})");
             failures.push(name);
         }
     };
@@ -448,7 +448,7 @@ fn obs_verify_command(p: &Parsed, addr: SocketAddr) -> Result<(), String> {
     }
 
     if failures.is_empty() {
-        println!("obs-verify: all checks passed against {mode}");
+        outln!("obs-verify: all checks passed against {mode}");
         Ok(())
     } else {
         Err(format!(

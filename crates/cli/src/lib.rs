@@ -15,6 +15,8 @@
 
 pub mod args;
 
+use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 use args::{Parsed, REFRINT_CLI};
@@ -28,6 +30,40 @@ use refrint_serve::api::{run_body, RunWorkload};
 use refrint_serve::coordinator::CoordinatorOptions;
 use refrint_serve::ServerOptions;
 use refrint_workloads::apps::AppPreset;
+
+/// Writes `args` to stdout: the one path both binaries print through, by
+/// way of [`out!`] and [`outln!`]. A reader that closes the pipe early
+/// (`refrint-cli obs … | head`) ends the process quietly with status 0, as
+/// a Unix filter does; any other write error ends it with status 1.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    let written = io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Parses a `--policy` label, round-tripping every label
 /// [`RefreshPolicy::label`] can emit (`P.all`, `R.valid`, `R.WB(32,32)`,

@@ -24,7 +24,7 @@ use refrint::json;
 use refrint::sweep::{SweepProgress, SweepRunner};
 use refrint_cli::args::REFRINT_CLI;
 use refrint_cli::{
-    ObsOptions, OutputFormat, RunOptions, ServeOptions, SweepOptions, TraceInfoOptions,
+    out, outln, ObsOptions, OutputFormat, RunOptions, ServeOptions, SweepOptions, TraceInfoOptions,
     TraceRecordOptions, TraceReplayOptions,
 };
 use refrint_trace::{TraceFile, TraceSummary};
@@ -34,7 +34,7 @@ use refrint_workloads::classify::{classify, ClassifierConfig};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
-        print!("{}", REFRINT_CLI.usage());
+        out!("{}", REFRINT_CLI.usage());
         return ExitCode::SUCCESS;
     }
     let result = match REFRINT_CLI.split(&args) {
@@ -69,16 +69,16 @@ fn no_flags(command: &str, args: &[String]) -> Result<(), String> {
 }
 
 fn show_config() -> Result<(), String> {
-    println!("== Full-SRAM baseline ==");
-    println!("{}", SystemConfig::sram_baseline());
-    println!();
-    println!("== Recommended full-eDRAM configuration ==");
-    println!("{}", SystemConfig::edram_recommended());
+    outln!("== Full-SRAM baseline ==");
+    outln!("{}", SystemConfig::sram_baseline());
+    outln!();
+    outln!("== Recommended full-eDRAM configuration ==");
+    outln!("{}", SystemConfig::edram_recommended());
     Ok(())
 }
 
 fn classify_apps() -> Result<(), String> {
-    println!("== Table 6.1: application binning ==");
+    outln!("== Table 6.1: application binning ==");
     let config = ClassifierConfig::default();
     for app in AppPreset::ALL {
         let report = classify(&app.model(), &config);
@@ -87,7 +87,7 @@ fn classify_apps() -> Result<(), String> {
         } else {
             "  (differs from paper!)"
         };
-        println!("{report}{marker}");
+        outln!("{report}{marker}");
     }
     Ok(())
 }
@@ -95,15 +95,15 @@ fn classify_apps() -> Result<(), String> {
 /// Prints a run report in the requested format.
 fn print_report(report: &refrint::report::SimReport, format: OutputFormat) {
     match format {
-        OutputFormat::Json => println!("{}", json::report(report)),
+        OutputFormat::Json => outln!("{}", json::report(report)),
         OutputFormat::Text => {
-            println!("{report}");
-            println!();
-            println!(
+            outln!("{report}");
+            outln!();
+            outln!(
                 "l3 miss rate    : {:.2} per 1000 data refs",
                 report.l3_miss_rate_per_mille()
             );
-            println!(
+            outln!(
                 "refresh rate    : {:.2} refreshes per kilo-cycle",
                 report.refreshes_per_kilocycle()
             );
@@ -130,18 +130,18 @@ fn obs(args: &[String]) -> Result<(), String> {
     let outcome = simulation.run(options.app);
     let summary = simulation.obs_summary();
     if options.critical_path {
-        println!(
+        outln!(
             "{}",
             refrint_obs::critical_path::subsystem_critical_path(&summary)
         );
         return Ok(());
     }
     match options.format {
-        OutputFormat::Json => println!(
+        OutputFormat::Json => outln!(
             "{}",
             refrint_obs::otlp::render(&summary, outcome.config_label(), outcome.workload())
         ),
-        OutputFormat::Text => println!("{summary}"),
+        OutputFormat::Text => outln!("{summary}"),
     }
     Ok(())
 }
@@ -168,19 +168,23 @@ fn sweep(args: &[String]) -> Result<(), String> {
     );
     let results = runner.run().map_err(|e| e.to_string())?;
     if options.format == OutputFormat::Json {
-        println!("{}", json::sweep(&results));
+        outln!("{}", json::sweep(&results));
         return Ok(());
     }
     for &retention in &results.retentions_us {
         if let Some(h) = headline_summary(&results, retention) {
-            println!("== {retention} us ==");
-            println!(
+            outln!("== {retention} us ==");
+            outln!(
                 "Periodic All     : memory {:.2}  system {:.2}  slowdown {:.2}",
-                h.baseline_memory_energy, h.baseline_system_energy, h.baseline_slowdown
+                h.baseline_memory_energy,
+                h.baseline_system_energy,
+                h.baseline_slowdown
             );
-            println!(
+            outln!(
                 "Refrint WB(32,32): memory {:.2}  system {:.2}  slowdown {:.2}",
-                h.refrint_memory_energy, h.refrint_system_energy, h.refrint_slowdown
+                h.refrint_memory_energy,
+                h.refrint_system_energy,
+                h.refrint_slowdown
             );
         }
     }
@@ -216,10 +220,10 @@ fn trace_info(args: &[String]) -> Result<(), String> {
     let trace = TraceFile::open(&options.trace).map_err(|e| e.to_string())?;
     let summary = TraceSummary::collect(&trace).map_err(|e| e.to_string())?;
     match options.format {
-        OutputFormat::Json => println!("{}", json::trace_summary(&summary)),
+        OutputFormat::Json => outln!("{}", json::trace_summary(&summary)),
         OutputFormat::Text => {
-            println!("trace           : {}", options.trace.display());
-            println!("{summary}");
+            outln!("trace           : {}", options.trace.display());
+            outln!("{summary}");
         }
     }
     Ok(())
@@ -244,7 +248,7 @@ fn check(args: &[String]) -> Result<(), String> {
         eprintln!("checking scenario: {scenario}");
         let diffs = run_scenario_with(&scenario, fault).map_err(|e| e.to_string())?;
         if diffs.is_empty() {
-            println!("ok: oracle and simulator agree on `{scenario}`");
+            outln!("ok: oracle and simulator agree on `{scenario}`");
             return Ok(());
         }
         let mut out = format!("oracle and simulator disagree on `{scenario}`:\n");
@@ -287,7 +291,7 @@ fn check(args: &[String]) -> Result<(), String> {
 
     match (outcome.divergence, options.self_test) {
         (None, false) => {
-            println!(
+            outln!(
                 "ok: oracle and simulator agree field-for-field on {} scenarios",
                 outcome.scenarios_run
             );
@@ -298,11 +302,12 @@ fn check(args: &[String]) -> Result<(), String> {
             outcome.scenarios_run
         )),
         (Some(divergence), true) => {
-            println!(
+            outln!(
                 "self-test ok: injected fault caught after {} scenarios and shrunk in {} steps",
-                outcome.scenarios_run, divergence.shrink_steps
+                outcome.scenarios_run,
+                divergence.shrink_steps
             );
-            println!("{divergence}");
+            outln!("{divergence}");
             Ok(())
         }
         (Some(divergence), false) => Err(divergence.to_string()),

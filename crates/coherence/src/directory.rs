@@ -5,6 +5,7 @@
 //! the L3, and the directory entry for that L3 line records which tiles hold
 //! it and whether one of them owns it in Modified state.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -169,66 +170,11 @@ impl DirectoryEntry {
             DirectoryEntry::Owned { .. } | DirectoryEntry::OwnedShared { .. }
         )
     }
-}
 
-/// The directory array: entries for every line tracked by one (or all) L3
-/// bank(s). Entries are stored sparsely; absent entries mean `Uncached`.
-#[derive(Debug, Clone)]
-pub struct Directory {
-    entries: HashMap<LineAddr, DirectoryEntry>,
-    num_tiles: usize,
-}
-
-impl Directory {
-    /// Creates an empty directory for `num_tiles` tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tiles` is zero or greater than 64.
-    #[must_use]
-    pub fn new(num_tiles: usize) -> Self {
-        assert!(
-            num_tiles > 0 && num_tiles <= 64,
-            "directory supports 1..=64 tiles"
-        );
-        Directory {
-            entries: HashMap::new(),
-            num_tiles,
-        }
-    }
-
-    /// The number of tiles this directory tracks.
-    #[must_use]
-    pub fn num_tiles(&self) -> usize {
-        self.num_tiles
-    }
-
-    /// The entry for `line` (Uncached if never recorded).
-    #[must_use]
-    pub fn entry(&self, line: LineAddr) -> DirectoryEntry {
-        self.entries.get(&line).copied().unwrap_or_default()
-    }
-
-    /// Sets the entry for `line`, removing it when it becomes `Uncached` so
-    /// the map stays sparse.
-    pub fn set_entry(&mut self, line: LineAddr, entry: DirectoryEntry) {
-        if matches!(entry, DirectoryEntry::Uncached) {
-            self.entries.remove(&line);
-        } else {
-            self.entries.insert(line, entry);
-        }
-    }
-
-    /// Removes the entry for `line` entirely (used when the L3 line itself is
-    /// invalidated; inclusivity means no private copy may survive).
-    pub fn forget(&mut self, line: LineAddr) {
-        self.entries.remove(&line);
-    }
-
-    /// Removes `tile` from the entry for `line` (private eviction).
-    pub fn remove_holder(&mut self, line: LineAddr, tile: usize) {
-        let entry = self.entry(line);
-        let new = match entry {
+    /// Removes `tile` from the entry (a private eviction). Removing a tile
+    /// that does not hold the line leaves the entry unchanged.
+    pub(crate) fn remove_holder(&mut self, tile: usize) {
+        *self = match *self {
             DirectoryEntry::Uncached => DirectoryEntry::Uncached,
             DirectoryEntry::Owned { owner } if owner == tile => DirectoryEntry::Uncached,
             DirectoryEntry::Owned { owner } => DirectoryEntry::Owned { owner },
@@ -258,43 +204,97 @@ impl Directory {
                 }
             }
         };
-        self.set_entry(line, new);
     }
 
-    /// Number of lines with a non-`Uncached` entry.
-    #[must_use]
-    pub fn tracked_lines(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Iterates over all tracked `(line, entry)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DirectoryEntry)> + '_ {
-        self.entries.iter().map(|(&l, &e)| (l, e))
-    }
-
-    /// Checks the directory invariants for `line`:
+    /// Checks the entry invariants on a chip of `num_tiles` tiles:
     /// an `Owned` entry names a valid tile; a `Shared` entry is non-empty and
     /// all its tiles are valid; an `OwnedShared` entry has a valid owner,
     /// non-empty valid sharers, and the owner is not among them.
     #[must_use]
-    pub fn check_invariants(&self, line: LineAddr) -> bool {
-        match self.entry(line) {
+    pub(crate) fn check_invariants(self, num_tiles: usize) -> bool {
+        match self {
             DirectoryEntry::Uncached => true,
-            DirectoryEntry::Owned { owner } => owner < self.num_tiles,
-            DirectoryEntry::Shared(s) => !s.is_empty() && s.iter().all(|t| t < self.num_tiles),
+            DirectoryEntry::Owned { owner } => owner < num_tiles,
+            DirectoryEntry::Shared(s) => !s.is_empty() && s.iter().all(|t| t < num_tiles),
             DirectoryEntry::OwnedShared { owner, sharers } => {
-                owner < self.num_tiles
+                owner < num_tiles
                     && !sharers.is_empty()
                     && !sharers.contains(owner)
-                    && sharers.iter().all(|t| t < self.num_tiles)
+                    && sharers.iter().all(|t| t < num_tiles)
             }
         }
+    }
+}
+
+/// The directory array: entries for every line tracked by one (or all) L3
+/// bank(s). Entries are stored sparsely; absent entries mean `Uncached`.
+#[derive(Debug, Clone)]
+pub struct Directory {
+    entries: HashMap<LineAddr, DirectoryEntry>,
+}
+
+impl Directory {
+    /// Creates an empty directory for a chip of `num_tiles` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_tiles` is zero or greater than 64, the most a
+    /// [`SharerSet`] can name.
+    #[must_use]
+    pub fn new(num_tiles: usize) -> Self {
+        assert!(
+            num_tiles > 0 && num_tiles <= 64,
+            "directory supports 1..=64 tiles"
+        );
+        Directory {
+            entries: HashMap::new(),
+        }
+    }
+
+    /// The entry for `line` (Uncached if never recorded).
+    #[must_use]
+    pub fn entry(&self, line: LineAddr) -> DirectoryEntry {
+        self.entries.get(&line).copied().unwrap_or_default()
+    }
+
+    /// Runs `f` on the entry for `line` after a single lookup, then drops
+    /// the slot if the entry came back `Uncached`, so the map stays sparse.
+    pub(crate) fn update<R>(
+        &mut self,
+        line: LineAddr,
+        f: impl FnOnce(&mut DirectoryEntry) -> R,
+    ) -> R {
+        match self.entries.entry(line) {
+            Entry::Occupied(mut slot) => {
+                let out = f(slot.get_mut());
+                if *slot.get() == DirectoryEntry::Uncached {
+                    slot.remove();
+                }
+                out
+            }
+            Entry::Vacant(slot) => {
+                let mut entry = DirectoryEntry::Uncached;
+                let out = f(&mut entry);
+                if entry != DirectoryEntry::Uncached {
+                    slot.insert(entry);
+                }
+                out
+            }
+        }
+    }
+
+    /// Removes the entry for `line` entirely (used when the L3 line itself is
+    /// invalidated; inclusivity means no private copy may survive) and
+    /// returns what it was.
+    pub(crate) fn forget(&mut self, line: LineAddr) -> DirectoryEntry {
+        self.entries.remove(&line).unwrap_or_default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{CoherenceEngine, CoherenceProtocol, CoreRequest};
 
     #[test]
     fn sharer_set_basics() {
@@ -351,111 +351,99 @@ mod tests {
         let mut d = Directory::new(16);
         let line = LineAddr::new(0x10);
         assert_eq!(d.entry(line), DirectoryEntry::Uncached);
-        d.set_entry(line, DirectoryEntry::Owned { owner: 2 });
+        d.update(line, |e| *e = DirectoryEntry::Owned { owner: 2 });
         assert_eq!(d.entry(line), DirectoryEntry::Owned { owner: 2 });
-        assert_eq!(d.tracked_lines(), 1);
-        d.forget(line);
+        assert_eq!(d.entries.len(), 1);
+        assert_eq!(d.forget(line), DirectoryEntry::Owned { owner: 2 });
         assert_eq!(d.entry(line), DirectoryEntry::Uncached);
-        assert_eq!(d.tracked_lines(), 0);
+        assert!(d.entries.is_empty());
+        assert_eq!(d.forget(line), DirectoryEntry::Uncached);
     }
 
     #[test]
     fn setting_uncached_keeps_map_sparse() {
         let mut d = Directory::new(16);
         let line = LineAddr::new(0x10);
-        d.set_entry(line, DirectoryEntry::Owned { owner: 2 });
-        d.set_entry(line, DirectoryEntry::Uncached);
-        assert_eq!(d.tracked_lines(), 0);
+        d.update(line, |e| *e = DirectoryEntry::Owned { owner: 2 });
+        d.update(line, |e| *e = DirectoryEntry::Uncached);
+        assert!(d.entries.is_empty());
+        // Through the engine: a request that leaves its entry `Uncached`
+        // leaves no slot behind, whether the line was tracked or not.
+        let mut engine = CoherenceEngine::new(CoherenceProtocol::Mesi, 16);
+        engine.access(&mut d, line, 2, CoreRequest::Write);
+        assert_eq!(d.entries.len(), 1);
+        engine.access(&mut d, line, 2, CoreRequest::EvictDirty);
+        assert!(d.entries.is_empty());
+        engine.access(&mut d, LineAddr::new(0x11), 3, CoreRequest::EvictClean);
+        assert!(d.entries.is_empty());
     }
 
     #[test]
     fn remove_holder_transitions() {
-        let mut d = Directory::new(16);
-        let line = LineAddr::new(0x20);
         // Owner evicts -> uncached.
-        d.set_entry(line, DirectoryEntry::Owned { owner: 3 });
-        d.remove_holder(line, 3);
-        assert_eq!(d.entry(line), DirectoryEntry::Uncached);
+        let mut e = DirectoryEntry::Owned { owner: 3 };
+        e.remove_holder(3);
+        assert_eq!(e, DirectoryEntry::Uncached);
         // Non-owner removal leaves the owner.
-        d.set_entry(line, DirectoryEntry::Owned { owner: 3 });
-        d.remove_holder(line, 5);
-        assert_eq!(d.entry(line), DirectoryEntry::Owned { owner: 3 });
+        let mut e = DirectoryEntry::Owned { owner: 3 };
+        e.remove_holder(5);
+        assert_eq!(e, DirectoryEntry::Owned { owner: 3 });
         // Shared shrink and collapse.
-        let s: SharerSet = [1usize, 2].into_iter().collect();
-        d.set_entry(line, DirectoryEntry::Shared(s));
-        d.remove_holder(line, 1);
-        assert_eq!(d.entry(line), DirectoryEntry::Shared(SharerSet::single(2)));
-        d.remove_holder(line, 2);
-        assert_eq!(d.entry(line), DirectoryEntry::Uncached);
+        let mut e = DirectoryEntry::Shared([1usize, 2].into_iter().collect());
+        e.remove_holder(1);
+        assert_eq!(e, DirectoryEntry::Shared(SharerSet::single(2)));
+        e.remove_holder(2);
+        assert_eq!(e, DirectoryEntry::Uncached);
     }
 
     #[test]
     fn invariants_hold_for_valid_entries() {
-        let mut d = Directory::new(16);
-        let line = LineAddr::new(1);
-        assert!(d.check_invariants(line));
-        d.set_entry(line, DirectoryEntry::Owned { owner: 15 });
-        assert!(d.check_invariants(line));
-        d.set_entry(line, DirectoryEntry::Owned { owner: 16 });
-        assert!(!d.check_invariants(line));
-        d.set_entry(line, DirectoryEntry::Shared(SharerSet::empty()));
-        // An explicitly-stored empty Shared set violates the invariant...
-        // ...but set_entry stores it, so check_invariants flags it.
-        assert!(!d.check_invariants(line) || d.entry(line) == DirectoryEntry::Uncached);
+        assert!(DirectoryEntry::Uncached.check_invariants(16));
+        assert!(DirectoryEntry::Owned { owner: 15 }.check_invariants(16));
+        assert!(!DirectoryEntry::Owned { owner: 16 }.check_invariants(16));
+        // An empty Shared set violates the invariant (it should be Uncached).
+        assert!(!DirectoryEntry::Shared(SharerSet::empty()).check_invariants(16));
     }
 
     #[test]
     fn owned_shared_holders_and_removal() {
-        let mut d = Directory::new(16);
-        let line = LineAddr::new(0x30);
         let sharers: SharerSet = [1usize, 4].into_iter().collect();
-        d.set_entry(line, DirectoryEntry::OwnedShared { owner: 2, sharers });
-        assert_eq!(
-            d.entry(line).holders().iter().collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        assert!(d.entry(line).is_owned());
-        assert!(d.check_invariants(line));
+        let mut e = DirectoryEntry::OwnedShared { owner: 2, sharers };
+        assert_eq!(e.holders().iter().collect::<Vec<_>>(), vec![1, 2, 4]);
+        assert!(e.is_owned());
+        assert!(e.check_invariants(16));
         // A sharer leaves: the owner keeps the dirty copy.
-        d.remove_holder(line, 4);
+        e.remove_holder(4);
         assert_eq!(
-            d.entry(line),
+            e,
             DirectoryEntry::OwnedShared {
                 owner: 2,
                 sharers: SharerSet::single(1)
             }
         );
         // The last sharer leaves: collapse to a plain owner.
-        d.remove_holder(line, 1);
-        assert_eq!(d.entry(line), DirectoryEntry::Owned { owner: 2 });
+        e.remove_holder(1);
+        assert_eq!(e, DirectoryEntry::Owned { owner: 2 });
         // The owner leaves while replicas remain: they stay as clean sharers.
-        d.set_entry(line, DirectoryEntry::OwnedShared { owner: 2, sharers });
-        d.remove_holder(line, 2);
-        assert_eq!(d.entry(line), DirectoryEntry::Shared(sharers));
+        let mut e = DirectoryEntry::OwnedShared { owner: 2, sharers };
+        e.remove_holder(2);
+        assert_eq!(e, DirectoryEntry::Shared(sharers));
     }
 
     #[test]
     fn owned_shared_invariants() {
-        let mut d = Directory::new(4);
-        let line = LineAddr::new(0x31);
         // Owner inside the sharer set is a violation.
-        d.set_entry(
-            line,
-            DirectoryEntry::OwnedShared {
-                owner: 1,
-                sharers: SharerSet::single(1),
-            },
-        );
-        assert!(!d.check_invariants(line));
+        let e = DirectoryEntry::OwnedShared {
+            owner: 1,
+            sharers: SharerSet::single(1),
+        };
+        assert!(!e.check_invariants(4));
         // Empty sharer set is a violation (it should be Owned instead).
-        d.set_entry(
-            line,
-            DirectoryEntry::OwnedShared {
-                owner: 1,
-                sharers: SharerSet::empty(),
-            },
-        );
-        assert!(!d.check_invariants(line));
+        let e = DirectoryEntry::OwnedShared {
+            owner: 1,
+            sharers: SharerSet::empty(),
+        };
+        assert!(!e.check_invariants(4));
     }
 
     #[test]

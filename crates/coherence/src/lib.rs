@@ -7,12 +7,12 @@
 //! This crate provides the protocol-level pieces:
 //!
 //! * [`directory`] — per-line directory entries (owner / sharer bit-vector)
-//!   and the directory array kept alongside each L3 bank.
+//!   and the sparse directory map kept alongside the L3.
 //! * [`protocol`] — the transaction-level transition logic: given a request
-//!   (read / write / eviction / write-back) and the current directory entry,
-//!   it computes the new states, the set of caches to invalidate, downgrade,
-//!   or update, and the messages that must cross the network. The
-//!   [`protocol::CoherenceEngine`] enum selects MESI or Dragon at
+//!   (read / write / eviction / write-back) and the line's directory entry,
+//!   [`protocol::CoherenceEngine`] updates the entry and computes the set of
+//!   caches to invalidate, downgrade, or update, and the messages that must
+//!   cross the network. The engine runs MESI or Dragon, chosen at
 //!   construction time.
 //!
 //! The protocol is evaluated *transactionally*: the CMP simulator resolves an
@@ -24,15 +24,18 @@
 //! # Example
 //!
 //! ```
-//! use refrint_coherence::directory::Directory;
-//! use refrint_coherence::protocol::{DirectoryProtocol, CoreRequest};
-//! use refrint_mem::addr::LineAddr;
+//! use refrint_coherence::{CoherenceEngine, CoherenceProtocol, CoreRequest, DirectoryEntry};
+//! use refrint_mem::line::MesiState;
 //!
-//! let mut dir = Directory::new(16);
-//! let mut proto = DirectoryProtocol::new(16);
-//! let line = LineAddr::new(0x100);
-//! let outcome = proto.access(&mut dir, line, 0, CoreRequest::Read);
-//! assert!(outcome.fills_requester);
+//! let mut engine = CoherenceEngine::new(CoherenceProtocol::Mesi, 16);
+//! let mut entry = DirectoryEntry::Uncached;
+//! let outcome = engine.resolve(&mut entry, 0, CoreRequest::Read);
+//! assert_eq!(outcome.fill_state, MesiState::Exclusive);
+//! assert_eq!(entry, DirectoryEntry::Owned { owner: 0 });
+//! // A second reader downgrades the owner; both tiles end up sharers.
+//! let outcome = engine.resolve(&mut entry, 1, CoreRequest::Read);
+//! assert_eq!(outcome.downgrade_owner, Some(0));
+//! assert_eq!(entry.holders().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,12 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod directory;
-pub mod error;
 pub mod protocol;
 
 pub use directory::{Directory, DirectoryEntry, SharerSet};
-pub use error::CoherenceError;
-pub use protocol::{
-    AccessOutcome, CoherenceEngine, CoherenceProtocol, CoreRequest, DirectoryProtocol,
-    DragonProtocol,
-};
+pub use protocol::{AccessOutcome, CoherenceEngine, CoherenceProtocol, CoreRequest};

@@ -1,19 +1,21 @@
 //! Transaction-level directory coherence protocols.
 //!
-//! [`DirectoryProtocol::access`] resolves one core request against the
-//! directory: it computes the new directory entry, which private copies must
-//! be invalidated or downgraded (inclusivity and single-writer invariants),
-//! what state the requester fills in, and how many messages were exchanged.
-//! The caller (the CMP simulator) applies the corresponding changes to the
-//! actual cache arrays and converts the outcome into latency and energy;
-//! cumulative message traffic is reported via the protocol's statistics.
+//! [`CoherenceEngine::resolve`] resolves one core request against one
+//! directory entry: it updates the entry, and reports which private copies
+//! must be invalidated, downgraded or updated (inclusivity and single-writer
+//! invariants), what state the requester fills in, and how many messages
+//! were exchanged. The caller (the CMP simulator) applies the corresponding
+//! changes to the actual cache arrays and converts the outcome into latency
+//! and energy; cumulative message traffic is reported via the engine's
+//! statistics. [`CoherenceEngine::access`] does the same for a line of a
+//! [`Directory`] map.
 //!
-//! [`DragonProtocol`] is the update-based alternative: writes to shared
-//! lines broadcast word updates to the other holders instead of
-//! invalidating them, using the [`MesiState::SharedModified`] (`Sm`) state
-//! and the [`DirectoryEntry::OwnedShared`] directory entry. Both engines
-//! sit behind the [`CoherenceEngine`] dispatcher, selected by a
-//! [`CoherenceProtocol`] axis value.
+//! The engine runs the [`CoherenceProtocol`] it was built for. Under the
+//! invalidation-based MESI protocol a write invalidates every other holder;
+//! under the update-based Dragon protocol writes to shared lines broadcast
+//! word updates to the other holders instead, using the
+//! [`MesiState::SharedModified`] (`Sm`) state and the
+//! [`DirectoryEntry::OwnedShared`] directory entry.
 
 use std::fmt;
 use std::str::FromStr;
@@ -94,15 +96,13 @@ pub enum CoreRequest {
 ///
 /// The outcome is a small `Copy` value — the invalidation targets are a
 /// [`SharerSet`] bitmask rather than a `Vec`, so resolving a request never
-/// allocates. (Per-message accounting lives in the protocol's statistics;
+/// allocates. (Per-message accounting lives in the engine's statistics;
 /// the simulator derives latency and traffic from the outcome fields.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// State the requester's private caches should install the line in
-    /// (meaningless for evictions).
+    /// (`Invalid` for evictions).
     pub fill_state: MesiState,
-    /// Whether the requester receives data (i.e. this was a read or write).
-    pub fills_requester: bool,
     /// Tiles whose private copies must be invalidated, excluding the
     /// requester.
     pub invalidate: SharerSet,
@@ -126,20 +126,20 @@ pub struct AccessOutcome {
 }
 
 impl AccessOutcome {
-    fn eviction() -> Self {
+    /// An outcome with no remote work yet.
+    fn new(fill_state: MesiState, message_count: u64) -> Self {
         AccessOutcome {
-            fill_state: MesiState::Invalid,
-            fills_requester: false,
+            fill_state,
             invalidate: SharerSet::empty(),
             downgrade_owner: None,
             owner_writeback: false,
             update: SharerSet::empty(),
-            message_count: 0,
+            message_count,
         }
     }
 }
 
-/// Fixed-field protocol counters; [`DirectoryProtocol::stats`] materializes
+/// Fixed-field protocol counters; [`CoherenceEngine::stats`] materializes
 /// them into a [`StatRegistry`] on demand, keeping the per-request hot path
 /// free of map lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -155,15 +155,46 @@ struct ProtocolCounters {
     dirty_evictions_absorbed: u64,
     clean_evictions: u64,
     inclusive_invalidations: u64,
-    /// Word updates broadcast to remote holders; only the Dragon engine
-    /// increments this, so MESI statistics stay byte-identical.
+    /// Word updates broadcast to remote holders; only Dragon increments
+    /// this, so MESI statistics never list it.
     updates_sent: u64,
 }
 
-impl ProtocolCounters {
-    /// Materializes the fired counters into a [`StatRegistry`].
-    fn stats(&self) -> StatRegistry {
-        let c = self;
+/// The directory-side protocol engine for one chip, running the
+/// [`CoherenceProtocol`] it was built for.
+#[derive(Debug, Clone)]
+pub struct CoherenceEngine {
+    protocol: CoherenceProtocol,
+    num_tiles: usize,
+    counters: ProtocolCounters,
+}
+
+impl CoherenceEngine {
+    /// Creates the engine `protocol` names for `num_tiles` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_tiles` is zero or greater than 64.
+    #[must_use]
+    pub fn new(protocol: CoherenceProtocol, num_tiles: usize) -> Self {
+        assert!(
+            num_tiles > 0 && num_tiles <= 64,
+            "protocol supports 1..=64 tiles"
+        );
+        CoherenceEngine {
+            protocol,
+            num_tiles,
+            counters: ProtocolCounters::default(),
+        }
+    }
+
+    /// Protocol statistics (per-request-kind counts, invalidations and
+    /// updates sent, owner downgrades, writebacks absorbed), materialized
+    /// from the fixed-field counters. Only counters that have fired appear,
+    /// matching the shape of an incrementally built registry.
+    #[must_use]
+    pub fn stats(&self) -> StatRegistry {
+        let c = &self.counters;
         let mut out = StatRegistry::new();
         for (name, value) in [
             ("messages", c.messages),
@@ -185,47 +216,9 @@ impl ProtocolCounters {
         }
         out
     }
-}
 
-/// The directory-side protocol engine.
-#[derive(Debug, Clone)]
-pub struct DirectoryProtocol {
-    num_tiles: usize,
-    counters: ProtocolCounters,
-}
-
-impl DirectoryProtocol {
-    /// Creates a protocol engine for `num_tiles` tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tiles` is zero or greater than 64.
-    #[must_use]
-    pub fn new(num_tiles: usize) -> Self {
-        assert!(
-            num_tiles > 0 && num_tiles <= 64,
-            "protocol supports 1..=64 tiles"
-        );
-        DirectoryProtocol {
-            num_tiles,
-            counters: ProtocolCounters::default(),
-        }
-    }
-
-    /// Protocol statistics (per-request-kind counts, invalidations sent,
-    /// owner downgrades, writebacks absorbed), materialized from the
-    /// fixed-field counters. Only counters that have fired appear, matching
-    /// the shape of an incrementally built registry.
-    #[must_use]
-    pub fn stats(&self) -> StatRegistry {
-        self.counters.stats()
-    }
-
-    /// Resolves `request` from `tile` for `line` against `dir`.
-    ///
-    /// The directory entry is updated; the caller must apply the returned
-    /// invalidations/downgrades to the private cache arrays to preserve the
-    /// inclusive-hierarchy invariant.
+    /// Resolves `request` from `tile` for `line` against `dir`: looks the
+    /// line up once and [`resolve`](Self::resolve)s its entry.
     ///
     /// # Panics
     ///
@@ -237,458 +230,177 @@ impl DirectoryProtocol {
         tile: usize,
         request: CoreRequest,
     ) -> AccessOutcome {
+        dir.update(line, |entry| self.resolve(entry, tile, request))
+    }
+
+    /// Resolves `request` from `tile` against the line's directory `entry`.
+    ///
+    /// The entry is updated; the caller must apply the returned
+    /// invalidations/downgrades/updates to the private cache arrays to
+    /// preserve the inclusive-hierarchy invariant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is out of range.
+    pub fn resolve(
+        &mut self,
+        entry: &mut DirectoryEntry,
+        tile: usize,
+        request: CoreRequest,
+    ) -> AccessOutcome {
         assert!(tile < self.num_tiles, "tile {tile} out of range");
         let out = match request {
-            CoreRequest::Read => self.read(dir, line, tile),
-            CoreRequest::Write => self.write(dir, line, tile),
-            CoreRequest::EvictClean => self.evict(dir, line, tile, false),
-            CoreRequest::EvictDirty => self.evict(dir, line, tile, true),
+            CoreRequest::Read => self.read(entry, tile),
+            CoreRequest::Write => self.write(entry, tile),
+            CoreRequest::EvictClean => self.evict(entry, tile, false),
+            CoreRequest::EvictDirty => self.evict(entry, tile, true),
         };
         self.counters.messages += out.message_count;
+        debug_assert!(
+            entry.check_invariants(self.num_tiles)
+                && (self.protocol == CoherenceProtocol::Dragon
+                    || !matches!(entry, DirectoryEntry::OwnedShared { .. })),
+            "{} left the entry {entry:?}",
+            self.protocol
+        );
         out
     }
 
-    fn read(&mut self, dir: &mut Directory, line: LineAddr, tile: usize) -> AccessOutcome {
+    fn read(&mut self, entry: &mut DirectoryEntry, tile: usize) -> AccessOutcome {
         self.counters.reads += 1;
         // Request to the home node plus the data reply.
-        let mut out = AccessOutcome {
-            fill_state: MesiState::Shared,
-            fills_requester: true,
-            invalidate: SharerSet::empty(),
-            downgrade_owner: None,
-            owner_writeback: false,
-            update: SharerSet::empty(),
-            message_count: 2,
-        };
-        match dir.entry(line) {
+        let mut out = AccessOutcome::new(MesiState::Shared, 2);
+        match entry {
             DirectoryEntry::Uncached => {
                 // No private copy: grant Exclusive, as MESI does.
                 out.fill_state = MesiState::Exclusive;
-                dir.set_entry(line, DirectoryEntry::Owned { owner: tile });
+                *entry = DirectoryEntry::Owned { owner: tile };
             }
-            DirectoryEntry::Shared(mut sharers) => {
-                if sharers.contains(tile) {
-                    // The directory already thinks we have it (e.g. an IL1/DL1
-                    // refill within the same tile); keep it Shared.
-                    self.counters.redundant_reads += 1;
-                } else {
-                    sharers.insert(tile);
-                }
-                out.fill_state = MesiState::Shared;
-                dir.set_entry(line, DirectoryEntry::Shared(sharers));
-            }
-            DirectoryEntry::Owned { owner } if owner == tile => {
+            DirectoryEntry::Owned { owner } if *owner == tile => {
                 // Re-request by the owner (e.g. refilling an L1 from its own
                 // L2 path); ownership is retained.
                 out.fill_state = MesiState::Exclusive;
                 self.counters.redundant_reads += 1;
             }
-            DirectoryEntry::Owned { owner } => {
-                // Downgrade the owner; its dirty data (if any) is written
-                // back into the L3, and both tiles end up sharers.
-                self.counters.owner_downgrades += 1;
-                out.downgrade_owner = Some(owner);
-                out.owner_writeback = true;
-                out.fill_state = MesiState::Shared;
-                out.message_count += 2; // forwarded downgrade + ack
-                let sharers: SharerSet = [owner, tile].into_iter().collect();
-                dir.set_entry(line, DirectoryEntry::Shared(sharers));
-            }
-            DirectoryEntry::OwnedShared { .. } => {
-                unreachable!("MESI never creates OwnedShared entries")
-            }
-        }
-        debug_assert!(dir.check_invariants(line));
-        out
-    }
-
-    fn write(&mut self, dir: &mut Directory, line: LineAddr, tile: usize) -> AccessOutcome {
-        self.counters.writes += 1;
-        // Request to the home node plus the data reply.
-        let mut out = AccessOutcome {
-            fill_state: MesiState::Modified,
-            fills_requester: true,
-            invalidate: SharerSet::empty(),
-            downgrade_owner: None,
-            owner_writeback: false,
-            update: SharerSet::empty(),
-            message_count: 2,
-        };
-        match dir.entry(line) {
-            DirectoryEntry::Uncached => {}
-            DirectoryEntry::Shared(sharers) => {
-                let targets = sharers.without(tile);
-                self.counters.invalidations_sent += targets.len() as u64;
-                out.message_count += 2 * targets.len() as u64; // inval + ack each
-                out.invalidate = targets;
-            }
-            DirectoryEntry::Owned { owner } if owner == tile => {
-                // Upgrade in place; no remote work.
-                self.counters.silent_upgrades += 1;
-            }
-            DirectoryEntry::Owned { owner } => {
-                self.counters.owner_transfers += 1;
-                out.downgrade_owner = Some(owner);
-                out.owner_writeback = true;
-                out.invalidate = SharerSet::single(owner);
-                out.message_count += 2; // forwarded invalidation + ack
-            }
-            DirectoryEntry::OwnedShared { .. } => {
-                unreachable!("MESI never creates OwnedShared entries")
-            }
-        }
-        dir.set_entry(line, DirectoryEntry::Owned { owner: tile });
-        debug_assert!(dir.check_invariants(line));
-        out
-    }
-
-    fn evict(
-        &mut self,
-        dir: &mut Directory,
-        line: LineAddr,
-        tile: usize,
-        dirty: bool,
-    ) -> AccessOutcome {
-        let mut out = AccessOutcome::eviction();
-        out.message_count = 1; // the PutS/PutM notification
-        if dirty {
-            self.counters.dirty_evictions_absorbed += 1;
-            out.owner_writeback = true;
-        } else {
-            self.counters.clean_evictions += 1;
-        }
-        dir.remove_holder(line, tile);
-        debug_assert!(dir.check_invariants(line));
-        out
-    }
-
-    /// Invalidates a line everywhere on behalf of the L3 (used when the L3
-    /// line itself is evicted or decays): returns the tiles that held it and
-    /// whether a dirty copy existed on chip, and forgets the entry.
-    pub fn invalidate_all(&mut self, dir: &mut Directory, line: LineAddr) -> (SharerSet, bool) {
-        let entry = dir.entry(line);
-        let holders = entry.holders();
-        let had_dirty = entry.is_owned();
-        self.counters.inclusive_invalidations += holders.len() as u64;
-        dir.forget(line);
-        (holders, had_dirty)
-    }
-}
-
-/// The directory-side Dragon (update-based) protocol engine.
-///
-/// Dragon keeps writes visible instead of exclusive: a write to a line
-/// other tiles hold broadcasts the written word to them (they stay valid,
-/// clean sharers) and leaves the writer in [`MesiState::SharedModified`],
-/// responsible for the eventual write-back. Reads of an owned line are
-/// served cache-to-cache without forcing the owner's dirty data into the
-/// L3. The request surface, outcome shape and statistics match
-/// [`DirectoryProtocol`], so the simulator drives both through one code
-/// path.
-#[derive(Debug, Clone)]
-pub struct DragonProtocol {
-    num_tiles: usize,
-    counters: ProtocolCounters,
-}
-
-impl DragonProtocol {
-    /// Creates a Dragon engine for `num_tiles` tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tiles` is zero or greater than 64.
-    #[must_use]
-    pub fn new(num_tiles: usize) -> Self {
-        assert!(
-            num_tiles > 0 && num_tiles <= 64,
-            "protocol supports 1..=64 tiles"
-        );
-        DragonProtocol {
-            num_tiles,
-            counters: ProtocolCounters::default(),
-        }
-    }
-
-    /// Protocol statistics; same shape as [`DirectoryProtocol::stats`],
-    /// plus `updates_sent` once updates have been broadcast.
-    #[must_use]
-    pub fn stats(&self) -> StatRegistry {
-        self.counters.stats()
-    }
-
-    /// Resolves `request` from `tile` for `line` against `dir`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn access(
-        &mut self,
-        dir: &mut Directory,
-        line: LineAddr,
-        tile: usize,
-        request: CoreRequest,
-    ) -> AccessOutcome {
-        assert!(tile < self.num_tiles, "tile {tile} out of range");
-        let out = match request {
-            CoreRequest::Read => self.read(dir, line, tile),
-            CoreRequest::Write => self.write(dir, line, tile),
-            CoreRequest::EvictClean => self.evict(dir, line, tile, false),
-            CoreRequest::EvictDirty => self.evict(dir, line, tile, true),
-        };
-        self.counters.messages += out.message_count;
-        out
-    }
-
-    fn read(&mut self, dir: &mut Directory, line: LineAddr, tile: usize) -> AccessOutcome {
-        self.counters.reads += 1;
-        // Request to the home node plus the data reply.
-        let mut out = AccessOutcome {
-            fill_state: MesiState::Shared,
-            fills_requester: true,
-            invalidate: SharerSet::empty(),
-            downgrade_owner: None,
-            owner_writeback: false,
-            update: SharerSet::empty(),
-            message_count: 2,
-        };
-        match dir.entry(line) {
-            DirectoryEntry::Uncached => {
-                out.fill_state = MesiState::Exclusive;
-                dir.set_entry(line, DirectoryEntry::Owned { owner: tile });
-            }
-            DirectoryEntry::Shared(mut sharers) => {
-                if sharers.contains(tile) {
-                    self.counters.redundant_reads += 1;
-                } else {
-                    sharers.insert(tile);
-                }
-                dir.set_entry(line, DirectoryEntry::Shared(sharers));
-            }
-            DirectoryEntry::Owned { owner } if owner == tile => {
-                out.fill_state = MesiState::Exclusive;
-                self.counters.redundant_reads += 1;
-            }
-            DirectoryEntry::Owned { owner } => {
-                // Dragon: the owner supplies the data cache-to-cache and
-                // keeps its dirty copy in Sm — no write-back into the L3
-                // (owner_writeback stays false).
-                self.counters.owner_downgrades += 1;
-                out.downgrade_owner = Some(owner);
-                out.message_count += 2; // forwarded request + data reply
-                dir.set_entry(
-                    line,
-                    DirectoryEntry::OwnedShared {
-                        owner,
-                        sharers: SharerSet::single(tile),
-                    },
-                );
-            }
-            DirectoryEntry::OwnedShared { owner, sharers: _ } if owner == tile => {
+            DirectoryEntry::OwnedShared { owner, .. } if *owner == tile => {
                 // The Sm owner re-reads (e.g. refilling after a policy
                 // invalidation of its private copy); it keeps write-back
                 // responsibility.
                 out.fill_state = MesiState::SharedModified;
                 self.counters.redundant_reads += 1;
             }
-            DirectoryEntry::OwnedShared { owner, mut sharers } => {
-                if sharers.contains(tile) {
-                    self.counters.redundant_reads += 1;
-                } else {
-                    // A new reader joins; the Sm owner forwards the data.
-                    sharers.insert(tile);
-                    out.message_count += 2; // forwarded request + data reply
-                    dir.set_entry(line, DirectoryEntry::OwnedShared { owner, sharers });
-                }
+            DirectoryEntry::Shared(sharers) | DirectoryEntry::OwnedShared { sharers, .. }
+                if sharers.contains(tile) =>
+            {
+                // The directory already thinks we have it (e.g. an IL1/DL1
+                // refill within the same tile); the entry stays as it is.
+                self.counters.redundant_reads += 1;
             }
-        }
-        debug_assert!(dir.check_invariants(line));
-        out
-    }
-
-    fn write(&mut self, dir: &mut Directory, line: LineAddr, tile: usize) -> AccessOutcome {
-        self.counters.writes += 1;
-        // Request to the home node plus the data reply.
-        let mut out = AccessOutcome {
-            fill_state: MesiState::Modified,
-            fills_requester: true,
-            invalidate: SharerSet::empty(),
-            downgrade_owner: None,
-            owner_writeback: false,
-            update: SharerSet::empty(),
-            message_count: 2,
-        };
-        match dir.entry(line) {
-            DirectoryEntry::Uncached => {
-                dir.set_entry(line, DirectoryEntry::Owned { owner: tile });
-            }
-            DirectoryEntry::Shared(sharers) => {
-                let targets = sharers.without(tile);
-                if targets.is_empty() {
-                    // Sole sharer: the write promotes to a private M copy.
-                    dir.set_entry(line, DirectoryEntry::Owned { owner: tile });
-                } else {
-                    // Broadcast the written word; every other sharer stays
-                    // a valid clean replica and the writer becomes the Sm
-                    // owner.
-                    self.counters.updates_sent += targets.len() as u64;
-                    out.message_count += 2 * targets.len() as u64; // update + ack each
-                    out.update = targets;
-                    out.fill_state = MesiState::SharedModified;
-                    dir.set_entry(
-                        line,
-                        DirectoryEntry::OwnedShared {
-                            owner: tile,
-                            sharers: targets,
-                        },
-                    );
-                }
-            }
-            DirectoryEntry::Owned { owner } if owner == tile => {
-                self.counters.silent_upgrades += 1;
+            DirectoryEntry::Shared(sharers) => sharers.insert(tile),
+            DirectoryEntry::OwnedShared { sharers, .. } => {
+                // A new reader joins; the Sm owner forwards the data.
+                sharers.insert(tile);
+                out.message_count += 2; // forwarded request + data reply
             }
             DirectoryEntry::Owned { owner } => {
-                // Ownership transfers: the old owner's copy is brought up
-                // to date (its dirty words migrate to the writer cache-to-
-                // cache) and it stays as a clean sharer.
-                self.counters.owner_transfers += 1;
-                self.counters.updates_sent += 1;
-                out.update = SharerSet::single(owner);
-                out.fill_state = MesiState::SharedModified;
-                out.message_count += 2; // forwarded update + ack
-                dir.set_entry(
-                    line,
-                    DirectoryEntry::OwnedShared {
-                        owner: tile,
-                        sharers: SharerSet::single(owner),
+                let owner = *owner;
+                self.counters.owner_downgrades += 1;
+                out.downgrade_owner = Some(owner);
+                out.message_count += 2; // forwarded downgrade + reply
+                *entry = match self.protocol {
+                    CoherenceProtocol::Mesi => {
+                        // The owner's dirty data (if any) is written back
+                        // into the L3, and both tiles end up sharers.
+                        out.owner_writeback = true;
+                        DirectoryEntry::Shared([owner, tile].into_iter().collect())
+                    }
+                    // The owner supplies the data cache-to-cache and keeps
+                    // its dirty copy in Sm — no write-back into the L3.
+                    CoherenceProtocol::Dragon => DirectoryEntry::OwnedShared {
+                        owner,
+                        sharers: SharerSet::single(tile),
                     },
-                );
-            }
-            DirectoryEntry::OwnedShared { owner, sharers } if owner == tile => {
-                // The Sm owner writes again: update every replica, keep
-                // the entry as is.
-                self.counters.updates_sent += sharers.len() as u64;
-                out.message_count += 2 * sharers.len() as u64;
-                out.update = sharers;
-                out.fill_state = MesiState::SharedModified;
-            }
-            DirectoryEntry::OwnedShared { owner, sharers } => {
-                // A replica (or a newcomer) writes: it takes over as Sm
-                // owner; the old owner and every other replica receive the
-                // update and become clean sharers.
-                let mut targets = sharers.without(tile);
-                targets.insert(owner);
-                self.counters.owner_transfers += 1;
-                self.counters.updates_sent += targets.len() as u64;
-                out.update = targets;
-                out.fill_state = MesiState::SharedModified;
-                out.message_count += 2 * targets.len() as u64;
-                dir.set_entry(
-                    line,
-                    DirectoryEntry::OwnedShared {
-                        owner: tile,
-                        sharers: targets,
-                    },
-                );
+                };
             }
         }
-        debug_assert!(dir.check_invariants(line));
         out
     }
 
-    fn evict(
-        &mut self,
-        dir: &mut Directory,
-        line: LineAddr,
-        tile: usize,
-        dirty: bool,
-    ) -> AccessOutcome {
-        let mut out = AccessOutcome::eviction();
-        out.message_count = 1; // the PutS/PutM notification
+    fn write(&mut self, entry: &mut DirectoryEntry, tile: usize) -> AccessOutcome {
+        self.counters.writes += 1;
+        // Every other holder must see the write: MESI invalidates its copy,
+        // Dragon sends it the written word. Each costs a message and an ack,
+        // on top of the request to the home node and the data reply.
+        let others = entry.holders().without(tile);
+        let mut out = AccessOutcome::new(MesiState::Modified, 2 + 2 * others.len() as u64);
+        match *entry {
+            // Upgrade in place; no remote work.
+            DirectoryEntry::Owned { owner } if owner == tile => self.counters.silent_upgrades += 1,
+            DirectoryEntry::Owned { owner } | DirectoryEntry::OwnedShared { owner, .. }
+                if owner != tile =>
+            {
+                self.counters.owner_transfers += 1;
+            }
+            _ => {}
+        }
+        match self.protocol {
+            CoherenceProtocol::Mesi => {
+                match *entry {
+                    DirectoryEntry::Shared(_) => {
+                        self.counters.invalidations_sent += others.len() as u64;
+                    }
+                    DirectoryEntry::Owned { owner } if owner != tile => {
+                        // The owner's dirty data is written back as its
+                        // copy is invalidated.
+                        out.downgrade_owner = Some(owner);
+                        out.owner_writeback = true;
+                    }
+                    _ => {}
+                }
+                out.invalidate = others;
+                *entry = DirectoryEntry::Owned { owner: tile };
+            }
+            CoherenceProtocol::Dragon => {
+                // Every other holder stays a valid clean replica (a previous
+                // owner's dirty words migrate to the writer cache-to-cache),
+                // and the writer becomes the Sm owner. A writer no one else
+                // holds the line for gets a private M copy.
+                self.counters.updates_sent += others.len() as u64;
+                out.update = others;
+                *entry = if others.is_empty() {
+                    DirectoryEntry::Owned { owner: tile }
+                } else {
+                    out.fill_state = MesiState::SharedModified;
+                    DirectoryEntry::OwnedShared {
+                        owner: tile,
+                        sharers: others,
+                    }
+                };
+            }
+        }
+        out
+    }
+
+    fn evict(&mut self, entry: &mut DirectoryEntry, tile: usize, dirty: bool) -> AccessOutcome {
         if dirty {
             self.counters.dirty_evictions_absorbed += 1;
-            out.owner_writeback = true;
         } else {
             self.counters.clean_evictions += 1;
         }
-        dir.remove_holder(line, tile);
-        debug_assert!(dir.check_invariants(line));
+        entry.remove_holder(tile);
+        // The PutS/PutM notification.
+        let mut out = AccessOutcome::new(MesiState::Invalid, 1);
+        out.owner_writeback = dirty;
         out
     }
 
-    /// See [`DirectoryProtocol::invalidate_all`].
-    pub fn invalidate_all(&mut self, dir: &mut Directory, line: LineAddr) -> (SharerSet, bool) {
-        let entry = dir.entry(line);
-        let holders = entry.holders();
-        let had_dirty = entry.is_owned();
+    /// Invalidates a line everywhere on behalf of the L3 (used when the L3
+    /// line itself is evicted or decays): forgets its entry and returns the
+    /// tiles that held it.
+    pub fn invalidate_all(&mut self, dir: &mut Directory, line: LineAddr) -> SharerSet {
+        let holders = dir.forget(line).holders();
         self.counters.inclusive_invalidations += holders.len() as u64;
-        dir.forget(line);
-        (holders, had_dirty)
-    }
-}
-
-/// The protocol engine a [`CoherenceProtocol`] axis value selects — one
-/// enum so the simulator stores and drives either protocol through a
-/// single field with no dynamic dispatch.
-#[derive(Debug, Clone)]
-pub enum CoherenceEngine {
-    /// Invalidation-based directory MESI.
-    Mesi(DirectoryProtocol),
-    /// Update-based Dragon.
-    Dragon(DragonProtocol),
-}
-
-impl CoherenceEngine {
-    /// Creates the engine `protocol` names for `num_tiles` tiles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_tiles` is zero or greater than 64.
-    #[must_use]
-    pub fn new(protocol: CoherenceProtocol, num_tiles: usize) -> Self {
-        match protocol {
-            CoherenceProtocol::Mesi => CoherenceEngine::Mesi(DirectoryProtocol::new(num_tiles)),
-            CoherenceProtocol::Dragon => CoherenceEngine::Dragon(DragonProtocol::new(num_tiles)),
-        }
-    }
-
-    /// Which protocol this engine runs.
-    #[must_use]
-    pub fn protocol(&self) -> CoherenceProtocol {
-        match self {
-            CoherenceEngine::Mesi(_) => CoherenceProtocol::Mesi,
-            CoherenceEngine::Dragon(_) => CoherenceProtocol::Dragon,
-        }
-    }
-
-    /// Resolves `request`; see [`DirectoryProtocol::access`].
-    pub fn access(
-        &mut self,
-        dir: &mut Directory,
-        line: LineAddr,
-        tile: usize,
-        request: CoreRequest,
-    ) -> AccessOutcome {
-        match self {
-            CoherenceEngine::Mesi(p) => p.access(dir, line, tile, request),
-            CoherenceEngine::Dragon(p) => p.access(dir, line, tile, request),
-        }
-    }
-
-    /// See [`DirectoryProtocol::invalidate_all`].
-    pub fn invalidate_all(&mut self, dir: &mut Directory, line: LineAddr) -> (SharerSet, bool) {
-        match self {
-            CoherenceEngine::Mesi(p) => p.invalidate_all(dir, line),
-            CoherenceEngine::Dragon(p) => p.invalidate_all(dir, line),
-        }
-    }
-
-    /// Protocol statistics; see [`DirectoryProtocol::stats`].
-    #[must_use]
-    pub fn stats(&self) -> StatRegistry {
-        match self {
-            CoherenceEngine::Mesi(p) => p.stats(),
-            CoherenceEngine::Dragon(p) => p.stats(),
-        }
+        holders
     }
 }
 
@@ -696,79 +408,85 @@ impl CoherenceEngine {
 mod tests {
     use super::*;
 
-    fn setup() -> (Directory, DirectoryProtocol, LineAddr) {
+    fn mesi() -> (CoherenceEngine, DirectoryEntry) {
         (
-            Directory::new(16),
-            DirectoryProtocol::new(16),
-            LineAddr::new(0x40),
+            CoherenceEngine::new(CoherenceProtocol::Mesi, 16),
+            DirectoryEntry::Uncached,
+        )
+    }
+
+    fn dragon() -> (CoherenceEngine, DirectoryEntry) {
+        (
+            CoherenceEngine::new(CoherenceProtocol::Dragon, 16),
+            DirectoryEntry::Uncached,
         )
     }
 
     #[test]
     fn first_read_grants_exclusive() {
-        let (mut dir, mut p, line) = setup();
-        let out = p.access(&mut dir, line, 0, CoreRequest::Read);
+        let (mut p, mut e) = mesi();
+        let out = p.resolve(&mut e, 0, CoreRequest::Read);
         assert_eq!(out.fill_state, MesiState::Exclusive);
-        assert!(out.fills_requester);
+        assert_eq!(out.message_count, 2);
         assert!(out.invalidate.is_empty());
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 0 });
+        assert_eq!(e, DirectoryEntry::Owned { owner: 0 });
     }
 
     #[test]
     fn second_read_downgrades_owner_to_shared() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        let out = p.access(&mut dir, line, 1, CoreRequest::Read);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        let out = p.resolve(&mut e, 1, CoreRequest::Read);
         assert_eq!(out.fill_state, MesiState::Shared);
         assert_eq!(out.downgrade_owner, Some(0));
         assert!(out.owner_writeback);
-        let holders = dir.entry(line).holders();
+        let holders = e.holders();
         assert!(holders.contains(0) && holders.contains(1));
-        assert!(!dir.entry(line).is_owned());
+        assert!(!e.is_owned());
     }
 
     #[test]
     fn write_invalidates_all_sharers() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 2, CoreRequest::Read);
-        let out = p.access(&mut dir, line, 3, CoreRequest::Write);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 2, CoreRequest::Read);
+        let out = p.resolve(&mut e, 3, CoreRequest::Write);
         assert_eq!(out.fill_state, MesiState::Modified);
         let inv: Vec<usize> = out.invalidate.iter().collect();
         assert_eq!(inv, vec![0, 1, 2]);
         assert_eq!(out.message_count, 2 + 2 * 3);
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 3 });
+        assert_eq!(e, DirectoryEntry::Owned { owner: 3 });
         assert_eq!(p.stats().get("invalidations_sent"), 3);
     }
 
     #[test]
     fn write_by_sharer_does_not_invalidate_itself() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        let out = p.access(&mut dir, line, 0, CoreRequest::Write);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        let out = p.resolve(&mut e, 0, CoreRequest::Write);
         assert_eq!(out.invalidate, SharerSet::single(1));
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 0 });
+        assert_eq!(e, DirectoryEntry::Owned { owner: 0 });
     }
 
     #[test]
     fn write_steals_ownership_with_writeback() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 0, CoreRequest::Write);
-        let out = p.access(&mut dir, line, 1, CoreRequest::Write);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Write);
+        let out = p.resolve(&mut e, 1, CoreRequest::Write);
         assert_eq!(out.downgrade_owner, Some(0));
         assert!(out.owner_writeback);
         assert_eq!(out.invalidate, SharerSet::single(0));
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 1 });
+        assert_eq!(e, DirectoryEntry::Owned { owner: 1 });
         assert_eq!(p.stats().get("owner_transfers"), 1);
     }
 
     #[test]
     fn owner_rewrite_is_silent_upgrade() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 5, CoreRequest::Write);
-        let out = p.access(&mut dir, line, 5, CoreRequest::Write);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 5, CoreRequest::Write);
+        let out = p.resolve(&mut e, 5, CoreRequest::Write);
         assert!(out.invalidate.is_empty());
         assert_eq!(out.downgrade_owner, None);
         assert_eq!(p.stats().get("silent_upgrades"), 1);
@@ -776,52 +494,63 @@ mod tests {
 
     #[test]
     fn evictions_update_directory() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 0, CoreRequest::EvictClean);
-        assert_eq!(
-            dir.entry(line),
-            DirectoryEntry::Shared(SharerSet::single(1))
-        );
-        p.access(&mut dir, line, 1, CoreRequest::EvictClean);
-        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 0, CoreRequest::EvictClean);
+        assert_eq!(e, DirectoryEntry::Shared(SharerSet::single(1)));
+        p.resolve(&mut e, 1, CoreRequest::EvictClean);
+        assert_eq!(e, DirectoryEntry::Uncached);
     }
 
     #[test]
     fn dirty_eviction_reports_writeback() {
-        let (mut dir, mut p, line) = setup();
-        p.access(&mut dir, line, 4, CoreRequest::Write);
-        let out = p.access(&mut dir, line, 4, CoreRequest::EvictDirty);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 4, CoreRequest::Write);
+        let out = p.resolve(&mut e, 4, CoreRequest::EvictDirty);
         assert!(out.owner_writeback);
-        assert!(!out.fills_requester);
-        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
+        assert_eq!(out.fill_state, MesiState::Invalid);
+        assert_eq!(out.message_count, 1);
+        assert_eq!(e, DirectoryEntry::Uncached);
     }
 
     #[test]
     fn invalidate_all_clears_holders() {
-        let (mut dir, mut p, line) = setup();
+        let mut dir = Directory::new(16);
+        let (mut p, _) = mesi();
+        let line = LineAddr::new(0x40);
         p.access(&mut dir, line, 0, CoreRequest::Read);
         p.access(&mut dir, line, 1, CoreRequest::Read);
-        let (holders, dirty) = p.invalidate_all(&mut dir, line);
+        assert!(!dir.entry(line).is_owned());
+        let holders = p.invalidate_all(&mut dir, line);
         assert_eq!(holders.iter().collect::<Vec<_>>(), vec![0, 1]);
-        assert!(!dirty);
         assert_eq!(p.stats().get("inclusive_invalidations"), 2);
         assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
 
-        // Owned case reports dirty.
+        // An owned (possibly dirty) line has exactly its owner to invalidate.
         p.access(&mut dir, line, 7, CoreRequest::Write);
-        let (holders, dirty) = p.invalidate_all(&mut dir, line);
-        assert_eq!(holders, SharerSet::single(7));
-        assert!(dirty);
+        assert!(dir.entry(line).is_owned());
+        assert_eq!(p.invalidate_all(&mut dir, line), SharerSet::single(7));
+        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
     }
 
     #[test]
     fn single_writer_invariant_over_random_traffic() {
+        random_traffic_keeps_invariants(CoherenceProtocol::Mesi, 2024);
+    }
+
+    #[test]
+    fn dragon_invariants_over_random_traffic() {
+        random_traffic_keeps_invariants(CoherenceProtocol::Dragon, 4096);
+    }
+
+    /// Drives 5000 random requests over 8 lines and 16 tiles, checking every
+    /// entry after each one, plus the protocol's own guarantees.
+    fn random_traffic_keeps_invariants(protocol: CoherenceProtocol, seed: u64) {
         use refrint_engine::rng::DeterministicRng;
         let mut dir = Directory::new(16);
-        let mut p = DirectoryProtocol::new(16);
-        let mut rng = DeterministicRng::from_seed(2024);
+        let mut p = CoherenceEngine::new(protocol, 16);
+        let mut rng = DeterministicRng::from_seed(seed);
         let lines: Vec<LineAddr> = (0..8).map(LineAddr::new).collect();
         for _ in 0..5000 {
             let line = lines[rng.below(8) as usize];
@@ -832,16 +561,25 @@ mod tests {
                 2 => CoreRequest::EvictClean,
                 _ => CoreRequest::EvictDirty,
             };
-            // Evictions of lines we do not hold are fine for the directory —
-            // remove_holder is idempotent.
-            let _ = p.access(&mut dir, line, tile, req);
+            // Evictions of lines a tile does not hold are fine for the
+            // directory — remove_holder is idempotent.
+            let out = p.access(&mut dir, line, tile, req);
+            if protocol == CoherenceProtocol::Dragon {
+                // Dragon resolves writes with updates, never invalidations.
+                assert!(out.invalidate.is_empty());
+            }
             for &l in &lines {
-                assert!(dir.check_invariants(l));
-                // Single-writer: an owned line has exactly one holder.
-                if dir.entry(l).is_owned() {
-                    assert_eq!(dir.entry(l).holders().len(), 1);
+                let entry = dir.entry(l);
+                assert!(entry.check_invariants(16));
+                // MESI is single-writer: an owned line has exactly one
+                // holder.
+                if protocol == CoherenceProtocol::Mesi && entry.is_owned() {
+                    assert_eq!(entry.holders().len(), 1);
                 }
             }
+        }
+        if protocol == CoherenceProtocol::Dragon {
+            assert_eq!(p.stats().get("invalidations_sent"), 0);
         }
     }
 
@@ -857,21 +595,13 @@ mod tests {
         assert!("moesi".parse::<CoherenceProtocol>().is_err());
     }
 
-    fn dragon_setup() -> (Directory, DragonProtocol, LineAddr) {
-        (
-            Directory::new(16),
-            DragonProtocol::new(16),
-            LineAddr::new(0x40),
-        )
-    }
-
     #[test]
     fn dragon_write_to_shared_updates_instead_of_invalidating() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 2, CoreRequest::Read);
-        let out = p.access(&mut dir, line, 3, CoreRequest::Write);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 2, CoreRequest::Read);
+        let out = p.resolve(&mut e, 3, CoreRequest::Write);
         assert!(
             out.invalidate.is_empty(),
             "Dragon never invalidates on write"
@@ -880,7 +610,7 @@ mod tests {
         assert_eq!(out.fill_state, MesiState::SharedModified);
         assert_eq!(out.message_count, 2 + 2 * 3);
         assert_eq!(
-            dir.entry(line),
+            e,
             DirectoryEntry::OwnedShared {
                 owner: 3,
                 sharers: [0, 1, 2].into_iter().collect(),
@@ -892,21 +622,21 @@ mod tests {
 
     #[test]
     fn dragon_sole_sharer_write_promotes_to_modified() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::EvictClean);
-        let out = p.access(&mut dir, line, 0, CoreRequest::Write);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::EvictClean);
+        let out = p.resolve(&mut e, 0, CoreRequest::Write);
         assert_eq!(out.fill_state, MesiState::Modified);
         assert!(out.update.is_empty());
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 0 });
+        assert_eq!(e, DirectoryEntry::Owned { owner: 0 });
     }
 
     #[test]
     fn dragon_read_of_owned_keeps_dirty_in_owner() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Write);
-        let out = p.access(&mut dir, line, 1, CoreRequest::Read);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Write);
+        let out = p.resolve(&mut e, 1, CoreRequest::Read);
         assert_eq!(out.downgrade_owner, Some(0));
         assert!(
             !out.owner_writeback,
@@ -915,29 +645,29 @@ mod tests {
         assert_eq!(out.fill_state, MesiState::Shared);
         assert_eq!(out.message_count, 2 + 2);
         assert_eq!(
-            dir.entry(line),
+            e,
             DirectoryEntry::OwnedShared {
                 owner: 0,
                 sharers: SharerSet::single(1),
             }
         );
         // A third reader is served by the Sm owner without another downgrade.
-        let out = p.access(&mut dir, line, 2, CoreRequest::Read);
+        let out = p.resolve(&mut e, 2, CoreRequest::Read);
         assert_eq!(out.downgrade_owner, None);
         assert_eq!(out.message_count, 2 + 2);
-        assert_eq!(dir.entry(line).holders().len(), 3);
+        assert_eq!(e.holders().len(), 3);
     }
 
     #[test]
     fn dragon_write_steals_ownership_via_update() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Write);
-        let out = p.access(&mut dir, line, 1, CoreRequest::Write);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Write);
+        let out = p.resolve(&mut e, 1, CoreRequest::Write);
         assert!(out.invalidate.is_empty());
         assert_eq!(out.update, SharerSet::single(0));
         assert_eq!(out.fill_state, MesiState::SharedModified);
         assert_eq!(
-            dir.entry(line),
+            e,
             DirectoryEntry::OwnedShared {
                 owner: 1,
                 sharers: SharerSet::single(0),
@@ -949,21 +679,21 @@ mod tests {
 
     #[test]
     fn dragon_sm_owner_rewrites_keep_broadcasting() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 0, CoreRequest::Write); // 0 becomes Sm owner
-        let out = p.access(&mut dir, line, 0, CoreRequest::Write);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 0, CoreRequest::Write); // 0 becomes Sm owner
+        let out = p.resolve(&mut e, 0, CoreRequest::Write);
         assert_eq!(out.update, SharerSet::single(1));
         assert_eq!(out.fill_state, MesiState::SharedModified);
         assert_eq!(p.stats().get("updates_sent"), 2);
         assert_eq!(p.stats().get("silent_upgrades"), 0);
         // A sharer writing takes over ownership; the old owner joins the
         // update targets.
-        let out = p.access(&mut dir, line, 1, CoreRequest::Write);
+        let out = p.resolve(&mut e, 1, CoreRequest::Write);
         assert_eq!(out.update, SharerSet::single(0));
         assert_eq!(
-            dir.entry(line),
+            e,
             DirectoryEntry::OwnedShared {
                 owner: 1,
                 sharers: SharerSet::single(0),
@@ -974,79 +704,64 @@ mod tests {
 
     #[test]
     fn dragon_owner_eviction_leaves_sharers() {
-        let (mut dir, mut p, line) = dragon_setup();
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 0, CoreRequest::Write);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 0, CoreRequest::Write);
         // The Sm owner evicts its dirty copy: the write-back is real, the
         // remaining replica becomes a plain sharer.
-        let out = p.access(&mut dir, line, 0, CoreRequest::EvictDirty);
+        let out = p.resolve(&mut e, 0, CoreRequest::EvictDirty);
         assert!(out.owner_writeback);
-        assert_eq!(
-            dir.entry(line),
-            DirectoryEntry::Shared(SharerSet::single(1))
-        );
+        assert_eq!(e, DirectoryEntry::Shared(SharerSet::single(1)));
         // And a sharer evicting under an Sm owner collapses back to Owned.
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 0, CoreRequest::Write);
-        p.access(&mut dir, line, 1, CoreRequest::EvictClean);
-        assert_eq!(dir.entry(line), DirectoryEntry::Owned { owner: 0 });
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 0, CoreRequest::Write);
+        p.resolve(&mut e, 1, CoreRequest::EvictClean);
+        assert_eq!(e, DirectoryEntry::Owned { owner: 0 });
     }
 
     #[test]
     fn dragon_invalidate_all_reports_sm_dirty() {
-        let (mut dir, mut p, line) = dragon_setup();
+        let mut dir = Directory::new(16);
+        let (mut p, _) = dragon();
+        let line = LineAddr::new(0x40);
         p.access(&mut dir, line, 0, CoreRequest::Read);
         p.access(&mut dir, line, 1, CoreRequest::Read);
         p.access(&mut dir, line, 0, CoreRequest::Write);
-        let (holders, dirty) = p.invalidate_all(&mut dir, line);
+        assert!(
+            dir.entry(line).is_owned(),
+            "the Sm owner held the only up-to-date copy"
+        );
+        let holders = p.invalidate_all(&mut dir, line);
         assert_eq!(holders.iter().collect::<Vec<_>>(), vec![0, 1]);
-        assert!(dirty, "the Sm owner held the only up-to-date copy");
         assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
     }
 
     #[test]
-    fn dragon_invariants_over_random_traffic() {
-        use refrint_engine::rng::DeterministicRng;
-        let mut dir = Directory::new(16);
-        let mut p = DragonProtocol::new(16);
-        let mut rng = DeterministicRng::from_seed(4096);
-        let lines: Vec<LineAddr> = (0..8).map(LineAddr::new).collect();
-        for _ in 0..5000 {
-            let line = lines[rng.below(8) as usize];
-            let tile = rng.below(16) as usize;
-            let req = match rng.below(4) {
-                0 => CoreRequest::Read,
-                1 => CoreRequest::Write,
-                2 => CoreRequest::EvictClean,
-                _ => CoreRequest::EvictDirty,
-            };
-            let out = p.access(&mut dir, line, tile, req);
-            // Dragon resolves writes with updates, never invalidations.
-            assert!(out.invalidate.is_empty());
-            for &l in &lines {
-                assert!(dir.check_invariants(l));
+    fn engine_dispatches_by_protocol() {
+        // The same requests: Dragon updates the other holders, MESI
+        // invalidates them.
+        for (protocol, fill_state) in [
+            (CoherenceProtocol::Dragon, MesiState::SharedModified),
+            (CoherenceProtocol::Mesi, MesiState::Modified),
+        ] {
+            let mut dir = Directory::new(4);
+            let mut engine = CoherenceEngine::new(protocol, 4);
+            let line = LineAddr::new(0x9);
+            engine.access(&mut dir, line, 0, CoreRequest::Read);
+            engine.access(&mut dir, line, 1, CoreRequest::Read);
+            let out = engine.access(&mut dir, line, 2, CoreRequest::Write);
+            assert_eq!(out.fill_state, fill_state);
+            let others: SharerSet = [0, 1].into_iter().collect();
+            if protocol == CoherenceProtocol::Dragon {
+                assert_eq!(out.update, others);
+                assert_eq!(engine.stats().get("updates_sent"), 2);
+                assert_eq!(engine.invalidate_all(&mut dir, line).len(), 3);
+            } else {
+                assert_eq!(out.invalidate, others);
+                assert_eq!(engine.stats().get("updates_sent"), 0);
+                assert_eq!(engine.invalidate_all(&mut dir, line).len(), 1);
             }
         }
-        assert_eq!(p.stats().get("invalidations_sent"), 0);
-    }
-
-    #[test]
-    fn engine_dispatches_by_protocol() {
-        let mut dir = Directory::new(4);
-        let mut engine = CoherenceEngine::new(CoherenceProtocol::Dragon, 4);
-        assert_eq!(engine.protocol(), CoherenceProtocol::Dragon);
-        let line = LineAddr::new(0x9);
-        engine.access(&mut dir, line, 0, CoreRequest::Read);
-        engine.access(&mut dir, line, 1, CoreRequest::Read);
-        let out = engine.access(&mut dir, line, 2, CoreRequest::Write);
-        assert_eq!(out.fill_state, MesiState::SharedModified);
-        assert_eq!(engine.stats().get("updates_sent"), 2);
-        let (holders, dirty) = engine.invalidate_all(&mut dir, line);
-        assert_eq!(holders.len(), 3);
-        assert!(dirty);
-
-        let mesi = CoherenceEngine::new(CoherenceProtocol::Mesi, 4);
-        assert_eq!(mesi.protocol(), CoherenceProtocol::Mesi);
     }
 }

@@ -763,24 +763,7 @@ impl CmpSystem {
         }
         let already_gone = s.invalidated_at.is_some();
 
-        let (holders, _had_owner) = self.protocol.invalidate_all(&mut self.dir, line);
-        for holder in holders.iter() {
-            let hops = self.hops(bank, holder);
-            self.counts.noc_flit_hops += u64::from(hops) * self.ctrl_flits * 2;
-            self.tiles[holder].dl1.invalidate(line);
-            if let Some(victim) = self.tiles[holder].l2.invalidate(line) {
-                let sv = self.tiles[holder].l2_refresh.settle(
-                    line_kind(&victim),
-                    victim.meta.last_touch,
-                    now,
-                );
-                self.counts.l2_refreshes += sv.refreshes;
-                if victim.is_dirty() {
-                    self.counts.dram_writes += 1;
-                    self.counts.noc_flit_hops += u64::from(hops) * self.data_flits;
-                }
-            }
-        }
+        self.invalidate_holders(bank, line, now);
         if !already_gone && still_dirty {
             self.counts.dram_writes += 1;
         }
@@ -803,7 +786,15 @@ impl CmpSystem {
             !removed.is_dirty() || self.l3[bank].refresh.model().is_none(),
             "the WB/Dirty policies only invalidate clean lines"
         );
-        let (holders, _had_owner) = self.protocol.invalidate_all(&mut self.dir, line);
+        self.invalidate_holders(bank, line, now);
+    }
+
+    /// Invalidates, through inclusion, every private copy of an L3 line that
+    /// bank `bank` is dropping, and forgets the line's directory entry. Each
+    /// holder costs an invalidation and its ack on the NoC; a dirty L2 copy
+    /// goes to memory, since the L3 backing copy is gone.
+    fn invalidate_holders(&mut self, bank: usize, line: LineAddr, now: Cycle) {
+        let holders = self.protocol.invalidate_all(&mut self.dir, line);
         for holder in holders.iter() {
             let hops = self.hops(bank, holder);
             self.counts.noc_flit_hops += u64::from(hops) * self.ctrl_flits * 2;
@@ -816,8 +807,6 @@ impl CmpSystem {
                 );
                 self.counts.l2_refreshes += sv.refreshes;
                 if victim.is_dirty() {
-                    // The L3 backing copy is being dropped, so the dirty
-                    // private data must go to memory.
                     self.counts.dram_writes += 1;
                     self.counts.noc_flit_hops += u64::from(hops) * self.data_flits;
                 }

@@ -41,12 +41,10 @@
 
 pub mod accounting;
 pub mod breakdown;
-pub mod error;
 pub mod report;
 pub mod tech;
 
 pub use accounting::EnergyCounts;
 pub use breakdown::EnergyBreakdown;
-pub use error::EnergyError;
 pub use report::{NormalizedSeries, StackedBar};
 pub use tech::{CacheEnergyParams, CellTech, TechnologyParams};

@@ -30,14 +30,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod error;
 pub mod event;
 pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use error::EngineError;
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DeterministicRng;
 pub use stats::{Counter, Histogram, StatRegistry};
