@@ -15,7 +15,7 @@ use refrint::experiment::SweepResults;
 use refrint::figures::{self, AppSelection};
 use refrint_bench::{experiment, sweep, Scale};
 use refrint_cli::args::GEN_FIGURES;
-use refrint_cli::parse_apps;
+use refrint_cli::{out, outln, parse_apps};
 use refrint_edram::controller::PeriodicBurstModel;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_edram::schedule::{DecaySchedule, LineKind};
@@ -84,7 +84,7 @@ impl Options {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let p = GEN_FIGURES.parse("", args)?;
     if p.flag("--help") {
-        print!("{}", GEN_FIGURES.usage());
+        out!("{}", GEN_FIGURES.usage());
         std::process::exit(0);
     }
     let mut artefacts = Vec::new();
@@ -107,7 +107,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 
 fn print_series(series: &[NormalizedSeries], csv: bool) {
     for s in series {
-        print!("{}", if csv { s.to_csv() } else { s.to_table() });
+        out!("{}", if csv { s.to_csv() } else { s.to_table() });
     }
 }
 
@@ -119,29 +119,29 @@ fn print_per_selection(
     figure: fn(&SweepResults, AppSelection) -> Vec<NormalizedSeries>,
     csv: bool,
 ) {
-    println!("== {title} ==");
+    outln!("== {title} ==");
     for &selection in selections {
-        println!("-- {} --", selection.label());
+        outln!("-- {} --", selection.label());
         print_series(&figure(results, selection), csv);
     }
-    println!();
+    outln!();
 }
 
 fn print_sweep_artefacts(opts: &Options, results: &SweepResults) {
     if opts.wanted(Artefact::Table6_1) {
-        println!("== Table 6.1: application binning ==");
+        outln!("== Table 6.1: application binning ==");
         for row in figures::table_6_1(results) {
-            println!("{row}");
+            outln!("{row}");
         }
-        println!();
+        outln!();
     }
 
     if opts.wanted(Artefact::Figure6_1) {
-        println!(
+        outln!(
             "== Figure 6.1: L1, L2, L3 & DRAM energy (normalised to full-SRAM memory energy) =="
         );
         print_series(&figures::figure_6_1(results), opts.csv);
-        println!();
+        outln!();
     }
 
     let class1_and_all = [AppSelection::Class(AppClass::Class1), AppSelection::All];
@@ -177,16 +177,20 @@ fn print_sweep_artefacts(opts: &Options, results: &SweepResults) {
     }
 
     if let Some(h) = figures::headline_summary(results, 50) {
-        println!("== Headline (50 us, averaged over all applications) ==");
-        println!(
+        outln!("== Headline (50 us, averaged over all applications) ==");
+        outln!(
             "Periodic All     : memory {:.2}, system {:.2}, slowdown {:.2}",
-            h.baseline_memory_energy, h.baseline_system_energy, h.baseline_slowdown
+            h.baseline_memory_energy,
+            h.baseline_system_energy,
+            h.baseline_slowdown
         );
-        println!(
+        outln!(
             "Refrint WB(32,32): memory {:.2}, system {:.2}, slowdown {:.2}",
-            h.refrint_memory_energy, h.refrint_system_energy, h.refrint_slowdown
+            h.refrint_memory_energy,
+            h.refrint_system_energy,
+            h.refrint_slowdown
         );
-        println!(
+        outln!(
             "(paper: 0.50 / 0.72 / 1.18 for Periodic All; 0.36 / 0.61 / 1.02 for Refrint WB(32,32))"
         );
     }
@@ -195,7 +199,7 @@ fn print_sweep_artefacts(opts: &Options, results: &SweepResults) {
 /// A1: how many refreshes the conservative "all sentry bits fire together"
 /// margin costs an idle clean line, against tighter margins (Section 4.1).
 fn print_ablation_a1() {
-    println!(
+    outln!(
         "== Ablation A1: sentry margin vs refreshes for an idle clean line (WB(32,32), 5 ms) =="
     );
     for margin in [1u64, 1024, 4096, 16 * 1024, 32 * 1024] {
@@ -206,9 +210,11 @@ fn print_ablation_a1() {
             Cycle::ZERO,
         );
         let s = schedule.settle(LineKind::Clean, Cycle::ZERO, Cycle::new(5_000_000));
-        println!(
+        outln!(
             "margin {:>6} cycles -> {} refreshes, invalidated at {:?}",
-            margin, s.refreshes, s.invalidated_at
+            margin,
+            s.refreshes,
+            s.invalidated_at
         );
     }
 }
@@ -217,10 +223,10 @@ fn print_ablation_a1() {
 /// change with the number of refresh groups per bank (Section 3.2's
 /// availability argument for staggering).
 fn print_ablation_a3() {
-    println!("== Ablation A3: periodic refresh groups vs blocked fraction and worst-case stall (16K-line bank) ==");
+    outln!("== Ablation A3: periodic refresh groups vs blocked fraction and worst-case stall (16K-line bank) ==");
     for groups in [1u64, 2, 4, 8, 16, 64] {
         let model = PeriodicBurstModel::new(Cycle::new(50_000), groups, 16 * 1024 / groups);
-        println!(
+        outln!(
             "groups {:>3} -> blocked fraction {:.4}, worst-case stall {} cycles",
             groups,
             model.blocked_fraction(),

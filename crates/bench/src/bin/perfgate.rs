@@ -28,6 +28,7 @@ use std::process::ExitCode;
 use refrint_bench::results::{self, ResultsDoc};
 use refrint_bench::throughput::{self, Effort, Measurement};
 use refrint_cli::args::{Parsed, PERFGATE};
+use refrint_cli::outln;
 use refrint_engine::json::{escape, num};
 
 const DEFAULT_FILE: &str = "BENCH_SIM.json";
@@ -80,7 +81,7 @@ fn record(p: &Parsed) -> Result<(), String> {
         metrics: throughput::run_suite(effort),
     };
     std::fs::write(file, results::render(&doc)).map_err(|e| format!("cannot write {file}: {e}"))?;
-    println!(
+    outln!(
         "recorded {} metrics to {file} (mode: {})",
         doc.metrics.len(),
         doc.mode
@@ -205,7 +206,7 @@ fn check(p: &Parsed) -> Result<(), String> {
     let mut failures = Vec::new();
     let mut verdicts = Vec::new();
     if !json_output {
-        println!(
+        outln!(
             "{:<16} {:>14} {:>14} {:>8}  verdict (tolerance {:.0}%)",
             "metric",
             "baseline r/s",
@@ -231,7 +232,7 @@ fn check(p: &Parsed) -> Result<(), String> {
         let ok_rate = ratio >= 1.0 - tolerance;
         let ok_cycles = !same_mode || cur.execution_cycles == base.execution_cycles;
         if !json_output {
-            println!(
+            outln!(
                 "{:<16} {:>14.0} {:>14.0} {:>+7.1}%  {}",
                 base.name,
                 base.refs_per_sec,
@@ -267,7 +268,7 @@ fn check(p: &Parsed) -> Result<(), String> {
     }
     let rebaseline = rebaseline_command(file, &baseline.mode);
     if json_output {
-        println!(
+        outln!(
             "{}",
             render_verdict_json(&baseline.mode, tolerance, &verdicts, &failures, &rebaseline)
         );
@@ -279,7 +280,7 @@ fn check(p: &Parsed) -> Result<(), String> {
             Err(format!("{} scenario check(s) failed", failures.len()))
         }
     } else if failures.is_empty() {
-        println!(
+        outln!(
             "perfgate: all {} metrics within tolerance",
             baseline.metrics.len()
         );
@@ -299,13 +300,16 @@ fn compare(p: &Parsed) -> Result<(), String> {
     let old = load(old_file)?;
     let new = load(new_file)?;
 
-    println!(
+    outln!(
         "{:<16} {:>14} {:>14} {:>8}",
-        "metric", "old r/s", "new r/s", "ratio"
+        "metric",
+        "old r/s",
+        "new r/s",
+        "ratio"
     );
     for o in &old.metrics {
         if let Some(n) = new.metrics.iter().find(|m| m.name == o.name) {
-            println!(
+            outln!(
                 "{:<16} {:>14.0} {:>14.0} {:>7.2}x",
                 o.name,
                 o.refs_per_sec,
@@ -328,7 +332,7 @@ fn compare(p: &Parsed) -> Result<(), String> {
                 "'{name}' speedup {ratio:.2}x is below the required {min:.2}x"
             ));
         }
-        println!("'{name}' speedup {ratio:.2}x meets the required {min:.2}x");
+        outln!("'{name}' speedup {ratio:.2}x meets the required {min:.2}x");
     }
     Ok(())
 }

@@ -1,9 +1,12 @@
 //! Directory state: per-line owner and sharer tracking.
 //!
-//! The directory lives at the L3 (one slice per bank). Because the hierarchy
-//! is inclusive, every line present in any private L1/L2 is also present in
-//! the L3, and the directory entry for that L3 line records which tiles hold
-//! it and whether one of them owns it in Modified state.
+//! The directory lives in the L3 ways. Because the hierarchy is inclusive,
+//! every line present in any private L1/L2 is also present in the L3, and
+//! the directory entry for that L3 line records which tiles hold it and
+//! whether one of them owns it in Modified state. Each L3 bank keeps a
+//! [`DirectoryArray`] with one packed entry per way of its cache array, so
+//! the probe that finds or fills a line also finds its entry; an invalid
+//! way's entry is [`DirectoryEntry::Uncached`].
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -226,8 +229,140 @@ impl DirectoryEntry {
     }
 }
 
-/// The directory array: entries for every line tracked by one (or all) L3
-/// bank(s). Entries are stored sparsely; absent entries mean `Uncached`.
+/// The tag-byte kinds of a packed entry; the owner sits above them.
+const UNCACHED: u8 = 0;
+const SHARED: u8 = 1;
+const OWNED: u8 = 2;
+const OWNED_SHARED: u8 = 3;
+const KIND: u8 = 0b11;
+
+impl DirectoryEntry {
+    /// The entry as a holder mask and a tag byte `owner << 2 | kind`. The
+    /// mask holds the sharers (for `OwnedShared`, the replicas without the
+    /// owner), so only `Uncached` packs to all zeros.
+    fn pack(self) -> (u64, u8) {
+        // Owners are tiles below 64, so `owner << 2` fits the byte.
+        let owned = |owner: usize, kind: u8| (owner as u8) << 2 | kind;
+        match self {
+            DirectoryEntry::Uncached => (0, UNCACHED),
+            DirectoryEntry::Shared(s) => (s.0, SHARED),
+            DirectoryEntry::Owned { owner } => (0, owned(owner, OWNED)),
+            DirectoryEntry::OwnedShared { owner, sharers } => {
+                (sharers.0, owned(owner, OWNED_SHARED))
+            }
+        }
+    }
+
+    /// The entry [`DirectoryEntry::pack`] packed into `mask` and `tag`.
+    fn unpack(mask: u64, tag: u8) -> Self {
+        let owner = usize::from(tag >> 2);
+        match tag & KIND {
+            UNCACHED => DirectoryEntry::Uncached,
+            SHARED => DirectoryEntry::Shared(SharerSet(mask)),
+            OWNED => DirectoryEntry::Owned { owner },
+            _ => DirectoryEntry::OwnedShared {
+                owner,
+                sharers: SharerSet(mask),
+            },
+        }
+    }
+}
+
+/// The directory entries of one L3 bank, one per slot (way) of its cache
+/// array (slot `set × ways + way`), packed into 9 bytes each: a holder mask
+/// and a tag byte. All zeros is [`DirectoryEntry::Uncached`].
+///
+/// Entries are stored a set at a time, in rows allocated when the set first
+/// caches an entry, so the array's memory follows the run's footprint. A
+/// flat zeroed array would not: a long-lived process (the server) builds
+/// each chip from freed heap memory, which the allocator must zero, so it
+/// would write the whole array once per chip.
+#[derive(Debug, Clone)]
+pub struct DirectoryArray {
+    ways: usize,
+    /// Per set, one more than its row's index, or 0 while it has none.
+    rows: Vec<u32>,
+    /// Each row's holder masks, `ways` at a time.
+    masks: Vec<u64>,
+    /// Each row's tag bytes, `ways` at a time.
+    tags: Vec<u8>,
+}
+
+impl DirectoryArray {
+    /// An array of `sets × ways` `Uncached` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero.
+    #[must_use]
+    pub fn new(sets: usize, ways: usize) -> Self {
+        assert!(ways > 0, "a set has at least one way");
+        DirectoryArray {
+            ways,
+            rows: vec![0; sets],
+            masks: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
+
+    /// The index of `slot` in `masks` and `tags`, if its set has a row.
+    fn index(&self, slot: usize) -> Option<usize> {
+        let row = self.rows[slot / self.ways] as usize;
+        (row > 0).then(|| (row - 1) * self.ways + slot % self.ways)
+    }
+
+    /// The entry at `index` (none: `Uncached`).
+    fn load(&self, index: Option<usize>) -> DirectoryEntry {
+        index.map_or(DirectoryEntry::Uncached, |i| {
+            DirectoryEntry::unpack(self.masks[i], self.tags[i])
+        })
+    }
+
+    /// The entry in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[must_use]
+    pub fn get(&self, slot: usize) -> DirectoryEntry {
+        self.load(self.index(slot))
+    }
+
+    /// Runs `f` on the entry in `slot` and stores what it leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn update<R>(&mut self, slot: usize, f: impl FnOnce(&mut DirectoryEntry) -> R) -> R {
+        let index = self.index(slot);
+        let mut entry = self.load(index);
+        let out = f(&mut entry);
+        let i = match index {
+            Some(i) => i,
+            None if entry == DirectoryEntry::Uncached => return out,
+            None => self.add_row(slot),
+        };
+        (self.masks[i], self.tags[i]) = entry.pack();
+        out
+    }
+
+    /// Gives `slot`'s set a row of `Uncached` entries and returns the
+    /// slot's index in it.
+    fn add_row(&mut self, slot: usize) -> usize {
+        let start = self.masks.len();
+        self.rows[slot / self.ways] =
+            u32::try_from(start / self.ways + 1).expect("fewer rows than sets");
+        self.masks.resize(start + self.ways, 0);
+        self.tags.resize(start + self.ways, 0);
+        start + slot % self.ways
+    }
+}
+
+/// The directory as one sparse map from line to entry; absent entries mean
+/// `Uncached`. The simulator keeps its entries in each bank's
+/// [`DirectoryArray`] instead; this map is kept only for perfbench's
+/// ledger, which times [`CoherenceEngine::access`](crate::CoherenceEngine::access)
+/// over it.
 #[derive(Debug, Clone)]
 pub struct Directory {
     entries: HashMap<LineAddr, DirectoryEntry>,
@@ -281,13 +416,6 @@ impl Directory {
                 out
             }
         }
-    }
-
-    /// Removes the entry for `line` entirely (used when the L3 line itself is
-    /// invalidated; inclusivity means no private copy may survive) and
-    /// returns what it was.
-    pub(crate) fn forget(&mut self, line: LineAddr) -> DirectoryEntry {
-        self.entries.remove(&line).unwrap_or_default()
     }
 }
 
@@ -354,10 +482,79 @@ mod tests {
         d.update(line, |e| *e = DirectoryEntry::Owned { owner: 2 });
         assert_eq!(d.entry(line), DirectoryEntry::Owned { owner: 2 });
         assert_eq!(d.entries.len(), 1);
-        assert_eq!(d.forget(line), DirectoryEntry::Owned { owner: 2 });
+        // Invalidating the line everywhere forgets its slot.
+        let mut engine = CoherenceEngine::new(CoherenceProtocol::Mesi, 16);
+        let holders = d.update(line, |e| engine.invalidate_all(e));
+        assert_eq!(holders, SharerSet::single(2));
         assert_eq!(d.entry(line), DirectoryEntry::Uncached);
         assert!(d.entries.is_empty());
-        assert_eq!(d.forget(line), DirectoryEntry::Uncached);
+    }
+
+    /// One entry of each variant, at the edges of the owner and mask ranges.
+    fn every_variant() -> Vec<DirectoryEntry> {
+        let top: SharerSet = [0usize, 63].into_iter().collect();
+        let mut out = vec![DirectoryEntry::Uncached];
+        for owner in [0, 1, 62, 63] {
+            out.push(DirectoryEntry::Owned { owner });
+            for sharers in [top.without(owner), SharerSet::single(5)] {
+                out.push(DirectoryEntry::OwnedShared { owner, sharers });
+            }
+        }
+        for sharers in [
+            SharerSet::single(0),
+            SharerSet::single(63),
+            top,
+            SharerSet(!0),
+        ] {
+            out.push(DirectoryEntry::Shared(sharers));
+        }
+        out
+    }
+
+    #[test]
+    fn packed_entries_round_trip_and_only_uncached_is_all_zero() {
+        for entry in every_variant() {
+            let (mask, tag) = entry.pack();
+            assert_eq!(DirectoryEntry::unpack(mask, tag), entry, "{entry:?}");
+            assert_eq!(
+                (mask, tag) == (0, 0),
+                entry == DirectoryEntry::Uncached,
+                "{entry:?} packs to ({mask:#x}, {tag:#x})"
+            );
+        }
+        assert_eq!(DirectoryEntry::unpack(0, 0), DirectoryEntry::Uncached);
+    }
+
+    #[test]
+    fn directory_array_slots_start_uncached_and_keep_their_own_entry() {
+        // 8 sets of 3 ways; the entries go to every other slot from the top
+        // down, so rows are added out of set order and some slots of a row
+        // stay `Uncached`.
+        let mut a = DirectoryArray::new(8, 3);
+        let slots: Vec<usize> = (0..24).rev().step_by(2).collect();
+        for (&slot, entry) in slots.iter().zip(every_variant()) {
+            assert_eq!(a.get(slot), DirectoryEntry::Uncached);
+            let old = a.update(slot, |e| std::mem::replace(e, entry));
+            assert_eq!(old, DirectoryEntry::Uncached);
+        }
+        for (&slot, entry) in slots.iter().zip(every_variant()) {
+            assert_eq!(a.get(slot), entry, "slot {slot}");
+            assert_eq!(
+                a.get(slot ^ 1),
+                DirectoryEntry::Uncached,
+                "slot {}",
+                slot ^ 1
+            );
+        }
+        // Resetting an entry keeps its row; a request that leaves an
+        // untracked set `Uncached` adds none.
+        let rows = a.masks.len();
+        a.update(23, |e| *e = DirectoryEntry::Uncached);
+        assert_eq!(a.get(23), DirectoryEntry::Uncached);
+        assert_eq!(a.masks.len(), rows);
+        let mut b = DirectoryArray::new(8, 3);
+        assert!(!b.update(4, |e| e.is_cached()));
+        assert!(b.masks.is_empty() && b.tags.is_empty());
     }
 
     #[test]

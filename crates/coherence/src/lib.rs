@@ -7,7 +7,9 @@
 //! This crate provides the protocol-level pieces:
 //!
 //! * [`directory`] — per-line directory entries (owner / sharer bit-vector)
-//!   and the sparse directory map kept alongside the L3.
+//!   and [`DirectoryArray`], the packed per-way entries each L3 bank keeps
+//!   beside its cache array, so the directory lives in the L3 ways. (The
+//!   sparse [`Directory`] map is kept only for perfbench's ledger.)
 //! * [`protocol`] — the transaction-level transition logic: given a request
 //!   (read / write / eviction / write-back) and the line's directory entry,
 //!   [`protocol::CoherenceEngine`] updates the entry and computes the set of
@@ -45,5 +47,5 @@
 pub mod directory;
 pub mod protocol;
 
-pub use directory::{Directory, DirectoryEntry, SharerSet};
+pub use directory::{Directory, DirectoryArray, DirectoryEntry, SharerSet};
 pub use protocol::{AccessOutcome, CoherenceEngine, CoherenceProtocol, CoreRequest};

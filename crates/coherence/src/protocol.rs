@@ -8,7 +8,9 @@
 //! changes to the actual cache arrays and converts the outcome into latency
 //! and energy; cumulative message traffic is reported via the engine's
 //! statistics. [`CoherenceEngine::access`] does the same for a line of a
-//! [`Directory`] map.
+//! [`Directory`] map, which only perfbench's ledger still uses: the
+//! simulator resolves each request against the entry its L3 bank keeps
+//! beside the line's way.
 //!
 //! The engine runs the [`CoherenceProtocol`] it was built for. Under the
 //! invalidation-based MESI protocol a write invalidates every other holder;
@@ -395,10 +397,10 @@ impl CoherenceEngine {
     }
 
     /// Invalidates a line everywhere on behalf of the L3 (used when the L3
-    /// line itself is evicted or decays): forgets its entry and returns the
-    /// tiles that held it.
-    pub fn invalidate_all(&mut self, dir: &mut Directory, line: LineAddr) -> SharerSet {
-        let holders = dir.forget(line).holders();
+    /// line itself is evicted or decays): resets its `entry` to `Uncached`
+    /// and returns the tiles that held it.
+    pub fn invalidate_all(&mut self, entry: &mut DirectoryEntry) -> SharerSet {
+        let holders = std::mem::take(entry).holders();
         self.counters.inclusive_invalidations += holders.len() as u64;
         holders
     }
@@ -516,22 +518,20 @@ mod tests {
 
     #[test]
     fn invalidate_all_clears_holders() {
-        let mut dir = Directory::new(16);
-        let (mut p, _) = mesi();
-        let line = LineAddr::new(0x40);
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        assert!(!dir.entry(line).is_owned());
-        let holders = p.invalidate_all(&mut dir, line);
+        let (mut p, mut e) = mesi();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        assert!(!e.is_owned());
+        let holders = p.invalidate_all(&mut e);
         assert_eq!(holders.iter().collect::<Vec<_>>(), vec![0, 1]);
         assert_eq!(p.stats().get("inclusive_invalidations"), 2);
-        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
+        assert_eq!(e, DirectoryEntry::Uncached);
 
         // An owned (possibly dirty) line has exactly its owner to invalidate.
-        p.access(&mut dir, line, 7, CoreRequest::Write);
-        assert!(dir.entry(line).is_owned());
-        assert_eq!(p.invalidate_all(&mut dir, line), SharerSet::single(7));
-        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
+        p.resolve(&mut e, 7, CoreRequest::Write);
+        assert!(e.is_owned());
+        assert_eq!(p.invalidate_all(&mut e), SharerSet::single(7));
+        assert_eq!(e, DirectoryEntry::Uncached);
     }
 
     #[test]
@@ -722,19 +722,14 @@ mod tests {
 
     #[test]
     fn dragon_invalidate_all_reports_sm_dirty() {
-        let mut dir = Directory::new(16);
-        let (mut p, _) = dragon();
-        let line = LineAddr::new(0x40);
-        p.access(&mut dir, line, 0, CoreRequest::Read);
-        p.access(&mut dir, line, 1, CoreRequest::Read);
-        p.access(&mut dir, line, 0, CoreRequest::Write);
-        assert!(
-            dir.entry(line).is_owned(),
-            "the Sm owner held the only up-to-date copy"
-        );
-        let holders = p.invalidate_all(&mut dir, line);
+        let (mut p, mut e) = dragon();
+        p.resolve(&mut e, 0, CoreRequest::Read);
+        p.resolve(&mut e, 1, CoreRequest::Read);
+        p.resolve(&mut e, 0, CoreRequest::Write);
+        assert!(e.is_owned(), "the Sm owner held the only up-to-date copy");
+        let holders = p.invalidate_all(&mut e);
         assert_eq!(holders.iter().collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(dir.entry(line), DirectoryEntry::Uncached);
+        assert_eq!(e, DirectoryEntry::Uncached);
     }
 
     #[test]
@@ -756,11 +751,11 @@ mod tests {
             if protocol == CoherenceProtocol::Dragon {
                 assert_eq!(out.update, others);
                 assert_eq!(engine.stats().get("updates_sent"), 2);
-                assert_eq!(engine.invalidate_all(&mut dir, line).len(), 3);
+                assert_eq!(dir.update(line, |e| engine.invalidate_all(e)).len(), 3);
             } else {
                 assert_eq!(out.invalidate, others);
                 assert_eq!(engine.stats().get("updates_sent"), 0);
-                assert_eq!(engine.invalidate_all(&mut dir, line).len(), 1);
+                assert_eq!(dir.update(line, |e| engine.invalidate_all(e)).len(), 1);
             }
         }
     }

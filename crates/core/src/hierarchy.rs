@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use refrint_coherence::directory::DirectoryArray;
 use refrint_edram::controller::{PeriodicBurstModel, RefrintContention};
 use refrint_edram::model::{PolicyBinding, PolicyFactory, RefreshPolicyModel};
 use refrint_edram::policy::RefreshPolicy;
@@ -279,11 +280,15 @@ pub struct Tile {
     pub l2_refresh: RefreshDomain,
 }
 
-/// One bank of the shared L3 plus its refresh machinery.
+/// One bank of the shared L3 plus its refresh machinery and its slice of
+/// the directory.
 #[derive(Debug, Clone)]
 pub struct L3Bank {
     /// The bank's cache array.
     pub cache: Cache,
+    /// The directory entry of each of the array's slots: the entry of the
+    /// line in that way, `Uncached` for an invalid way.
+    pub dir: DirectoryArray,
     /// Refresh machinery of the bank.
     pub refresh: RefreshDomain,
 }

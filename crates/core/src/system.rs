@@ -23,7 +23,7 @@
 //! caches at the right time — this is what makes aggressive policies hurt
 //! low-visibility (Class 3) applications, as the paper describes.
 
-use refrint_coherence::directory::Directory;
+use refrint_coherence::directory::{DirectoryArray, DirectoryEntry};
 use refrint_coherence::protocol::{CoherenceEngine, CoreRequest};
 use refrint_energy::accounting::EnergyCounts;
 use refrint_energy::breakdown::EnergyBreakdown;
@@ -45,6 +45,17 @@ use crate::error::RefrintError;
 use crate::hierarchy::{line_kind, L3Bank, RefreshDomain, Tile};
 use crate::report::SimReport;
 
+/// Why a tile's request reaches its home L3 bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum L3Request {
+    /// A read that missed in the tile's L2.
+    ReadMiss,
+    /// A write that missed in the tile's L2.
+    WriteMiss,
+    /// A write to a line the tile's L2 holds without write permission.
+    Upgrade,
+}
+
 /// A pending policy-driven invalidation of an L3 line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingInvalidation {
@@ -61,7 +72,6 @@ pub struct CmpSystem {
     cfg: SystemConfig,
     tiles: Vec<Tile>,
     l3: Vec<L3Bank>,
-    dir: Directory,
     protocol: CoherenceEngine,
     dram: DramModel,
     torus: Torus,
@@ -138,8 +148,13 @@ impl CmpSystem {
                     phase,
                 )
                 .map_err(RefrintError::from)?;
+                let geometry = cfg.l3_bank.geometry;
                 Ok(L3Bank {
-                    cache: Cache::new(&format!("l3.{b}"), cfg.l3_bank.geometry),
+                    cache: Cache::new(&format!("l3.{b}"), geometry),
+                    dir: DirectoryArray::new(
+                        geometry.num_sets() as usize,
+                        usize::from(geometry.ways()),
+                    ),
                     refresh,
                 })
             })
@@ -154,7 +169,6 @@ impl CmpSystem {
             .collect();
 
         Ok(CmpSystem {
-            dir: Directory::new(cfg.cores),
             protocol: CoherenceEngine::new(cfg.protocol, cfg.cores),
             dram: DramModel::paper_default(),
             torus: cfg.torus,
@@ -357,7 +371,7 @@ impl CmpSystem {
             self.counts.l2_accesses += 1;
             if let Some(l2_line) = self.tiles[tile].l2.line(line) {
                 if !l2_line.state.can_write_silently() && !upgraded {
-                    beyond += self.l3_transaction(tile, line, true, now);
+                    beyond += self.l3_transaction(tile, line, L3Request::Upgrade, now);
                     // The transaction may have settled the line away (a
                     // decayed L3 copy triggers an inclusive invalidation),
                     // so re-check before applying the store.
@@ -418,12 +432,17 @@ impl CmpSystem {
         match l2_state {
             Some(state) => {
                 if is_write && !state.can_write_silently() {
-                    beyond += self.l3_transaction(tile, line, true, now);
+                    beyond += self.l3_transaction(tile, line, L3Request::Upgrade, now);
                     *upgraded = true;
                 }
             }
             None => {
-                beyond += self.l3_transaction(tile, line, is_write, now);
+                let request = if is_write {
+                    L3Request::WriteMiss
+                } else {
+                    L3Request::ReadMiss
+                };
+                beyond += self.l3_transaction(tile, line, request, now);
                 *upgraded = is_write;
             }
         }
@@ -433,7 +452,19 @@ impl CmpSystem {
     /// An L2 miss (or upgrade): go to the line's home L3 bank through the
     /// torus, consult the directory, fetch from DRAM if needed, and fill the
     /// requester's L2. Returns the added latency.
-    fn l3_transaction(&mut self, tile: usize, line: LineAddr, is_write: bool, now: Cycle) -> Cycle {
+    ///
+    /// One probe of the bank finds (or one fill places) the line; its slot
+    /// then locates the line's way and its directory entry for the rest of
+    /// the transaction. Nothing below moves the line to another slot: the
+    /// remote actions and the requester's L2 fill only update or
+    /// write back L3 lines, never fill or invalidate one.
+    fn l3_transaction(
+        &mut self,
+        tile: usize,
+        line: LineAddr,
+        request: L3Request,
+        now: Cycle,
+    ) -> Cycle {
         let bank = line.bank(self.cfg.l3_banks);
         let hops = u64::from(self.hops(tile, bank));
         self.counts.noc_flit_hops += hops * (self.ctrl_flits + self.data_flits);
@@ -473,24 +504,30 @@ impl CmpSystem {
 
         // Settle the L3 line: it may have been refreshed, written back, or
         // invalidated by the policy since its last touch.
-        let mut present = false;
-        if let Some(l) = self.l3[bank].cache.line(line) {
+        let mut present = None;
+        if let Some(found) = self.l3[bank].cache.probe(line) {
+            let l = self.l3_line(bank, found.slot);
             let s = self.l3[bank]
                 .refresh
                 .settle(line_kind(&l), l.meta.last_touch, now);
             self.counts.l3_refreshes += s.refreshes;
             if s.writeback_at.is_some() {
                 self.counts.dram_writes += 1;
-                self.l3[bank].cache.update(line, CacheLine::write_back);
+                self.l3[bank]
+                    .cache
+                    .update_at(found.slot, CacheLine::write_back);
             }
             if s.invalidated_at.is_some() {
-                self.policy_invalidate_l3(bank, line, now);
+                self.policy_invalidate_l3(bank, found.slot, now);
             } else {
-                present = true;
+                present = Some(found.slot);
             }
         }
 
-        if !present {
+        let slot = if let Some(slot) = present {
+            self.l3[bank].cache.read_hit_at(slot, now);
+            slot
+        } else {
             // Fetch the line from DRAM.
             let ready = self.dram.access(line.raw(), DramOp::Read, now + beyond);
             if self.obs.is_enabled() {
@@ -505,34 +542,49 @@ impl CmpSystem {
             }
             beyond = ready - now;
             self.counts.dram_reads += 1;
-            if let Some(evicted) = self.l3[bank].cache.fill(line, MesiState::Shared, now) {
-                self.handle_l3_eviction(bank, evicted, now);
+            let (slot, evicted) = self.l3[bank].cache.fill_slot(line, MesiState::Shared, now);
+            match evicted {
+                // The victim's entry is still in the slot it leaves.
+                Some(evicted) => self.handle_l3_eviction(bank, slot, evicted, now),
+                None => debug_assert_eq!(
+                    self.l3[bank].dir.get(slot),
+                    DirectoryEntry::Uncached,
+                    "a free way holds no directory entry"
+                ),
             }
-        } else {
-            self.l3[bank].cache.read_hit(line, now);
-        }
+            slot
+        };
 
         // Directory transaction.
-        let request = if is_write {
-            CoreRequest::Write
-        } else {
+        let coherence = if request == L3Request::ReadMiss {
             CoreRequest::Read
+        } else {
+            CoreRequest::Write
         };
-        let outcome = self.protocol.access(&mut self.dir, line, tile, request);
+        let protocol = &mut self.protocol;
+        let outcome = self.l3[bank]
+            .dir
+            .update(slot, |entry| protocol.resolve(entry, tile, coherence));
 
         // Invalidate or downgrade remote holders; their replies are on the
         // critical path of this request.
         let mut worst_remote = Cycle::ZERO;
         let mut remote_messages = 0u64;
         for holder in outcome.invalidate.iter() {
-            let d = self.invalidate_private_copy(holder, bank, line, now, true);
+            let d = self.invalidate_private_copy(holder, bank, slot, line, now);
             worst_remote = worst_remote.max(d);
             remote_messages += 1;
         }
         if let Some(owner) = outcome.downgrade_owner {
             if !outcome.invalidate.contains(owner) {
-                let d =
-                    self.downgrade_private_copy(owner, bank, line, now, outcome.owner_writeback);
+                let d = self.downgrade_private_copy(
+                    owner,
+                    bank,
+                    slot,
+                    line,
+                    now,
+                    outcome.owner_writeback,
+                );
                 worst_remote = worst_remote.max(d);
                 remote_messages += 1;
             } else if outcome.owner_writeback {
@@ -558,34 +610,41 @@ impl CmpSystem {
         }
         beyond += worst_remote;
 
-        // Fill (or update) the requester's L2.
-        match self.tiles[tile].l2.line(line) {
-            Some(_) => {
-                self.tiles[tile].l2.set_state(line, outcome.fill_state);
-                self.tiles[tile].l2.read_hit(line, now);
-            }
-            None => {
-                if let Some(evicted) = self.tiles[tile].l2.fill(line, outcome.fill_state, now) {
-                    self.handle_l2_eviction(tile, evicted, now);
-                }
-            }
+        // Update the requester's L2 copy, or fill it. A miss cannot have
+        // brought the line into the L2; an upgrade keeps its copy unless a
+        // decayed L3 copy took it away above.
+        if request == L3Request::Upgrade && self.tiles[tile].l2.line(line).is_some() {
+            self.tiles[tile].l2.set_state(line, outcome.fill_state);
+            self.tiles[tile].l2.read_hit(line, now);
+        } else if let Some(evicted) = self.tiles[tile].l2.fill(line, outcome.fill_state, now) {
+            self.handle_l2_eviction(tile, evicted, now);
         }
 
         // Predict when the policy will invalidate this (now freshly touched)
         // L3 line, so the inclusive invalidation happens at the right time.
-        self.schedule_l3_invalidation(bank, line, now);
+        self.schedule_l3_invalidation(bank, slot, now);
         beyond
     }
 
+    /// The line in `slot` of L3 bank `bank`, which the caller knows holds
+    /// one.
+    fn l3_line(&self, bank: usize, slot: usize) -> CacheLine {
+        self.l3[bank]
+            .cache
+            .line_at(slot)
+            .expect("an L3 line stays in its slot for the whole transaction")
+    }
+
     /// Invalidates `holder`'s private copies of `line` on behalf of the
-    /// directory; returns the round-trip latency seen from the home bank.
+    /// directory; a dirty copy's data lands in the line's L3 `slot`.
+    /// Returns the round-trip latency seen from the home bank.
     fn invalidate_private_copy(
         &mut self,
         holder: usize,
         bank: usize,
+        slot: usize,
         line: LineAddr,
         now: Cycle,
-        absorb_dirty_into_l3: bool,
     ) -> Cycle {
         let hops = self.hops(bank, holder);
         self.counts.noc_flit_hops += u64::from(hops) * self.ctrl_flits * 2;
@@ -608,12 +667,8 @@ impl CmpSystem {
                 // Dirty data travels back with the acknowledgement.
                 self.counts.noc_flit_hops += u64::from(hops) * self.data_flits;
                 latency += self.cfg.link.message_latency(hops, self.line_size);
-                if absorb_dirty_into_l3 {
-                    self.counts.l3_accesses += 1;
-                    self.l3[bank].cache.update(line, |l| l.write(now));
-                } else {
-                    self.counts.dram_writes += 1;
-                }
+                self.counts.l3_accesses += 1;
+                self.l3[bank].cache.update_at(slot, |l| l.write(now));
             }
         }
         latency
@@ -621,7 +676,7 @@ impl CmpSystem {
 
     /// Downgrades the owner of `line` on behalf of the directory; returns
     /// the round-trip latency. With `writeback_into_l3` (MESI) the owner's
-    /// dirty data lands in the home L3 bank and the owner becomes a clean
+    /// dirty data lands in the line's L3 `slot` and the owner becomes a clean
     /// sharer. Without it (Dragon) the data is forwarded cache-to-cache
     /// only: a dirty owner keeps its dirty copy in `Sm` and remains
     /// responsible for the eventual write-back.
@@ -629,6 +684,7 @@ impl CmpSystem {
         &mut self,
         owner: usize,
         bank: usize,
+        slot: usize,
         line: LineAddr,
         now: Cycle,
         writeback_into_l3: bool,
@@ -651,7 +707,7 @@ impl CmpSystem {
             self.tiles[owner].dl1.set_state(line, MesiState::Shared);
             if was_dirty {
                 self.counts.l3_accesses += 1;
-                self.l3[bank].cache.update(line, |l| l.write(now));
+                self.l3[bank].cache.update_at(slot, |l| l.write(now));
             }
         } else {
             let l2_state = if was_dirty {
@@ -717,33 +773,37 @@ impl CmpSystem {
 
         let bank = line.bank(self.cfg.l3_banks);
         let hops = self.hops(tile, bank);
-        if evicted.needs_writeback() {
+        // Inclusion: the L3 drops a line only after invalidating every
+        // holder's copy, so an L2 line always has its L3 copy.
+        let slot = self.l3[bank]
+            .cache
+            .probe(line)
+            .expect("an L2 line is resident in its L3 bank")
+            .slot;
+        let request = if evicted.needs_writeback() {
             self.counts.noc_flit_hops += u64::from(hops) * self.data_flits;
             self.counts.l3_accesses += 1;
-            if self.l3[bank].cache.update(line, |l| l.write(now)) {
-                self.schedule_l3_invalidation(bank, line, now);
-            } else {
-                // The L3 copy is already gone (decayed); the data goes to
-                // memory directly.
-                self.counts.dram_writes += 1;
-            }
-            let _ = self
-                .protocol
-                .access(&mut self.dir, line, tile, CoreRequest::EvictDirty);
+            self.l3[bank].cache.update_at(slot, |l| l.write(now));
+            self.schedule_l3_invalidation(bank, slot, now);
+            CoreRequest::EvictDirty
         } else {
             self.counts.noc_flit_hops += u64::from(hops) * self.ctrl_flits;
-            let _ = self
-                .protocol
-                .access(&mut self.dir, line, tile, CoreRequest::EvictClean);
-        }
+            CoreRequest::EvictClean
+        };
+        let protocol = &mut self.protocol;
+        self.l3[bank]
+            .dir
+            .update(slot, |entry| protocol.resolve(entry, tile, request));
     }
 
-    /// Handles the eviction of a valid line from an L3 bank: settle its
-    /// refresh history, invalidate every private copy (inclusivity) and write
-    /// dirty data to DRAM.
+    /// Handles the eviction of a valid line from `slot` of an L3 bank, whose
+    /// directory entry is still the evicted line's: settle its refresh
+    /// history, invalidate every private copy (inclusivity) and write dirty
+    /// data to DRAM.
     fn handle_l3_eviction(
         &mut self,
         bank: usize,
+        slot: usize,
         evicted: refrint_mem::cache::EvictedLine,
         now: Cycle,
     ) {
@@ -763,18 +823,17 @@ impl CmpSystem {
         }
         let already_gone = s.invalidated_at.is_some();
 
-        self.invalidate_holders(bank, line, now);
+        self.invalidate_holders(bank, slot, line, now);
         if !already_gone && still_dirty {
             self.counts.dram_writes += 1;
         }
     }
 
-    /// A policy-driven invalidation of an L3 line (its refresh budget ran
-    /// out): invalidate it and, through inclusion, every private copy.
-    fn policy_invalidate_l3(&mut self, bank: usize, line: LineAddr, now: Cycle) {
-        let Some(removed) = self.l3[bank].cache.invalidate(line) else {
-            return;
-        };
+    /// A policy-driven invalidation of the L3 line in `slot` (its refresh
+    /// budget ran out): invalidate it and, through inclusion, every private
+    /// copy.
+    fn policy_invalidate_l3(&mut self, bank: usize, slot: usize, now: Cycle) {
+        let removed = self.l3[bank].cache.invalidate_at(slot);
         self.obs.record(
             Subsystem::Refresh,
             "policy.invalidate",
@@ -786,15 +845,18 @@ impl CmpSystem {
             !removed.is_dirty() || self.l3[bank].refresh.model().is_none(),
             "the WB/Dirty policies only invalidate clean lines"
         );
-        self.invalidate_holders(bank, line, now);
+        self.invalidate_holders(bank, slot, removed.addr, now);
     }
 
-    /// Invalidates, through inclusion, every private copy of an L3 line that
-    /// bank `bank` is dropping, and forgets the line's directory entry. Each
-    /// holder costs an invalidation and its ack on the NoC; a dirty L2 copy
-    /// goes to memory, since the L3 backing copy is gone.
-    fn invalidate_holders(&mut self, bank: usize, line: LineAddr, now: Cycle) {
-        let holders = self.protocol.invalidate_all(&mut self.dir, line);
+    /// Invalidates, through inclusion, every private copy of `line`, which
+    /// bank `bank` is dropping from `slot`, and resets the slot's directory
+    /// entry. Each holder costs an invalidation and its ack on the NoC; a
+    /// dirty L2 copy goes to memory, since the L3 backing copy is gone.
+    fn invalidate_holders(&mut self, bank: usize, slot: usize, line: LineAddr, now: Cycle) {
+        let protocol = &mut self.protocol;
+        let holders = self.l3[bank]
+            .dir
+            .update(slot, |entry| protocol.invalidate_all(entry));
         for holder in holders.iter() {
             let hops = self.hops(bank, holder);
             self.counts.noc_flit_hops += u64::from(hops) * self.ctrl_flits * 2;
@@ -814,19 +876,19 @@ impl CmpSystem {
         }
     }
 
-    /// Schedules the eager policy-invalidation check for an L3 line that was
-    /// just touched at `now`.
-    fn schedule_l3_invalidation(&mut self, bank: usize, line: LineAddr, now: Cycle) {
-        let Some(l3_line) = self.l3[bank].cache.line(line) else {
-            return;
-        };
-        let kind = line_kind(&l3_line);
-        if let Some(when) = self.l3[bank].refresh.invalidation_time(kind, now) {
+    /// Schedules the eager policy-invalidation check for the L3 line in
+    /// `slot`, which was just touched at `now`.
+    fn schedule_l3_invalidation(&mut self, bank: usize, slot: usize, now: Cycle) {
+        let l3_line = self.l3_line(bank, slot);
+        if let Some(when) = self.l3[bank]
+            .refresh
+            .invalidation_time(line_kind(&l3_line), now)
+        {
             self.invalidations.schedule(
                 when,
                 PendingInvalidation {
                     bank,
-                    line,
+                    line: l3_line.addr,
                     touch: now,
                 },
             );
@@ -838,10 +900,11 @@ impl CmpSystem {
         while self.invalidations.peek_time().is_some_and(|t| t <= now) {
             let ev = self.invalidations.pop().expect("peeked event exists");
             let PendingInvalidation { bank, line, touch } = ev.event;
-            let Some(current) = self.l3[bank].cache.line(line) else {
+            let Some(found) = self.l3[bank].cache.probe(line) else {
                 continue;
             };
-            if !current.is_valid() || current.meta.last_touch != touch {
+            let current = self.l3_line(bank, found.slot);
+            if current.meta.last_touch != touch {
                 continue; // stale prediction: the line was touched again
             }
             let s = self.l3[bank]
@@ -866,10 +929,12 @@ impl CmpSystem {
                     0,
                     bank as u64,
                 );
-                self.l3[bank].cache.update(line, CacheLine::write_back);
+                self.l3[bank]
+                    .cache
+                    .update_at(found.slot, CacheLine::write_back);
             }
             if s.invalidated_at.is_some() {
-                self.policy_invalidate_l3(bank, line, ev.at);
+                self.policy_invalidate_l3(bank, found.slot, ev.at);
             }
         }
     }
@@ -1013,6 +1078,89 @@ mod tests {
             .with_seed(11);
         let mut sys = CmpSystem::new(cfg).unwrap();
         sys.run_model(&AppPreset::Lu.model())
+    }
+
+    /// Checks inclusion and the in-cache directory after a run: an invalid
+    /// L3 way's entry is `Uncached` (so every other entry sits beside a
+    /// valid way), every holder's L2 holds the way's line, and every L2
+    /// line is resident in its home bank with its tile among the holders.
+    /// Returns how many entries name a holder.
+    fn assert_inclusion(sys: &CmpSystem) -> usize {
+        let mut tracked = 0;
+        for (b, bank) in sys.l3.iter().enumerate() {
+            for slot in 0..sys.cfg.l3_bank.geometry.num_lines() as usize {
+                let entry = bank.dir.get(slot);
+                let Some(l3_line) = bank.cache.line_at(slot) else {
+                    assert_eq!(entry, DirectoryEntry::Uncached, "invalid way {b}/{slot}");
+                    continue;
+                };
+                tracked += usize::from(entry.is_cached());
+                for holder in entry.holders().iter() {
+                    assert!(
+                        sys.tiles[holder].l2.line(l3_line.addr).is_some(),
+                        "{entry:?} in {b}/{slot}, but tile {holder}'s L2 lacks {:?}",
+                        l3_line.addr
+                    );
+                }
+            }
+        }
+        for (t, tile) in sys.tiles.iter().enumerate() {
+            for l2_line in tile.l2.iter_valid() {
+                let bank = &sys.l3[l2_line.addr.bank(sys.cfg.l3_banks)];
+                let found = bank.cache.probe(l2_line.addr).unwrap_or_else(|| {
+                    panic!(
+                        "tile {t}'s L2 holds {:?}, its L3 bank does not",
+                        l2_line.addr
+                    )
+                });
+                assert!(
+                    bank.dir.get(found.slot).holders().contains(t),
+                    "tile {t} holds {:?} unknown to the directory",
+                    l2_line.addr
+                );
+            }
+        }
+        tracked
+    }
+
+    #[test]
+    fn the_directory_in_the_l3_ways_keeps_inclusion_under_both_protocols() {
+        use refrint_coherence::protocol::CoherenceProtocol;
+        use refrint_mem::config::CacheGeometry;
+        for protocol in CoherenceProtocol::ALL {
+            // A 64 KB L3 bank under the eager WB(0,0) policy at 5 us: the
+            // run both evicts L3 lines and lets the policy invalidate them,
+            // and each drop back-invalidates the private copies.
+            let mut cfg = SystemConfig::edram_recommended()
+                .with_cores(4)
+                .with_policy(RefreshPolicy::new(
+                    TimePolicy::Refrint,
+                    DataPolicy::write_back(0, 0),
+                ))
+                .with_retention(RetentionConfig::from_microseconds(5).unwrap())
+                .with_protocol(protocol)
+                .with_scale(3_000)
+                .with_seed(7);
+            cfg.l3_bank.geometry = CacheGeometry::new(64 * 1024, 8, 64).unwrap();
+            for app in [AppPreset::Fft, AppPreset::Radix] {
+                let mut sys = CmpSystem::new(cfg.clone()).unwrap();
+                let r = sys.run_model(&app.model());
+                let stat = |name: &str| {
+                    (0..4)
+                        .map(|b| r.stats.get(&format!("l3.{b}.{name}")))
+                        .sum::<u64>()
+                };
+                assert!(
+                    stat("evictions") > 0 && stat("invalidations") > 0,
+                    "{protocol} {app:?}"
+                );
+                assert!(r.stats.get("coherence.inclusive_invalidations") > 0);
+                assert!(
+                    assert_inclusion(&sys) > 0,
+                    "{protocol} {app:?} tracked nothing"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //! **Footprint.** Each set that receives a fill is listed once (a bitmap
 //! guards the list), so [`Cache::iter_valid`] and everything built on it
 //! visit only the sets a run used.
+//!
+//! **Slots.** Way `w` of set `s` is slot `s × ways + w`, so the slots of
+//! a cache are numbered from 0 to its line count. A lookup ([`LookupOutcome::slot`]) and a fill
+//! ([`Cache::fill_slot`]) report the line's slot, and the `*_at` methods
+//! act on a slot without searching the set again, so a caller can keep
+//! per-line state of its own in an array indexed the same way (the L3's
+//! directory entries).
 
 use refrint_engine::stats::StatRegistry;
 use refrint_engine::time::Cycle;
@@ -68,10 +75,8 @@ const fn state_of(word: u64) -> MesiState {
 /// The outcome of looking up a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupOutcome {
-    /// The set the line maps to.
-    pub set_index: u64,
-    /// The way the line was found in.
-    pub way: usize,
+    /// The line's slot, `set × ways + way` (see the module docs).
+    pub slot: usize,
     /// The line's MESI state at the time of lookup.
     pub state: MesiState,
 }
@@ -228,7 +233,7 @@ impl Cache {
     }
 
     /// The line held at word index `i`, known to hold `addr`.
-    fn line_at(&self, addr: LineAddr, i: usize) -> CacheLine {
+    fn copy_line(&self, addr: LineAddr, i: usize) -> CacheLine {
         CacheLine {
             addr,
             state: state_of(self.words[i]),
@@ -255,15 +260,44 @@ impl Cache {
         set[way] = set[way] & !field | ((self.ways as u64 - 1) << 3);
     }
 
+    /// The set of `slot`, and the index of that set's way 0.
+    #[inline]
+    fn place(&self, slot: usize) -> (u64, usize) {
+        let set = slot / self.ways;
+        (set as u64, self.base + set * 2 * self.ways)
+    }
+
+    /// The set, the index of its way 0, and the way of the resident line
+    /// in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no valid line.
+    #[inline]
+    fn resident_at(&self, slot: usize, what: &str) -> (u64, usize, usize) {
+        let (set, start) = self.place(slot);
+        let way = slot % self.ways;
+        assert!(
+            self.words[start + way] & STATE != 0,
+            "{what} on invalid slot {slot}"
+        );
+        (set, start, way)
+    }
+
+    /// The outcome of finding a line in `state` in `way` of `set`.
+    fn outcome(&self, set: u64, way: usize, state: MesiState) -> LookupOutcome {
+        LookupOutcome {
+            slot: set as usize * self.ways + way,
+            state,
+        }
+    }
+
     /// Looks up `addr` without modifying replacement or residency state.
     #[must_use]
     pub fn probe(&self, addr: LineAddr) -> Option<LookupOutcome> {
-        let (set_index, start, key) = self.locate(addr);
-        self.find(start, key).map(|way| LookupOutcome {
-            set_index,
-            way,
-            state: state_of(self.words[start + way]),
-        })
+        let (set, start, key) = self.locate(addr);
+        self.find(start, key)
+            .map(|way| self.outcome(set, way, state_of(self.words[start + way])))
     }
 
     /// Looks up `addr` as a normal access at `now`: updates replacement
@@ -281,36 +315,37 @@ impl Cache {
         addr: LineAddr,
         now: Cycle,
     ) -> Option<(CacheLine, LookupOutcome)> {
-        let (set_index, start, key) = self.locate(addr);
+        let (set, start, key) = self.locate(addr);
         let Some(way) = self.find(start, key) else {
             self.counters.misses += 1;
             return None;
         };
-        let i = start + way;
-        let prev = self.line_at(addr, i);
-        self.words[i + self.ways] = now.raw();
-        self.promote(start, way);
+        let prev = self.copy_line(addr, start + way);
+        self.touch(start, way, now);
         self.counters.hits += 1;
-        Some((
-            prev,
-            LookupOutcome {
-                set_index,
-                way,
-                state: prev.state,
-            },
-        ))
+        Some((prev, self.outcome(set, way, prev.state)))
     }
 
-    /// Touches the resident line `addr` at `now` as an access, returning
-    /// its word index.
-    fn access(&mut self, addr: LineAddr, now: Cycle, what: &str) -> usize {
+    /// Records an access to `way` of the set starting at `start` at `now`,
+    /// returning its word index.
+    #[inline]
+    fn touch(&mut self, start: usize, way: usize, now: Cycle) -> usize {
+        self.words[start + way + self.ways] = now.raw();
+        self.promote(start, way);
+        start + way
+    }
+
+    /// The set start and way of the resident line `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not present.
+    fn resident(&self, addr: LineAddr, what: &str) -> (usize, usize) {
         let (_, start, key) = self.locate(addr);
         let way = self
             .find(start, key)
             .unwrap_or_else(|| panic!("{what} on a missing line"));
-        self.words[start + way + self.ways] = now.raw();
-        self.promote(start, way);
-        start + way
+        (start, way)
     }
 
     /// Reads the line (it must be present), updating metadata.
@@ -319,7 +354,19 @@ impl Cache {
     ///
     /// Panics if the line is not present.
     pub fn read_hit(&mut self, addr: LineAddr, now: Cycle) {
-        self.access(addr, now, "read_hit");
+        let (start, way) = self.resident(addr, "read_hit");
+        self.touch(start, way, now);
+        self.counters.reads += 1;
+    }
+
+    /// [`Cache::read_hit`] on the line in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no valid line.
+    pub fn read_hit_at(&mut self, slot: usize, now: Cycle) {
+        let (_, start, way) = self.resident_at(slot, "read_hit_at");
+        self.touch(start, way, now);
         self.counters.reads += 1;
     }
 
@@ -331,7 +378,8 @@ impl Cache {
     ///
     /// Panics if the line is not present.
     pub fn write_hit(&mut self, addr: LineAddr, now: Cycle) {
-        let i = self.access(addr, now, "write_hit");
+        let (start, way) = self.resident(addr, "write_hit");
+        let i = self.touch(start, way, now);
         if state_of(self.words[i]) != MesiState::SharedModified {
             self.words[i] = self.words[i] & !STATE | state_code(MesiState::Modified);
         }
@@ -346,6 +394,21 @@ impl Cache {
     /// be below `2^(61 − R)` times the set count, which every address of a
     /// cache with 64-byte lines and at most `8 × num_sets` ways is.
     pub fn fill(&mut self, addr: LineAddr, state: MesiState, now: Cycle) -> Option<EvictedLine> {
+        self.fill_slot(addr, state, now).1
+    }
+
+    /// [`Cache::fill`], also returning the slot the line now occupies (the
+    /// displaced line's, if any).
+    ///
+    /// # Panics
+    ///
+    /// As [`Cache::fill`].
+    pub fn fill_slot(
+        &mut self,
+        addr: LineAddr,
+        state: MesiState,
+        now: Cycle,
+    ) -> (usize, Option<EvictedLine>) {
         let (set, start, key) = self.locate(addr);
         assert!(
             key != NEVER,
@@ -371,23 +434,23 @@ impl Cache {
         let way = free.unwrap_or(lru);
         let i = start + way;
         let old = self.words[i];
-        let evicted = (old & STATE != 0).then(|| self.line_at(self.addr_at(set, i), i));
+        let evicted = (old & STATE != 0).then(|| self.copy_line(self.addr_at(set, i), i));
         self.words[i] = key | old & self.rank_field | state_code(state);
-        self.words[i + self.ways] = now.raw();
-        self.promote(start, way);
-        let (slot, bit) = (set as usize / 64, 1u64 << (set % 64));
-        if self.listed[slot] & bit == 0 {
-            self.listed[slot] |= bit;
+        self.touch(start, way, now);
+        let (word, bit) = (set as usize / 64, 1u64 << (set % 64));
+        if self.listed[word] & bit == 0 {
+            self.listed[word] |= bit;
             self.touched.push(set as u32);
         }
         self.counters.fills += 1;
-        evicted.map(|line| {
+        let evicted = evicted.map(|line| {
             self.counters.evictions += 1;
             if line.is_dirty() {
                 self.counters.dirty_evictions += 1;
             }
             EvictedLine { line }
-        })
+        });
+        (set as usize * self.ways + way, evicted)
     }
 
     /// Applies `f` to the resident line `addr` in place, without counting an
@@ -400,8 +463,22 @@ impl Cache {
         let Some(way) = self.find(start, key) else {
             return false;
         };
-        let i = start + way;
-        let mut line = self.line_at(addr, i);
+        self.update_word(addr, start + way, f);
+        true
+    }
+
+    /// [`Cache::update`] on the line in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no valid line.
+    pub fn update_at(&mut self, slot: usize, f: impl FnOnce(&mut CacheLine)) {
+        let (set, start, way) = self.resident_at(slot, "update_at");
+        self.update_word(self.addr_at(set, start + way), start + way, f);
+    }
+
+    fn update_word(&mut self, addr: LineAddr, i: usize, f: impl FnOnce(&mut CacheLine)) {
+        let mut line = self.copy_line(addr, i);
         f(&mut line);
         debug_assert!(
             line.addr == addr && line.is_valid(),
@@ -409,7 +486,6 @@ impl Cache {
         );
         self.words[i] = self.words[i] & !STATE | state_code(line.state);
         self.words[i + self.ways] = line.meta.last_touch.raw();
-        true
     }
 
     /// Changes the state of a resident line (coherence downgrades/upgrades).
@@ -423,10 +499,24 @@ impl Cache {
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         let (_, start, key) = self.locate(addr);
         let i = start + self.find(start, key)?;
-        let line = self.line_at(addr, i);
+        Some(self.invalidate_word(addr, i))
+    }
+
+    /// [`Cache::invalidate`] on the line in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot holds no valid line.
+    pub fn invalidate_at(&mut self, slot: usize) -> CacheLine {
+        let (set, start, way) = self.resident_at(slot, "invalidate_at");
+        self.invalidate_word(self.addr_at(set, start + way), start + way)
+    }
+
+    fn invalidate_word(&mut self, addr: LineAddr, i: usize) -> CacheLine {
+        let line = self.copy_line(addr, i);
         self.words[i] &= !STATE;
         self.counters.invalidations += 1;
-        Some(line)
+        line
     }
 
     /// A copy of a resident line.
@@ -434,7 +524,15 @@ impl Cache {
     pub fn line(&self, addr: LineAddr) -> Option<CacheLine> {
         let (_, start, key) = self.locate(addr);
         self.find(start, key)
-            .map(|way| self.line_at(addr, start + way))
+            .map(|way| self.copy_line(addr, start + way))
+    }
+
+    /// A copy of the line in `slot`, or `None` if the way is invalid.
+    #[must_use]
+    pub fn line_at(&self, slot: usize) -> Option<CacheLine> {
+        let (set, start) = self.place(slot);
+        let i = start + slot % self.ways;
+        (self.words[i] & STATE != 0).then(|| self.copy_line(self.addr_at(set, i), i))
     }
 
     /// Iterates over all valid resident lines, visiting only the sets that
@@ -444,7 +542,7 @@ impl Cache {
             let start = self.base + set as usize * 2 * self.ways;
             (start..start + self.ways)
                 .filter(move |&i| self.words[i] & STATE != 0)
-                .map(move |i| self.line_at(self.addr_at(u64::from(set), i), i))
+                .map(move |i| self.copy_line(self.addr_at(u64::from(set), i), i))
         })
     }
 
@@ -554,7 +652,8 @@ mod tests {
         assert!(c
             .fill(LineAddr::new(100), MesiState::Shared, Cycle::new(10))
             .is_none());
-        assert_eq!(c.probe(LineAddr::new(100)).unwrap().way, 2);
+        // One set, so the slot is the way.
+        assert_eq!(c.probe(LineAddr::new(100)).unwrap().slot, 2);
     }
 
     #[test]
@@ -652,6 +751,46 @@ mod tests {
         assert!(c.line(narrow).is_some());
         // Equal to `narrow` once shifted: must not alias it.
         assert!(c.line(LineAddr::new(1 << 56 | 1 << 63)).is_none());
+    }
+
+    #[test]
+    fn lookups_and_fills_report_one_slot_per_way() {
+        let mut c = four_way_set_of(3);
+        let (slot, evicted) = c.fill_slot(LineAddr::new(9), MesiState::Exclusive, Cycle::new(5));
+        assert!(evicted.is_none());
+        assert_eq!(slot, 3);
+        assert_eq!(c.lookup(LineAddr::new(9), Cycle::new(6)).unwrap().slot, 3);
+        // 8 sets x 2 ways: line 13 lives in set 5, so its slots are 10 and 11.
+        let mut c = small_cache();
+        c.fill(LineAddr::new(5), MesiState::Shared, Cycle::ZERO);
+        let (slot, _) = c.fill_slot(LineAddr::new(13), MesiState::Modified, Cycle::new(1));
+        assert_eq!(slot, 11);
+        assert_eq!(c.probe(LineAddr::new(13)).unwrap().slot, 11);
+        assert_eq!(c.line_at(slot), c.line(LineAddr::new(13)));
+        assert_eq!(c.line_at(12), None);
+    }
+
+    #[test]
+    fn slot_methods_match_their_address_forms() {
+        let (mut by_addr, mut by_slot) = (four_way_set_of(4), four_way_set_of(4));
+        let a = LineAddr::new(2);
+        let slot = by_slot.probe(a).unwrap().slot;
+        by_addr.read_hit(a, Cycle::new(7));
+        by_slot.read_hit_at(slot, Cycle::new(7));
+        by_addr.update(a, |l| l.write(Cycle::new(8)));
+        by_slot.update_at(slot, |l| l.write(Cycle::new(8)));
+        assert_eq!(by_slot.line_at(slot), by_addr.line(a));
+        assert_eq!(Some(by_slot.invalidate_at(slot)), by_addr.invalidate(a));
+        assert_eq!(by_slot.counters, by_addr.counters);
+        // The two arrays may sit at different offsets from their bases.
+        let sets = |c: &Cache| c.words[c.base..c.base + 8].to_vec();
+        assert_eq!(sets(&by_slot), sets(&by_addr));
+    }
+
+    #[test]
+    #[should_panic(expected = "read_hit_at on invalid slot 1")]
+    fn slot_methods_reject_an_invalid_way() {
+        four_way_set_of(1).read_hit_at(1, Cycle::ZERO);
     }
 
     #[test]
