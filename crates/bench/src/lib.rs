@@ -1,9 +1,10 @@
-//! Figure generation and the simulator throughput gate.
+//! Figure generation and the perf suite's simulated-cycle record.
 //!
 //! The `gen-figures` binary runs the paper's configuration sweep
 //! (Table 5.4) at a chosen [`Scale`] and renders it through
-//! `refrint::figures`. The `perfgate` binary records and gates the
-//! [`throughput`] suite as [`results`] documents (`BENCH_SIM.json`).
+//! `refrint::figures`. The `perfgate` binary records the refs and
+//! simulated cycles of each [`throughput`] scenario as a [`results`]
+//! document (`BENCH_SIM.json`), which a unit test pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

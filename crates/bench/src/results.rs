@@ -11,30 +11,18 @@ use refrint_engine::json::{escape, JsonError, Value};
 
 use crate::throughput::Measurement;
 
-/// A recorded results document: suite mode plus one entry per scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultsDoc {
-    /// Effort label the results were recorded at (`quick` / `full`).
-    pub mode: String,
-    /// One entry per scenario, in suite order.
-    pub metrics: Vec<Measurement>,
-}
-
-/// Renders a results document as pretty-printed JSON.
+/// Renders one entry per scenario, in suite order, as pretty-printed JSON.
 #[must_use]
-pub fn render(doc: &ResultsDoc) -> String {
+pub fn render(metrics: &[Measurement]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"suite\": \"sim_throughput\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", escape(&doc.mode)));
-    out.push_str("  \"metrics\": [\n");
-    for (i, m) in doc.metrics.iter().enumerate() {
+    out.push_str("{\n  \"suite\": \"sim_throughput\",\n  \"metrics\": [\n");
+    for (i, m) in metrics.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"refs\": {}, \"refs_per_sec\": {:.1}, \"execution_cycles\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"refs\": {}, \"execution_cycles\": {}}}{}\n",
             escape(&m.name),
             m.refs,
-            m.refs_per_sec,
             m.execution_cycles,
-            if i + 1 < doc.metrics.len() { "," } else { "" }
+            if i + 1 < metrics.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -77,14 +65,14 @@ impl From<JsonError> for ParseError {
     }
 }
 
-/// Parses a results document.
+/// Parses a results document into its entries, in document order.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError::Syntax`] for malformed JSON and
 /// [`ParseError::Schema`] for valid JSON that is not a `sim_throughput`
 /// document.
-pub fn parse(text: &str) -> Result<ResultsDoc, ParseError> {
+pub fn parse(text: &str) -> Result<Vec<Measurement>, ParseError> {
     let root = refrint_engine::json::parse(text)?;
 
     let suite = root
@@ -94,14 +82,8 @@ pub fn parse(text: &str) -> Result<ResultsDoc, ParseError> {
     if suite != "sim_throughput" {
         return Err(ParseError::Schema(format!("unknown suite \"{suite}\"")));
     }
-    let mode = root
-        .get("mode")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ParseError::Schema("missing \"mode\"".to_owned()))?
-        .to_owned();
-    let metrics = match root.get("metrics") {
-        Some(Value::Arr(items)) => items,
-        _ => return Err(ParseError::Schema("missing \"metrics\" array".to_owned())),
+    let Some(Value::Arr(metrics)) = root.get("metrics") else {
+        return Err(ParseError::Schema("missing \"metrics\" array".to_owned()));
     };
     let mut out = Vec::with_capacity(metrics.len());
     for (i, item) in metrics.iter().enumerate() {
@@ -118,43 +100,35 @@ pub fn parse(text: &str) -> Result<ResultsDoc, ParseError> {
         out.push(Measurement {
             name,
             refs: field("refs")? as u64,
-            refs_per_sec: field("refs_per_sec")?,
             execution_cycles: field("execution_cycles")? as u64,
         });
     }
-    Ok(ResultsDoc { mode, metrics: out })
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn doc() -> ResultsDoc {
-        ResultsDoc {
-            mode: "quick".to_owned(),
-            metrics: vec![
-                Measurement {
-                    name: "lu".to_owned(),
-                    refs: 32_000,
-                    refs_per_sec: 123_456.5,
-                    execution_cycles: 987_654,
-                },
-                Measurement {
-                    name: "fft".to_owned(),
-                    refs: 32_000,
-                    refs_per_sec: 98_765.5,
-                    execution_cycles: 123,
-                },
-            ],
-        }
+    fn metrics() -> Vec<Measurement> {
+        vec![
+            Measurement {
+                name: "lu".to_owned(),
+                refs: 32_000,
+                execution_cycles: 987_654,
+            },
+            Measurement {
+                name: "fft".to_owned(),
+                refs: 32_000,
+                execution_cycles: 123,
+            },
+        ]
     }
 
     #[test]
     fn render_parse_round_trip() {
-        let d = doc();
-        let text = render(&d);
-        let back = parse(&text).unwrap();
-        assert_eq!(back, d);
+        let m = metrics();
+        assert_eq!(parse(&render(&m)).unwrap(), m);
     }
 
     #[test]
@@ -168,23 +142,20 @@ mod tests {
     #[test]
     fn wrong_schema_is_a_schema_error() {
         assert!(matches!(parse("{}"), Err(ParseError::Schema(_))));
-        let err = parse("{\"suite\": \"other\", \"mode\": \"quick\", \"metrics\": []}");
+        let err = parse("{\"suite\": \"other\", \"metrics\": []}");
         assert!(matches!(err, Err(ParseError::Schema(_))));
-        let err = parse(
-            "{\"suite\": \"sim_throughput\", \"mode\": \"quick\", \
-             \"metrics\": [{\"name\": \"lu\"}]}",
-        );
+        let err = parse("{\"suite\": \"sim_throughput\", \"metrics\": [{\"name\": \"lu\"}]}");
         assert!(err.unwrap_err().to_string().contains("refs"));
     }
 
     #[test]
     fn parser_handles_escapes_and_numbers() {
-        let text = "{\"suite\": \"sim_throughput\", \"mode\": \"a\\\"b\\u0041\", \
-                    \"metrics\": [{\"name\": \"x\", \"refs\": 1e3, \
-                    \"refs_per_sec\": -2.5, \"execution_cycles\": 7}]}";
-        let d = parse(text).unwrap();
-        assert_eq!(d.mode, "a\"bA");
-        assert_eq!(d.metrics[0].refs, 1000);
-        assert_eq!(d.metrics[0].refs_per_sec, -2.5);
+        let text = "{\"suite\": \"sim_throughput\", \
+                    \"metrics\": [{\"name\": \"a\\\"b\\u0041\", \"refs\": 1e3, \
+                    \"execution_cycles\": 7}]}";
+        let m = parse(text).unwrap();
+        assert_eq!(m[0].name, "a\"bA");
+        assert_eq!(m[0].refs, 1000);
+        assert_eq!(m[0].execution_cycles, 7);
     }
 }

@@ -33,10 +33,11 @@ fn closed_stdout_ends_gen_figures_quietly() {
 
 #[test]
 fn closed_stdout_ends_perfgate_quietly() {
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SIM.json");
+    let file = std::env::temp_dir().join(format!("perfgate-pipe-{}.json", std::process::id()));
     let output = run_into_closed_pipe(
         env!("CARGO_BIN_EXE_perfgate"),
-        &["--compare", baseline, baseline],
+        &["--record", file.to_str().expect("a UTF-8 temp path")],
     );
+    let _ = std::fs::remove_file(&file);
     assert_quiet_end(&output);
 }

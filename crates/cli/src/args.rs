@@ -701,27 +701,17 @@ pub static SERVE_CLIENT: Program = Program {
     ],
 };
 
-/// `perfgate`: one bare flag picks the mode; the files are positionals.
+/// `perfgate`: `--record` and the file it writes.
 pub static PERFGATE: Program = Program {
     name: "perfgate",
     global: &[],
     commands: &[Command::new(
         "",
-        "record and gate simulator-throughput baselines: one of\n\
-         --record, --check or --compare; FILE defaults to\n\
-         BENCH_SIM.json, --mode to quick or the baseline's",
-        &[
-            Flag::bare("--record", "run the suite, write FILE"),
-            Flag::bare("--check", "re-run and gate against baseline FILE"),
-            Flag::bare("--compare", "diff documents FILE (old) and NEW"),
-            Flag::value("--mode", "quick|full", "suite effort"),
-            Flag::value("--tolerance", "FRAC", "refs/sec drop allowed (0.10)"),
-            Flag::value("--against", "RESULTS", "gate this run, not a new one"),
-            Flag::one_of("--format", &["text", "json"], "--check: verdict rendering"),
-            Flag::value("--min-ratio", "NAME=R", "require speedup R for NAME"),
-        ],
+        "simulate the perf suite's scenarios, untimed, and write each\n\
+         one's refs and execution_cycles to FILE (default BENCH_SIM.json)",
+        &[Flag::bare("--record", "run the suite, write FILE")],
     )
-    .taking(&["[FILE]", "[NEW]"])],
+    .taking(&["[FILE]"])],
 };
 
 /// `gen-figures`.

@@ -145,13 +145,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Adds a custom refresh-policy model to the sweep.
-    #[must_use]
-    pub fn with_model(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        self.models.push(factory);
-        self
-    }
-
     /// Adds a recorded trace to the sweep.
     #[must_use]
     pub fn with_trace(mut self, trace: TraceSpec) -> Self {

@@ -50,7 +50,6 @@ use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::retention::RetentionConfig;
 use refrint_edram::variation::RetentionProfile;
 use refrint_energy::breakdown::EnergyBreakdown;
-use refrint_energy::tech::CellTech;
 use refrint_trace::{TraceFile, TraceMeta};
 use refrint_workloads::apps::AppPreset;
 use refrint_workloads::model::WorkloadModel;
@@ -75,13 +74,6 @@ pub enum BuildError {
         cores: usize,
         /// Nodes on the configured torus.
         torus_nodes: usize,
-    },
-    /// The model assumes one shared-L3 bank per tile.
-    BankCoreMismatch {
-        /// Configured L3 bank count.
-        l3_banks: usize,
-        /// Configured core count.
-        cores: usize,
     },
     /// The retention period leaves no room for the sentry safety margin.
     RetentionTooShort {
@@ -132,11 +124,6 @@ impl fmt::Display for BuildError {
                 torus_nodes: *torus_nodes,
             }
             .fmt(f),
-            BuildError::BankCoreMismatch { l3_banks, cores } => ConfigError::BankCoreMismatch {
-                l3_banks: *l3_banks,
-                cores: *cores,
-            }
-            .fmt(f),
             BuildError::RetentionTooShort {
                 retention_cycles,
                 sentry_margin,
@@ -182,7 +169,6 @@ impl From<BuildError> for RefrintError {
 #[derive(Debug, Clone, Default)]
 pub struct SimulationBuilder {
     base: Option<BasePreset>,
-    cells: Option<CellTech>,
     policy: Option<RefreshPolicy>,
     policy_label: Option<String>,
     policy_model: Option<Arc<dyn PolicyFactory>>,
@@ -191,7 +177,6 @@ pub struct SimulationBuilder {
     retention_profile: Option<RetentionProfile>,
     protocol: Option<CoherenceProtocol>,
     cores: Option<usize>,
-    l3_banks: Option<usize>,
     seed: Option<u64>,
     refs_per_thread: Option<u64>,
     trace: Option<PathBuf>,
@@ -228,13 +213,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn edram_recommended(mut self) -> Self {
         self.base = Some(BasePreset::EdramRecommended);
-        self
-    }
-
-    /// Overrides the cell technology.
-    #[must_use]
-    pub fn cells(mut self, cells: CellTech) -> Self {
-        self.cells = Some(cells);
         self
     }
 
@@ -308,19 +286,10 @@ impl SimulationBuilder {
     }
 
     /// Shrinks or grows the chip; the L3 bank count follows the core count
-    /// (one bank per tile) unless [`SimulationBuilder::l3_banks`] overrides
-    /// it.
+    /// (one bank per tile).
     #[must_use]
     pub fn cores(mut self, cores: usize) -> Self {
         self.cores = Some(cores);
-        self
-    }
-
-    /// Overrides the L3 bank count (expert use; the model requires one bank
-    /// per tile, so any value other than the core count fails at build).
-    #[must_use]
-    pub fn l3_banks(mut self, banks: usize) -> Self {
-        self.l3_banks = Some(banks);
         self
     }
 
@@ -404,10 +373,6 @@ impl SimulationBuilder {
             BasePreset::EdramRecommended => SystemConfig::edram_recommended(),
         };
 
-        if let Some(cells) = self.cells {
-            config.cells = cells;
-        }
-
         // Resolve the policy specification (at most one of the three forms).
         let specs = usize::from(self.policy.is_some())
             + usize::from(self.policy_label.is_some())
@@ -476,9 +441,6 @@ impl SimulationBuilder {
             config.cores = trace.meta().threads;
             config.l3_banks = trace.meta().threads;
         }
-        if let Some(banks) = self.l3_banks {
-            config.l3_banks = banks;
-        }
         if let Some(seed) = self.seed {
             config.seed = seed;
         }
@@ -493,9 +455,6 @@ impl SimulationBuilder {
             ConfigError::ZeroCores => BuildError::ZeroCores,
             ConfigError::TooManyCores { cores, torus_nodes } => {
                 BuildError::TooManyCores { cores, torus_nodes }
-            }
-            ConfigError::BankCoreMismatch { l3_banks, cores } => {
-                BuildError::BankCoreMismatch { l3_banks, cores }
             }
             ConfigError::RetentionTooShort {
                 retention_cycles,
@@ -825,22 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn bank_mismatch_is_a_typed_error() {
-        let err = Simulation::builder()
-            .cores(4)
-            .l3_banks(8)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::BankCoreMismatch {
-                l3_banks: 8,
-                cores: 4
-            }
-        );
-    }
-
-    #[test]
     fn too_many_cores_is_a_typed_error() {
         let err = Simulation::builder().cores(17).build().unwrap_err();
         assert_eq!(
@@ -874,13 +817,6 @@ mod tests {
                 setting: "retention"
             }
         );
-        // Explicitly selecting eDRAM cells over the SRAM preset is fine.
-        assert!(Simulation::builder()
-            .sram_baseline()
-            .cells(CellTech::Edram)
-            .retention_us(100)
-            .build()
-            .is_ok());
     }
 
     #[test]

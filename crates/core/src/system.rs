@@ -208,12 +208,6 @@ impl CmpSystem {
         self.obs.summary()
     }
 
-    /// Whether span recording is on.
-    #[must_use]
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_enabled()
-    }
-
     /// Runs an arbitrary workload model (its thread count is adjusted to the
     /// configured core count, and its length to the configured scale).
     pub fn run_model(&mut self, model: &WorkloadModel) -> SimReport {

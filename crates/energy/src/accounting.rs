@@ -45,12 +45,6 @@ impl EnergyCounts {
         Self::default()
     }
 
-    /// Total L1 accesses (instruction + data).
-    #[must_use]
-    pub const fn l1_accesses(&self) -> u64 {
-        self.il1_accesses + self.dl1_accesses
-    }
-
     /// Total DRAM transactions.
     #[must_use]
     pub const fn dram_accesses(&self) -> u64 {
@@ -106,7 +100,6 @@ mod tests {
             l3_refreshes: 3,
             ..EnergyCounts::default()
         };
-        assert_eq!(c.l1_accesses(), 15);
         assert_eq!(c.dram_accesses(), 7);
         assert_eq!(c.total_refreshes(), 6);
     }

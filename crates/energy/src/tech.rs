@@ -143,14 +143,6 @@ impl TechnologyParams {
             clock_hz: 1_000_000_000,
         }
     }
-
-    /// Total SRAM leakage power of the on-chip memory hierarchy for a chip
-    /// with `cores` tiles (each with IL1 + DL1 + L2) and `l3_banks` banks.
-    #[must_use]
-    pub fn total_sram_memory_leakage_w(&self, cores: usize, l3_banks: usize) -> f64 {
-        (self.il1.sram_leakage_w + self.dl1.sram_leakage_w + self.l2.sram_leakage_w) * cores as f64
-            + self.l3_bank.sram_leakage_w * l3_banks as f64
-    }
 }
 
 impl Default for TechnologyParams {
@@ -193,8 +185,9 @@ mod tests {
         // The paper's observation that the L3 consumes the majority of the
         // on-chip memory energy hinges on its leakage dominating.
         let p = TechnologyParams::paper_default();
-        let total = p.total_sram_memory_leakage_w(16, 16);
+        let tiles = (p.il1.sram_leakage_w + p.dl1.sram_leakage_w + p.l2.sram_leakage_w) * 16.0;
         let l3 = p.l3_bank.sram_leakage_w * 16.0;
+        let total = tiles + l3;
         assert!(l3 / total > 0.5, "L3 share is {}", l3 / total);
         assert!(total > 0.0);
     }

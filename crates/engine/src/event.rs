@@ -134,12 +134,6 @@ impl<E> EventQueue<E> {
         self.heap.push(HeapEntry { at, seq, event });
     }
 
-    /// Schedules `event` to fire `delay` cycles after the current time.
-    pub fn schedule_after(&mut self, delay: Cycle, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Removes and returns the earliest pending event, advancing the clock to
     /// its cycle.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
@@ -216,16 +210,6 @@ mod tests {
         q.schedule(Cycle::new(1), ());
         q.pop();
         assert_eq!(q.now(), Cycle::new(15));
-    }
-
-    #[test]
-    fn schedule_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(100), "a");
-        q.pop();
-        q.schedule_after(Cycle::new(10), "b");
-        let e = q.pop().unwrap();
-        assert_eq!(e.at, Cycle::new(110));
     }
 
     #[test]

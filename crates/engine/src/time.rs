@@ -51,21 +51,6 @@ impl Cycle {
         Cycle(self.0.saturating_sub(other.0))
     }
 
-    /// Saturating addition: clamps at [`Cycle::MAX`].
-    #[must_use]
-    pub const fn saturating_add(self, other: Cycle) -> Cycle {
-        Cycle(self.0.saturating_add(other.0))
-    }
-
-    /// Checked addition.
-    #[must_use]
-    pub const fn checked_add(self, other: Cycle) -> Option<Cycle> {
-        match self.0.checked_add(other.0) {
-            Some(v) => Some(Cycle(v)),
-            None => None,
-        }
-    }
-
     /// Returns the larger of two cycle values.
     #[must_use]
     pub fn max(self, other: Cycle) -> Cycle {
@@ -318,12 +303,6 @@ impl Freq {
     #[must_use]
     pub fn gigahertz(ghz: u64) -> Self {
         Freq::hertz(ghz * 1_000_000_000)
-    }
-
-    /// The frequency in hertz.
-    #[must_use]
-    pub const fn as_hertz(self) -> u64 {
-        self.hertz
     }
 
     /// The period of one cycle.

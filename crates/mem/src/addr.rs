@@ -37,12 +37,6 @@ impl Addr {
         );
         LineAddr(self.0 >> line_size.trailing_zeros())
     }
-
-    /// Offset of this byte within its line.
-    #[must_use]
-    pub fn offset_in_line(self, line_size: u64) -> u64 {
-        self.0 & (line_size - 1)
-    }
 }
 
 impl fmt::Display for Addr {
@@ -151,7 +145,6 @@ mod tests {
         let a = Addr::new(0x1234_5678);
         let line = a.line(64);
         assert_eq!(line.raw(), 0x1234_5678 / 64);
-        assert_eq!(a.offset_in_line(64), 0x1234_5678 % 64);
         let base = line.base_addr(64);
         assert!(base.raw() <= a.raw() && a.raw() < base.raw() + 64);
     }

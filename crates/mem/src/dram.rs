@@ -122,13 +122,6 @@ impl DramModel {
         }
         out
     }
-
-    /// Resets channel occupancy (used between experiment phases).
-    pub fn reset_timing(&mut self) {
-        for c in &mut self.channel_free_at {
-            *c = Cycle::ZERO;
-        }
-    }
 }
 
 impl Default for DramModel {
@@ -176,15 +169,6 @@ mod tests {
         let b = d.access(1, DramOp::Read, Cycle::ZERO);
         assert_eq!(a, Cycle::new(40));
         assert_eq!(b, Cycle::new(40));
-    }
-
-    #[test]
-    fn reset_timing_clears_queues() {
-        let mut d = DramModel::new(Cycle::new(40), 1, Cycle::new(100));
-        let _ = d.access(0, DramOp::Read, Cycle::ZERO);
-        d.reset_timing();
-        let done = d.access(0, DramOp::Read, Cycle::ZERO);
-        assert_eq!(done, Cycle::new(40));
     }
 
     #[test]

@@ -216,22 +216,6 @@ impl ObsSummary {
     pub fn total_host_nanos(&self) -> u64 {
         self.per_subsystem.iter().map(|t| t.host_nanos).sum()
     }
-
-    /// A subsystem's share of the attributed simulated cycles (0 when
-    /// nothing was attributed).
-    #[must_use]
-    pub fn cycle_share(&self, subsystem: Subsystem) -> f64 {
-        let total = self.total_cycles();
-        if total == 0 {
-            return 0.0;
-        }
-        let own = self
-            .per_subsystem
-            .iter()
-            .find(|t| t.subsystem == subsystem)
-            .map_or(0, |t| t.cycles);
-        own as f64 / total as f64
-    }
 }
 
 impl fmt::Display for ObsSummary {
@@ -295,7 +279,6 @@ mod tests {
             let dram = &s.per_subsystem[Subsystem::Dram.index()];
             assert_eq!(cache.cycles, 300, "sampling must not skew cycles");
             assert_eq!(dram.cycles, 500);
-            assert!((s.cycle_share(Subsystem::Dram) - 0.625).abs() < 1e-12);
         }
     }
 

@@ -157,11 +157,6 @@ impl Metrics {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let refs = get(&self.refs_simulated);
         let sim_seconds = get(&self.sim_micros) as f64 / 1e6;
-        let refs_per_sec = if sim_seconds > 0.0 {
-            refs as f64 / sim_seconds
-        } else {
-            0.0
-        };
         let mut out = String::new();
         let mut counter = |name: &str, help: &str, value: u64| {
             out.push_str(&format!(
@@ -227,11 +222,6 @@ impl Metrics {
             "# HELP refrint_sim_seconds_total Wall-clock seconds spent simulating.\n\
              # TYPE refrint_sim_seconds_total counter\n\
              refrint_sim_seconds_total {sim_seconds:.6}\n"
-        ));
-        out.push_str(&format!(
-            "# HELP refrint_refs_per_sec Simulated references per busy second.\n\
-             # TYPE refrint_refs_per_sec gauge\n\
-             refrint_refs_per_sec {refs_per_sec:.1}\n"
         ));
         out.push_str(&format!(
             "# HELP refrint_queue_depth Jobs enqueued but not yet claimed by a worker.\n\
@@ -348,7 +338,7 @@ mod tests {
         assert!(doc.contains("refrint_jobs_completed_total 1"));
         assert!(doc.contains("refrint_jobs_failed_total 1"));
         assert!(doc.contains("refrint_refs_simulated_total 1000"));
-        assert!(doc.contains("refrint_refs_per_sec 2000.0"));
+        assert!(doc.contains("refrint_sim_seconds_total 0.500000"));
         assert!(doc.contains("# TYPE refrint_uptime_seconds gauge"));
         // Every exposed line is either a comment or `name value`.
         for line in doc.lines() {

@@ -71,12 +71,6 @@ impl ThreadStream {
         self.thread
     }
 
-    /// Base byte address of the shared region.
-    #[must_use]
-    pub fn shared_base(&self) -> u64 {
-        0
-    }
-
     /// Base byte address of this thread's private region.
     #[must_use]
     pub fn private_base(&self) -> u64 {
@@ -161,14 +155,6 @@ impl Iterator for ThreadStream {
 }
 
 impl ExactSizeIterator for ThreadStream {}
-
-/// Generates the streams for every thread of `model`.
-#[must_use]
-pub fn all_threads(model: &WorkloadModel, seed: u64) -> Vec<ThreadStream> {
-    (0..model.threads)
-        .map(|t| ThreadStream::new(model, t, seed))
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -280,17 +266,6 @@ mod tests {
             "{} distinct lines",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn all_threads_builds_every_stream() {
-        let m = model();
-        let streams = all_threads(&m, 9);
-        assert_eq!(streams.len(), 4);
-        for (i, s) in streams.iter().enumerate() {
-            assert_eq!(s.thread(), i);
-            assert_eq!(s.len(), 2000);
-        }
     }
 
     #[test]

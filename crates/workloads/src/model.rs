@@ -96,14 +96,6 @@ impl WorkloadModel {
         self.mean_gap_cycles * 4
     }
 
-    /// Approximate number of cycles one thread needs to issue all of its
-    /// references (compute gaps plus one cycle per reference), used to size
-    /// simulations.
-    #[must_use]
-    pub fn approx_cycles_per_thread(&self) -> u64 {
-        self.refs_per_thread * (self.mean_gap_cycles + 1)
-    }
-
     /// Scales the reference count per thread (used by quick tests and
     /// benches to shrink runs without changing the access pattern).
     #[must_use]
@@ -201,7 +193,6 @@ mod tests {
         let m = valid_model().with_refs_per_thread(5).with_threads(4);
         assert_eq!(m.refs_per_thread, 5);
         assert_eq!(m.threads, 4);
-        assert!(m.approx_cycles_per_thread() >= 5);
         assert_eq!(m.max_gap_cycles(), 12);
     }
 

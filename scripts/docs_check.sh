@@ -15,21 +15,26 @@
 #      b. every `serve-client <command>` the docs mention is listed in
 #         serve-client's usage;
 #      c. every `--flag` on a README/docs line that invokes `serve-client`
-#         appears in serve-client's usage.
+#         appears in serve-client's usage;
+#      d. every `--flag` after `perfgate` or `gen-figures` on a README/docs
+#         line that invokes it appears in that binary's usage.
 #
-# Usage: scripts/docs_check.sh [path/to/refrint-cli] [path/to/serve-client]
-# (default to target/release/refrint-cli and the serve-client next to it;
-# build both first: cargo build --release -p refrint-cli)
+# Usage: scripts/docs_check.sh [refrint-cli] [serve-client] [perfgate] [gen-figures]
+# (paths; the first defaults to target/release/refrint-cli and the others
+# to the binaries next to it; build them first:
+# cargo build --release -p refrint-cli -p refrint-bench)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CLI="${1:-target/release/refrint-cli}"
 CLIENT="${2:-$(dirname "$CLI")/serve-client}"
-for bin in "$CLI" "$CLIENT"; do
+PERFGATE="${3:-$(dirname "$CLI")/perfgate}"
+GEN_FIGURES="${4:-$(dirname "$CLI")/gen-figures}"
+for bin in "$CLI" "$CLIENT" "$PERFGATE" "$GEN_FIGURES"; do
     if [ ! -x "$bin" ]; then
         echo "docs-check: $bin not found — run" \
-            "'cargo build --release -p refrint-cli' first" >&2
+            "'cargo build --release -p refrint-cli -p refrint-bench' first" >&2
         exit 1
     fi
 done
@@ -137,6 +142,24 @@ while IFS=: read -r doc lineno text; do
             err "$doc:$lineno shows $flag on a serve-client line but '$CLIENT' usage has no such flag"
     done
 done < <(grep -nE 'serve-client( --addr [^ ]+)? [a-z]' "${docs[@]}")
+
+# --- 5d. flags on documented perfgate and gen-figures invocations exist -----
+# Only the text after the binary's name counts, so cargo's own flags on a
+# `cargo run --release -p refrint-bench --bin perfgate -- ...` line do not.
+# perfgate prints its usage (and fails) when run without arguments.
+for bin in perfgate gen-figures; do
+    if [ "$bin" = perfgate ]; then
+        usage=$("$PERFGATE" 2>&1 || true)
+    else
+        usage=$("$GEN_FIGURES" --help)
+    fi
+    while IFS=: read -r doc lineno text; do
+        for flag in $(printf '%s\n' "${text#*"$bin"}" | grep -oE -- '--[a-z][a-z-]*' | sort -u); do
+            printf '%s\n' "$usage" | grep -qE -- "${flag}([^a-z-]|\$)" ||
+                err "$doc:$lineno shows $flag on a $bin line but its usage has no such flag"
+        done
+    done < <(grep -nE "$bin( --)? --[a-z]" "${docs[@]}")
+done
 
 if [ "$fail" -ne 0 ]; then
     exit 1

@@ -19,19 +19,15 @@ fn builder_rejects_zero_cores_with_a_typed_error() {
 }
 
 #[test]
-fn builder_rejects_bank_core_mismatch_with_a_typed_error() {
-    let err = Simulation::builder()
-        .cores(8)
-        .l3_banks(4)
-        .build()
-        .unwrap_err();
-    assert_eq!(
-        err,
-        BuildError::BankCoreMismatch {
-            l3_banks: 4,
-            cores: 8
-        }
-    );
+fn builder_gives_every_core_one_l3_bank() {
+    // No builder input sets the bank count apart from the core count, so
+    // `SystemConfig`'s bank/core rule cannot fire on a built simulation.
+    for cores in [1, 4, 16] {
+        let config = Simulation::builder().cores(cores).build_config().unwrap();
+        assert_eq!((config.cores, config.l3_banks), (cores, cores));
+    }
+    let config = Simulation::builder().build_config().unwrap();
+    assert_eq!(config.l3_banks, config.cores);
 }
 
 #[test]

@@ -8,10 +8,11 @@
 //! policy must render identical JSON reports, and the parallel sweep runner
 //! must produce identical output for worker counts 1, 2 and 8.
 //!
-//! `perfgate --check` additionally compares `execution_cycles` against the
-//! committed `BENCH_SIM.json` baselines, which extends this guarantee
-//! *across* commits: an optimization that changes simulated behaviour fails
-//! CI even if it is internally self-consistent.
+//! `quick_runs_reproduce_the_committed_execution_cycles` (in
+//! `crates/bench`) additionally compares each perf scenario's
+//! `execution_cycles` with the committed `BENCH_SIM.json`, which extends
+//! this guarantee *across* commits: an optimization that changes simulated
+//! behaviour fails tier-1 even if it is internally self-consistent.
 
 use refrint::experiment::ExperimentConfig;
 use refrint::json;
