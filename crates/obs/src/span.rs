@@ -154,7 +154,8 @@ impl SpanRing {
 /// The canonical request lifecycle stages `refrint-serve` records, in
 /// wall-clock order. The names double as the `stage` label values of the
 /// `refrint_request_stage_seconds` metrics family.
-pub const REQUEST_STAGES: [&str; 7] = [
+pub const REQUEST_STAGES: [&str; 8] = [
+    "accept",
     "parse",
     "read_body",
     "validate",
@@ -165,7 +166,7 @@ pub const REQUEST_STAGES: [&str; 7] = [
 ];
 
 /// One stage of a request's lifecycle, in host nanoseconds relative to
-/// the moment the connection handler started reading the request.
+/// the moment `accept` returned the request's connection.
 ///
 /// Stage spans are children of the implicit `request` root span; the
 /// simulator's [`Span`]s attach under the `execute` stage at export time.

@@ -105,7 +105,7 @@ impl HttpError {
 ///
 /// [`HttpError`] describing the protocol problem; the caller turns it into
 /// an error response on the same connection.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
+pub fn read_request(stream: &TcpStream, max_body: usize) -> Result<Request, HttpError> {
     let mut reader_ref = BufReader::new(stream);
     let mut head = 0usize;
     let head_started = std::time::Instant::now();
@@ -273,7 +273,7 @@ impl Response {
     /// Writes the response to `stream`. Write failures are ignored — the
     /// client already went away and the server has nothing left to do for
     /// this connection.
-    pub fn write(&self, stream: &mut TcpStream) {
+    pub fn write(&self, mut stream: &TcpStream) {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
@@ -309,11 +309,11 @@ mod tests {
             let mut buf = Vec::new();
             let _ = s.read_to_end(&mut buf);
         });
-        let (mut stream, _) = listener.accept().unwrap();
+        let (stream, _) = listener.accept().unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_millis(500)))
             .unwrap();
-        let result = read_request(&mut stream, max_body);
+        let result = read_request(&stream, max_body);
         // Close our end before joining: the client blocks in read_to_end
         // until the server side goes away.
         drop(stream);
@@ -408,11 +408,11 @@ mod tests {
             let mut buf = Vec::new();
             let _ = s.read_to_end(&mut buf);
         });
-        let (mut stream, _) = listener.accept().unwrap();
+        let (stream, _) = listener.accept().unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_secs(5)))
             .unwrap();
-        let err = read_request(&mut stream, 1024).unwrap_err();
+        let err = read_request(&stream, 1024).unwrap_err();
         assert_eq!(err, HttpError::HeadTooLarge);
         drop(stream);
         client.join().unwrap();

@@ -27,14 +27,18 @@
 //! # Architecture
 //!
 //! ```text
-//!  accept loop ──► connection threads ──► bounded MPSC job queue
+//!  accept loop ──► handler pool ──► bounded MPSC job queue
 //!      │                 │ cache hit? ◄── result cache (canonical key)
 //!      ▼                 ▼                        ▲
 //!  shutdown flag    sync waiters ◄── condvar ── worker pool (simulates)
 //! ```
 //!
-//! Every request is validated before it is queued (typed 4xx errors, never
-//! a dropped connection), the queue is bounded (`503 queue_full` beyond
+//! Every thread is named and joined at shutdown. The handler pool holds at
+//! most `max_connections` threads, started only when no handler is idle
+//! and reused most-recently-idle first; beyond `max_connections` open
+//! connections the accept loop answers `503 over_capacity` itself. Every
+//! request is validated before it is queued (typed 4xx errors, never a
+//! dropped connection), the queue is bounded (`503 queue_full` beyond
 //! capacity), and results are cached under a canonical key derived from
 //! the validated configuration — an identical request is answered with the
 //! very same bytes without simulating again.
@@ -51,9 +55,10 @@ pub mod http;
 pub mod jobs;
 pub mod metrics;
 
-use std::collections::HashMap;
-use std::io;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -217,7 +222,8 @@ pub struct ServerOptions {
     /// How long a synchronous request waits for its job before returning
     /// `503 timeout` (the job keeps running; poll `/jobs/<id>`).
     pub request_deadline: Duration,
-    /// Concurrent connections beyond this are answered `503` immediately.
+    /// Concurrent connections beyond this are answered `503` immediately
+    /// by the accept thread; also the cap of the connection handler pool.
     pub max_connections: usize,
     /// Completed jobs retained for `/jobs/<id>` polling.
     pub retained_jobs: usize,
@@ -277,10 +283,13 @@ struct ServerState {
     shutdown: AtomicBool,
     /// Where a self-connect reaches the listener (see [`wake`]).
     wake_addr: SocketAddr,
-    /// Connections being handled; the drain waits on `connections_closed`
-    /// for it to reach zero.
+    /// Connections admitted and not yet answered (at most
+    /// `max_connections`); the drain waits on `connections_closed` for it
+    /// to reach zero.
     active_connections: Mutex<usize>,
     connections_closed: Condvar,
+    /// The threads that serve admitted connections.
+    handlers: Mutex<HandlerPool>,
     next_job: AtomicU64,
     coordinator: Option<Coordinator>,
     disk_cache: Option<DiskCache>,
@@ -307,6 +316,22 @@ impl ServerState {
 /// handler releases it or exits, even by panic, and signals the drain.
 struct ConnectionGuard(Arc<ServerState>);
 
+impl ConnectionGuard {
+    /// Takes a slot for a new connection, or `None` when
+    /// `max_connections` are already taken.
+    fn admit(state: &Arc<ServerState>) -> Option<ConnectionGuard> {
+        let mut active = state
+            .active_connections
+            .lock()
+            .expect("connection count lock");
+        if *active >= state.options.max_connections {
+            return None;
+        }
+        *active += 1;
+        Some(ConnectionGuard(Arc::clone(state)))
+    }
+}
+
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
         *self
@@ -316,6 +341,209 @@ impl Drop for ConnectionGuard {
             .expect("connection count lock") -= 1;
         self.0.connections_closed.notify_all();
     }
+}
+
+/// An admitted connection on its way to a handler: the socket (shared so
+/// the drain can shut it down under a blocked read), the instant `accept`
+/// returned it, where its `accept` stage starts, and its slot.
+struct Accepted {
+    stream: Arc<TcpStream>,
+    at: Instant,
+    slot: ConnectionGuard,
+}
+
+/// The connection handlers: at most `max_connections` named threads
+/// (`refrint-conn-<i>`), started one at a time, and only when a connection
+/// finds no handler idle and every handler holding an unanswered one. The
+/// handler that went idle most recently gets the next connection, so a
+/// light load keeps reusing as many threads (and stacks) as it has
+/// requests in flight, however large the cap. A connection that finds a
+/// handler still finishing a connection it has already answered waits in
+/// `waiting`, and a finished handler takes the oldest waiting connection
+/// first.
+#[derive(Default)]
+struct HandlerPool {
+    handlers: Vec<Handler>,
+    /// Indices of idle handlers, the most recently idle last.
+    idle: Vec<usize>,
+    waiting: VecDeque<Accepted>,
+    /// Set by the drain; a handler that sees it exits.
+    closed: bool,
+}
+
+/// One handler thread as the pool sees it.
+struct Handler {
+    thread: Option<JoinHandle<()>>,
+    /// Wakes this handler, idle, when `next` is filled or the pool closes.
+    /// Waited on with the pool's lock.
+    wake: Arc<Condvar>,
+    /// The connection handed to this handler while it was idle.
+    next: Option<Accepted>,
+    /// The socket being served, for the drain to shut down.
+    serving: Option<Arc<TcpStream>>,
+}
+
+impl std::fmt::Debug for HandlerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HandlerPool")
+            .field("handlers", &self.handlers.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Hands an admitted connection to the most recently idle handler, else to
+/// a new handler while admitted connections outnumber handlers, else to the
+/// waiting queue. Only the accept thread calls this, so only it starts
+/// handlers.
+fn dispatch(state: &Arc<ServerState>, conn: Accepted) {
+    let mut pool = state.handlers.lock().expect("handler pool lock");
+    if let Some(i) = pool.idle.pop() {
+        let handler = &mut pool.handlers[i];
+        handler.next = Some(conn);
+        handler.wake.notify_one();
+        return;
+    }
+    // With no handler idle and at least as many handlers as admitted
+    // connections, some handler has answered and freed its slot, and
+    // takes the oldest waiting connection next. Admission caps the count
+    // at `max_connections`, and with it the pool.
+    let admitted = *state
+        .active_connections
+        .lock()
+        .expect("connection count lock");
+    if pool.handlers.len() >= admitted {
+        pool.waiting.push_back(conn);
+        return;
+    }
+    let i = pool.handlers.len();
+    let wake = Arc::new(Condvar::new());
+    let serving = Some(Arc::clone(&conn.stream));
+    let thread = {
+        let state = Arc::clone(state);
+        let wake = Arc::clone(&wake);
+        std::thread::Builder::new()
+            .name(format!("refrint-conn-{i}"))
+            .spawn(move || handler_loop(&state, i, &wake, conn))
+            .expect("spawning a connection handler succeeds")
+    };
+    pool.handlers.push(Handler {
+        thread: Some(thread),
+        wake,
+        next: None,
+        serving,
+    });
+}
+
+/// Handler `i`: serves `conn`, then the oldest waiting connection, or goes
+/// idle until [`dispatch`] hands it one; exits once the pool is closed. A
+/// panic ends its request, not the handler, so the pool keeps its size.
+fn handler_loop(state: &Arc<ServerState>, i: usize, wake: &Condvar, mut conn: Accepted) {
+    loop {
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(state, conn)));
+        let mut pool = state.handlers.lock().expect("handler pool lock");
+        pool.handlers[i].serving = None;
+        conn = match pool.waiting.pop_front() {
+            Some(waiting) if !pool.closed => waiting,
+            _ => {
+                pool.idle.push(i);
+                loop {
+                    if pool.closed {
+                        return;
+                    }
+                    if let Some(next) = pool.handlers[i].next.take() {
+                        break next;
+                    }
+                    pool = wake.wait(pool).expect("handler pool lock");
+                }
+            }
+        };
+        pool.handlers[i].serving = Some(Arc::clone(&conn.stream));
+    }
+}
+
+impl HandlerPool {
+    /// Closes the pool and returns every handler thread for the drain to
+    /// join. Sockets still being served are shut down, which ends a
+    /// handler's blocked read at once instead of after `read_timeout`;
+    /// connections no handler took are dropped.
+    fn close(&mut self) -> Vec<JoinHandle<()>> {
+        self.closed = true;
+        self.waiting.clear();
+        self.handlers
+            .iter_mut()
+            .filter_map(|handler| {
+                handler.next = None;
+                if let Some(stream) = &handler.serving {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                }
+                handler.wake.notify_one();
+                handler.thread.take()
+            })
+            .collect()
+    }
+}
+
+/// How long a refused socket may stay open for its client to read the
+/// `503` and close first; the handlers' post-response drain allows the
+/// same.
+const REFUSED_LINGER: Duration = Duration::from_millis(500);
+
+/// Answers a connection beyond `max_connections` with `503 over_capacity`
+/// on the accept thread, and never blocks there: the socket is made
+/// non-blocking, and the response fits its empty send buffer. The socket
+/// is then kept in `refused` instead of being closed (see [`reap`]).
+fn refuse(
+    state: &ServerState,
+    stream: TcpStream,
+    at: Instant,
+    refused: &mut Vec<(TcpStream, Instant)>,
+) {
+    state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
+    state.metrics.http_errors.fetch_add(1, Ordering::Relaxed);
+    let response: Response = ApiError::new(
+        503,
+        "over_capacity",
+        format!(
+            "more than {} concurrent connections; retry shortly",
+            state.options.max_connections
+        ),
+    )
+    .into();
+    let _ = stream.set_nonblocking(true);
+    response.write(&stream);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    state
+        .metrics
+        .record_request_micros(elapsed_nanos(at) / 1_000);
+    state.logger.info("over_capacity", &[]);
+    if refused.len() >= state.options.max_connections.max(1) {
+        refused.remove(0);
+    }
+    refused.push((stream, at));
+}
+
+/// Closes the refused sockets whose clients have closed, or that have
+/// lingered past [`REFUSED_LINGER`], without blocking. Their request bytes
+/// are read and discarded first: closing a socket with unread bytes sends
+/// an RST, which can destroy the `503` before the client reads it.
+fn reap(refused: &mut Vec<(TcpStream, Instant)>) {
+    refused.retain(|(stream, at)| at.elapsed() < REFUSED_LINGER && !peer_closed(stream));
+}
+
+/// Whether the peer has closed `stream` (non-blocking), reading and
+/// discarding a bounded amount of what it sent.
+fn peer_closed(mut stream: &TcpStream) -> bool {
+    let mut sink = [0u8; 8 * 1024];
+    for _ in 0..8 {
+        match stream.read(&mut sink) {
+            Ok(0) => return true,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return true,
+        }
+    }
+    false
 }
 
 /// Where a self-connect reaches a listener bound to `bound`: the same
@@ -392,6 +620,7 @@ impl Server {
             wake_addr,
             active_connections: Mutex::new(0),
             connections_closed: Condvar::new(),
+            handlers: Mutex::new(HandlerPool::default()),
             next_job: AtomicU64::new(1),
             coordinator,
             disk_cache,
@@ -425,11 +654,12 @@ impl Server {
     }
 
     /// Serves until `POST /shutdown` or SIGTERM, then drains: queued jobs
-    /// finish, workers join, in-flight connections get a grace period.
+    /// finish, workers join, in-flight connections get a grace period, and
+    /// every connection handler joins.
     ///
     /// # Errors
     ///
-    /// Any socket error from the accept loop.
+    /// Any socket error from the accept loop, returned after the drain.
     pub fn run(self) -> io::Result<()> {
         let Server {
             listener,
@@ -439,13 +669,13 @@ impl Server {
         sigterm::register(state.wake_addr);
         let accepted = accept_loop(&listener, &state);
         sigterm::unregister(state.wake_addr);
-        accepted?;
 
-        // Graceful drain. Close the listener first so clients connecting
-        // mid-drain are refused immediately instead of handshaking into a
-        // backlog nobody will ever read. Then close the queue (workers
-        // finish what is queued and exit), join the pool, and give
-        // in-flight connections a moment to write their responses.
+        // Graceful drain, also after an accept error. Close the listener
+        // first so clients connecting mid-drain are refused immediately
+        // instead of handshaking into a backlog nobody will ever read.
+        // Then close the queue (workers finish what is queued and exit),
+        // join the workers, give in-flight connections a moment to write
+        // their responses, and close and join the handler pool.
         state.logger.info("drain_start", &[]);
         drop(listener);
         state.queue.lock().expect("queue lock").take();
@@ -460,8 +690,12 @@ impl Server {
             .connections_closed
             .wait_timeout_while(active, Duration::from_secs(5), |n| *n > 0)
             .expect("connection count lock");
+        let handlers = state.handlers.lock().expect("handler pool lock").close();
+        for handler in handlers {
+            let _ = handler.join();
+        }
         state.logger.info("drain_done", &[]);
-        Ok(())
+        accepted
     }
 
     /// Runs the server on a background thread; the returned handle stops
@@ -485,28 +719,30 @@ impl Server {
     }
 }
 
-/// Accepts connections, one handler thread each, until a shutdown is
-/// requested. `accept` blocks; [`ServerState::request_shutdown`] and the
-/// SIGTERM waker unblock it with a self-connect, which is dropped here.
+/// Accepts connections until a shutdown is requested, handing each to the
+/// handler pool ([`dispatch`]); beyond `max_connections` it answers
+/// `503 over_capacity` itself ([`refuse`]) and starts no thread. `accept`
+/// blocks; [`ServerState::request_shutdown`] and the SIGTERM waker unblock
+/// it with a self-connect, which is dropped here.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) -> io::Result<()> {
+    let mut refused = Vec::new();
     while !state.shutting_down() {
         match listener.accept() {
             Ok(_) if state.shutting_down() => break,
             Ok((stream, _peer)) => {
-                let previous = {
-                    let mut active = state
-                        .active_connections
-                        .lock()
-                        .expect("connection count lock");
-                    *active += 1;
-                    *active - 1
-                };
-                let state = Arc::clone(state);
-                std::thread::spawn(move || {
-                    let slot = ConnectionGuard(Arc::clone(&state));
-                    let over_capacity = previous >= state.options.max_connections;
-                    handle_connection(&state, stream, over_capacity, slot);
-                });
+                let at = Instant::now();
+                match ConnectionGuard::admit(state) {
+                    Some(slot) => dispatch(
+                        state,
+                        Accepted {
+                            stream: Arc::new(stream),
+                            at,
+                            slot,
+                        },
+                    ),
+                    None => refuse(state, stream, at, &mut refused),
+                }
+                reap(&mut refused);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -674,50 +910,44 @@ impl RequestCtx {
     }
 }
 
-fn handle_connection(
-    state: &Arc<ServerState>,
-    mut stream: TcpStream,
-    over_capacity: bool,
-    slot: ConnectionGuard,
-) {
-    let started = std::time::Instant::now();
+fn handle_connection(state: &Arc<ServerState>, conn: Accepted) {
+    let Accepted {
+        stream,
+        at: started,
+        slot,
+    } = conn;
+    let mut ctx = RequestCtx::default();
+    ctx.stage("accept", elapsed_nanos(started));
     let _ = stream.set_read_timeout(Some(state.options.read_timeout));
     let _ = stream.set_write_timeout(Some(state.options.read_timeout));
     state.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
 
-    let mut ctx = RequestCtx::default();
     let mut method = "-".to_owned();
     let mut path = "-".to_owned();
-    let response = if over_capacity {
-        ApiError::new(
-            503,
-            "over_capacity",
-            format!(
-                "more than {} concurrent connections; retry shortly",
-                state.options.max_connections
-            ),
-        )
-        .into()
-    } else {
-        match http::read_request(&mut stream, state.options.max_body_bytes) {
-            Ok(request) => {
-                method.clone_from(&request.method);
-                path.clone_from(&request.path);
-                ctx.stage("parse", request.head_nanos);
-                ctx.stage("read_body", request.body_nanos);
-                ctx.trace = request
-                    .header("traceparent")
-                    .and_then(TraceContext::parse_traceparent);
-                route(state, &request, &mut ctx)
-            }
-            Err(e) => error_response(&e),
+    // Set when the request is rejected while the client may still be
+    // sending it; an incomplete one has ended in EOF or a read timeout.
+    let mut cut_short = false;
+    let response = match http::read_request(&stream, state.options.max_body_bytes) {
+        Ok(request) => {
+            method.clone_from(&request.method);
+            path.clone_from(&request.path);
+            ctx.stage("parse", request.head_nanos);
+            ctx.stage("read_body", request.body_nanos);
+            ctx.trace = request
+                .header("traceparent")
+                .and_then(TraceContext::parse_traceparent);
+            route(state, &request, &mut ctx)
+        }
+        Err(e) => {
+            cut_short = !matches!(e, HttpError::Incomplete(_));
+            error_response(&e)
         }
     };
     if response.status >= 400 {
         state.metrics.http_errors.fetch_add(1, Ordering::Relaxed);
     }
     let write_started = Instant::now();
-    response.write(&mut stream);
+    response.write(&stream);
     ctx.stage("write", elapsed_nanos(write_started));
     // Latency includes routing and (for sync submissions) the simulation
     // itself — the duration a client actually experienced.
@@ -759,19 +989,25 @@ fn handle_connection(
             ],
         );
     }
-    // Drain any unread request bytes before closing: dropping a socket
-    // with data still queued (e.g. an over-limit body rejected before it
-    // was read) can RST the connection and destroy the response we just
-    // wrote before the peer reads it. Signal end-of-response, then
-    // discard briefly and boundedly. The slot is freed first: a client
-    // reconnects as soon as it sees the end of the response, and must not
-    // find its old connection still counted.
+    // Signal end-of-response. The slot is freed first: a client reconnects
+    // as soon as it sees the end of the response, and must not find its
+    // old connection still counted.
     drop(slot);
     let _ = stream.shutdown(std::net::Shutdown::Write);
+    // Dropping a socket with request bytes still unread (e.g. an over-limit
+    // body rejected before it was read) can RST the connection and destroy
+    // the response we just wrote before the peer reads it. A client that
+    // has stopped sending, with nothing left unread, is closed at once,
+    // which frees the handler for the next connection; otherwise discard
+    // briefly and boundedly.
+    if !cut_short && nothing_unread(&stream) {
+        return;
+    }
+    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     let mut sink = [0u8; 8 * 1024];
     let mut drained = 0usize;
-    while let Ok(n) = std::io::Read::read(&mut stream, &mut sink) {
+    while let Ok(n) = (&*stream).read(&mut sink) {
         if n == 0 {
             break;
         }
@@ -779,6 +1015,18 @@ fn handle_connection(
         if drained > 4 * 1024 * 1024 {
             break;
         }
+    }
+}
+
+/// Whether `stream` has nothing to read right now, or its peer has closed
+/// it. Leaves the socket non-blocking.
+fn nothing_unread(mut stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    match stream.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() == io::ErrorKind::WouldBlock,
     }
 }
 

@@ -826,6 +826,7 @@ fn traceparent_requests_are_followable_end_to_end() {
     // order, and a cache-missing sync run is bounded by `execute`.
     let root_id = span_field(root, "spanId").unwrap().to_owned();
     for stage in [
+        "accept",
         "parse",
         "read_body",
         "validate",
@@ -925,7 +926,15 @@ fn untraced_requests_mint_deterministic_trace_ids_and_hits_are_traceable() {
     let critical = resource_attr(&hit_doc, "refrint.request_critical_stage")
         .expect("hits name their bounding stage");
     assert!(
-        ["parse", "read_body", "validate", "cache_lookup", "write"].contains(&critical.as_str()),
+        [
+            "accept",
+            "parse",
+            "read_body",
+            "validate",
+            "cache_lookup",
+            "write"
+        ]
+        .contains(&critical.as_str()),
         "a cache hit never executes: bounding stage was {critical}"
     );
     assert!(
