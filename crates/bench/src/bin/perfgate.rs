@@ -1,17 +1,20 @@
 //! `perfgate --record [FILE]` — simulate the perf suite's scenarios,
 //! untimed, and write each one's `refs` and `execution_cycles` to FILE
-//! (default `BENCH_SIM.json`).
+//! (default `BENCH_SIM.json`); then write the output digests of
+//! [`refrint_bench::digests`] to `BENCH_DIGESTS.json` in FILE's directory.
 //!
 //! The simulated clock is the same on every machine, and tier-1 pins each
-//! scenario to the committed document, so re-recording is needed only when
-//! a change means to move simulated time. Its one flag is declared in
+//! scenario and each digest to the committed documents, so re-recording is
+//! needed only when a change means to move simulated time or output bytes. Its one flag is declared in
 //! [`refrint_cli::args::PERFGATE`], which also renders the usage. Host
 //! speed is gated elsewhere, by `scripts/perf_ab.sh` (`docs/perf.md`).
 
 use std::process::ExitCode;
 
-use refrint_bench::results;
+use std::path::Path;
+
 use refrint_bench::throughput::{self, Measurement};
+use refrint_bench::{digests, results};
 use refrint_cli::args::PERFGATE;
 use refrint_cli::outln;
 
@@ -41,5 +44,14 @@ fn record(args: &[String]) -> Result<(), String> {
     std::fs::write(file, results::render(&metrics))
         .map_err(|e| format!("cannot write {file}: {e}"))?;
     outln!("recorded {} scenarios to {file}", metrics.len());
+    let digest_file = Path::new(file).with_file_name(digests::FILE_NAME);
+    let digests = digests::compute();
+    std::fs::write(&digest_file, digests::render(&digests))
+        .map_err(|e| format!("cannot write {}: {e}", digest_file.display()))?;
+    outln!(
+        "recorded {} digests to {}",
+        digests.len(),
+        digest_file.display()
+    );
     Ok(())
 }

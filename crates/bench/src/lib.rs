@@ -4,7 +4,9 @@
 //! (Table 5.4) at a chosen [`Scale`] and renders it through
 //! `refrint::figures`. The `perfgate` binary records the refs and
 //! simulated cycles of each [`throughput`] scenario as a [`results`]
-//! document (`BENCH_SIM.json`), which a unit test pins.
+//! document (`BENCH_SIM.json`), which a unit test pins, and the
+//! [`digests`] of a grid of reports next to it (`BENCH_DIGESTS.json`),
+//! which another unit test pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,6 +16,7 @@ use refrint::experiment::{ExperimentConfig, SweepResults};
 use refrint::sweep::SweepRunner;
 use refrint_workloads::apps::AppPreset;
 
+pub mod digests;
 pub mod results;
 pub mod throughput;
 

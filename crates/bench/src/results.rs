@@ -1,6 +1,7 @@
 //! Reading and writing `BENCH_SIM.json` result documents.
 //!
-//! The document grammar (schema) lives here; the JSON mechanics — escaping,
+//! The document grammar (schema) lives here, and [`ParseError`] is shared
+//! with the digest document ([`crate::digests`]); the JSON mechanics — escaping,
 //! rendering, the typed-error parser — are the shared
 //! [`refrint_engine::json`] module, so the bench suite, the CLI and
 //! `refrint-serve` all speak through one implementation.
@@ -39,7 +40,7 @@ pub enum ParseError {
         /// What went wrong.
         reason: String,
     },
-    /// The JSON is valid but not a results document.
+    /// The JSON is valid but not the expected document.
     Schema(String),
 }
 
@@ -49,7 +50,7 @@ impl fmt::Display for ParseError {
             ParseError::Syntax { offset, reason } => {
                 write!(f, "malformed JSON at byte {offset}: {reason}")
             }
-            ParseError::Schema(reason) => write!(f, "not a sim_throughput document: {reason}"),
+            ParseError::Schema(reason) => write!(f, "unexpected document shape: {reason}"),
         }
     }
 }

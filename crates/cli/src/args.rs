@@ -708,7 +708,8 @@ pub static PERFGATE: Program = Program {
     commands: &[Command::new(
         "",
         "simulate the perf suite's scenarios, untimed, and write each\n\
-         one's refs and execution_cycles to FILE (default BENCH_SIM.json)",
+         one's refs and execution_cycles to FILE (default BENCH_SIM.json);\n\
+         write the output digests to BENCH_DIGESTS.json next to FILE",
         &[Flag::bare("--record", "run the suite, write FILE")],
     )
     .taking(&["[FILE]"])],
