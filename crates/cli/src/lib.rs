@@ -23,7 +23,6 @@ use args::{Parsed, REFRINT_CLI};
 use refrint::experiment::ExperimentConfig;
 use refrint::simulation::{ObsConfig, RunSpec, SimulationBuilder};
 use refrint::{CoherenceProtocol, RetentionProfile};
-use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_obs::log::LogFormat;
 use refrint_serve::api::{run_body, RunWorkload};
@@ -75,13 +74,7 @@ macro_rules! outln {
 ///
 /// Returns a human-readable message enumerating the valid labels.
 pub fn parse_policy(label: &str) -> Result<RefreshPolicy, String> {
-    match label.parse::<RefreshPolicy>() {
-        Ok(policy) => Ok(policy),
-        Err(_) => Err(PolicyRegistry::new()
-            .resolve(label)
-            .expect_err("label failed to parse as a descriptor")
-            .to_string()),
-    }
+    label.parse::<RefreshPolicy>().map_err(|e| e.to_string())
 }
 
 /// Parses a comma-separated `--apps` list.

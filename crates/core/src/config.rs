@@ -2,10 +2,8 @@
 //! refresh-policy choices of Tables 5.2 and 5.4.
 
 use std::fmt;
-use std::sync::Arc;
 
 use refrint_coherence::protocol::CoherenceProtocol;
-use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_edram::retention::RetentionConfig;
 use refrint_edram::variation::RetentionProfile;
@@ -54,11 +52,6 @@ pub struct SystemConfig {
     /// Refresh policy applied to the L3 (L1/L2 use the same time policy with
     /// the `Valid` data policy, per Section 6.2). Ignored for SRAM.
     pub policy: RefreshPolicy,
-    /// Custom refresh-policy model for the L3, overriding `policy` when set.
-    /// The private caches keep the descriptor-derived `Valid` policy (the
-    /// paper's Section 6.2 setup); the custom model governs the shared L3,
-    /// which is where the policy sweep acts. Ignored for SRAM.
-    pub l3_policy_model: Option<Arc<dyn PolicyFactory>>,
     /// Technology/energy parameters.
     pub tech: TechnologyParams,
     /// Seed for the deterministic workload streams.
@@ -87,7 +80,6 @@ impl SystemConfig {
             retention_profile: RetentionProfile::Uniform,
             protocol: CoherenceProtocol::Mesi,
             policy: RefreshPolicy::edram_baseline(),
-            l3_policy_model: None,
             tech: TechnologyParams::paper_default(),
             seed: 0xBEEF,
             refs_per_thread: None,
@@ -114,31 +106,22 @@ impl SystemConfig {
         }
     }
 
-    /// Sets the refresh policy (eDRAM only). Clears any custom L3 model.
+    /// Sets the refresh policy (eDRAM only).
     #[must_use]
     pub fn with_policy(mut self, policy: RefreshPolicy) -> Self {
         self.policy = policy;
-        self.l3_policy_model = None;
         self
     }
 
-    /// Installs a custom refresh-policy model for the L3 (eDRAM only). The
-    /// private caches keep the `policy` descriptor's time policy with the
-    /// `Valid` data policy, as in the paper's evaluation.
+    /// The L3's refresh policy, `&self.policy`, under its older name. Only
+    /// the benchmark harness under `perfbench/` calls it (with
+    /// [`RefreshDomain::from_factory`]); the next change to the benchmark
+    /// renames both calls.
+    ///
+    /// [`RefreshDomain::from_factory`]: crate::hierarchy::RefreshDomain::from_factory
     #[must_use]
-    pub fn with_policy_model(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        self.l3_policy_model = Some(factory);
-        self
-    }
-
-    /// The factory that builds the L3's refresh-policy model: the custom
-    /// model if one is installed, otherwise the `policy` descriptor.
-    #[must_use]
-    pub fn l3_policy_factory(&self) -> &dyn PolicyFactory {
-        match &self.l3_policy_model {
-            Some(factory) => factory.as_ref(),
-            None => &self.policy,
-        }
+    pub fn l3_policy_factory(&self) -> &RefreshPolicy {
+        &self.policy
     }
 
     /// Sets the retention configuration (eDRAM only).
@@ -249,18 +232,44 @@ impl SystemConfig {
         {
             return Err(ConfigError::LineSizeMismatch);
         }
-        if self.cells.needs_refresh() {
-            let margin = self.l3_bank.geometry.num_lines();
-            if margin >= self.retention.line_retention_cycles().raw() {
-                return Err(ConfigError::RetentionTooShort {
-                    retention_cycles: self.retention.line_retention_cycles().raw(),
-                    sentry_margin: margin,
-                });
+        if !self.cells.needs_refresh() {
+            if !self.retention_profile.is_default() {
+                return Err(ConfigError::SramWithRetentionProfile);
             }
-        } else if self.l3_policy_model.is_some() {
-            return Err(ConfigError::SramWithPolicyModel);
-        } else if !self.retention_profile.is_default() {
-            return Err(ConfigError::SramWithRetentionProfile);
+            return Ok(());
+        }
+        let retention = self.retention.line_retention_cycles();
+        let margin = self.l3_bank.geometry.num_lines();
+        if margin >= retention.raw() {
+            return Err(ConfigError::RetentionTooShort {
+                retention_cycles: retention.raw(),
+                sentry_margin: margin,
+            });
+        }
+        if self.is_periodic() {
+            // A Periodic cache refreshes every line once per retention
+            // period, one cycle per line; a period shorter than that work
+            // can never keep the array refreshed. Each L3 bank bursts at
+            // its own retention.
+            let l3 = self
+                .bank_retentions()
+                .iter()
+                .map(RetentionConfig::line_retention_cycles)
+                .min()
+                .unwrap_or(retention);
+            for (level, period) in [
+                (&self.dl1, retention),
+                (&self.l2, retention),
+                (&self.l3_bank, l3),
+            ] {
+                let work = u64::from(level.subarrays) * level.lines_per_refresh_group();
+                if period.raw() < work.max(1) {
+                    return Err(ConfigError::InvalidBurstPeriod {
+                        period_cycles: period.raw(),
+                        work_cycles: work,
+                    });
+                }
+            }
         }
         Ok(())
     }
@@ -288,7 +297,7 @@ impl SystemConfig {
             CellTech::Edram => format!(
                 "eDRAM {}us {}",
                 self.retention.retention().as_micros(),
-                self.l3_policy_factory().label()
+                self.policy.label()
             ),
         };
         if !self.protocol.is_default() {
@@ -370,7 +379,7 @@ impl fmt::Display for SystemConfig {
             if !self.retention_profile.is_default() {
                 writeln!(f, "Retention var.  : {}", self.retention_profile)?;
             }
-            writeln!(f, "Refresh policy  : {}", self.l3_policy_factory().label())?;
+            writeln!(f, "Refresh policy  : {}", self.policy.label())?;
         }
         write!(f, "Seed            : {:#x}", self.seed)
     }

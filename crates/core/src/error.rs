@@ -83,14 +83,12 @@ pub enum ConfigError {
         /// Required sentry margin, in cycles.
         sentry_margin: u64,
     },
-    /// A custom refresh-policy model was installed on SRAM cells.
-    SramWithPolicyModel,
     /// A retention-variation profile was configured on SRAM cells.
     SramWithRetentionProfile,
-    /// A policy model declared a global burst period too short to refresh
-    /// the whole cache within it.
+    /// A Periodic cache's burst period (its retention) is too short to
+    /// refresh the whole cache within it.
     InvalidBurstPeriod {
-        /// The declared burst period, in cycles.
+        /// The burst period, in cycles.
         period_cycles: u64,
         /// The refresh work per period (one cycle per line), in cycles.
         work_cycles: u64,
@@ -118,10 +116,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "retention of {retention_cycles} cycles leaves no room for the \
                  {sentry_margin}-cycle sentry margin"
-            ),
-            ConfigError::SramWithPolicyModel => write!(
-                f,
-                "a custom refresh-policy model requires eDRAM cells (SRAM never refreshes)"
             ),
             ConfigError::SramWithRetentionProfile => write!(
                 f,

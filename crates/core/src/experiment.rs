@@ -5,10 +5,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use refrint_coherence::protocol::CoherenceProtocol;
-use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::variation::RetentionProfile;
 use refrint_trace::TraceFile;
@@ -77,9 +75,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Number of cores (16 in the paper; smaller values speed up testing).
     pub cores: usize,
-    /// Custom refresh-policy models swept alongside `policies` at every
-    /// retention point (their reports are keyed by their labels).
-    pub models: Vec<Arc<dyn PolicyFactory>>,
     /// Recorded traces swept alongside `apps` at every configuration point.
     /// Each trace's thread count must match `cores`.
     pub traces: Vec<TraceSpec>,
@@ -106,7 +101,6 @@ impl ExperimentConfig {
             refs_per_thread: 60_000,
             seed: 0xBEEF,
             cores: 16,
-            models: Vec::new(),
             traces: Vec::new(),
             protocols: vec![CoherenceProtocol::Mesi],
             retention_profiles: vec![RetentionProfile::Uniform],
@@ -124,7 +118,6 @@ impl ExperimentConfig {
             refs_per_thread: 8_000,
             seed: 0xBEEF,
             cores: 16,
-            models: Vec::new(),
             traces: Vec::new(),
             protocols: vec![CoherenceProtocol::Mesi],
             retention_profiles: vec![RetentionProfile::Uniform],
@@ -175,7 +168,7 @@ impl ExperimentConfig {
         let profiles = self.retention_profiles.len().max(1);
         (self.apps.len() + self.traces.len())
             * protocols
-            * (1 + self.retentions_us.len() * (self.policies.len() + self.models.len()) * profiles)
+            * (1 + self.retentions_us.len() * self.policies.len() * profiles)
     }
 }
 
@@ -199,9 +192,6 @@ pub struct SweepResults {
     pub retentions_us: Vec<u64>,
     /// The policies that were swept, in figure order.
     pub policies: Vec<RefreshPolicy>,
-    /// Labels of the custom policy models that were swept alongside the
-    /// descriptor policies.
-    pub custom_labels: Vec<String>,
     /// The traces that were swept alongside the applications.
     pub traces: Vec<TraceSpec>,
 }
@@ -221,7 +211,7 @@ impl SweepResults {
     }
 
     /// The eDRAM report for `(workload key, retention, policy label)` —
-    /// reaches traces and custom policy models as well as presets.
+    /// reaches traces as well as presets.
     #[must_use]
     pub fn edram_report_named(
         &self,
@@ -245,7 +235,7 @@ impl SweepResults {
     }
 
     /// The eDRAM report for `(app, retention, label)` — the label form also
-    /// reaches custom policy models swept via [`ExperimentConfig::models`].
+    /// reaches keys carrying non-default axes (e.g. `R.WB(32,32) dragon`).
     #[must_use]
     pub fn edram_report_by_label(
         &self,
@@ -320,7 +310,6 @@ mod tests {
             refs_per_thread: 1_500,
             seed: 3,
             cores: 4,
-            models: Vec::new(),
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };

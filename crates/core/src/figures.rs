@@ -239,7 +239,6 @@ mod tests {
             refs_per_thread: 1_500,
             seed: 5,
             cores: 4,
-            models: Vec::new(),
             traces: Vec::new(),
             ..ExperimentConfig::default()
         };

@@ -1,14 +1,11 @@
 //! Hierarchy building blocks: tiles, L3 banks, and the per-cache refresh
 //! machinery that ties the eDRAM policies to the cache arrays.
 
-use std::sync::Arc;
-
 use refrint_coherence::directory::DirectoryArray;
 use refrint_edram::controller::{PeriodicBurstModel, RefrintContention};
-use refrint_edram::model::{PolicyBinding, PolicyFactory, RefreshPolicyModel};
-use refrint_edram::policy::RefreshPolicy;
+use refrint_edram::policy::{RefreshPolicy, TimePolicy};
 use refrint_edram::retention::RetentionConfig;
-use refrint_edram::schedule::{LineKind, Settlement};
+use refrint_edram::schedule::{DecaySchedule, LineKind, Settlement};
 use refrint_energy::tech::CellTech;
 use refrint_engine::time::Cycle;
 use refrint_mem::cache::Cache;
@@ -18,15 +15,12 @@ use refrint_mem::line::CacheLine;
 use crate::error::ConfigError;
 
 /// The refresh machinery attached to one physical cache (one L1, one L2, or
-/// one L3 bank): the policy model that decides what happens to idle lines,
-/// plus the timing model of the refresh engine itself.
+/// one L3 bank): the decay schedule that decides what happens to idle
+/// lines, plus the timing model of the refresh engine itself.
 #[derive(Debug, Clone)]
 pub struct RefreshDomain {
-    model: Option<Arc<dyn RefreshPolicyModel>>,
-    /// The model's built-in decay algebra, cached by value so the
-    /// per-access settle path runs without a virtual call (built-in
-    /// descriptor policies only; custom models dispatch through the trait).
-    fast_schedule: Option<refrint_edram::schedule::DecaySchedule>,
+    /// The policy bound to this cache; `None` for SRAM.
+    schedule: Option<DecaySchedule>,
     burst: Option<PeriodicBurstModel>,
     contention: RefrintContention,
     /// Total lines in the cache (used for contention and bulk accounting).
@@ -34,26 +28,20 @@ pub struct RefreshDomain {
     /// Whether the policy refreshes every physical line (`All`-style), in
     /// which case refresh energy is accounted in bulk rather than per line.
     bulk_all: bool,
-    /// Memoized idle-until-invalidation intervals per line kind, for models
-    /// whose opportunities are touch-relative. `invalidation_time` is on the
-    /// simulator's per-L3-fill path, and a custom model relying on the
-    /// trait's replay-based default would otherwise re-scan thousands of
-    /// opportunities on every fill.
-    invalidation_deltas: Option<InvalidationDeltas>,
-}
-
-/// Touch-to-invalidation intervals for an idle line, by kind (`None` inside
-/// a field = the policy never invalidates that kind).
-#[derive(Debug, Clone, Copy)]
-struct InvalidationDeltas {
-    dirty: Option<Cycle>,
-    clean: Option<Cycle>,
 }
 
 impl RefreshDomain {
-    /// Builds the refresh domain for a cache level from a built-in policy
-    /// descriptor. Equivalent to [`RefreshDomain::from_factory`] with the
-    /// descriptor as the factory.
+    /// Builds the refresh domain for a cache level.
+    ///
+    /// For SRAM there is no refresh machinery at all. For eDRAM, the policy
+    /// is bound with the paper's conservative sentry margin (one cycle per
+    /// line in the cache), and Periodic policies additionally get the
+    /// group-burst blocking model (one group per CACTI sub-array).
+    ///
+    /// The configuration must have passed [`SystemConfig::validate_typed`],
+    /// which checks that each Periodic burst period covers its refresh work.
+    ///
+    /// [`SystemConfig::validate_typed`]: crate::config::SystemConfig::validate_typed
     #[must_use]
     pub fn new(
         cfg: &CacheLevelConfig,
@@ -62,90 +50,59 @@ impl RefreshDomain {
         cells: CellTech,
         phase_offset: Cycle,
     ) -> Self {
-        Self::from_factory(cfg, &policy, retention, cells, phase_offset)
-            .expect("descriptor policies on a validated configuration always bind")
-    }
-
-    /// Builds the refresh domain for a cache level from any policy factory
-    /// (built-in descriptor or custom [`RefreshPolicyModel`]).
-    ///
-    /// For SRAM there is no refresh machinery at all. For eDRAM, the policy
-    /// is bound with the paper's conservative sentry margin (one cycle per
-    /// line in the cache), and globally-bursting policies additionally get
-    /// the group-burst blocking model (one group per CACTI sub-array).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidBurstPeriod`] if the model declares a
-    /// global burst period too short to refresh the whole cache (one cycle
-    /// per line) within it.
-    pub fn from_factory(
-        cfg: &CacheLevelConfig,
-        factory: &dyn PolicyFactory,
-        retention: RetentionConfig,
-        cells: CellTech,
-        phase_offset: Cycle,
-    ) -> Result<Self, ConfigError> {
         let lines = cfg.geometry.num_lines();
         if !cells.needs_refresh() {
-            return Ok(RefreshDomain {
-                model: None,
-                fast_schedule: None,
+            return RefreshDomain {
+                schedule: None,
                 burst: None,
                 contention: RefrintContention::new(),
                 lines,
                 bulk_all: false,
-                invalidation_deltas: None,
-            });
+            };
         }
         let retention_cycles = retention.line_retention_cycles();
         // Conservative sentry margin: every sentry bit in the cache could
         // fire in the same cycle (Section 4.1).
         let margin = Cycle::new(lines.min(retention_cycles.raw().saturating_sub(1)));
-        let binding = PolicyBinding::new(retention_cycles, margin, phase_offset, lines);
-        let model = factory.build(&binding);
-        let burst = match model.periodic_burst_period() {
-            Some(period) => {
-                // A burst period shorter than the refresh work (one cycle
-                // per line, per sub-array group) can never keep the array
-                // refreshed; reject it instead of letting the burst model's
-                // internal asserts panic.
-                let work = u64::from(cfg.subarrays) * cfg.lines_per_refresh_group();
-                if period.raw() < work.max(1) {
-                    return Err(ConfigError::InvalidBurstPeriod {
-                        period_cycles: period.raw(),
-                        work_cycles: work,
-                    });
-                }
-                Some(PeriodicBurstModel::new(
-                    period,
-                    u64::from(cfg.subarrays),
-                    cfg.lines_per_refresh_group(),
-                ))
-            }
-            None => None,
-        };
-        let bulk_all = model.bulk_accounting();
-        // For touch-relative models the invalidation time is touch + a
-        // constant per kind; paying the model's (possibly replay-based)
-        // scan once per kind here makes the per-fill query O(1).
-        let invalidation_deltas =
-            model
-                .opportunities_are_touch_relative()
-                .then(|| InvalidationDeltas {
-                    dirty: model.invalidation_time(LineKind::Dirty, Cycle::ZERO),
-                    clean: model.invalidation_time(LineKind::Clean, Cycle::ZERO),
-                });
-        let fast_schedule = model.as_decay_schedule();
-        Ok(RefreshDomain {
-            model: Some(model),
-            fast_schedule,
+        let burst = (policy.time == TimePolicy::Periodic).then(|| {
+            PeriodicBurstModel::new(
+                retention_cycles,
+                u64::from(cfg.subarrays),
+                cfg.lines_per_refresh_group(),
+            )
+        });
+        RefreshDomain {
+            schedule: Some(DecaySchedule::new(
+                policy,
+                retention_cycles,
+                margin,
+                phase_offset,
+            )),
             burst,
             contention: RefrintContention::new(),
             lines,
-            bulk_all,
-            invalidation_deltas,
-        })
+            bulk_all: policy.data.refreshes_invalid_lines(),
+        }
+    }
+
+    /// [`RefreshDomain::new`] under its older name and signature. Only the
+    /// benchmark harness under `perfbench/` calls it (with
+    /// [`SystemConfig::l3_policy_factory`]); the next change to the
+    /// benchmark renames both calls.
+    ///
+    /// # Errors
+    ///
+    /// Never: the `Result` remains only for the harness's `.expect`.
+    ///
+    /// [`SystemConfig::l3_policy_factory`]: crate::config::SystemConfig::l3_policy_factory
+    pub fn from_factory(
+        cfg: &CacheLevelConfig,
+        policy: &RefreshPolicy,
+        retention: RetentionConfig,
+        cells: CellTech,
+        phase_offset: Cycle,
+    ) -> Result<Self, ConfigError> {
+        Ok(Self::new(cfg, *policy, retention, cells, phase_offset))
     }
 
     /// Whether this domain's refresh engine runs globally scheduled group
@@ -159,7 +116,7 @@ impl RefreshDomain {
     /// Whether this domain performs any refresh at all (i.e. eDRAM).
     #[must_use]
     pub fn is_edram(&self) -> bool {
-        self.model.is_some()
+        self.schedule.is_some()
     }
 
     /// Whether refresh energy for this cache is accounted in bulk
@@ -175,12 +132,6 @@ impl RefreshDomain {
         self.lines
     }
 
-    /// The refresh-policy model, if the cache is eDRAM.
-    #[must_use]
-    pub fn model(&self) -> Option<&dyn RefreshPolicyModel> {
-        self.model.as_deref()
-    }
-
     /// Extra access latency caused by the refresh engine for an access to
     /// `line_index` (the raw line address, used to pick the sub-array) at
     /// cycle `now`: the remaining burst time for Periodic when the line's
@@ -194,12 +145,12 @@ impl RefreshDomain {
             const PREEMPTION_WINDOW: Cycle = Cycle::new(256);
             return burst.access_delay_preemptible(now, line_index, PREEMPTION_WINDOW);
         }
-        if let Some(model) = &self.model {
+        if let Some(schedule) = &self.schedule {
             // At most one sentry interrupt per line per sentry period can be
             // pending; the expected number overlapping this access is
             // lines / period, which the accumulator converts into whole
             // stall cycles at the correct long-run rate.
-            let period = model.opportunity_period();
+            let period = schedule.opportunity_period();
             return self.contention.charge(self.lines, period * 64);
         }
         Cycle::ZERO
@@ -212,17 +163,9 @@ impl RefreshDomain {
     /// the end of the run.
     #[must_use]
     pub fn settle(&self, kind: LineKind, touch: Cycle, now: Cycle) -> Settlement {
-        if self.bulk_all {
-            return Settlement::nothing(kind);
-        }
-        // Built-in policies settle through the cached algebra (no virtual
-        // call); custom models go through the trait object.
-        if let Some(schedule) = &self.fast_schedule {
-            return schedule.settle(kind, touch, now);
-        }
-        match &self.model {
-            Some(model) => model.settle(kind, touch, now),
-            None => Settlement::nothing(kind),
+        match &self.schedule {
+            Some(schedule) if !self.bulk_all => schedule.settle(kind, touch, now),
+            _ => Settlement::nothing(kind),
         }
     }
 
@@ -230,27 +173,16 @@ impl RefreshDomain {
     /// will be invalidated by the policy, if ever.
     #[must_use]
     pub fn invalidation_time(&self, kind: LineKind, touch: Cycle) -> Option<Cycle> {
-        if let Some(deltas) = &self.invalidation_deltas {
-            return match kind {
-                LineKind::Dirty => deltas.dirty,
-                LineKind::Clean => deltas.clean,
-                LineKind::Invalid => None,
-            }
-            .map(|delta| touch + delta);
-        }
-        self.model
-            .as_ref()
-            .and_then(|m| m.invalidation_time(kind, touch))
+        self.schedule?.invalidation_time(kind, touch)
     }
 
     /// Bulk refresh count for the whole cache over `(0, end]` — used for the
     /// `All` data policy and for the un-simulated IL1 under Periodic timing.
     #[must_use]
     pub fn bulk_refreshes(&self, end: Cycle) -> u64 {
-        match &self.model {
-            Some(model) => self.lines * model.opportunities_between(Cycle::ZERO, end),
-            None => 0,
-        }
+        self.schedule.map_or(0, |schedule| {
+            self.lines * schedule.opportunities_between(Cycle::ZERO, end)
+        })
     }
 }
 
@@ -338,44 +270,6 @@ mod tests {
         assert_eq!(s.refreshes, 32);
         assert!(s.invalidated_at.is_some());
         assert!(d.invalidation_time(LineKind::Clean, Cycle::ZERO).is_some());
-    }
-
-    #[test]
-    fn memoized_invalidation_times_match_the_model_at_any_touch() {
-        // Refrint timing is touch-relative, so the domain memoizes the
-        // idle-until-invalidation deltas; the fast path must agree with the
-        // model's own answer at every touch, and Periodic (global timing)
-        // must fall through to the model.
-        let refrint = RefreshDomain::new(
-            &l3_cfg(),
-            RefreshPolicy::recommended(),
-            RetentionConfig::microseconds_50(),
-            CellTech::Edram,
-            Cycle::ZERO,
-        );
-        let periodic = RefreshDomain::new(
-            &l3_cfg(),
-            RefreshPolicy::new(
-                refrint_edram::policy::TimePolicy::Periodic,
-                refrint_edram::policy::DataPolicy::Dirty,
-            ),
-            RetentionConfig::microseconds_50(),
-            CellTech::Edram,
-            Cycle::new(777),
-        );
-        for domain in [&refrint, &periodic] {
-            let model = domain.model().expect("eDRAM domain has a model");
-            for kind in [LineKind::Dirty, LineKind::Clean, LineKind::Invalid] {
-                for touch in [0u64, 1, 999, 123_456, 7_654_321] {
-                    let touch = Cycle::new(touch);
-                    assert_eq!(
-                        domain.invalidation_time(kind, touch),
-                        model.invalidation_time(kind, touch),
-                        "{kind:?} touched at {touch}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

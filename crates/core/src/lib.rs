@@ -43,11 +43,11 @@
 //! assert!(outcome.breakdown().memory_total() > 0.0);
 //! ```
 //!
-//! Custom refresh policies plug in without forking the simulator: implement
-//! [`refrint_edram::model::RefreshPolicyModel`] (+ a
-//! [`refrint_edram::model::PolicyFactory`]) and pass it to
-//! [`SimulationBuilder::policy_model`] or register its label with
-//! [`SimulationBuilder::register_policy`].
+//! The L3 policy is always a [`refrint_edram::policy::RefreshPolicy`],
+//! set with [`SimulationBuilder::policy`] or parsed from its label with
+//! [`SimulationBuilder::policy_label`]; its closed-form
+//! [`refrint_edram::schedule::DecaySchedule`] drives every eDRAM cache, and
+//! the `refrint-oracle` crate checks it against an independent replay.
 //!
 //! The [`experiment`] module describes the paper's 42 + 1 configuration
 //! sweep (Table 5.4); the [`sweep`] module runs it across worker threads
@@ -107,9 +107,6 @@ pub mod prelude {
     pub use crate::sweep::{ProgressObserver, SweepProgress, SweepRunner};
     pub use crate::system::CmpSystem;
     pub use refrint_coherence::protocol::CoherenceProtocol;
-    pub use refrint_edram::model::{
-        PolicyBinding, PolicyFactory, PolicyRegistry, RefreshAction, RefreshPolicyModel,
-    };
     pub use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
     pub use refrint_edram::retention::RetentionConfig;
     pub use refrint_edram::schedule::LineKind;

@@ -12,11 +12,9 @@
 //!   configuration and reports what is wrong as a [`BuildError`] variant
 //!   (zero cores, bank/core mismatch, refresh settings on SRAM, unknown
 //!   policy label, …) instead of a stringly-typed reason.
-//! * **Pluggable policies** — [`SimulationBuilder::policy_model`] installs a
-//!   custom [`PolicyFactory`] for the L3, and
-//!   [`SimulationBuilder::register_policy`] +
-//!   [`SimulationBuilder::policy_label`] resolve user-supplied labels
-//!   through a [`PolicyRegistry`].
+//! * **One policy type** — [`SimulationBuilder::policy`] takes a
+//!   [`RefreshPolicy`] descriptor and [`SimulationBuilder::policy_label`]
+//!   parses one from its label (`R.WB(32,32)`).
 //! * **Structured results** — [`Simulation::run`] returns a [`RunOutcome`]
 //!   joining the [`SimReport`] with its [`EnergyBreakdown`] and the relative
 //!   metrics the paper's figures are built from.
@@ -41,11 +39,9 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use refrint_coherence::protocol::CoherenceProtocol;
 use refrint_edram::error::EdramError;
-use refrint_edram::model::{PolicyFactory, PolicyRegistry};
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::retention::RetentionConfig;
 use refrint_edram::variation::RetentionProfile;
@@ -82,21 +78,20 @@ pub enum BuildError {
         /// Required sentry margin, in cycles.
         sentry_margin: u64,
     },
-    /// Refresh settings (policy, retention or a custom model) were combined
-    /// with SRAM cells, which never refresh.
+    /// Refresh settings (policy, retention or retention profile) were
+    /// combined with SRAM cells, which never refresh.
     SramWithRefreshSettings {
         /// Which setting conflicted (`"policy"`, `"retention"`, ...).
         setting: &'static str,
     },
-    /// A policy label resolved neither to a registered custom policy nor to
-    /// the built-in descriptor grammar.
+    /// A policy label does not parse as a refresh-policy descriptor.
     UnknownPolicy {
         /// The offending label.
         label: String,
         /// The labels that would have been accepted.
         valid: Vec<String>,
     },
-    /// More than one of `policy` / `policy_label` / `policy_model` was set.
+    /// Both `policy` and `policy_label` were set.
     ConflictingPolicySpecs,
     /// The trace file supplied to [`SimulationBuilder::trace`] could not be
     /// opened, or disagrees with the configured core count.
@@ -142,10 +137,9 @@ impl fmt::Display for BuildError {
                 valid: valid.clone(),
             }
             .fmt(f),
-            BuildError::ConflictingPolicySpecs => write!(
-                f,
-                "set at most one of policy(), policy_label() and policy_model()"
-            ),
+            BuildError::ConflictingPolicySpecs => {
+                write!(f, "set at most one of policy() and policy_label()")
+            }
             BuildError::Trace { reason } => write!(f, "trace error: {reason}"),
             BuildError::Invalid { reason } => write!(f, "invalid configuration: {reason}"),
         }
@@ -153,6 +147,33 @@ impl fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+// The configuration rules live in SystemConfig::validate_typed; this only
+// translates them into builder-level errors (new rules surface via the
+// Invalid fallback until given a variant).
+impl From<ConfigError> for BuildError {
+    fn from(err: ConfigError) -> Self {
+        match err {
+            ConfigError::ZeroCores => BuildError::ZeroCores,
+            ConfigError::TooManyCores { cores, torus_nodes } => {
+                BuildError::TooManyCores { cores, torus_nodes }
+            }
+            ConfigError::RetentionTooShort {
+                retention_cycles,
+                sentry_margin,
+            } => BuildError::RetentionTooShort {
+                retention_cycles,
+                sentry_margin,
+            },
+            ConfigError::SramWithRetentionProfile => BuildError::SramWithRefreshSettings {
+                setting: "retention profile",
+            },
+            other => BuildError::Invalid {
+                reason: other.to_string(),
+            },
+        }
+    }
+}
 
 impl From<BuildError> for RefrintError {
     fn from(err: BuildError) -> Self {
@@ -171,7 +192,6 @@ pub struct SimulationBuilder {
     base: Option<BasePreset>,
     policy: Option<RefreshPolicy>,
     policy_label: Option<String>,
-    policy_model: Option<Arc<dyn PolicyFactory>>,
     retention: Option<RetentionConfig>,
     retention_us: Option<u64>,
     retention_profile: Option<RetentionProfile>,
@@ -180,8 +200,6 @@ pub struct SimulationBuilder {
     seed: Option<u64>,
     refs_per_thread: Option<u64>,
     trace: Option<PathBuf>,
-    registry: PolicyRegistry,
-    registry_error: Option<String>,
     obs: Option<ObsConfig>,
 }
 
@@ -224,18 +242,10 @@ impl SimulationBuilder {
     }
 
     /// Sets the L3 refresh policy from a label (e.g. `R.WB(32,32)`),
-    /// resolved at build time against the built-in grammar and any
-    /// registered custom policies.
+    /// parsed at build time.
     #[must_use]
     pub fn policy_label(mut self, label: impl Into<String>) -> Self {
         self.policy_label = Some(label.into());
-        self
-    }
-
-    /// Installs a custom refresh-policy model for the L3.
-    #[must_use]
-    pub fn policy_model(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        self.policy_model = Some(factory);
         self
     }
 
@@ -253,19 +263,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn retention_profile(mut self, profile: RetentionProfile) -> Self {
         self.retention_profile = Some(profile);
-        self
-    }
-
-    /// Registers a custom policy so [`SimulationBuilder::policy_label`] can
-    /// resolve its label. Registration failures (duplicate label) surface at
-    /// build time as [`BuildError::Invalid`].
-    #[must_use]
-    pub fn register_policy(mut self, factory: Arc<dyn PolicyFactory>) -> Self {
-        // Defer duplicate-label errors to build() so the fluent chain stays
-        // infallible.
-        if let Err(e) = self.registry.register(factory) {
-            self.registry_error.get_or_insert(e.to_string());
-        }
         self
     }
 
@@ -362,26 +359,19 @@ impl SimulationBuilder {
     }
 
     fn build_config_with(&self, trace: Option<&TraceFile>) -> Result<SystemConfig, BuildError> {
-        if let Some(reason) = &self.registry_error {
-            return Err(BuildError::Invalid {
-                reason: reason.clone(),
-            });
-        }
         let mut config = match self.base.unwrap_or(BasePreset::EdramRecommended) {
             BasePreset::SramBaseline => SystemConfig::sram_baseline(),
             BasePreset::EdramBaseline => SystemConfig::edram_baseline(),
             BasePreset::EdramRecommended => SystemConfig::edram_recommended(),
         };
 
-        // Resolve the policy specification (at most one of the three forms).
-        let specs = usize::from(self.policy.is_some())
-            + usize::from(self.policy_label.is_some())
-            + usize::from(self.policy_model.is_some());
-        if specs > 1 {
+        // Resolve the policy specification (at most one of the two forms).
+        let specified = self.policy.is_some() || self.policy_label.is_some();
+        if self.policy.is_some() && self.policy_label.is_some() {
             return Err(BuildError::ConflictingPolicySpecs);
         }
         if !config.cells.needs_refresh() {
-            if specs > 0 {
+            if specified {
                 return Err(BuildError::SramWithRefreshSettings { setting: "policy" });
             }
             if self.retention.is_some() || self.retention_us.is_some() {
@@ -398,22 +388,15 @@ impl SimulationBuilder {
         if let Some(policy) = self.policy {
             config = config.with_policy(policy);
         } else if let Some(label) = &self.policy_label {
-            let factory = self
-                .registry
-                .resolve(label)
-                .map_err(|_| BuildError::UnknownPolicy {
-                    label: label.clone(),
-                    valid: self.registry.valid_labels(),
-                })?;
-            // A label that parses as a descriptor keeps the descriptor path
-            // (so private caches inherit its time policy); custom labels
-            // install the factory.
-            match label.parse::<RefreshPolicy>() {
-                Ok(policy) => config = config.with_policy(policy),
-                Err(_) => config = config.with_policy_model(factory),
-            }
-        } else if let Some(factory) = &self.policy_model {
-            config = config.with_policy_model(Arc::clone(factory));
+            let policy = label.parse::<RefreshPolicy>().map_err(|e| match e {
+                EdramError::UnknownPolicy { label, valid } => {
+                    BuildError::UnknownPolicy { label, valid }
+                }
+                other => BuildError::Invalid {
+                    reason: other.to_string(),
+                },
+            })?;
+            config = config.with_policy(policy);
         }
 
         if let Some(retention) = self.retention {
@@ -448,31 +431,7 @@ impl SimulationBuilder {
             config.refs_per_thread = Some(refs);
         }
 
-        // The configuration rules live in SystemConfig::validate_typed;
-        // this match only translates them into builder-level errors (new
-        // rules surface via the Invalid fallback until given a variant).
-        config.validate_typed().map_err(|e| match e {
-            ConfigError::ZeroCores => BuildError::ZeroCores,
-            ConfigError::TooManyCores { cores, torus_nodes } => {
-                BuildError::TooManyCores { cores, torus_nodes }
-            }
-            ConfigError::RetentionTooShort {
-                retention_cycles,
-                sentry_margin,
-            } => BuildError::RetentionTooShort {
-                retention_cycles,
-                sentry_margin,
-            },
-            ConfigError::SramWithPolicyModel => {
-                BuildError::SramWithRefreshSettings { setting: "policy" }
-            }
-            ConfigError::SramWithRetentionProfile => BuildError::SramWithRefreshSettings {
-                setting: "retention profile",
-            },
-            other => BuildError::Invalid {
-                reason: other.to_string(),
-            },
-        })?;
+        config.validate_typed()?;
         Ok(config)
     }
 
@@ -736,7 +695,6 @@ pub struct RelativeMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use refrint_edram::model::{PolicyBinding, RefreshPolicyModel};
     use refrint_edram::policy::{DataPolicy, TimePolicy};
 
     #[test]
@@ -869,146 +827,6 @@ mod tests {
                 .unwrap();
             assert_eq!(config.policy, policy, "{}", policy.label());
         }
-    }
-
-    /// A custom model: refresh valid lines every opportunity, forever.
-    #[derive(Debug)]
-    struct AlwaysValid {
-        period: refrint_engine::time::Cycle,
-    }
-    impl RefreshPolicyModel for AlwaysValid {
-        fn label(&self) -> String {
-            "custom-valid".into()
-        }
-        fn opportunity(
-            &self,
-            touch: refrint_engine::time::Cycle,
-            k: u64,
-        ) -> refrint_engine::time::Cycle {
-            touch + self.period * k
-        }
-        fn opportunity_period(&self) -> refrint_engine::time::Cycle {
-            self.period
-        }
-        fn action(
-            &self,
-            kind: refrint_edram::schedule::LineKind,
-            _so_far: u64,
-        ) -> refrint_edram::model::RefreshAction {
-            match kind {
-                refrint_edram::schedule::LineKind::Invalid => {
-                    refrint_edram::model::RefreshAction::Skip
-                }
-                _ => refrint_edram::model::RefreshAction::Refresh,
-            }
-        }
-    }
-
-    #[derive(Debug)]
-    struct AlwaysValidFactory;
-    impl PolicyFactory for AlwaysValidFactory {
-        fn label(&self) -> String {
-            "custom-valid".into()
-        }
-        fn build(&self, binding: &PolicyBinding) -> Arc<dyn RefreshPolicyModel> {
-            Arc::new(AlwaysValid {
-                period: binding.sentry_period(),
-            })
-        }
-    }
-
-    #[test]
-    fn custom_policy_models_run_end_to_end() {
-        let mut sim = Simulation::builder()
-            .policy_model(Arc::new(AlwaysValidFactory))
-            .cores(2)
-            .refs_per_thread(1_500)
-            .build()
-            .unwrap();
-        assert_eq!(sim.config().label(), "eDRAM 50us custom-valid");
-        let outcome = sim.run(AppPreset::Lu);
-        assert!(outcome.total_refreshes() > 0);
-        assert_eq!(outcome.config_label(), "eDRAM 50us custom-valid");
-    }
-
-    #[test]
-    fn registered_custom_labels_resolve() {
-        let mut sim = Simulation::builder()
-            .register_policy(Arc::new(AlwaysValidFactory))
-            .policy_label("custom-valid")
-            .cores(2)
-            .refs_per_thread(1_000)
-            .build()
-            .unwrap();
-        let outcome = sim.run(AppPreset::Fft);
-        assert_eq!(outcome.config_label(), "eDRAM 50us custom-valid");
-    }
-
-    #[test]
-    fn custom_model_on_sram_is_rejected() {
-        let err = Simulation::builder()
-            .sram_baseline()
-            .policy_model(Arc::new(AlwaysValidFactory))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BuildError::SramWithRefreshSettings { setting: "policy" }
-        );
-    }
-
-    /// A model declaring an impossible global burst period: too short to
-    /// refresh every line of the cache within one period.
-    #[derive(Debug)]
-    struct ImpossibleBurst;
-    impl RefreshPolicyModel for ImpossibleBurst {
-        fn label(&self) -> String {
-            "impossible-burst".into()
-        }
-        fn opportunity(
-            &self,
-            _touch: refrint_engine::time::Cycle,
-            k: u64,
-        ) -> refrint_engine::time::Cycle {
-            refrint_engine::time::Cycle::new(10) * k
-        }
-        fn opportunity_period(&self) -> refrint_engine::time::Cycle {
-            refrint_engine::time::Cycle::new(10)
-        }
-        fn periodic_burst_period(&self) -> Option<refrint_engine::time::Cycle> {
-            Some(refrint_engine::time::Cycle::new(10))
-        }
-        fn action(
-            &self,
-            _kind: refrint_edram::schedule::LineKind,
-            _so_far: u64,
-        ) -> refrint_edram::model::RefreshAction {
-            refrint_edram::model::RefreshAction::Refresh
-        }
-    }
-
-    #[derive(Debug)]
-    struct ImpossibleBurstFactory;
-    impl PolicyFactory for ImpossibleBurstFactory {
-        fn label(&self) -> String {
-            "impossible-burst".into()
-        }
-        fn build(&self, _binding: &PolicyBinding) -> Arc<dyn RefreshPolicyModel> {
-            Arc::new(ImpossibleBurst)
-        }
-    }
-
-    #[test]
-    fn impossible_burst_periods_error_instead_of_panicking() {
-        let err = Simulation::builder()
-            .policy_model(Arc::new(ImpossibleBurstFactory))
-            .cores(2)
-            .build()
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("burst period"),
-            "expected a burst-period error, got: {err}"
-        );
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -18,10 +18,6 @@
 //! through [`SweepPlan::render`], so its document is byte-identical to a
 //! local run by construction.
 //!
-//! Custom [`PolicyFactory`] policies ride along with the built-in descriptor
-//! sweep via [`ExperimentConfig::models`]; their reports are keyed by their
-//! labels next to the descriptor labels.
-//!
 //! # Example
 //!
 //! ```
@@ -48,7 +44,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use refrint_coherence::protocol::CoherenceProtocol;
-use refrint_edram::model::PolicyFactory;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_edram::variation::RetentionProfile;
 use refrint_trace::TraceFile;
@@ -119,35 +114,14 @@ impl Workload {
     }
 }
 
-/// The policy of one eDRAM sweep point: a built-in descriptor (the private
-/// caches inherit its time policy, per Section 6.2) or a custom model (the
-/// private caches then run the recommended `Refrint Valid` setup).
-#[derive(Debug, Clone)]
-pub enum PointPolicy {
-    /// A descriptor policy from [`ExperimentConfig::policies`].
-    Builtin(RefreshPolicy),
-    /// A custom model from [`ExperimentConfig::models`].
-    Custom(Arc<dyn PolicyFactory>),
-}
-
-impl PointPolicy {
-    /// The policy's label, e.g. `R.WB(32,32)`.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            PointPolicy::Builtin(policy) => policy.label(),
-            PointPolicy::Custom(factory) => factory.label(),
-        }
-    }
-}
-
 /// The eDRAM axes of a sweep point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct EdramPoint {
     /// Retention time in microseconds.
     pub retention_us: u64,
-    /// The refresh policy.
-    pub policy: PointPolicy,
+    /// The L3 refresh policy (the private caches inherit its time policy,
+    /// per Section 6.2).
+    pub policy: RefreshPolicy,
     /// The per-bank retention distribution.
     pub profile: RetentionProfile,
 }
@@ -244,9 +218,8 @@ pub struct SweepPlan {
 impl SweepPlan {
     /// Plans `config`: for each workload (applications first, then
     /// traces) and each protocol, the SRAM baseline followed by every
-    /// (retention × policy × retention-profile) eDRAM point — descriptor
-    /// policies first, then custom models. Empty protocol and profile axes
-    /// stand for the single default.
+    /// (retention × policy × retention-profile) eDRAM point. Empty protocol
+    /// and profile axes stand for the single default.
     ///
     /// # Errors
     ///
@@ -254,19 +227,13 @@ impl SweepPlan {
     /// two workloads share a name: their reports would overwrite each
     /// other in the merge.
     pub fn new(config: ExperimentConfig) -> Result<SweepPlan, RefrintError> {
-        let policies: Vec<PointPolicy> = config
-            .policies
-            .iter()
-            .map(|&policy| PointPolicy::Builtin(policy))
-            .chain(config.models.iter().cloned().map(PointPolicy::Custom))
-            .collect();
         let workloads: Vec<Workload> = config
             .apps
             .iter()
             .map(|&app| Workload::App(app))
             .chain(config.traces.iter().cloned().map(Workload::Trace))
             .collect();
-        if let Some(label) = first_duplicate(policies.iter().map(PointPolicy::label)) {
+        if let Some(label) = first_duplicate(config.policies.iter().map(RefreshPolicy::label)) {
             return Err(RefrintError::InvalidConfig {
                 reason: format!(
                     "duplicate refresh-policy label `{label}` in the sweep \
@@ -303,11 +270,11 @@ impl SweepPlan {
                 };
                 points.push(point(None));
                 for &retention_us in &config.retentions_us {
-                    for policy in &policies {
+                    for &policy in &config.policies {
                         for &profile in profiles {
                             points.push(point(Some(EdramPoint {
                                 retention_us,
-                                policy: policy.clone(),
+                                policy,
                                 profile,
                             })));
                         }
@@ -377,10 +344,7 @@ impl SweepPlan {
             .collect()
     }
 
-    /// The run `point` simulates, minus its workload. A custom-model
-    /// point's spec leaves the policy unset (the model is an in-process
-    /// trait object, installed on top of [`RunSpec::builder`]), so its
-    /// private caches run the recommended preset's time policy.
+    /// The run `point` simulates, minus its workload.
     #[must_use]
     pub fn spec(&self, point: &PlanPoint) -> RunSpec {
         let mut spec = RunSpec {
@@ -391,12 +355,10 @@ impl SweepPlan {
             cores: Some(self.config.cores),
             ..RunSpec::default()
         };
-        if let Some(edram) = &point.edram {
+        if let Some(edram) = point.edram {
             spec.retention_us = Some(edram.retention_us);
             spec.retention_profile = Some(edram.profile);
-            if let PointPolicy::Builtin(policy) = edram.policy {
-                spec.policy = Some(policy);
-            }
+            spec.policy = Some(edram.policy);
         }
         spec
     }
@@ -475,15 +437,7 @@ impl SweepRunner {
         point: &PlanPoint,
         traces: &BTreeMap<String, TraceFile>,
     ) -> Result<SimReport, RefrintError> {
-        let mut builder = plan.spec(point).builder();
-        if let Some(EdramPoint {
-            policy: PointPolicy::Custom(factory),
-            ..
-        }) = &point.edram
-        {
-            builder = builder.policy_model(Arc::clone(factory));
-        }
-        let mut sim = builder.build()?;
+        let mut sim = plan.spec(point).builder().build()?;
         match &point.workload {
             Workload::App(app) => Ok(sim.run(*app).report),
             Workload::Trace(spec) => {
@@ -603,7 +557,6 @@ impl SweepRunner {
             apps: self.config.apps.clone(),
             retentions_us: self.config.retentions_us.clone(),
             policies: self.config.policies.clone(),
-            custom_labels: self.config.models.iter().map(|m| m.label()).collect(),
             traces: self.config.traces.clone(),
         })
     }
@@ -626,7 +579,6 @@ mod tests {
             refs_per_thread: 1_200,
             seed: 3,
             cores: 4,
-            models: Vec::new(),
             traces: Vec::new(),
             ..ExperimentConfig::default()
         }

@@ -140,25 +140,19 @@ impl CmpSystem {
                 let phase = Cycle::new(
                     (b as u64 * bank_retention.line_retention_cycles().raw()) / cfg.l3_banks as u64,
                 );
-                let refresh = RefreshDomain::from_factory(
-                    &cfg.l3_bank,
-                    cfg.l3_policy_factory(),
-                    bank_retention,
-                    cells,
-                    phase,
-                )
-                .map_err(RefrintError::from)?;
+                let refresh =
+                    RefreshDomain::new(&cfg.l3_bank, cfg.policy, bank_retention, cells, phase);
                 let geometry = cfg.l3_bank.geometry;
-                Ok(L3Bank {
+                L3Bank {
                     cache: Cache::new(&format!("l3.{b}"), geometry),
                     dir: DirectoryArray::new(
                         geometry.num_sets() as usize,
                         usize::from(geometry.ways()),
                     ),
                     refresh,
-                })
+                }
             })
-            .collect::<Result<Vec<_>, RefrintError>>()?;
+            .collect();
 
         let line_size = cfg.dl1.geometry.line_size();
         let data_flits = cfg.link.flits_for(line_size);
@@ -836,7 +830,7 @@ impl CmpSystem {
             bank as u64,
         );
         debug_assert!(
-            !removed.is_dirty() || self.l3[bank].refresh.model().is_none(),
+            !removed.is_dirty() || !self.l3[bank].refresh.is_edram(),
             "the WB/Dirty policies only invalidate clean lines"
         );
         self.invalidate_holders(bank, slot, removed.addr, now);

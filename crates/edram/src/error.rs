@@ -12,23 +12,14 @@ pub enum EdramError {
         /// Description of the violated constraint.
         reason: String,
     },
-    /// A policy label could not be parsed.
-    InvalidPolicy {
-        /// The offending label.
-        label: String,
-    },
-    /// A policy label matched neither a registered custom policy nor the
-    /// built-in descriptor grammar.
+    /// A policy label does not parse as a [`RefreshPolicy`] descriptor.
+    ///
+    /// [`RefreshPolicy`]: crate::policy::RefreshPolicy
     UnknownPolicy {
         /// The offending label.
         label: String,
-        /// Every label the registry would have accepted.
+        /// The 14 paper labels (other `WB(n,m)` budgets parse too).
         valid: Vec<String>,
-    },
-    /// A custom policy was registered under a label that is already taken.
-    DuplicatePolicy {
-        /// The conflicting label.
-        label: String,
     },
 }
 
@@ -38,21 +29,12 @@ impl fmt::Display for EdramError {
             EdramError::InvalidRetention { reason } => {
                 write!(f, "invalid retention configuration: {reason}")
             }
-            EdramError::InvalidPolicy { label } => {
-                write!(f, "cannot parse refresh policy label `{label}`")
-            }
             EdramError::UnknownPolicy { label, valid } => {
                 write!(
                     f,
                     "unknown refresh policy `{label}`; valid labels are \
                      `P|R.all|valid|dirty|WB(n,m)` — e.g. {}",
                     valid.join(", ")
-                )
-            }
-            EdramError::DuplicatePolicy { label } => {
-                write!(
-                    f,
-                    "a refresh policy labelled `{label}` is already registered"
                 )
             }
         }
@@ -70,8 +52,9 @@ mod tests {
         assert!(EdramError::InvalidRetention { reason: "x".into() }
             .to_string()
             .contains("retention"));
-        assert!(EdramError::InvalidPolicy {
-            label: "Z.9".into()
+        assert!(EdramError::UnknownPolicy {
+            label: "Z.9".into(),
+            valid: vec!["P.all".into()],
         }
         .to_string()
         .contains("Z.9"));

@@ -24,9 +24,7 @@
 //!
 //! * [`retention`] — retention periods, temperature scaling, sentry margins.
 //! * [`policy`] — the time/data policy types, parsing and the 42-point sweep.
-//! * [`model`] — the open [`RefreshPolicyModel`] trait behind all policies,
-//!   plus [`PolicyFactory`] and the label [`PolicyRegistry`] through which
-//!   custom user policies plug into the simulator and the sweep runner.
+//!   [`RefreshPolicy`] is the one policy type every eDRAM cache runs.
 //! * [`schedule`] — the *lazy decay-schedule algebra*: everything that
 //!   happens to an untouched line between two touches is deterministic, so
 //!   refresh counts, write-back times and invalidation times are computed in
@@ -58,7 +56,6 @@
 
 pub mod controller;
 pub mod error;
-pub mod model;
 pub mod policy;
 pub mod retention;
 pub mod schedule;
@@ -66,7 +63,6 @@ pub mod variation;
 
 pub use controller::{PeriodicBurstModel, RefrintContention};
 pub use error::EdramError;
-pub use model::{PolicyBinding, PolicyFactory, PolicyRegistry, RefreshAction, RefreshPolicyModel};
 pub use policy::{DataPolicy, RefreshPolicy, TimePolicy};
 pub use retention::RetentionConfig;
 pub use schedule::{DecaySchedule, LineKind, Settlement};

@@ -209,9 +209,14 @@ impl FromStr for RefreshPolicy {
     type Err = EdramError;
 
     /// Parses a figure label such as `P.all`, `R.valid`, `R.WB(32,32)`.
+    /// On mismatch the error lists the 14 paper labels.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || EdramError::InvalidPolicy {
+        let err = || EdramError::UnknownPolicy {
             label: s.to_owned(),
+            valid: RefreshPolicy::paper_sweep()
+                .iter()
+                .map(RefreshPolicy::label)
+                .collect(),
         };
         let (time_str, data_str) = s.split_once('.').ok_or_else(err)?;
         let time = match time_str {
@@ -310,6 +315,13 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
+        let err = "R.sometimes".parse::<RefreshPolicy>().unwrap_err();
+        let EdramError::UnknownPolicy { label, valid } = &err else {
+            panic!("wrong error: {err:?}");
+        };
+        assert_eq!(label, "R.sometimes");
+        assert_eq!(valid.len(), 14);
+        assert!(err.to_string().contains("R.WB(32,32)"), "{err}");
         assert!("".parse::<RefreshPolicy>().is_err());
         assert!("X.all".parse::<RefreshPolicy>().is_err());
         assert!("R.sometimes".parse::<RefreshPolicy>().is_err());

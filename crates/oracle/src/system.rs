@@ -41,9 +41,6 @@ use crate::refresh::OracleRefresh;
 pub enum OracleError {
     /// The configuration fails validation (same rules as the simulator).
     InvalidConfig(String),
-    /// The configuration is valid but outside the oracle's deliberately
-    /// small modelling scope (custom L3 policy models).
-    Unsupported(String),
     /// A trace-driven run failed to decode its input.
     Trace(String),
 }
@@ -52,7 +49,6 @@ impl fmt::Display for OracleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OracleError::InvalidConfig(reason) => write!(f, "invalid configuration: {reason}"),
-            OracleError::Unsupported(reason) => write!(f, "outside the oracle's scope: {reason}"),
             OracleError::Trace(reason) => write!(f, "trace error: {reason}"),
         }
     }
@@ -169,8 +165,7 @@ impl OracleSystem {
     /// # Errors
     ///
     /// [`OracleError::InvalidConfig`] if the configuration fails the shared
-    /// validation rules; [`OracleError::Unsupported`] for custom L3 policy
-    /// models, which the oracle deliberately does not model.
+    /// validation rules.
     pub fn new(cfg: SystemConfig) -> Result<Self, OracleError> {
         Self::build(cfg, None)
     }
@@ -188,11 +183,6 @@ impl OracleSystem {
     fn build(cfg: SystemConfig, fault: Option<Fault>) -> Result<Self, OracleError> {
         cfg.validate_typed()
             .map_err(|e| OracleError::InvalidConfig(e.to_string()))?;
-        if cfg.l3_policy_model.is_some() {
-            return Err(OracleError::Unsupported(
-                "custom L3 policy models are not part of the oracle's scope".into(),
-            ));
-        }
 
         let retention = cfg.retention;
         let cells = cfg.cells;
@@ -1117,17 +1107,5 @@ mod tests {
             .unwrap()
             .run_model(&AppPreset::Radix.model());
         assert!(crate::diff::diff_reports(&oracle, &sim).is_empty());
-    }
-
-    #[test]
-    fn unsupported_configurations_are_typed_errors() {
-        // The same refresh policy, installed as an opaque model: the oracle
-        // only implements the built-in descriptors, so it must refuse.
-        let cfg = SystemConfig::edram_recommended()
-            .with_policy_model(std::sync::Arc::new(RefreshPolicy::recommended()));
-        assert!(matches!(
-            OracleSystem::new(cfg),
-            Err(OracleError::Unsupported(_))
-        ));
     }
 }

@@ -15,8 +15,6 @@ use refrint::experiment::{ExperimentConfig, TraceSpec};
 use refrint::simulation::{RunSpec, SimulationBuilder};
 use refrint::sweep::SweepPlan;
 use refrint::{CoherenceProtocol, RefrintError, RetentionProfile};
-use refrint_edram::error::EdramError;
-use refrint_edram::model::PolicyRegistry;
 use refrint_edram::policy::RefreshPolicy;
 use refrint_engine::json::{escape, Value};
 use refrint_workloads::apps::AppPreset;
@@ -116,13 +114,9 @@ fn parse_app(name: &str) -> Result<AppPreset, ApiError> {
 }
 
 fn parse_policy(label: &str) -> Result<RefreshPolicy, ApiError> {
-    label.parse::<RefreshPolicy>().map_err(|_| {
-        let err = EdramError::UnknownPolicy {
-            label: label.to_owned(),
-            valid: PolicyRegistry::new().valid_labels(),
-        };
-        ApiError::new(422, "unknown_policy", err.to_string())
-    })
+    label
+        .parse::<RefreshPolicy>()
+        .map_err(|e| ApiError::new(422, "unknown_policy", e.to_string()))
 }
 
 fn parse_protocol(label: &str) -> Result<CoherenceProtocol, ApiError> {

@@ -18,11 +18,6 @@
 //! (half-open probing). Every dispatch attempt is recorded as a
 //! [`DispatchSpan`] and rendered under the request's `execute` stage in
 //! `/jobs/<id>/trace`.
-//!
-//! Custom [`PolicyFactory`](refrint_edram::model::PolicyFactory) models
-//! are not expressible over the HTTP API (they are in-process trait
-//! objects), so sweeps carrying them are rejected with a typed error —
-//! everything `POST /sweep` accepts is coverable.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -32,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use refrint::json::ReportBody;
 use refrint::simulation::RunSpec;
-use refrint::sweep::{EdramPoint, PlanPoint, PointPolicy, SweepPlan, Workload};
+use refrint::sweep::{PlanPoint, SweepPlan, Workload};
 use refrint_engine::json::escape;
 use refrint_engine::stats::Histogram;
 use refrint_obs::log::{Level, LogFormat, Logger};
@@ -837,18 +832,6 @@ fn point_run(plan: &SweepPlan, point: &PlanPoint) -> Result<(RunWorkload, RunSpe
             }
         }
     };
-    if let Some(EdramPoint {
-        policy: PointPolicy::Custom(_),
-        ..
-    }) = &point.edram
-    {
-        return Err(ApiError::new(
-            422,
-            "unsupported",
-            "custom policy models are in-process trait objects and cannot be \
-             dispatched to backends; run them with a local SweepRunner",
-        ));
-    }
     Ok((workload, plan.spec(point)))
 }
 

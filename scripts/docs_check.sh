@@ -18,6 +18,8 @@
 #         appears in serve-client's usage;
 #      d. every `--flag` after `perfgate` or `gen-figures` on a README/docs
 #         line that invokes it appears in that binary's usage.
+#   6. Every `--example <name>` in README.md, docs/*.md and the verify
+#      skill names a file in examples/.
 #
 # Usage: scripts/docs_check.sh [refrint-cli] [serve-client] [perfgate] [gen-figures]
 # (paths; the first defaults to target/release/refrint-cli and the others
@@ -159,6 +161,13 @@ for bin in perfgate gen-figures; do
                 err "$doc:$lineno shows $flag on a $bin line but its usage has no such flag"
         done
     done < <(grep -nE "$bin( --)? --[a-z]" "${docs[@]}")
+done
+
+# --- 6. documented examples exist -------------------------------------------
+for example in $(grep -ohE -- '--example [a-z_][a-z0-9_]*' "${docs[@]}" \
+    .claude/skills/verify/SKILL.md | awk '{print $2}' | sort -u); do
+    [ -f "examples/$example.rs" ] ||
+        err "docs run --example $example but examples/$example.rs does not exist"
 done
 
 if [ "$fail" -ne 0 ]; then

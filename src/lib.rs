@@ -38,16 +38,16 @@
 //! assert!(!results.sram.is_empty());
 //! ```
 //!
-//! Custom refresh policies implement
-//! [`refrint_edram::model::RefreshPolicyModel`] and ride through both the
-//! builder and the sweep runner — see `examples/custom_policy.rs`.
+//! Every eDRAM cache runs a [`refrint_edram::policy::RefreshPolicy`]: a
+//! time policy (Periodic or Refrint) times a data policy (all, valid,
+//! dirty, WB(n,m)), settled in closed form by its
+//! [`refrint_edram::schedule::DecaySchedule`].
 //!
 //! See the individual crates for the real functionality:
 //!
 //! * [`refrint`] — the CMP simulator, `Simulation` builder, parallel sweep
 //!   runner and figure generators.
-//! * [`refrint_edram`] — retention, sentry bits and pluggable refresh
-//!   policies.
+//! * [`refrint_edram`] — retention, sentry bits and the refresh policies.
 //! * [`refrint_mem`] / [`refrint_coherence`] / [`refrint_noc`] — the cache,
 //!   coherence and interconnect substrates.
 //! * [`refrint_energy`] — technology parameters and energy accounting.

@@ -1,5 +1,5 @@
-//! Integration tests for the unified `Simulation::builder()` API, custom
-//! refresh-policy registration, and the parallel `SweepRunner`.
+//! Integration tests for the unified `Simulation::builder()` API and the
+//! parallel `SweepRunner`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -89,126 +89,6 @@ fn builder_replaces_manual_config_poking() {
 }
 
 // ---------------------------------------------------------------------- //
-// Custom policy models
-// ---------------------------------------------------------------------- //
-
-/// A custom policy outside the descriptor grammar: refresh every valid line
-/// but only `budget` times, then write back / invalidate — regardless of the
-/// line's dirtiness the budget is shared ("flat lease").
-#[derive(Debug)]
-struct FlatLease {
-    period: refrint_engine::time::Cycle,
-    budget: u64,
-}
-
-impl RefreshPolicyModel for FlatLease {
-    fn label(&self) -> String {
-        format!("flat-lease({})", self.budget)
-    }
-    fn opportunity(
-        &self,
-        touch: refrint_engine::time::Cycle,
-        k: u64,
-    ) -> refrint_engine::time::Cycle {
-        touch + self.period * k
-    }
-    fn opportunity_period(&self) -> refrint_engine::time::Cycle {
-        self.period
-    }
-    fn action(&self, kind: LineKind, refreshes_so_far: u64) -> RefreshAction {
-        match kind {
-            LineKind::Invalid => RefreshAction::Skip,
-            _ if refreshes_so_far < self.budget => RefreshAction::Refresh,
-            LineKind::Dirty => RefreshAction::WriteBack,
-            LineKind::Clean => RefreshAction::Invalidate,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FlatLeaseFactory {
-    budget: u64,
-}
-
-impl PolicyFactory for FlatLeaseFactory {
-    fn label(&self) -> String {
-        format!("flat-lease({})", self.budget)
-    }
-    fn build(&self, binding: &PolicyBinding) -> Arc<dyn RefreshPolicyModel> {
-        Arc::new(FlatLease {
-            period: binding.sentry_period(),
-            budget: self.budget,
-        })
-    }
-}
-
-#[test]
-fn custom_policy_registers_and_runs_through_the_builder() {
-    let mut sim = Simulation::builder()
-        .register_policy(Arc::new(FlatLeaseFactory { budget: 4 }))
-        .policy_label("flat-lease(4)")
-        .cores(4)
-        .refs_per_thread(2_000)
-        .build()
-        .unwrap();
-    assert_eq!(sim.config().label(), "eDRAM 50us flat-lease(4)");
-    let outcome = sim.run(AppPreset::Lu);
-    assert!(outcome.execution_cycles() > 0);
-    assert!(outcome.total_refreshes() > 0);
-    assert!(outcome.breakdown().is_physical());
-}
-
-#[test]
-fn custom_policy_behaves_physically_between_valid_and_wb00() {
-    // A lease of 0 is maximally aggressive (like WB(0,0)); a huge lease
-    // approximates Valid. The custom model must land between the two
-    // built-ins on refresh count, on the same workload.
-    let run_with = |factory: Option<Arc<dyn PolicyFactory>>, policy: Option<RefreshPolicy>| {
-        let mut builder = Simulation::builder()
-            .cores(4)
-            .refs_per_thread(3_000)
-            .seed(5);
-        if let Some(f) = factory {
-            builder = builder.policy_model(f);
-        }
-        if let Some(p) = policy {
-            builder = builder.policy(p);
-        }
-        builder.build().unwrap().run(AppPreset::Fft)
-    };
-    let valid = run_with(
-        None,
-        Some(RefreshPolicy::new(TimePolicy::Refrint, DataPolicy::Valid)),
-    );
-    let lease = run_with(Some(Arc::new(FlatLeaseFactory { budget: 2 })), None);
-    let wb00 = run_with(
-        None,
-        Some(RefreshPolicy::new(
-            TimePolicy::Refrint,
-            DataPolicy::write_back(0, 0),
-        )),
-    );
-    assert!(
-        lease.report.counts.l3_refreshes <= valid.report.counts.l3_refreshes,
-        "a 2-opportunity lease must refresh no more than Valid"
-    );
-    assert!(
-        wb00.report.counts.l3_refreshes <= lease.report.counts.l3_refreshes,
-        "WB(0,0) must refresh no more than the lease"
-    );
-}
-
-#[test]
-fn duplicate_custom_registration_fails_at_build() {
-    let err = Simulation::builder()
-        .register_policy(Arc::new(FlatLeaseFactory { budget: 4 }))
-        .register_policy(Arc::new(FlatLeaseFactory { budget: 4 }))
-        .build()
-        .unwrap_err();
-    assert!(err.to_string().contains("already registered"), "{err}");
-}
-
-// ---------------------------------------------------------------------- //
 // Parallel sweep runner
 // ---------------------------------------------------------------------- //
 
@@ -224,7 +104,6 @@ fn sweep_config() -> ExperimentConfig {
         refs_per_thread: 1_000,
         seed: 21,
         cores: 4,
-        models: vec![Arc::new(FlatLeaseFactory { budget: 3 })],
         traces: Vec::new(),
         protocols: vec![CoherenceProtocol::Mesi],
         retention_profiles: vec![RetentionProfile::Uniform],
@@ -253,11 +132,11 @@ fn parallel_sweep_is_byte_identical_to_the_sequential_path() {
 }
 
 #[test]
-fn sweep_runner_streams_progress_and_covers_custom_models() {
+fn sweep_runner_streams_progress_for_every_point() {
     let cfg = sweep_config();
     let total = cfg.total_runs();
-    // 2 apps x (1 sram + 2 retentions x (3 policies + 1 model)) = 2 x 9.
-    assert_eq!(total, 18);
+    // 2 apps x (1 sram + 2 retentions x 3 policies) = 2 x 7.
+    assert_eq!(total, 14);
     let events = Arc::new(AtomicUsize::new(0));
     let events_in_observer = Arc::clone(&events);
     let max_completed = Arc::new(AtomicUsize::new(0));
@@ -267,20 +146,19 @@ fn sweep_runner_streams_progress_and_covers_custom_models() {
         .observer(move |p: &SweepProgress| {
             events_in_observer.fetch_add(1, Ordering::Relaxed);
             max_in_observer.fetch_max(p.completed, Ordering::Relaxed);
-            assert_eq!(p.total, 18);
+            assert_eq!(p.total, 14);
         })
         .run()
         .unwrap();
     assert_eq!(events.load(Ordering::Relaxed), total);
     assert_eq!(max_completed.load(Ordering::Relaxed), total);
 
-    // The custom model's reports are in the results, keyed by label.
-    assert_eq!(results.custom_labels, vec!["flat-lease(3)".to_owned()]);
+    // Every point's report is in the results, keyed by label.
     for app in [AppPreset::Fft, AppPreset::Blackscholes] {
         for retention in [50, 100] {
             let report = results
-                .edram_report_by_label(app, retention, "flat-lease(3)")
-                .expect("custom model report present");
+                .edram_report_by_label(app, retention, "R.valid")
+                .expect("every eDRAM point's report is present");
             assert!(report.execution_cycles > 0);
             assert!(report.breakdown.is_physical());
         }

@@ -1,9 +1,12 @@
 //! Failure injection and edge cases: misconfigurations must be rejected with
 //! useful errors, and degenerate-but-legal configurations must still run.
 
+use refrint::error::ConfigError;
 use refrint::prelude::*;
 use refrint_edram::retention::RetentionConfig;
 use refrint_engine::time::{Freq, SimDuration};
+use refrint_mem::config::CacheGeometry;
+use refrint_oracle::system::{OracleError, OracleSystem};
 use refrint_workloads::model::WorkloadModel;
 
 #[test]
@@ -17,6 +20,35 @@ fn retention_shorter_than_the_sentry_margin_is_rejected() {
         message.contains("retention"),
         "unexpected message: {message}"
     );
+}
+
+/// A private L2 so large (8 MiB, 131,072 lines) that one Periodic burst
+/// period (50,000 cycles at 50 µs) cannot refresh it. The L3 bank keeps
+/// its size, so the sentry-margin rule passes; only the burst-work rule of
+/// `SystemConfig::validate_typed` catches it.
+#[test]
+fn impossible_burst_periods_error_instead_of_panicking() {
+    let mut config = SystemConfig::edram_baseline();
+    config.l2.geometry = CacheGeometry::new(8 << 20, 8, 64).unwrap();
+    let expected = ConfigError::InvalidBurstPeriod {
+        period_cycles: 50_000,
+        work_cycles: 131_072,
+    };
+    assert_eq!(config.validate_typed(), Err(expected.clone()));
+    // The builder sets no geometry, so it reaches this rule only through
+    // its mapping of `ConfigError`.
+    let built = BuildError::from(expected);
+    assert!(matches!(built, BuildError::Invalid { .. }), "{built:?}");
+    assert!(built.to_string().contains("burst period"), "{built}");
+
+    let err = CmpSystem::new(config.clone()).expect_err("must be rejected");
+    assert!(err.to_string().contains("burst period"), "{err}");
+    match OracleSystem::new(config) {
+        Err(OracleError::InvalidConfig(reason)) => {
+            assert!(reason.contains("burst period"), "{reason}");
+        }
+        other => panic!("expected InvalidConfig, got {:?}", other.err()),
+    }
 }
 
 #[test]
