@@ -4,9 +4,10 @@
 //! selection, bitmask coherence outcomes, devirtualized settlement, scratch
 //! buffers) is only valid if it is *invisible* in the results: every run
 //! must still be a pure function of its configuration. These tests pin that
-//! down byte-for-byte — recording spans must not perturb any preset ×
-//! policy report, and the parallel sweep runner must produce identical
-//! output for worker counts 1, 2 and 8.
+//! down byte-for-byte — two independent simulations of every preset ×
+//! policy must render identical JSON reports, recording spans must not
+//! perturb any of them, and the parallel sweep runner must produce
+//! identical output for worker counts 1, 2 and 8.
 //!
 //! Across commits, `every_output_matches_its_committed_digest` (in
 //! `crates/bench/src/digests.rs`) compares the report of every preset ×
@@ -45,6 +46,23 @@ fn run_json(app: AppPreset, policy: RefreshPolicy) -> String {
     run_json_with(app, policy, None)
 }
 
+#[test]
+fn every_preset_and_policy_is_byte_identical_across_runs() {
+    for app in AppPreset::ALL {
+        for policy in RefreshPolicy::paper_sweep() {
+            let first = run_json(app, policy);
+            let second = run_json(app, policy);
+            assert_eq!(
+                first,
+                second,
+                "non-deterministic report for {} under {}",
+                app.name(),
+                policy.label()
+            );
+        }
+    }
+}
+
 /// The observability invariant of `crates/obs`: recording observes without
 /// perturbing. Every preset × policy report must be byte-identical with
 /// the recorder at full sampling and with it disabled.
@@ -63,6 +81,21 @@ fn observability_at_full_sampling_never_perturbs_reports() {
             );
         }
     }
+}
+
+#[test]
+fn sram_baseline_is_byte_identical_across_runs() {
+    let run = || {
+        let mut sim = Simulation::builder()
+            .sram_baseline()
+            .cores(4)
+            .refs_per_thread(600)
+            .seed(42)
+            .build()
+            .expect("the SRAM baseline builds");
+        json::report(&sim.run(AppPreset::Lu).report)
+    };
+    assert_eq!(run(), run());
 }
 
 /// The span ring's contents are a pure function of the configuration:
