@@ -5,8 +5,14 @@
 //! under each of the 14 paper policies and the SRAM baseline, with MESI
 //! and with Dragon coherence, at 4 cores, 600 references per thread,
 //! seed 42. A point's digest is the 64-bit FNV-1a of its `json::report`
-//! bytes. One more entry digests the `json::sweep` bytes of a two-app
-//! sweep.
+//! bytes.
+//!
+//! Those runs end before the first sentry period, so none of them fires a
+//! policy invalidation. Eight longer points do: lu and fft under
+//! `R.WB(0,0)` and `P.WB(0,0)`, with MESI and with Dragon, at 2,000
+//! references per thread (named `…@2000`). They pin the bytes that pass
+//! through the system's eager invalidation queue. One more entry digests
+//! the `json::sweep` bytes of a two-app sweep.
 //!
 //! `perfgate --record` writes the document ([`FILE_NAME`], next to
 //! `BENCH_SIM.json`), and a unit test here recomputes it and names every
@@ -15,10 +21,11 @@
 
 use refrint::experiment::ExperimentConfig;
 use refrint::json;
+use refrint::report::SimReport;
 use refrint::simulation::Simulation;
 use refrint::sweep::SweepRunner;
 use refrint::CoherenceProtocol;
-use refrint_edram::policy::RefreshPolicy;
+use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_engine::json::Value;
 use refrint_obs::span::fnv1a;
 use refrint_workloads::apps::AppPreset;
@@ -30,6 +37,13 @@ pub const FILE_NAME: &str = "BENCH_DIGESTS.json";
 
 const SUITE: &str = "output_digests";
 
+/// References per thread of a grid point.
+const GRID_REFS: u64 = 600;
+
+/// References per thread of a drain point: long enough for `WB(0,0)`
+/// invalidations to fire on lu and fft.
+const DRAIN_REFS: u64 = 2_000;
+
 /// One pinned output: a point name and the FNV-1a digest of its bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Digest {
@@ -40,8 +54,9 @@ pub struct Digest {
     pub fnv1a: u64,
 }
 
-/// Computes every digest of the grid, in document order: each app, each
-/// chip (the paper policies, then SRAM), each protocol; then the sweep.
+/// Computes every digest, in document order: each app, each chip (the
+/// paper policies, then SRAM), each protocol; then the drain points; then
+/// the sweep.
 #[must_use]
 pub fn compute() -> Vec<Digest> {
     let chips: Vec<Option<RefreshPolicy>> = RefreshPolicy::paper_sweep()
@@ -54,12 +69,19 @@ pub fn compute() -> Vec<Digest> {
         for &policy in &chips {
             for protocol in CoherenceProtocol::ALL {
                 let label = policy.map_or_else(|| "sram".to_owned(), |p| p.label());
+                let report = run(app, policy, protocol, GRID_REFS);
                 out.push(Digest {
                     name: format!("{}/{label}/{}", app.name(), protocol.label()),
-                    fnv1a: fnv1a(0, run_json(app, policy, protocol).as_bytes()),
+                    fnv1a: fnv1a(0, json::report(&report).as_bytes()),
                 });
             }
         }
+    }
+    for (name, report) in drain_points() {
+        out.push(Digest {
+            name,
+            fnv1a: fnv1a(0, json::report(&report).as_bytes()),
+        });
     }
     out.push(Digest {
         name: "sweep".to_owned(),
@@ -68,8 +90,34 @@ pub fn compute() -> Vec<Digest> {
     out
 }
 
-/// One small run of `app` on an eDRAM chip under `policy` (SRAM if `None`).
-fn run_json(app: AppPreset, policy: Option<RefreshPolicy>, protocol: CoherenceProtocol) -> String {
+/// The drain points and their reports: lu and fft × `R.WB(0,0)` and
+/// `P.WB(0,0)` × each protocol, at [`DRAIN_REFS`] references per thread.
+fn drain_points() -> Vec<(String, SimReport)> {
+    let mut out = Vec::new();
+    for app in [AppPreset::Lu, AppPreset::Fft] {
+        for time in TimePolicy::ALL.into_iter().rev() {
+            let policy = RefreshPolicy::new(time, DataPolicy::write_back(0, 0));
+            for protocol in CoherenceProtocol::ALL {
+                let name = format!(
+                    "{}/{}/{}@{DRAIN_REFS}",
+                    app.name(),
+                    policy.label(),
+                    protocol.label()
+                );
+                out.push((name, run(app, Some(policy), protocol, DRAIN_REFS)));
+            }
+        }
+    }
+    out
+}
+
+/// One run of `app` on an eDRAM chip under `policy` (SRAM if `None`).
+fn run(
+    app: AppPreset,
+    policy: Option<RefreshPolicy>,
+    protocol: CoherenceProtocol,
+    refs_per_thread: u64,
+) -> SimReport {
     let builder = Simulation::builder();
     let builder = match policy {
         Some(policy) => builder.edram_recommended().policy(policy),
@@ -78,11 +126,11 @@ fn run_json(app: AppPreset, policy: Option<RefreshPolicy>, protocol: CoherencePr
     let mut sim = builder
         .protocol(protocol)
         .cores(4)
-        .refs_per_thread(600)
+        .refs_per_thread(refs_per_thread)
         .seed(42)
         .build()
         .expect("every grid point is a valid configuration");
-    json::report(&sim.run(app).report)
+    sim.run(app).report
 }
 
 /// The sweep of `tests/hot_path_determinism.rs`: lu and blackscholes at
@@ -204,5 +252,18 @@ mod tests {
             computed.len(),
             moved.join(", ")
         );
+    }
+
+    #[test]
+    fn every_drain_point_fires_policy_invalidations() {
+        for (name, report) in drain_points() {
+            let invalidations: u64 = report
+                .stats
+                .iter()
+                .filter(|(k, _)| k.starts_with("l3.") && k.ends_with(".invalidations"))
+                .map(|(_, v)| v)
+                .sum();
+            assert!(invalidations > 0, "{name} fires no L3 policy invalidation");
+        }
     }
 }
