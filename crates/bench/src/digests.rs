@@ -26,8 +26,8 @@ use refrint::simulation::Simulation;
 use refrint::sweep::SweepRunner;
 use refrint::CoherenceProtocol;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
+use refrint_engine::fnv1a;
 use refrint_engine::json::Value;
-use refrint_obs::span::fnv1a;
 use refrint_workloads::apps::AppPreset;
 
 use crate::results::ParseError;

@@ -15,6 +15,8 @@
 //! * [`json`] — dependency-free JSON escaping, rendering helpers and a
 //!   typed-error parser shared by every crate that emits or reads the
 //!   suite's machine-readable documents.
+//! * [`hash`] — FNV-1a, the deterministic hash behind ids, cache file
+//!   names and output digests.
 //!
 //! # Example
 //!
@@ -31,12 +33,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
+pub use hash::fnv1a;
 pub use rng::DeterministicRng;
 pub use stats::{Counter, Histogram, StatRegistry};
 pub use time::{Cycle, Freq, SimDuration};

@@ -8,6 +8,7 @@
 //! Refrint JSON artifact. Host wall-time lives in the resource attributes
 //! (`refrint.host_nanos.<subsystem>`), not in span timestamps.
 
+use refrint_engine::fnv1a;
 use refrint_engine::json::{emit, Value};
 
 use crate::critical_path::{
@@ -15,7 +16,7 @@ use crate::critical_path::{
     FleetPoint,
 };
 use crate::recorder::ObsSummary;
-use crate::span::{fnv1a, DispatchSpan, RequestTrace, Span};
+use crate::span::{DispatchSpan, RequestTrace, Span};
 
 fn attr_str(key: &str, value: &str) -> Value {
     Value::Obj(vec![

@@ -1,16 +1,7 @@
 //! Spans, the subsystem taxonomy, the fixed-size span ring, and the
 //! request-scoped trace context used by `refrint-serve`.
 
-/// FNV-1a, the workspace's deterministic id hash (trace ids, span ids).
-#[must_use]
-pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use refrint_engine::fnv1a;
 
 /// The subsystems the simulator attributes time to.
 ///

@@ -26,9 +26,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use refrint_engine::fnv1a;
 use refrint_engine::json::{escape, parse, Value};
 use refrint_obs::log::Logger;
-use refrint_obs::span::fnv1a;
 
 /// One index entry: a cache key, the body file it maps to, and the
 /// expected body length.
