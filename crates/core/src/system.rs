@@ -21,7 +21,10 @@
 //! touch is settled in O(1). Policy-driven L3 invalidations additionally use
 //! an *eager event queue* so that inclusive invalidations reach the private
 //! caches at the right time — this is what makes aggressive policies hurt
-//! low-visibility (Class 3) applications, as the paper describes.
+//! low-visibility (Class 3) applications, as the paper describes. Each touch
+//! of an L3 line schedules its predicted invalidation in the time-bucketed
+//! `refrint_engine::EventQueue`; a prediction whose line has since been
+//! evicted or touched again is stale and is skipped when it pops.
 
 use refrint_coherence::directory::{DirectoryArray, DirectoryEntry};
 use refrint_coherence::protocol::{CoherenceEngine, CoreRequest};
@@ -56,10 +59,9 @@ enum L3Request {
     Upgrade,
 }
 
-/// A pending policy-driven invalidation of an L3 line.
+/// A pending policy-driven invalidation of an L3 line (in its home bank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingInvalidation {
-    bank: usize,
     line: LineAddr,
     /// The touch timestamp the prediction was made from; if the line has
     /// been touched since, the event is stale and is skipped.
@@ -875,7 +877,6 @@ impl CmpSystem {
             self.invalidations.schedule(
                 when,
                 PendingInvalidation {
-                    bank,
                     line: l3_line.addr,
                     touch: now,
                 },
@@ -883,11 +884,12 @@ impl CmpSystem {
         }
     }
 
-    /// Processes every pending invalidation whose time has come.
+    /// Processes every pending invalidation whose time has come, skipping
+    /// the stale ones.
     fn drain_invalidations(&mut self, now: Cycle) {
-        while self.invalidations.peek_time().is_some_and(|t| t <= now) {
-            let ev = self.invalidations.pop().expect("peeked event exists");
-            let PendingInvalidation { bank, line, touch } = ev.event;
+        while let Some(ev) = self.invalidations.pop_due(now) {
+            let PendingInvalidation { line, touch } = ev.event;
+            let bank = line.bank(self.cfg.l3_banks);
             let Some(found) = self.l3[bank].cache.probe(line) else {
                 continue;
             };

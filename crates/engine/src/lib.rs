@@ -6,8 +6,8 @@
 //! * [`time`] — strongly-typed cycles, durations and frequencies. The whole
 //!   simulator operates in processor cycles at a configurable frequency
 //!   (1 GHz in the paper's configuration, so one cycle is one nanosecond).
-//! * [`event`] — a deterministic event queue with stable FIFO ordering among
-//!   events scheduled for the same cycle.
+//! * [`event`] — a deterministic, time-bucketed event queue that pops in
+//!   `(cycle, insertion)` order.
 //! * [`stats`] — counters, histograms and a registry used to collect
 //!   simulation statistics in a uniform way.
 //! * [`rng`] — a deterministic, seedable random-number facade so that every

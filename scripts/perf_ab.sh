@@ -24,8 +24,10 @@
 #       'target/release/refrint-cli obs --format text --sample 64'
 #
 # Scenarios (16 cores, seed 7, 20000 references per thread): lu, lu --sram,
-# lu --policy P.all, fft, blackscholes and, when both prefixes are `run`,
-# lu through `trace replay` of a trace each binary records once, untimed.
+# lu --policy P.all, lu --policy 'R.WB(0,0)' (the one whose policy
+# invalidations fire, ~125k of them, so it times the eager invalidation
+# queue), fft, blackscholes and, when both prefixes are `run`, lu through
+# `trace replay` of a trace each binary records once, untimed.
 # Each scenario runs once per side untimed, then in 20 pairs whose order
 # alternates (AB, BA, AB, ...).
 
@@ -38,6 +40,7 @@ SCENARIOS=(
     "lu|--app lu"
     "lu_sram|--app lu --sram"
     "lu_periodic_all|--app lu --policy P.all"
+    "lu_wb00|--app lu --policy R.WB(0,0)"
     "fft|--app fft"
     "blackscholes|--app blackscholes"
 )
