@@ -1,38 +1,43 @@
 //! Digests of the simulator's output bytes, pinned across commits.
 //!
-//! `BENCH_SIM.json` pins six `execution_cycles` values. This module pins
-//! every other byte a run reports, over a fixed grid: every [`AppPreset`]
-//! under each of the 14 paper policies and the SRAM baseline, with MESI
-//! and with Dragon coherence, at 4 cores, 600 references per thread,
-//! seed 42. A point's digest is the 64-bit FNV-1a of its `json::report`
-//! bytes.
+//! This module pins every byte a run reports, over a fixed grid: every
+//! [`AppPreset`] under each of the 14 paper policies and the SRAM
+//! baseline, with MESI and with Dragon coherence, at 4 cores, 600
+//! references per thread, seed 42. A point's digest is the 64-bit FNV-1a
+//! of its `json::report` bytes, and its `execution_cycles` sits next to
+//! it as a plain number, so a diff of the document shows how far
+//! simulated time moved.
 //!
 //! Those runs end before the first sentry period, so none of them fires a
 //! policy invalidation. Eight longer points do: lu and fft under
 //! `R.WB(0,0)` and `P.WB(0,0)`, with MESI and with Dragon, at 2,000
 //! references per thread (named `…@2000`). They pin the bytes that pass
-//! through the system's eager invalidation queue. One more entry digests
-//! the `json::sweep` bytes of a two-app sweep.
+//! through the system's eager invalidation queue. Six `perf/…` points run
+//! the paper's full 16-core chip (seed 7, 2,000 references per thread):
+//! lu on the recommended eDRAM chip, on SRAM and under Periodic-All, fft
+//! and blackscholes on the recommended chip, and lu captured to a trace
+//! and replayed. One more entry digests the `json::sweep` bytes of a
+//! two-app sweep.
 //!
-//! `perfgate --record` writes the document ([`FILE_NAME`], next to
-//! `BENCH_SIM.json`), and a unit test here recomputes it and names every
-//! point whose digest moved. Matching a committed constant also implies
-//! that each run is deterministic.
+//! `perfgate --record` writes the document ([`FILE_NAME`]), and a unit
+//! test here recomputes it and names every point whose digest or cycles
+//! moved. Matching a committed constant also implies that each run is
+//! deterministic.
+
+use std::fmt;
 
 use refrint::experiment::ExperimentConfig;
 use refrint::json;
 use refrint::report::SimReport;
-use refrint::simulation::Simulation;
+use refrint::simulation::{Simulation, SimulationBuilder};
 use refrint::sweep::SweepRunner;
 use refrint::CoherenceProtocol;
 use refrint_edram::policy::{DataPolicy, RefreshPolicy, TimePolicy};
 use refrint_engine::fnv1a;
-use refrint_engine::json::Value;
+use refrint_engine::json::{JsonError, Value};
 use refrint_workloads::apps::AppPreset;
 
-use crate::results::ParseError;
-
-/// The digest document's file name; it sits next to `BENCH_SIM.json`.
+/// The digest document's file name, at the repository root.
 pub const FILE_NAME: &str = "BENCH_DIGESTS.json";
 
 const SUITE: &str = "output_digests";
@@ -40,25 +45,52 @@ const SUITE: &str = "output_digests";
 /// References per thread of a grid point.
 const GRID_REFS: u64 = 600;
 
-/// References per thread of a drain point: long enough for `WB(0,0)`
-/// invalidations to fire on lu and fft.
-const DRAIN_REFS: u64 = 2_000;
+/// References per thread of a drain or perf point: long enough for
+/// `WB(0,0)` invalidations to fire on lu and fft.
+const LONG_REFS: u64 = 2_000;
 
-/// One pinned output: a point name and the FNV-1a digest of its bytes.
+const VALID: &str = "every pinned point is a valid configuration";
+
+/// One pinned output: a point name, the FNV-1a digest of its bytes and,
+/// for a run, its simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Digest {
-    /// `app/policy/protocol` for a run (`sram` for the SRAM baseline),
-    /// `sweep` for the sweep document.
+    /// `app/policy/protocol` for a grid or drain run (`sram` for the SRAM
+    /// baseline), `perf/<scenario>` for a 16-core run, `sweep` for the
+    /// sweep document.
     pub name: String,
     /// 64-bit FNV-1a of the rendered JSON.
     pub fnv1a: u64,
+    /// The run's `execution_cycles`; `None` for the sweep.
+    pub execution_cycles: Option<u64>,
 }
 
 /// Computes every digest, in document order: each app, each chip (the
 /// paper policies, then SRAM), each protocol; then the drain points; then
-/// the sweep.
+/// the perf points; then the sweep.
 #[must_use]
 pub fn compute() -> Vec<Digest> {
+    let mut out: Vec<Digest> = grid_points()
+        .into_iter()
+        .chain(drain_points())
+        .chain(perf_points())
+        .map(|(name, report)| Digest {
+            name,
+            fnv1a: fnv1a(0, json::report(&report).as_bytes()),
+            execution_cycles: Some(report.execution_cycles),
+        })
+        .collect();
+    out.push(Digest {
+        name: "sweep".to_owned(),
+        fnv1a: fnv1a(0, sweep_json().as_bytes()),
+        execution_cycles: None,
+    });
+    out
+}
+
+/// The grid points and their reports: each app × (each paper policy,
+/// then SRAM) × each protocol, at [`GRID_REFS`] references per thread.
+fn grid_points() -> Vec<(String, SimReport)> {
     let chips: Vec<Option<RefreshPolicy>> = RefreshPolicy::paper_sweep()
         .into_iter()
         .map(Some)
@@ -69,29 +101,16 @@ pub fn compute() -> Vec<Digest> {
         for &policy in &chips {
             for protocol in CoherenceProtocol::ALL {
                 let label = policy.map_or_else(|| "sram".to_owned(), |p| p.label());
-                let report = run(app, policy, protocol, GRID_REFS);
-                out.push(Digest {
-                    name: format!("{}/{label}/{}", app.name(), protocol.label()),
-                    fnv1a: fnv1a(0, json::report(&report).as_bytes()),
-                });
+                let name = format!("{}/{label}/{}", app.name(), protocol.label());
+                out.push((name, run(app, policy, protocol, GRID_REFS)));
             }
         }
     }
-    for (name, report) in drain_points() {
-        out.push(Digest {
-            name,
-            fnv1a: fnv1a(0, json::report(&report).as_bytes()),
-        });
-    }
-    out.push(Digest {
-        name: "sweep".to_owned(),
-        fnv1a: fnv1a(0, sweep_json().as_bytes()),
-    });
     out
 }
 
 /// The drain points and their reports: lu and fft × `R.WB(0,0)` and
-/// `P.WB(0,0)` × each protocol, at [`DRAIN_REFS`] references per thread.
+/// `P.WB(0,0)` × each protocol, at [`LONG_REFS`] references per thread.
 fn drain_points() -> Vec<(String, SimReport)> {
     let mut out = Vec::new();
     for app in [AppPreset::Lu, AppPreset::Fft] {
@@ -99,16 +118,71 @@ fn drain_points() -> Vec<(String, SimReport)> {
             let policy = RefreshPolicy::new(time, DataPolicy::write_back(0, 0));
             for protocol in CoherenceProtocol::ALL {
                 let name = format!(
-                    "{}/{}/{}@{DRAIN_REFS}",
+                    "{}/{}/{}@{LONG_REFS}",
                     app.name(),
                     policy.label(),
                     protocol.label()
                 );
-                out.push((name, run(app, Some(policy), protocol, DRAIN_REFS)));
+                out.push((name, run(app, Some(policy), protocol, LONG_REFS)));
             }
         }
     }
     out
+}
+
+/// The perf points and their reports: the paper's 16-core chip, seed 7,
+/// [`LONG_REFS`] references per thread. `perf/lu_replay` captures lu to a
+/// temporary trace and replays it, so it reports the same bytes as
+/// `perf/lu`.
+fn perf_points() -> Vec<(String, SimReport)> {
+    let chip = Simulation::builder()
+        .cores(16)
+        .seed(7)
+        .refs_per_thread(LONG_REFS);
+    let recommended = chip.clone().edram_recommended();
+    let live = [
+        ("lu", AppPreset::Lu, recommended.clone()),
+        ("lu_sram", AppPreset::Lu, chip.clone().sram_baseline()),
+        ("lu_periodic_all", AppPreset::Lu, chip.edram_baseline()),
+        ("fft", AppPreset::Fft, recommended.clone()),
+        ("blackscholes", AppPreset::Blackscholes, recommended.clone()),
+    ];
+    let mut out: Vec<(String, SimReport)> = live
+        .into_iter()
+        .map(|(name, app, builder)| {
+            let report = builder.build().expect(VALID).run(app).report;
+            (format!("perf/{name}"), report)
+        })
+        .collect();
+    out.push((
+        "perf/lu_replay".to_owned(),
+        replay(AppPreset::Lu, recommended),
+    ));
+    out
+}
+
+/// Captures `app` under `builder` to a temporary trace, replays it and
+/// removes the trace.
+fn replay(app: AppPreset, builder: SimulationBuilder) -> SimReport {
+    let path = std::env::temp_dir().join(format!(
+        "refrint-digest-{}-{}.rft",
+        app.name(),
+        std::process::id()
+    ));
+    builder
+        .clone()
+        .build()
+        .expect(VALID)
+        .capture(app, &path)
+        .expect("trace capture to the temp dir succeeds");
+    let outcome = builder
+        .trace(&path)
+        .build()
+        .expect(VALID)
+        .replay()
+        .expect("captured trace replays cleanly");
+    let _ = std::fs::remove_file(&path);
+    outcome.report
 }
 
 /// One run of `app` on an eDRAM chip under `policy` (SRAM if `None`).
@@ -129,7 +203,7 @@ fn run(
         .refs_per_thread(refs_per_thread)
         .seed(42)
         .build()
-        .expect("every grid point is a valid configuration");
+        .expect(VALID);
     sim.run(app).report
 }
 
@@ -161,8 +235,11 @@ fn sweep_json() -> String {
 pub fn render(digests: &[Digest]) -> String {
     let mut out = format!("{{\n  \"suite\": \"{SUITE}\",\n  \"digests\": [\n");
     for (i, d) in digests.iter().enumerate() {
+        let cycles = d
+            .execution_cycles
+            .map_or_else(String::new, |c| format!(", \"execution_cycles\": {c}"));
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"fnv1a\": \"{:016x}\"}}{}\n",
+            "    {{\"name\": \"{}\", \"fnv1a\": \"{:016x}\"{cycles}}}{}\n",
             refrint_engine::json::escape(&d.name),
             d.fnv1a,
             if i + 1 < digests.len() { "," } else { "" }
@@ -170,6 +247,32 @@ pub fn render(digests: &[Digest]) -> String {
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Why a digest document failed to parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// The JSON text itself is malformed.
+    Syntax(JsonError),
+    /// The JSON is valid but not a digest document.
+    Schema(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::Syntax(err) => err.fmt(f),
+            ParseError::Schema(reason) => write!(f, "unexpected document shape: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+impl From<JsonError> for ParseError {
+    fn from(err: JsonError) -> Self {
+        ParseError::Syntax(err)
+    }
 }
 
 /// Parses a digest document, in document order.
@@ -196,11 +299,18 @@ pub fn parse(text: &str) -> Result<Vec<Digest>, ParseError> {
                     .ok_or_else(|| ParseError::Schema(format!("digest {i}: missing \"{key}\"")))
             };
             let hex = field("fnv1a")?;
+            let execution_cycles = match item.get("execution_cycles") {
+                None => None,
+                Some(value) => Some(value.as_u64().ok_or_else(|| {
+                    ParseError::Schema(format!("digest {i}: \"execution_cycles\" is not a u64"))
+                })?),
+            };
             Ok(Digest {
                 name: field("name")?.to_owned(),
                 fnv1a: u64::from_str_radix(hex, 16).map_err(|_| {
                     ParseError::Schema(format!("digest {i}: \"{hex}\" is not a hex u64"))
                 })?,
+                execution_cycles,
             })
         })
         .collect()
@@ -216,22 +326,49 @@ mod tests {
             Digest {
                 name: "lu/R.WB(32,32)/mesi".to_owned(),
                 fnv1a: u64::MAX,
+                execution_cycles: Some(987_654),
+            },
+            Digest {
+                name: "a\"b".to_owned(),
+                fnv1a: 0,
+                execution_cycles: Some(0),
             },
             Digest {
                 name: "sweep".to_owned(),
                 fnv1a: 7,
+                execution_cycles: None,
             },
         ];
-        assert_eq!(parse(&render(&digests)).unwrap(), digests);
+        let text = render(&digests);
+        assert_eq!(parse(&text).unwrap(), digests);
+        assert!(matches!(parse("{\"suite\": "), Err(ParseError::Syntax(_))));
+        assert!(parse("{}extra")
+            .unwrap_err()
+            .to_string()
+            .contains("trailing"));
         assert!(matches!(parse("{}"), Err(ParseError::Schema(_))));
-        let bad = render(&digests).replace("0000000000000007", "xyz");
+        let other = text.replace(SUITE, "sim_throughput");
+        assert!(matches!(parse(&other), Err(ParseError::Schema(_))));
+        let bad = text.replace("0000000000000007", "xyz");
         assert!(parse(&bad).unwrap_err().to_string().contains("xyz"));
+        let bad = text.replace("987654", "-1");
+        assert!(parse(&bad)
+            .unwrap_err()
+            .to_string()
+            .contains("execution_cycles"));
+        let bad = text.replace("\"name\": \"sweep\", ", "");
+        assert!(parse(&bad).unwrap_err().to_string().contains("\"name\""));
     }
 
     #[test]
     fn every_output_matches_its_committed_digest() {
-        let recorded =
-            parse(include_str!("../../../BENCH_DIGESTS.json")).expect("BENCH_DIGESTS.json parses");
+        let committed = include_str!("../../../BENCH_DIGESTS.json");
+        let recorded = parse(committed).expect("BENCH_DIGESTS.json parses");
+        assert_eq!(
+            render(&recorded),
+            committed,
+            "BENCH_DIGESTS.json is in the form perfgate --record writes"
+        );
         let computed = compute();
         let names = |d: &[Digest]| d.iter().map(|d| d.name.clone()).collect::<Vec<_>>();
         assert_eq!(
@@ -239,11 +376,22 @@ mod tests {
             names(&computed),
             "BENCH_DIGESTS.json lists the grid's points"
         );
-        let moved: Vec<&str> = recorded
+        let unique: std::collections::BTreeSet<&str> =
+            computed.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(unique.len(), computed.len(), "point names are unique");
+        let cycles = |c: Option<u64>| c.map_or_else(|| "-".to_owned(), |c| c.to_string());
+        let moved: Vec<String> = recorded
             .iter()
             .zip(&computed)
-            .filter(|(r, c)| r.fnv1a != c.fnv1a)
-            .map(|(r, _)| r.name.as_str())
+            .filter(|(r, c)| r != c)
+            .map(|(r, c)| {
+                format!(
+                    "{} (execution_cycles {} recorded, {} computed)",
+                    r.name,
+                    cycles(r.execution_cycles),
+                    cycles(c.execution_cycles)
+                )
+            })
             .collect();
         assert!(
             moved.is_empty(),
@@ -251,6 +399,15 @@ mod tests {
             moved.len(),
             computed.len(),
             moved.join(", ")
+        );
+        let digest_of = |name: &str| {
+            let point = computed.iter().find(|d| d.name == name);
+            point.unwrap_or_else(|| panic!("{name} is pinned")).fnv1a
+        };
+        assert_eq!(
+            digest_of("perf/lu_replay"),
+            digest_of("perf/lu"),
+            "a replayed trace reports the live run's bytes"
         );
     }
 

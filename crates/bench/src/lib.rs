@@ -1,12 +1,10 @@
-//! Figure generation and the perf suite's simulated-cycle record.
+//! Figure generation and the cross-commit output pin.
 //!
 //! The `gen-figures` binary runs the paper's configuration sweep
 //! (Table 5.4) at a chosen [`Scale`] and renders it through
-//! `refrint::figures`. The `perfgate` binary records the refs and
-//! simulated cycles of each [`throughput`] scenario as a [`results`]
-//! document (`BENCH_SIM.json`), which a unit test pins, and the
-//! [`digests`] of a grid of reports next to it (`BENCH_DIGESTS.json`),
-//! which another unit test pins.
+//! `refrint::figures`. The `perfgate` binary records the [`digests`] of a
+//! grid of reports, with each run's `execution_cycles`, as
+//! `BENCH_DIGESTS.json`, which a unit test pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,8 +15,6 @@ use refrint::sweep::SweepRunner;
 use refrint_workloads::apps::AppPreset;
 
 pub mod digests;
-pub mod results;
-pub mod throughput;
 
 /// How large a sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,11 +6,11 @@ use std::process::Command;
 #[test]
 fn perfgate_rejects_unknown_flags_before_measuring() {
     let gone = [
-        ["--check", "BENCH_SIM.json"],
-        ["--compare", "BENCH_SIM.json"],
+        ["--check", "BENCH_DIGESTS.json"],
+        ["--compare", "BENCH_DIGESTS.json"],
         ["--min-ratio", "lu=1.5"],
         ["--tolerance", "0.25"],
-        ["--against", "BENCH_SIM.json"],
+        ["--against", "BENCH_DIGESTS.json"],
         ["--format", "json"],
         ["--mode", "quick"],
     ];

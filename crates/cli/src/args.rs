@@ -707,10 +707,9 @@ pub static PERFGATE: Program = Program {
     global: &[],
     commands: &[Command::new(
         "",
-        "simulate the perf suite's scenarios, untimed, and write each\n\
-         one's refs and execution_cycles to FILE (default BENCH_SIM.json);\n\
-         write the output digests to BENCH_DIGESTS.json next to FILE",
-        &[Flag::bare("--record", "run the suite, write FILE")],
+        "run the pinned points, untimed, and write each one's output\n\
+         digest and execution_cycles to FILE (default BENCH_DIGESTS.json)",
+        &[Flag::bare("--record", "run the points, write FILE")],
     )
     .taking(&["[FILE]"])],
 };

@@ -548,10 +548,7 @@ impl ServeOptions {
         server.disk_cache_dir = p.value("--cache-dir").map(PathBuf::from);
         let backends: Vec<String> = p.values("--backend").map(str::to_owned).collect();
         if p.flag("--coordinator") {
-            server.coordinator = Some(CoordinatorOptions {
-                backends,
-                ..CoordinatorOptions::default()
-            });
+            server.coordinator = Some(CoordinatorOptions { backends });
         } else if !backends.is_empty() {
             return Err("--backend only makes sense with --coordinator".into());
         }

@@ -133,15 +133,6 @@ impl PeriodicBurstModel {
         self.access_delay_for_line(now, line_group)
             .min(preemption_window)
     }
-
-    /// Total number of line refreshes performed by the periodic engine over
-    /// `window` cycles (every line, every period — the naive baseline's
-    /// refresh count, independent of the data policy's extra actions).
-    #[must_use]
-    pub fn refreshes_in(&self, window: Cycle) -> u64 {
-        let lines = self.groups * self.lines_per_group;
-        lines * window.div_span(self.retention)
-    }
 }
 
 /// Contention model for Refrint sentry interrupts.
@@ -281,13 +272,6 @@ mod tests {
                 assert!(m.access_delay_for_line(Cycle::new(c), g) <= m.access_delay(Cycle::new(c)));
             }
         }
-    }
-
-    #[test]
-    fn refreshes_in_window() {
-        let m = PeriodicBurstModel::new(Cycle::new(1_000), 4, 100);
-        assert_eq!(m.refreshes_in(Cycle::new(10_000)), 400 * 10);
-        assert_eq!(m.refreshes_in(Cycle::new(999)), 0);
     }
 
     #[test]

@@ -110,48 +110,6 @@ impl RetentionConfig {
     pub fn line_retention_cycles(&self) -> Cycle {
         self.frequency.cycles_in(self.retention)
     }
-
-    /// The sentry-bit retention period in cycles for a cache whose refresh
-    /// controller may have to service up to `max_simultaneous_firings`
-    /// interrupts back to back (the paper's most conservative assumption is
-    /// one per line in the cache).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdramError::InvalidRetention`] if the margin consumes the
-    /// entire retention period (the sentry bit would decay immediately).
-    pub fn sentry_retention_cycles(
-        &self,
-        max_simultaneous_firings: u64,
-    ) -> Result<Cycle, EdramError> {
-        let line = self.line_retention_cycles();
-        let margin = Cycle::new(max_simultaneous_firings);
-        if margin >= line {
-            return Err(EdramError::InvalidRetention {
-                reason: format!(
-                    "sentry margin of {max_simultaneous_firings} cycles consumes the whole \
-                     {line} retention period"
-                ),
-            });
-        }
-        Ok(line - margin)
-    }
-
-    /// Scales the retention for a different operating temperature, using the
-    /// exponential model `t_ret(T) = t_ret(T0) * exp(-k * (T - T0))` with the
-    /// conventional retention-halves-every-10-K slope. This mirrors the
-    /// paper's argument that a low-voltage, low-frequency chip runs cooler
-    /// than 105 °C and therefore retains data longer.
-    #[must_use]
-    pub fn scaled_to_temperature(&self, reference_kelvin: f64, target_kelvin: f64) -> Self {
-        let halvings = (target_kelvin - reference_kelvin) / 10.0;
-        let factor = 0.5f64.powf(halvings);
-        let new_picos = (self.retention.as_picos() as f64 * factor).max(1.0) as u128;
-        RetentionConfig {
-            retention: SimDuration::from_picos(new_picos),
-            frequency: self.frequency,
-        }
-    }
 }
 
 impl Default for RetentionConfig {
@@ -198,41 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn sentry_margin_matches_paper_l3_example() {
-        // "we assume the retention period of the Sentry bit to be 16 us
-        //  (@1GHz) less than that of rest of the eDRAM cells" for a 16K-line
-        //  L3 bank.
-        let r = RetentionConfig::microseconds_50();
-        let sentry = r.sentry_retention_cycles(16 * 1024).unwrap();
-        assert_eq!(sentry, Cycle::new(50_000 - 16_384));
-    }
-
-    #[test]
-    fn sentry_margin_cannot_exceed_retention() {
-        let r = RetentionConfig::microseconds_50();
-        assert!(r.sentry_retention_cycles(50_000).is_err());
-        assert!(r.sentry_retention_cycles(49_999).is_ok());
-    }
-
-    #[test]
     fn invalid_retention_rejected() {
         let err = RetentionConfig::new(SimDuration::from_picos(10), Freq::gigahertz(1));
         assert!(err.is_err());
         let ok = RetentionConfig::new(SimDuration::from_micros(1), Freq::gigahertz(1));
         assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn temperature_scaling_is_exponential() {
-        let base = RetentionConfig::microseconds_50();
-        // 10 K hotter halves retention; 20 K cooler quadruples it.
-        let hotter = base.scaled_to_temperature(330.0, 340.0);
-        assert_eq!(hotter.retention().as_micros(), 25);
-        let cooler = base.scaled_to_temperature(330.0, 310.0);
-        assert_eq!(cooler.retention().as_micros(), 200);
-        // Same temperature: unchanged.
-        let same = base.scaled_to_temperature(330.0, 330.0);
-        assert_eq!(same.retention(), base.retention());
     }
 
     #[test]

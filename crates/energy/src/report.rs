@@ -136,17 +136,6 @@ impl fmt::Display for NormalizedSeries {
     }
 }
 
-/// Divides each value by `baseline`, guarding against a zero/negative
-/// baseline (returns zero in that degenerate case).
-#[must_use]
-pub fn normalize(value: f64, baseline: f64) -> f64 {
-    if baseline > 0.0 {
-        value / baseline
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,12 +186,5 @@ mod tests {
         series.push(StackedBar::new("a", &[("X", 1.0)]));
         series.push(StackedBar::new("b", &[("Y", 1.0)]));
         let _ = series.to_csv();
-    }
-
-    #[test]
-    fn normalize_guards_zero_baseline() {
-        assert_eq!(normalize(2.0, 4.0), 0.5);
-        assert_eq!(normalize(2.0, 0.0), 0.0);
-        assert_eq!(normalize(2.0, -1.0), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 //! recursive-descent parser.
 //!
 //! The workspace builds offline (no serde), so every crate that speaks JSON
-//! — the CLI emitters, the `BENCH_SIM.json` cycle record in
+//! — the CLI emitters, the `BENCH_DIGESTS.json` output pin in
 //! `refrint-bench`, the `refrint-serve` request parser — shares this one
 //! implementation. The parser covers enough of RFC 8259 for the documents
 //! the suite exchanges and reports malformed input as a typed

@@ -54,21 +54,6 @@ pub fn route(torus: &Torus, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, Noc
     Ok(path)
 }
 
-/// The average hop count over all (src, dst) pairs, including src == dst.
-/// Useful as a sanity check and for analytic network-energy estimates.
-#[must_use]
-pub fn average_hops(torus: &Torus) -> f64 {
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    for s in torus.nodes() {
-        for d in torus.nodes() {
-            total += u64::from(hop_count(torus, s, d));
-            pairs += 1;
-        }
-    }
-    total as f64 / pairs as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,20 +111,5 @@ mod tests {
         let b = t.node(3, 0).unwrap();
         assert_eq!(hop_count(&t, a, b), 1);
         assert_eq!(route(&t, a, b).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn average_hops_on_4x4() {
-        // For a 4-ring, distances from any node are [0,1,2,1] -> mean 1.
-        // Two independent dimensions -> mean total = 2.
-        let t = Torus::paper_4x4();
-        assert!((average_hops(&t) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn average_hops_on_asymmetric_torus() {
-        let t = Torus::new(2, 8).unwrap();
-        // 2-ring mean = 0.5; 8-ring mean = (0+1+2+3+4+3+2+1)/8 = 2.0.
-        assert!((average_hops(&t) - 2.5).abs() < 1e-9);
     }
 }

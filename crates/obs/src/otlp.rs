@@ -203,21 +203,13 @@ pub fn point_span_id(trace_id: &str, index: usize) -> String {
 /// executed runs. Stage timestamps are host nanoseconds from request
 /// start; simulator span timestamps remain simulated cycles, exactly as
 /// in [`document`].
+///
+/// `dispatch` lists the backend attempts of a request a coordinator
+/// fanned out: each [`DispatchSpan`] becomes a `backend/<addr>` child of
+/// the `execute` stage, so the trace shows where every point ran and
+/// where retries went.
 #[must_use]
 pub fn request_document(
-    trace: &RequestTrace,
-    extra: &[(String, String)],
-    sim: Option<(&ObsSummary, &str, &str)>,
-) -> Value {
-    request_document_with_dispatch(trace, extra, sim, &[])
-}
-
-/// [`request_document`] for requests a coordinator fanned out to backend
-/// nodes: each [`DispatchSpan`] becomes a `backend/<addr>` child of the
-/// `execute` stage, so the trace shows where every point ran and where
-/// retries went.
-#[must_use]
-pub fn request_document_with_dispatch(
     trace: &RequestTrace,
     extra: &[(String, String)],
     sim: Option<(&ObsSummary, &str, &str)>,
@@ -618,39 +610,6 @@ pub fn fleet_request_document(
     Value::Obj(vec![("resourceSpans".to_owned(), Value::Arr(all))])
 }
 
-/// Renders the stitched fleet-wide trace document as compact JSON.
-#[must_use]
-pub fn render_fleet_request(
-    trace: &RequestTrace,
-    extra: &[(String, String)],
-    dispatch: &[DispatchSpan],
-    points: &[BackendSubtree],
-) -> String {
-    emit(&fleet_request_document(trace, extra, dispatch, points))
-}
-
-/// Renders a request trace document as a compact JSON string.
-#[must_use]
-pub fn render_request(
-    trace: &RequestTrace,
-    extra: &[(String, String)],
-    sim: Option<(&ObsSummary, &str, &str)>,
-) -> String {
-    emit(&request_document(trace, extra, sim))
-}
-
-/// Renders a request trace document with coordinator dispatch spans as a
-/// compact JSON string.
-#[must_use]
-pub fn render_request_with_dispatch(
-    trace: &RequestTrace,
-    extra: &[(String, String)],
-    sim: Option<(&ObsSummary, &str, &str)>,
-    dispatch: &[DispatchSpan],
-) -> String {
-    emit(&request_document_with_dispatch(trace, extra, sim, dispatch))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,7 +701,12 @@ mod tests {
     fn request_document_links_root_stages_and_sim_spans() {
         let summary = sample_summary();
         let extra = [("refrint.job".to_owned(), "j00000001".to_owned())];
-        let text = render_request(&sample_trace(), &extra, Some((&summary, "cfg", "lu")));
+        let text = emit(&request_document(
+            &sample_trace(),
+            &extra,
+            Some((&summary, "cfg", "lu")),
+            &[],
+        ));
         let doc = refrint_engine::json::parse(&text).expect("request doc parses");
         let spans = doc
             .get("resourceSpans")
@@ -811,7 +775,7 @@ mod tests {
                 outcome: "ok",
             },
         ];
-        let text = render_request_with_dispatch(&trace, &[], None, &dispatch);
+        let text = emit(&request_document(&trace, &[], None, &dispatch));
         let doc = refrint_engine::json::parse(&text).expect("parses");
         let spans = doc
             .get("resourceSpans")
@@ -845,13 +809,7 @@ mod tests {
         assert!(text.contains("refrint.outcome"));
         assert!(text.contains("refrint.attempt"));
 
-        let plain = render_request(&trace, &[], None);
-        assert_ne!(plain, text);
-        assert_eq!(
-            render_request_with_dispatch(&trace, &[], None, &[]),
-            plain,
-            "empty dispatch list matches the plain request document"
-        );
+        assert_ne!(emit(&request_document(&trace, &[], None, &[])), text);
     }
 
     /// A backend-side trace document for point `index`, exactly as a
@@ -878,7 +836,7 @@ mod tests {
             ],
             total_nanos: 30_400,
         };
-        request_document(&trace, &[], Some((&summary, "cfg", "lu")))
+        request_document(&trace, &[], Some((&summary, "cfg", "lu")), &[])
     }
 
     #[test]
@@ -905,7 +863,7 @@ mod tests {
                 document: None,
             },
         ];
-        let text = render_fleet_request(&trace, &[], &[], &points);
+        let text = emit(&fleet_request_document(&trace, &[], &[], &points));
         let doc = refrint_engine::json::parse(&text).expect("fleet doc parses");
         let groups = doc.get("resourceSpans").and_then(Value::as_arr).unwrap();
         assert_eq!(groups.len(), 2, "coordinator group + one stitched node");
@@ -971,13 +929,16 @@ mod tests {
         assert!(text.contains("j00000001"));
 
         // Stitching is deterministic.
-        assert_eq!(text, render_fleet_request(&trace, &[], &[], &points));
+        assert_eq!(
+            text,
+            emit(&fleet_request_document(&trace, &[], &[], &points))
+        );
     }
 
     #[test]
     fn fleet_document_without_points_matches_the_dispatch_document_shape() {
         let trace = sample_trace();
-        let text = render_fleet_request(&trace, &[], &[], &[]);
+        let text = emit(&fleet_request_document(&trace, &[], &[], &[]));
         let doc = refrint_engine::json::parse(&text).expect("parses");
         let groups = doc.get("resourceSpans").and_then(Value::as_arr).unwrap();
         assert_eq!(groups.len(), 1);
@@ -988,7 +949,7 @@ mod tests {
     #[test]
     fn request_document_without_sim_keeps_the_stage_tree() {
         let trace = sample_trace();
-        let text = render_request(&trace, &[], None);
+        let text = emit(&request_document(&trace, &[], None, &[]));
         let doc = refrint_engine::json::parse(&text).expect("parses");
         let spans = doc
             .get("resourceSpans")
@@ -999,7 +960,7 @@ mod tests {
             .and_then(|v| v.as_arr())
             .unwrap();
         assert_eq!(spans.len(), 4, "root + 3 stages, no sim spans");
-        let a = render_request(&trace, &[], None);
+        let a = emit(&request_document(&trace, &[], None, &[]));
         assert_eq!(a, text, "request docs are deterministic");
     }
 }

@@ -45,41 +45,33 @@ use crate::metrics::{Metrics, LATENCY_BOUNDS_MICROS};
 /// huge sweep should not balloon its own trace document).
 const MAX_RECORDED_DISPATCH: usize = 64;
 
-/// Tunables of a [`Coordinator`].
-#[derive(Debug, Clone)]
+/// Dispatch attempts per point before the job fails.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// First retry delay; doubled per attempt up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Upper bound on the exponential backoff delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Consecutive failures that trip a backend's circuit breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long a tripped breaker stays open before half-open probing.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(5);
+
+/// Target concurrent dispatches per backend (sizes the fan-out pool).
+const PER_BACKEND_INFLIGHT: usize = 4;
+
+/// Socket read deadline for one point dispatch.
+const DISPATCH_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// The configuration of a [`Coordinator`].
+#[derive(Debug, Clone, Default)]
 pub struct CoordinatorOptions {
     /// Initial backend addresses (`host:port`), resolved at bind time.
     /// More can join later via `POST /backends`.
     pub backends: Vec<String>,
-    /// Dispatch attempts per point before the job fails.
-    pub max_attempts: u32,
-    /// First retry delay; doubled per attempt up to [`Self::backoff_cap`].
-    pub backoff_base: Duration,
-    /// Upper bound on the exponential backoff delay.
-    pub backoff_cap: Duration,
-    /// Consecutive failures that trip a backend's circuit breaker.
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker stays open before half-open probing.
-    pub breaker_cooldown: Duration,
-    /// Target concurrent dispatches per backend (sizes the fan-out pool).
-    pub per_backend_inflight: usize,
-    /// Socket read deadline for one point dispatch.
-    pub dispatch_timeout: Duration,
-}
-
-impl Default for CoordinatorOptions {
-    fn default() -> Self {
-        CoordinatorOptions {
-            backends: Vec::new(),
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(5),
-            per_backend_inflight: 4,
-            dispatch_timeout: Duration::from_secs(120),
-        }
-    }
 }
 
 /// One backend of the pool, with its health and dispatch accounting.
@@ -150,7 +142,6 @@ struct Dispatched {
 /// The backend pool and dispatch logic of a coordinator-mode server.
 #[derive(Debug)]
 pub struct Coordinator {
-    opts: CoordinatorOptions,
     pool: Mutex<Vec<BackendSlot>>,
     logger: Logger,
     /// Per-backend dispatch round-trip latency (microseconds recorded,
@@ -173,7 +164,6 @@ impl Coordinator {
         log_format: LogFormat,
     ) -> Result<Coordinator, ApiError> {
         let coordinator = Coordinator {
-            opts: opts.clone(),
             pool: Mutex::new(Vec::new()),
             logger: Logger::to_stderr(log_level, log_format),
             durations: Mutex::new(BTreeMap::new()),
@@ -394,16 +384,13 @@ impl Coordinator {
             } else {
                 slot.failed += 1;
                 slot.consecutive_failures += 1;
-                if slot.consecutive_failures >= self.opts.breaker_threshold {
-                    slot.open_until = Some(Instant::now() + self.opts.breaker_cooldown);
+                if slot.consecutive_failures >= BREAKER_THRESHOLD {
+                    slot.open_until = Some(Instant::now() + BREAKER_COOLDOWN);
                     self.logger.warn(
                         "backend_breaker_open",
                         &[
                             ("backend", addr.to_string()),
-                            (
-                                "cooldown_ms",
-                                self.opts.breaker_cooldown.as_millis().to_string(),
-                            ),
+                            ("cooldown_ms", BREAKER_COOLDOWN.as_millis().to_string()),
                         ],
                     );
                 }
@@ -413,7 +400,7 @@ impl Coordinator {
 
     fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32 << attempt.saturating_sub(1).min(10);
-        (self.opts.backoff_base * factor).min(self.opts.backoff_cap)
+        (BACKOFF_BASE * factor).min(BACKOFF_CAP)
     }
 
     /// Dispatches one `POST /run` body, retrying across the pool with
@@ -433,7 +420,7 @@ impl Coordinator {
             traceparent.iter().map(|tp| ("traceparent", *tp)).collect();
         let mut exclude = None;
         let mut last: Option<ApiError> = None;
-        for attempt in 1..=self.opts.max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             let Some(addr) = self.acquire(exclude) else {
                 last.get_or_insert_with(|| {
                     ApiError::new(
@@ -455,7 +442,7 @@ impl Coordinator {
                 &headers,
                 Timeouts {
                     connect: Duration::from_secs(5),
-                    read: self.opts.dispatch_timeout,
+                    read: DISPATCH_TIMEOUT,
                     write: Duration::from_secs(10),
                 },
             );
@@ -529,7 +516,7 @@ impl Coordinator {
                     exclude = Some(addr);
                 }
             }
-            if attempt < self.opts.max_attempts {
+            if attempt < MAX_ATTEMPTS {
                 std::thread::sleep(self.backoff(attempt));
             }
         }
@@ -607,9 +594,7 @@ impl Coordinator {
             Mutex::new((0..total).map(|_| None).collect());
         let workers = {
             let backends = self.backend_count().max(1);
-            total
-                .min(backends * self.opts.per_backend_inflight.max(1))
-                .max(1)
+            total.min(backends * PER_BACKEND_INFLIGHT).max(1)
         };
         let worker = || loop {
             if aborted.load(Ordering::Relaxed) {
@@ -931,26 +916,27 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_recovers() {
-        let coordinator = Coordinator::new(
-            CoordinatorOptions {
-                breaker_threshold: 2,
-                breaker_cooldown: Duration::from_millis(30),
-                ..CoordinatorOptions::default()
-            },
-            Level::Error,
-            LogFormat::Text,
-        )
-        .unwrap();
+        let coordinator =
+            Coordinator::new(CoordinatorOptions::default(), Level::Error, LogFormat::Text).unwrap();
         coordinator.register("127.0.0.1:1", false).unwrap();
         let addr = coordinator.acquire(None).unwrap();
-        coordinator.release(addr, false);
-        assert!(coordinator.acquire(None).is_some(), "one failure: closed");
+        for failure in 1..BREAKER_THRESHOLD {
+            coordinator.release(addr, false);
+            assert_eq!(
+                coordinator.acquire(None),
+                Some(addr),
+                "{failure} failures: closed"
+            );
+        }
         coordinator.release(addr, false);
         assert!(
             coordinator.acquire(None).is_none(),
-            "second failure trips the breaker"
+            "failure {BREAKER_THRESHOLD} trips the breaker"
         );
-        std::thread::sleep(Duration::from_millis(40));
+        // Rewind the cooldown instead of sleeping through it.
+        for slot in coordinator.pool.lock().unwrap().iter_mut() {
+            slot.open_until = Some(Instant::now());
+        }
         let probe = coordinator.acquire(None);
         assert_eq!(probe, Some(addr), "half-open after the cooldown");
         coordinator.release(addr, true);
@@ -965,7 +951,6 @@ mod tests {
         let err = Coordinator::new(
             CoordinatorOptions {
                 backends: vec!["definitely-not-a-host-9f3a:0:bad".to_owned()],
-                ..CoordinatorOptions::default()
             },
             Level::Error,
             LogFormat::Text,

@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use refrint_engine::json::{escape, num, parse, Value};
+use refrint_engine::json::{emit, escape, num, parse, Value};
 use refrint_obs::log::{Level, LogFormat, Logger};
 use refrint_obs::otlp;
 use refrint_obs::span::{RequestTrace, StageSpan, TraceContext};
@@ -206,6 +206,16 @@ pub fn install_sigterm_handler() {
     sigterm::install();
 }
 
+/// How long a synchronous request waits for its job before returning
+/// `503 timeout` (the job keeps running; poll `/jobs/<id>`).
+const REQUEST_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Completed jobs retained for `/jobs/<id>` polling.
+const RETAINED_JOBS: usize = 256;
+
+/// Bodies retained in the persistent result cache (LRU).
+const DISK_CACHE_CAPACITY: usize = 512;
+
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -219,14 +229,9 @@ pub struct ServerOptions {
     pub max_body_bytes: usize,
     /// Socket read timeout (slowloris guard).
     pub read_timeout: Duration,
-    /// How long a synchronous request waits for its job before returning
-    /// `503 timeout` (the job keeps running; poll `/jobs/<id>`).
-    pub request_deadline: Duration,
     /// Concurrent connections beyond this are answered `503` immediately
     /// by the accept thread; also the cap of the connection handler pool.
     pub max_connections: usize,
-    /// Completed jobs retained for `/jobs/<id>` polling.
-    pub retained_jobs: usize,
     /// Directory trace workloads are served from (`"trace": "name.rft"`).
     pub trace_dir: Option<PathBuf>,
     /// Structured-log line format (stderr).
@@ -240,8 +245,6 @@ pub struct ServerOptions {
     pub coordinator: Option<CoordinatorOptions>,
     /// Directory of the persistent result cache; `None` disables it.
     pub disk_cache_dir: Option<PathBuf>,
-    /// Bodies retained in the persistent result cache (LRU).
-    pub disk_cache_capacity: usize,
 }
 
 impl Default for ServerOptions {
@@ -253,15 +256,12 @@ impl Default for ServerOptions {
             cache_capacity: 128,
             max_body_bytes: 64 * 1024,
             read_timeout: Duration::from_secs(10),
-            request_deadline: Duration::from_secs(120),
             max_connections: 64,
-            retained_jobs: 256,
             trace_dir: None,
             log_format: LogFormat::Text,
             log_level: Level::Error,
             coordinator: None,
             disk_cache_dir: None,
-            disk_cache_capacity: 512,
         }
     }
 }
@@ -597,7 +597,7 @@ impl Server {
             .map(|dir| {
                 DiskCache::open_observed(
                     dir,
-                    options.disk_cache_capacity,
+                    DISK_CACHE_CAPACITY,
                     &logger,
                     Some(&metrics.disk_cache_resets),
                 )
@@ -610,7 +610,7 @@ impl Server {
             .transpose()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.reason))?;
         let state = Arc::new(ServerState {
-            jobs: SharedJobs::new(options.retained_jobs),
+            jobs: SharedJobs::new(RETAINED_JOBS),
             work: Mutex::new(HashMap::new()),
             cache: Mutex::new(ResultCache::new(options.cache_capacity)),
             metrics,
@@ -1305,7 +1305,7 @@ fn submit(state: &Arc<ServerState>, request: ValidatedRequest, ctx: &mut Request
         SubmitMode::Async => Response::json(202, doc)
             .with_header("X-Refrint-Cache", "miss")
             .with_header("X-Refrint-Job", id),
-        SubmitMode::Sync => match state.jobs.wait_for(&id, state.options.request_deadline) {
+        SubmitMode::Sync => match state.jobs.wait_for(&id, REQUEST_DEADLINE) {
             Some(output) => Response::json(output.status, output.body.as_ref().clone())
                 .with_header("X-Refrint-Cache", "miss")
                 .with_header("X-Refrint-Job", id),
@@ -1314,7 +1314,7 @@ fn submit(state: &Arc<ServerState>, request: ValidatedRequest, ctx: &mut Request
                 "timeout",
                 format!(
                     "job {id} did not finish within {}s; poll GET /jobs/{id}",
-                    state.options.request_deadline.as_secs()
+                    REQUEST_DEADLINE.as_secs()
                 ),
             )
             .into(),
@@ -1414,13 +1414,15 @@ fn trace_response(job: &Job) -> Response {
         .as_ref()
         .map_or(&[] as &[_], |o| o.points.as_slice());
     let mut body = if points.is_empty() {
-        otlp::render_request_with_dispatch(&trace, &extra, sim, dispatch)
+        emit(&otlp::request_document(&trace, &extra, sim, dispatch))
     } else {
         // A fanned-out job: fetch each point's span tree from the backend
         // that ran it and stitch the subtrees under deterministic per-point
         // anchor spans.
         let subtrees = collect_subtrees(points);
-        otlp::render_fleet_request(&trace, &extra, dispatch, &subtrees)
+        emit(&otlp::fleet_request_document(
+            &trace, &extra, dispatch, &subtrees,
+        ))
     };
     body.push('\n');
     Response::json(200, body)

@@ -20,6 +20,8 @@
 #         line that invokes it appears in that binary's usage.
 #   6. Every `--example <name>` in README.md, docs/*.md and the verify
 #      skill names a file in examples/.
+#   7. Every `BENCH_*.json` named in README.md, docs/*.md or the verify
+#      skill exists at the repository root.
 #
 # Usage: scripts/docs_check.sh [refrint-cli] [serve-client] [perfgate] [gen-figures]
 # (paths; the first defaults to target/release/refrint-cli and the others
@@ -168,6 +170,12 @@ for example in $(grep -ohE -- '--example [a-z_][a-z0-9_]*' "${docs[@]}" \
     .claude/skills/verify/SKILL.md | awk '{print $2}' | sort -u); do
     [ -f "examples/$example.rs" ] ||
         err "docs run --example $example but examples/$example.rs does not exist"
+done
+
+# --- 7. documented BENCH_*.json documents exist -----------------------------
+for bench in $(grep -ohE 'BENCH_[A-Za-z0-9_]*\.json' "${docs[@]}" \
+    .claude/skills/verify/SKILL.md | sort -u); do
+    [ -f "$bench" ] || err "docs name $bench but it does not exist at the repository root"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -65,7 +65,11 @@ fn settle(within: Duration, done: impl Fn(&[String]) -> bool) -> Vec<String> {
 #[test]
 fn shut_down_servers_leave_only_the_sigterm_waker() {
     refrint_serve::install_sigterm_handler();
-    let baseline = threads();
+    // The waker names itself once it runs, so a list read at once can
+    // still show it under this test's name; wait for its own name.
+    let baseline = settle(Duration::from_secs(1), |t| {
+        t.iter().any(|t| t.ends_with(" refrint-sigterm"))
+    });
 
     // Sequential fresh connections reuse the most recently idle handler:
     // one serves, at most one more finishes its previous connection.
@@ -84,7 +88,6 @@ fn shut_down_servers_leave_only_the_sigterm_waker() {
     let coordinator = start(ServerOptions {
         coordinator: Some(CoordinatorOptions {
             backends: vec![backend.addr().to_string()],
-            ..CoordinatorOptions::default()
         }),
         ..ServerOptions::default()
     });

@@ -31,7 +31,6 @@ fn start_coordinator(backends: &[&RunningServer], cache_dir: Option<PathBuf>) ->
     let options = ServerOptions {
         coordinator: Some(CoordinatorOptions {
             backends: backends.iter().map(|b| b.addr().to_string()).collect(),
-            ..CoordinatorOptions::default()
         }),
         disk_cache_dir: cache_dir,
         ..ServerOptions::default()

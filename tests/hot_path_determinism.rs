@@ -11,10 +11,10 @@
 //!
 //! Across commits, `every_output_matches_its_committed_digest` (in
 //! `crates/bench/src/digests.rs`) compares the report of every preset ×
-//! policy (and SRAM) × protocol with a digest in `BENCH_DIGESTS.json`, and
-//! `quick_runs_reproduce_the_committed_execution_cycles` compares each perf
-//! scenario's `execution_cycles` with `BENCH_SIM.json`: a change that moves
-//! any output byte fails tier-1 even if it is internally self-consistent.
+//! policy (and SRAM) × protocol, and of six 16-core perf scenarios, with a
+//! digest and an `execution_cycles` in `BENCH_DIGESTS.json`: a change that
+//! moves any output byte fails tier-1 even if it is internally
+//! self-consistent.
 
 use refrint::experiment::ExperimentConfig;
 use refrint::json;
