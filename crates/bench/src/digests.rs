@@ -19,9 +19,9 @@
 //! and replayed. One more entry digests the `json::sweep` bytes of a
 //! two-app sweep.
 //!
-//! `perfgate --record` writes the document ([`FILE_NAME`]), and a unit
-//! test here recomputes it and names every point whose digest or cycles
-//! moved. Matching a committed constant also implies that each run is
+//! `perfgate --record` writes the document ([`FILE_NAME`]), and two unit
+//! tests here recompute it (the perf points in one, the rest in the
+//! other) and name every point whose digest or cycles moved. Matching a committed constant also implies that each run is
 //! deterministic.
 
 use std::fmt;
@@ -70,22 +70,31 @@ pub struct Digest {
 /// the perf points; then the sweep.
 #[must_use]
 pub fn compute() -> Vec<Digest> {
-    let mut out: Vec<Digest> = grid_points()
+    let runs = grid_points()
         .into_iter()
         .chain(drain_points())
-        .chain(perf_points())
-        .map(|(name, report)| Digest {
-            name,
-            fnv1a: fnv1a(0, json::report(&report).as_bytes()),
-            execution_cycles: Some(report.execution_cycles),
-        })
-        .collect();
-    out.push(Digest {
+        .chain(perf_points());
+    digests_of(runs).chain([sweep_digest()]).collect()
+}
+
+/// The digest and `execution_cycles` of each named report.
+fn digests_of(
+    points: impl IntoIterator<Item = (String, SimReport)>,
+) -> impl Iterator<Item = Digest> {
+    points.into_iter().map(|(name, report)| Digest {
+        name,
+        fnv1a: fnv1a(0, json::report(&report).as_bytes()),
+        execution_cycles: Some(report.execution_cycles),
+    })
+}
+
+/// The digest of the sweep document.
+fn sweep_digest() -> Digest {
+    Digest {
         name: "sweep".to_owned(),
         fnv1a: fnv1a(0, sweep_json().as_bytes()),
         execution_cycles: None,
-    });
-    out
+    }
 }
 
 /// The grid points and their reports: each app × (each paper policy,
@@ -320,9 +329,8 @@ pub fn parse(text: &str) -> Result<Vec<Digest>, ParseError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn render_parse_round_trip() {
-        let digests = vec![
+    fn sample() -> Vec<Digest> {
+        vec![
             Digest {
                 name: "lu/R.WB(32,32)/mesi".to_owned(),
                 fnv1a: u64::MAX,
@@ -338,30 +346,12 @@ mod tests {
                 fnv1a: 7,
                 execution_cycles: None,
             },
-        ];
-        let text = render(&digests);
-        assert_eq!(parse(&text).unwrap(), digests);
-        assert!(matches!(parse("{\"suite\": "), Err(ParseError::Syntax(_))));
-        assert!(parse("{}extra")
-            .unwrap_err()
-            .to_string()
-            .contains("trailing"));
-        assert!(matches!(parse("{}"), Err(ParseError::Schema(_))));
-        let other = text.replace(SUITE, "sim_throughput");
-        assert!(matches!(parse(&other), Err(ParseError::Schema(_))));
-        let bad = text.replace("0000000000000007", "xyz");
-        assert!(parse(&bad).unwrap_err().to_string().contains("xyz"));
-        let bad = text.replace("987654", "-1");
-        assert!(parse(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("execution_cycles"));
-        let bad = text.replace("\"name\": \"sweep\", ", "");
-        assert!(parse(&bad).unwrap_err().to_string().contains("\"name\""));
+        ]
     }
 
-    #[test]
-    fn every_output_matches_its_committed_digest() {
+    /// The committed document, checked to be in the form
+    /// `perfgate --record` writes.
+    fn committed() -> Vec<Digest> {
         let committed = include_str!("../../../BENCH_DIGESTS.json");
         let recorded = parse(committed).expect("BENCH_DIGESTS.json parses");
         assert_eq!(
@@ -369,20 +359,27 @@ mod tests {
             committed,
             "BENCH_DIGESTS.json is in the form perfgate --record writes"
         );
-        let computed = compute();
+        recorded
+    }
+
+    fn is_perf(d: &Digest) -> bool {
+        d.name.starts_with("perf/")
+    }
+
+    /// Asserts that `computed` lists the committed points that `keep`
+    /// selects, in order, and names every one whose digest or cycles moved.
+    fn assert_unmoved(computed: &[Digest], keep: fn(&Digest) -> bool) {
+        let recorded: Vec<Digest> = committed().into_iter().filter(keep).collect();
         let names = |d: &[Digest]| d.iter().map(|d| d.name.clone()).collect::<Vec<_>>();
         assert_eq!(
             names(&recorded),
-            names(&computed),
-            "BENCH_DIGESTS.json lists the grid's points"
+            names(computed),
+            "BENCH_DIGESTS.json lists the computed points"
         );
-        let unique: std::collections::BTreeSet<&str> =
-            computed.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(unique.len(), computed.len(), "point names are unique");
         let cycles = |c: Option<u64>| c.map_or_else(|| "-".to_owned(), |c| c.to_string());
         let moved: Vec<String> = recorded
             .iter()
-            .zip(&computed)
+            .zip(computed)
             .filter(|(r, c)| r != c)
             .map(|(r, c)| {
                 format!(
@@ -400,6 +397,74 @@ mod tests {
             computed.len(),
             moved.join(", ")
         );
+    }
+
+    #[test]
+    fn render_parse_round_trip() {
+        let digests = sample();
+        assert_eq!(parse(&render(&digests)).unwrap(), digests);
+    }
+
+    #[test]
+    fn malformed_json_reports_offset() {
+        let err = parse("{\"suite\": ").unwrap_err();
+        assert!(
+            matches!(&err, ParseError::Syntax(json) if json.offset == 10),
+            "{err}"
+        );
+        let err = parse("{}extra").unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn wrong_schema_is_a_schema_error() {
+        assert!(matches!(parse("{}"), Err(ParseError::Schema(_))));
+        let text = render(&sample());
+        let other = text.replace(SUITE, "sim_throughput");
+        assert!(matches!(parse(&other), Err(ParseError::Schema(_))));
+        let bad = text.replace("0000000000000007", "xyz");
+        assert!(parse(&bad).unwrap_err().to_string().contains("xyz"));
+        let bad = text.replace("987654", "-1");
+        assert!(parse(&bad)
+            .unwrap_err()
+            .to_string()
+            .contains("execution_cycles"));
+        let bad = text.replace("\"name\": \"sweep\", ", "");
+        assert!(parse(&bad).unwrap_err().to_string().contains("\"name\""));
+    }
+
+    #[test]
+    fn parser_handles_escapes_and_numbers() {
+        let text = format!(
+            "{{\"suite\": \"{SUITE}\", \"digests\": [{{\"name\": \"a\\\"b\\u0041\", \
+             \"fnv1a\": \"00000000000000ff\", \"execution_cycles\": 1e3}}]}}"
+        );
+        let d = parse(&text).unwrap();
+        assert_eq!(d[0].name, "a\"bA");
+        assert_eq!(d[0].fnv1a, 255);
+        assert_eq!(d[0].execution_cycles, Some(1000));
+    }
+
+    #[test]
+    fn point_names_are_unique_and_include_perf_lu() {
+        let recorded = committed();
+        let unique: std::collections::BTreeSet<&str> =
+            recorded.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(unique.len(), recorded.len(), "duplicate point names");
+        assert!(unique.contains("perf/lu"), "the perf/lu point must exist");
+    }
+
+    #[test]
+    fn every_output_matches_its_committed_digest() {
+        let runs = grid_points().into_iter().chain(drain_points());
+        let computed: Vec<Digest> = digests_of(runs).chain([sweep_digest()]).collect();
+        assert_unmoved(&computed, |d| !is_perf(d));
+    }
+
+    #[test]
+    fn perf_points_reproduce_the_committed_execution_cycles() {
+        let computed: Vec<Digest> = digests_of(perf_points()).collect();
+        assert_unmoved(&computed, is_perf);
         let digest_of = |name: &str| {
             let point = computed.iter().find(|d| d.name == name);
             point.unwrap_or_else(|| panic!("{name} is pinned")).fnv1a

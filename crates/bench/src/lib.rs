@@ -4,7 +4,7 @@
 //! (Table 5.4) at a chosen [`Scale`] and renders it through
 //! `refrint::figures`. The `perfgate` binary records the [`digests`] of a
 //! grid of reports, with each run's `execution_cycles`, as
-//! `BENCH_DIGESTS.json`, which a unit test pins.
+//! `BENCH_DIGESTS.json`, which unit tests pin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

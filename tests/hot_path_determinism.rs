@@ -9,8 +9,9 @@
 //! perturb any of them, and the parallel sweep runner must produce
 //! identical output for worker counts 1, 2 and 8.
 //!
-//! Across commits, `every_output_matches_its_committed_digest` (in
-//! `crates/bench/src/digests.rs`) compares the report of every preset ×
+//! Across commits, `every_output_matches_its_committed_digest` and
+//! `perf_points_reproduce_the_committed_execution_cycles` (in
+//! `crates/bench/src/digests.rs`) compare the report of every preset ×
 //! policy (and SRAM) × protocol, and of six 16-core perf scenarios, with a
 //! digest and an `execution_cycles` in `BENCH_DIGESTS.json`: a change that
 //! moves any output byte fails tier-1 even if it is internally
