@@ -8,15 +8,17 @@
 //! label. It also owns the merge: per-point results, taken in plan order,
 //! are filed under their keys and rendered into the sweep document.
 //!
-//! Two executors run a plan. [`SweepRunner`] shards the points across
-//! `std::thread` workers in process: every point is an independent
-//! simulation with its own seed-derived streams, so the runner executes
-//! them in any order, streams completions through a [`ProgressObserver`],
-//! and merges the reports into [`SweepResults`] — identical for every
-//! worker count. The `refrint-serve` coordinator dispatches the same
-//! points as `POST /run` requests and merges the returned report bodies
-//! through [`SweepPlan::render`], so its document is byte-identical to a
-//! local run by construction.
+//! One fan-out runs a plan: [`SweepPlan::run_points`] claims points in
+//! plan order across `std::thread` workers, stops claiming after the first
+//! failure, and returns the results in plan order or the earliest error.
+//! Two executors call it. [`SweepRunner`] simulates each point in process:
+//! every point is an independent simulation with its own seed-derived
+//! streams, so the runner streams completions through a
+//! [`ProgressObserver`] and merges the reports into [`SweepResults`] —
+//! identical for every worker count. The `refrint-serve` coordinator
+//! dispatches the same points as `POST /run` requests and merges the
+//! returned report bodies through [`SweepPlan::render`], so its document is
+//! byte-identical to a local run by construction.
 //!
 //! # Example
 //!
@@ -297,6 +299,66 @@ impl SweepPlan {
         &self.points
     }
 
+    /// Runs `run` once per point on up to `workers` threads and returns the
+    /// results in plan order — the one fan-out behind both the in-process
+    /// [`SweepRunner`] and the `refrint-serve` coordinator.
+    ///
+    /// Workers claim points in plan order and stop claiming once any point
+    /// fails, so a failing sweep does not burn through its remaining points
+    /// first. One worker runs every point inline on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// The earliest error in plan order among the points that ran,
+    /// whatever order they finished in.
+    pub fn run_points<R, E>(
+        &self,
+        workers: usize,
+        run: impl Fn(usize, &PlanPoint) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, E>
+    where
+        R: Send,
+        E: Send,
+    {
+        let total = self.points.len();
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let slots: Mutex<Vec<Option<Result<R, E>>>> =
+            Mutex::new((0..total).map(|_| None).collect());
+        let worker = || {
+            while !failed.load(Ordering::Relaxed) {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(point) = self.points.get(index) else {
+                    break;
+                };
+                let result = run(index, point);
+                if result.is_err() {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                slots.lock().expect("no worker panicked holding the lock")[index] = Some(result);
+            }
+        };
+        let workers = workers.min(total);
+        if workers <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
+            });
+        }
+        // Points are claimed in order and every worker has joined, so every
+        // slot before the first failure is filled: the first error slot is
+        // the earliest error in plan order, and collecting stops there.
+        slots
+            .into_inner()
+            .expect("all workers joined")
+            .into_iter()
+            .map(|slot| slot.expect("slots before the first failure are filled"))
+            .collect()
+    }
+
     /// Renders the sweep document from rendered per-point reports, given
     /// in plan order — the path for results that arrive as text, such as
     /// `POST /run` responses. The bytes equal [`json::sweep`] over
@@ -487,69 +549,26 @@ impl SweepRunner {
             }
             traces.insert(spec.name.clone(), trace);
         }
-        let traces = &traces;
 
-        let points = plan.points();
-        let total = points.len();
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
         // The observer lock makes increment + callback one atomic step, so
         // callbacks are serialized with strictly increasing counts.
         let progress = Mutex::new(0usize);
-        let slots: Mutex<Vec<Option<Result<SimReport, RefrintError>>>> =
-            Mutex::new((0..total).map(|_| None).collect());
-
-        let worker = || loop {
-            if failed.load(Ordering::Relaxed) {
-                break;
+        let total = plan.points().len();
+        let reports = plan.run_points(self.workers, |_, point| -> Result<_, RefrintError> {
+            let report = Self::run_point(&plan, point, &traces)?;
+            if let Some(observer) = &self.observer {
+                let mut done = progress.lock().expect("observer lock never poisoned");
+                *done += 1;
+                observer.on_run_complete(&SweepProgress {
+                    completed: *done,
+                    total,
+                    app: point.workload.name().to_owned(),
+                    config_label: report.config_label.clone(),
+                    retention_us: point.edram.as_ref().map(|e| e.retention_us),
+                });
             }
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= total {
-                break;
-            }
-            let point = &points[index];
-            let result = Self::run_point(&plan, point, traces);
-            match &result {
-                Ok(report) => {
-                    if let Some(observer) = &self.observer {
-                        let mut done = progress.lock().expect("observer lock never poisoned");
-                        *done += 1;
-                        observer.on_run_complete(&SweepProgress {
-                            completed: *done,
-                            total,
-                            app: point.workload.name().to_owned(),
-                            config_label: report.config_label.clone(),
-                            retention_us: point.edram.as_ref().map(|e| e.retention_us),
-                        });
-                    }
-                }
-                Err(_) => failed.store(true, Ordering::Relaxed),
-            }
-            slots.lock().expect("no worker panicked holding the lock")[index] = Some(result);
-        };
-
-        let workers = self.workers.min(total.max(1));
-        if workers <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-
-        // Workers claim points in order and all of them have joined, so
-        // every slot before the first failure is filled: the first
-        // non-report slot is the first error in plan order, whatever the
-        // interleaving was.
-        let mut reports = Vec::with_capacity(total);
-        for slot in slots.into_inner().expect("all workers joined") {
-            match slot.expect("slots before the first failure are filled") {
-                Ok(report) => reports.push(report),
-                Err(e) => return Err(e),
-            }
-        }
+            Ok(report)
+        })?;
         let merged = plan.merge(reports);
         Ok(SweepResults {
             sram: merged.sram,
@@ -616,6 +635,66 @@ mod tests {
         config.retentions_us = vec![50, 1]; // 1 us < sentry margin: invalid.
         let err = SweepRunner::new(config).workers(2).run().unwrap_err();
         assert!(err.to_string().contains("retention"), "{err}");
+    }
+
+    /// The shared fan-out, without simulating: results in plan order at
+    /// every worker count, the earlier of two errors even when the later
+    /// one fails first, and nothing claimed after a failure on one worker.
+    #[test]
+    fn run_points_keeps_plan_order_and_returns_the_earliest_error() {
+        let mut config = tiny_config();
+        config.retentions_us = vec![50, 100];
+        let plan = SweepPlan::new(config).unwrap();
+        assert_eq!(plan.points().len(), 10);
+        let labels: Vec<(usize, String)> = plan
+            .points()
+            .iter()
+            .map(PlanPoint::label)
+            .enumerate()
+            .collect();
+        for workers in [1, 2, 8] {
+            let results = plan.run_points(workers, |index, point| {
+                Ok::<_, usize>((index, point.label()))
+            });
+            assert_eq!(results.unwrap(), labels, "{workers} workers");
+        }
+        for workers in [2, 8] {
+            // Point 3 fails only once point 6 has failed: while one worker
+            // waits in point 3, another claims 4, 5 and 6.
+            let (failed_6, wait_for_6) = std::sync::mpsc::sync_channel(1);
+            let wait_for_6 = Mutex::new(wait_for_6);
+            let err = plan
+                .run_points(workers, |index, _| match index {
+                    3 => {
+                        wait_for_6
+                            .lock()
+                            .unwrap()
+                            .recv_timeout(std::time::Duration::from_secs(10))
+                            .expect("point 6 fails while point 3 runs");
+                        Err(index)
+                    }
+                    6 => {
+                        failed_6.send(()).unwrap();
+                        Err(index)
+                    }
+                    _ => Ok(()),
+                })
+                .unwrap_err();
+            assert_eq!(err, 3, "{workers} workers");
+        }
+        let ran = Mutex::new(Vec::new());
+        let err = plan
+            .run_points(1, |index, _| {
+                ran.lock().unwrap().push(index);
+                if index == 3 || index == 6 {
+                    Err(index)
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, 3);
+        assert_eq!(ran.into_inner().unwrap(), [0, 1, 2, 3]);
     }
 
     #[test]

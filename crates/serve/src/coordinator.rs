@@ -4,13 +4,16 @@
 //! simulating locally, split each job into point-level `POST /run`
 //! requests and fan them out over the existing HTTP API to a pool of
 //! backend nodes. A sweep is the same [`SweepPlan`] the local
-//! [`SweepRunner`](refrint::sweep::SweepRunner) executes in process: the
-//! coordinator only forwards each point's [`SweepPlan::spec`] as a
-//! `POST /run` body, consults its caches and dispatches, then hands the
+//! [`SweepRunner`](refrint::sweep::SweepRunner) executes in process, run
+//! through the same fan-out, [`SweepPlan::run_points`]: the coordinator
+//! only forwards each point's [`SweepPlan::spec`] as a `POST /run` body,
+//! consults the server's [`ResultStore`] and dispatches, then hands the
 //! report bodies back to [`SweepPlan::render`]. Every point is an
 //! independent simulation with its own seed-derived streams, so the
 //! response is **byte-identical** to a local run at any backend count by
-//! construction.
+//! construction. A `POST /run` job and each sweep point go through one
+//! dispatch helper, which reads the backend's answer as a report before
+//! anything is served or stored.
 //!
 //! Failure handling: each point is retried with bounded exponential
 //! backoff across the pool; a backend that fails repeatedly trips a
@@ -21,7 +24,6 @@
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,10 +38,9 @@ use refrint_obs::span::{DispatchSpan, TraceContext};
 
 use crate::api::{self, ApiError, RunWorkload};
 use crate::client::{self, Timeouts};
-use crate::disk_cache::DiskCache;
 use crate::http::elapsed_nanos;
-use crate::jobs::{JobOutput, JobWork, PointOutcome, ResultCache};
-use crate::metrics::{Metrics, LATENCY_BOUNDS_MICROS};
+use crate::jobs::{JobOutput, JobWork, PointOutcome, ResultStore};
+use crate::metrics::LATENCY_BOUNDS_MICROS;
 
 /// Dispatch attempts recorded per job before the span list is capped (a
 /// huge sweep should not balloon its own trace document).
@@ -106,37 +107,57 @@ impl BackendSlot {
     }
 }
 
-/// What a dispatched job may consult and update: the server's two result
-/// caches, its metrics counters and the request's trace context
-/// (propagated as `traceparent` on every dispatched `POST /run`).
+/// What a dispatched job may consult and update: the server's result
+/// store and the request's trace context (propagated as `traceparent` on
+/// every dispatched `POST /run`).
 #[derive(Debug)]
 pub struct DispatchEnv<'a> {
-    /// The in-memory result cache, consulted and fed per point.
-    pub memory_cache: &'a Mutex<ResultCache>,
-    /// The persistent result cache, when the server has one.
-    pub disk_cache: Option<&'a DiskCache>,
-    /// The server's metrics (disk-cache hit/miss counters).
-    pub metrics: &'a Metrics,
+    /// The server's result store, consulted and fed per sweep point.
+    pub store: &'a ResultStore,
     /// The job's trace context; point `i` is dispatched with a
     /// `traceparent` naming the deterministic point anchor span, so the
     /// backend's trace arrives pre-parented for stitching.
     pub trace: Option<&'a TraceContext>,
 }
 
-/// One finished sweep point: the report to merge plus the
-/// [`PointOutcome`] describing where it ran.
-type PointResult = Result<(ReportBody, PointOutcome), ApiError>;
-
-/// A successfully dispatched point: the backend's verbatim response body
-/// plus where and when it ran, for trace stitching.
+/// One job's dispatch attempts, timed from the job's execute epoch and
+/// capped at [`MAX_RECORDED_DISPATCH`], for `/jobs/<id>/trace`.
 #[derive(Debug)]
-struct Dispatched {
+struct DispatchLog {
+    epoch: Instant,
+    spans: Mutex<Vec<DispatchSpan>>,
+}
+
+impl DispatchLog {
+    /// Records one attempt on `backend` (an address, or `result-cache`).
+    fn record(
+        &self,
+        backend: impl std::fmt::Display,
+        attempt: u32,
+        start_nanos: u64,
+        dur_nanos: u64,
+        outcome: &'static str,
+    ) {
+        let mut spans = self.spans.lock().expect("dispatch span lock");
+        if spans.len() < MAX_RECORDED_DISPATCH {
+            spans.push(DispatchSpan {
+                backend: backend.to_string(),
+                attempt,
+                start_nanos,
+                dur_nanos,
+                outcome,
+            });
+        }
+    }
+}
+
+/// A point a backend answered: its verbatim response body, the report
+/// read from it, and where and when it ran.
+#[derive(Debug)]
+struct PointRun {
     body: String,
-    backend: SocketAddr,
-    /// The backend-side job id (`x-refrint-job`), for fetching its trace.
-    job: Option<String>,
-    start_nanos: u64,
-    dur_nanos: u64,
+    report: ReportBody,
+    outcome: PointOutcome,
 }
 
 /// The backend pool and dispatch logic of a coordinator-mode server.
@@ -403,21 +424,111 @@ impl Coordinator {
         (BACKOFF_BASE * factor).min(BACKOFF_CAP)
     }
 
-    /// Dispatches one `POST /run` body, retrying across the pool with
-    /// exponential backoff. Returns the backend's response body (bytes
-    /// identical to a local run) plus where it ran and when, for trace
-    /// stitching. `traceparent` is propagated verbatim on every attempt —
-    /// it only affects the backend's trace document, never its response
-    /// bytes, so byte-identity is preserved.
-    fn dispatch_point(
+    /// Executes a job by dispatching it to the backend pool. The
+    /// counterpart of [`crate::jobs::execute`] for coordinator-mode
+    /// workers: same inputs, same output contract, same bytes on success.
+    /// A `POST /run` is one point dispatch; a sweep runs each point
+    /// through the result store and [`SweepPlan::run_points`].
+    /// The body of a failed job is the first error in plan order, and
+    /// its dispatch spans still show what was tried.
+    #[must_use]
+    pub fn execute(&self, work: &JobWork, env: &DispatchEnv<'_>) -> JobOutput {
+        let log = DispatchLog {
+            epoch: Instant::now(),
+            spans: Mutex::new(Vec::new()),
+        };
+        let done = match work {
+            JobWork::Run { workload, spec } => {
+                let label = run_label(workload, spec);
+                let run = self.run_point(0, label, workload, spec, env.trace, &log);
+                run.map(|r| (r.body.into_bytes(), r.report.dl1_accesses, vec![r.outcome]))
+            }
+            JobWork::Sweep { plan } => self.run_sweep(plan, env, &log),
+        };
+        let mut output = match done {
+            Ok((body, refs, points)) => {
+                let mut output = JobOutput::from_bytes(200, Arc::new(body));
+                output.refs = refs;
+                output.sim_seconds = log.epoch.elapsed().as_secs_f64();
+                output.points = points;
+                output
+            }
+            Err(e) => JobOutput::from_bytes(e.status, Arc::new(e.body())),
+        };
+        output.dispatch = log.spans.into_inner().expect("dispatch span lock");
+        output
+    }
+
+    /// Runs a sweep's points, each from the result store when it holds the
+    /// point's `POST /run` key and from the pool otherwise, then merges the
+    /// reports through [`SweepPlan::render`]. Fresh points feed the store,
+    /// so a restarted coordinator with the same `--cache-dir` resumes where
+    /// it left off. Returns the document, the references simulated and
+    /// where each point ran.
+    fn run_sweep(
         &self,
-        body: &str,
-        traceparent: Option<&str>,
-        spans: &Mutex<Vec<DispatchSpan>>,
-        epoch: Instant,
-    ) -> Result<Dispatched, ApiError> {
-        let headers: Vec<(&str, &str)> =
-            traceparent.iter().map(|tp| ("traceparent", *tp)).collect();
+        plan: &SweepPlan,
+        env: &DispatchEnv<'_>,
+        log: &DispatchLog,
+    ) -> Result<(Vec<u8>, u64, Vec<PointOutcome>), ApiError> {
+        let runs = plan
+            .points()
+            .iter()
+            .map(|point| point_run(plan, point))
+            .collect::<Result<Vec<_>, _>>()?;
+        let workers = self.backend_count().max(1) * PER_BACKEND_INFLIGHT;
+        let points = plan.run_points(workers, |index, point| {
+            let (workload, spec) = &runs[index];
+            let key = api::run_key(workload, spec).ok();
+            let lookup = Instant::now();
+            if let Some(body) = key.as_deref().and_then(|key| env.store.get(key)) {
+                let dur_nanos = elapsed_nanos(lookup);
+                let start_nanos = elapsed_nanos(log.epoch).saturating_sub(dur_nanos);
+                log.record("result-cache", 1, start_nanos, dur_nanos, "cache");
+                let outcome = PointOutcome {
+                    index,
+                    label: point.label(),
+                    node: "result-cache".to_owned(),
+                    backend_job: None,
+                    start_nanos,
+                    dur_nanos,
+                };
+                return Ok((parse_report(&String::from_utf8_lossy(&body))?, outcome));
+            }
+            let run = self.run_point(index, point.label(), workload, spec, env.trace, log)?;
+            if let Some(key) = key {
+                env.store.put(&key, Arc::new(run.body.into_bytes()));
+            }
+            Ok((run.report, run.outcome))
+        })?;
+        let (reports, outcomes): (Vec<ReportBody>, Vec<PointOutcome>) = points.into_iter().unzip();
+        let refs = reports.iter().map(|r| r.dl1_accesses).sum();
+        let doc = plan.render(reports);
+        Ok((format!("{doc}\n").into_bytes(), refs, outcomes))
+    }
+
+    /// Runs point `index` on the pool: dispatches its `POST /run` body,
+    /// retrying across the pool with exponential backoff, and reads the
+    /// answer as a report. The body is the backend's verbatim response,
+    /// bytes identical to a local run. `traceparent` names the point's
+    /// deterministic anchor span on every attempt — it only affects the
+    /// backend's trace document, never its response bytes, so
+    /// byte-identity is preserved.
+    fn run_point(
+        &self,
+        index: usize,
+        label: String,
+        workload: &RunWorkload,
+        spec: &RunSpec,
+        trace: Option<&TraceContext>,
+        log: &DispatchLog,
+    ) -> Result<PointRun, ApiError> {
+        let body = api::run_body(workload, spec);
+        let traceparent = trace.map(|t| t.to_traceparent(&point_span_id(&t.trace_id, index)));
+        let headers: Vec<(&str, &str)> = traceparent
+            .iter()
+            .map(|tp| ("traceparent", tp.as_str()))
+            .collect();
         let mut exclude = None;
         let mut last: Option<ApiError> = None;
         for attempt in 1..=MAX_ATTEMPTS {
@@ -432,7 +543,7 @@ impl Coordinator {
                 std::thread::sleep(self.backoff(attempt));
                 continue;
             };
-            let start_nanos = elapsed_nanos(epoch);
+            let start_nanos = elapsed_nanos(log.epoch);
             let sent = Instant::now();
             let answer = client::request_with_timeouts(
                 addr,
@@ -451,21 +562,26 @@ impl Coordinator {
             match answer {
                 Ok(response) if response.status == 200 => {
                     self.release(addr, true);
-                    record_dispatch(spans, addr, attempt, start_nanos, dur_nanos, "ok");
-                    let job = response.header("x-refrint-job").map(str::to_owned);
-                    return Ok(Dispatched {
-                        body: response.body_str(),
-                        backend: addr,
-                        job,
-                        start_nanos,
-                        dur_nanos,
+                    log.record(addr, attempt, start_nanos, dur_nanos, "ok");
+                    let body = response.body_str();
+                    return Ok(PointRun {
+                        report: parse_report(&body)?,
+                        body,
+                        outcome: PointOutcome {
+                            index,
+                            label,
+                            node: addr.to_string(),
+                            backend_job: response.header("x-refrint-job").map(str::to_owned),
+                            start_nanos,
+                            dur_nanos,
+                        },
                     });
                 }
                 Ok(response) if (400..500).contains(&response.status) => {
                     // The backend is healthy — it answered — but the point
                     // itself was rejected; retrying elsewhere cannot help.
                     self.release(addr, true);
-                    record_dispatch(spans, addr, attempt, start_nanos, dur_nanos, "error");
+                    log.record(addr, attempt, start_nanos, dur_nanos, "error");
                     return Err(ApiError::new(
                         502,
                         "backend_rejected",
@@ -478,7 +594,7 @@ impl Coordinator {
                 }
                 Ok(response) => {
                     self.release(addr, false);
-                    record_dispatch(spans, addr, attempt, start_nanos, dur_nanos, "error");
+                    log.record(addr, attempt, start_nanos, dur_nanos, "error");
                     self.logger.warn(
                         "dispatch_failed",
                         &[
@@ -499,7 +615,7 @@ impl Coordinator {
                 }
                 Err(e) => {
                     self.release(addr, false);
-                    record_dispatch(spans, addr, attempt, start_nanos, dur_nanos, "error");
+                    log.record(addr, attempt, start_nanos, dur_nanos, "error");
                     self.logger.warn(
                         "dispatch_failed",
                         &[
@@ -528,219 +644,18 @@ impl Coordinator {
             )
         }))
     }
-
-    /// Executes a job by dispatching it to the backend pool. The
-    /// counterpart of [`crate::jobs::execute`] for coordinator-mode
-    /// workers: same inputs, same output contract, same bytes on success.
-    #[must_use]
-    pub fn execute(&self, work: &JobWork, env: &DispatchEnv<'_>) -> JobOutput {
-        match work {
-            JobWork::Run { workload, spec } => self.execute_run(workload, spec, env),
-            JobWork::Sweep { plan } => self.execute_sweep(plan, env),
-        }
-    }
-
-    fn execute_run(
-        &self,
-        workload: &RunWorkload,
-        spec: &RunSpec,
-        env: &DispatchEnv<'_>,
-    ) -> JobOutput {
-        let epoch = Instant::now();
-        let spans = Mutex::new(Vec::new());
-        let traceparent = env
-            .trace
-            .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, 0)));
-        let body = api::run_body(workload, spec);
-        match self.dispatch_point(&body, traceparent.as_deref(), &spans, epoch) {
-            Ok(dispatched) => {
-                let refs = ReportBody::parse(&dispatched.body).map_or(0, |r| r.dl1_accesses);
-                let outcome = PointOutcome {
-                    index: 0,
-                    label: run_label(workload, spec),
-                    node: dispatched.backend.to_string(),
-                    backend_job: dispatched.job,
-                    start_nanos: dispatched.start_nanos,
-                    dur_nanos: dispatched.dur_nanos,
-                };
-                let mut output = JobOutput::from_bytes(200, Arc::new(dispatched.body.into_bytes()));
-                output.refs = refs;
-                output.sim_seconds = epoch.elapsed().as_secs_f64();
-                output.dispatch = spans.into_inner().expect("dispatch span lock");
-                output.points = vec![outcome];
-                output
-            }
-            Err(e) => dispatch_failure(&e, spans),
-        }
-    }
-
-    fn execute_sweep(&self, plan: &SweepPlan, env: &DispatchEnv<'_>) -> JobOutput {
-        let epoch = Instant::now();
-        let spans = Mutex::new(Vec::new());
-        let points = plan.points();
-        let runs = match points
-            .iter()
-            .map(|point| point_run(plan, point))
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(runs) => runs,
-            Err(e) => return dispatch_failure(&e, spans),
-        };
-
-        let total = points.len();
-        let next = AtomicUsize::new(0);
-        let aborted = AtomicBool::new(false);
-        let results: Mutex<Vec<Option<PointResult>>> =
-            Mutex::new((0..total).map(|_| None).collect());
-        let workers = {
-            let backends = self.backend_count().max(1);
-            total.min(backends * PER_BACKEND_INFLIGHT).max(1)
-        };
-        let worker = || loop {
-            if aborted.load(Ordering::Relaxed) {
-                break;
-            }
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= total {
-                break;
-            }
-            let result = self.run_point(index, &points[index], &runs[index], env, &spans, epoch);
-            if result.is_err() {
-                aborted.store(true, Ordering::Relaxed);
-            }
-            results.lock().expect("sweep results lock")[index] = Some(result);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
-            }
-        });
-
-        // Points are claimed in order and every worker has joined, so the
-        // first slot without a report holds the first error in plan order.
-        let mut reports = Vec::with_capacity(total);
-        let mut outcomes = Vec::with_capacity(total);
-        for slot in results.into_inner().expect("sweep results lock") {
-            match slot {
-                Some(Ok((report, outcome))) => {
-                    reports.push(report);
-                    outcomes.push(outcome);
-                }
-                Some(Err(e)) => return dispatch_failure(&e, spans),
-                None => {
-                    let e =
-                        ApiError::new(502, "backend_failed", "a sweep point was never dispatched");
-                    return dispatch_failure(&e, spans);
-                }
-            }
-        }
-        let refs = reports.iter().map(|r| r.dl1_accesses).sum();
-        let doc = plan.render(reports);
-        let mut output = JobOutput::from_bytes(200, Arc::new(format!("{doc}\n").into_bytes()));
-        output.refs = refs;
-        output.sim_seconds = epoch.elapsed().as_secs_f64();
-        output.dispatch = spans.into_inner().expect("dispatch span lock");
-        output.points = outcomes;
-        output
-    }
-
-    /// Runs one sweep point: result caches first (memory, then disk),
-    /// then a dispatched `POST /run`. Fresh results feed both caches, so
-    /// a restarted coordinator with the same `--cache-dir` resumes where
-    /// it left off.
-    fn run_point(
-        &self,
-        index: usize,
-        point: &PlanPoint,
-        (workload, spec): &(RunWorkload, RunSpec),
-        env: &DispatchEnv<'_>,
-        spans: &Mutex<Vec<DispatchSpan>>,
-        epoch: Instant,
-    ) -> PointResult {
-        let key = api::run_key(workload, spec).ok();
-        let lookup = Instant::now();
-        let cached = key.as_deref().and_then(|key| cache_lookup(key, env));
-        let fresh = cached.is_none();
-        let (body, outcome) = if let Some(body) = cached {
-            record_cache_hit(spans, epoch, lookup);
-            let outcome = PointOutcome {
-                index,
-                label: point.label(),
-                node: "result-cache".to_owned(),
-                backend_job: None,
-                start_nanos: elapsed_nanos(epoch).saturating_sub(elapsed_nanos(lookup)),
-                dur_nanos: elapsed_nanos(lookup),
-            };
-            (body, outcome)
-        } else {
-            let traceparent = env
-                .trace
-                .map(|t| t.to_traceparent(&point_span_id(&t.trace_id, index)));
-            let dispatched = self.dispatch_point(
-                &api::run_body(workload, spec),
-                traceparent.as_deref(),
-                spans,
-                epoch,
-            )?;
-            let outcome = PointOutcome {
-                index,
-                label: point.label(),
-                node: dispatched.backend.to_string(),
-                backend_job: dispatched.job,
-                start_nanos: dispatched.start_nanos,
-                dur_nanos: dispatched.dur_nanos,
-            };
-            (dispatched.body, outcome)
-        };
-        let report = ReportBody::parse(&body).ok_or_else(|| {
-            ApiError::new(
-                502,
-                "backend_failed",
-                "a backend returned a malformed report body",
-            )
-        })?;
-        if let Some(key) = key.as_deref().filter(|_| fresh) {
-            self.cache_insert(key, &body, env);
-        }
-        Ok((report, outcome))
-    }
-
-    /// Stores a freshly dispatched point body in both result caches.
-    fn cache_insert(&self, key: &str, body: &str, env: &DispatchEnv<'_>) {
-        env.memory_cache
-            .lock()
-            .expect("cache lock")
-            .insert(key.to_owned(), Arc::new(body.as_bytes().to_vec()));
-        if let Some(disk) = env.disk_cache {
-            if let Err(e) = disk.put(key, body.as_bytes()) {
-                self.logger
-                    .warn("disk_cache_put_failed", &[("error", e.to_string())]);
-            }
-        }
-    }
 }
 
-/// Looks a point body up in the memory cache, then the disk cache (a disk
-/// hit is promoted to memory), counting disk hits and misses.
-fn cache_lookup(key: &str, env: &DispatchEnv<'_>) -> Option<String> {
-    let memory_hit = env.memory_cache.lock().expect("cache lock").get(key);
-    if let Some(bytes) = memory_hit {
-        return Some(String::from_utf8_lossy(&bytes).into_owned());
-    }
-    let disk = env.disk_cache?;
-    let Some(bytes) = disk.get(key) else {
-        env.metrics
-            .disk_cache_misses
-            .fetch_add(1, Ordering::Relaxed);
-        return None;
-    };
-    env.metrics.disk_cache_hits.fetch_add(1, Ordering::Relaxed);
-    let body = String::from_utf8_lossy(&bytes).into_owned();
-    env.memory_cache
-        .lock()
-        .expect("cache lock")
-        .insert(key.to_owned(), Arc::new(bytes));
-    Some(body)
+/// Reads a backend's 200 body as a report; a body that is not one fails
+/// the point as `backend_failed`, so it is neither served nor stored.
+fn parse_report(body: &str) -> Result<ReportBody, ApiError> {
+    ReportBody::parse(body).ok_or_else(|| {
+        ApiError::new(
+            502,
+            "backend_failed",
+            "a backend returned a malformed report body",
+        )
+    })
 }
 
 /// The display label of a single-point `POST /run` job: workload plus the
@@ -753,47 +668,6 @@ fn run_label(workload: &RunWorkload, spec: &RunSpec) -> String {
         format!("{workload}/{us}us/{}", policy.label())
     } else {
         workload.to_owned()
-    }
-}
-
-/// A failed dispatch as a job output: the typed error document, with the
-/// dispatch spans preserved so `/jobs/<id>/trace` shows what was tried.
-fn dispatch_failure(e: &ApiError, spans: Mutex<Vec<DispatchSpan>>) -> JobOutput {
-    let mut output = JobOutput::from_bytes(e.status, Arc::new(e.body()));
-    output.dispatch = spans.into_inner().expect("dispatch span lock");
-    output
-}
-
-fn record_dispatch(
-    spans: &Mutex<Vec<DispatchSpan>>,
-    addr: SocketAddr,
-    attempt: u32,
-    start_nanos: u64,
-    dur_nanos: u64,
-    outcome: &'static str,
-) {
-    let mut spans = spans.lock().expect("dispatch span lock");
-    if spans.len() < MAX_RECORDED_DISPATCH {
-        spans.push(DispatchSpan {
-            backend: addr.to_string(),
-            attempt,
-            start_nanos,
-            dur_nanos,
-            outcome,
-        });
-    }
-}
-
-fn record_cache_hit(spans: &Mutex<Vec<DispatchSpan>>, epoch: Instant, lookup: Instant) {
-    let mut spans = spans.lock().expect("dispatch span lock");
-    if spans.len() < MAX_RECORDED_DISPATCH {
-        spans.push(DispatchSpan {
-            backend: "result-cache".to_owned(),
-            attempt: 1,
-            start_nanos: elapsed_nanos(epoch).saturating_sub(elapsed_nanos(lookup)),
-            dur_nanos: elapsed_nanos(lookup),
-            outcome: "cache",
-        });
     }
 }
 

@@ -1,10 +1,11 @@
-//! Persistent on-disk result cache for the server and the coordinator.
+//! Persistent on-disk result cache: the second tier of the server's
+//! [`ResultStore`](crate::jobs::ResultStore), behind its in-memory LRU.
 //!
 //! Response bodies are content-addressed by the same canonical cache key
-//! the in-memory [`ResultCache`](crate::jobs::ResultCache) uses (the
-//! request's normalised parameter string), so a result computed before a
-//! restart — or by a different coordinator pointed at the same
-//! `--cache-dir` — is served without touching a backend.
+//! the memory tier uses (the request's normalised parameter string), so a
+//! result computed before a restart — or by a different coordinator
+//! pointed at the same `--cache-dir` — is served without touching a
+//! backend.
 //!
 //! # Layout
 //!

@@ -1,14 +1,17 @@
-//! Jobs, the job table and the result cache.
+//! Jobs, the job table and the result store.
 //!
 //! Every simulation request becomes a [`Job`]: it is registered in the
 //! shared [`JobTable`], its id is pushed through the server's bounded MPSC
 //! queue, and a worker thread executes it with [`execute`]. Sync clients
 //! block on the table's condvar until their job finishes; async clients
-//! poll `GET /jobs/<id>`. Successful results are inserted into the
-//! [`ResultCache`] under the request's canonical key, so an identical
+//! poll `GET /jobs/<id>`. Successful results are put in the
+//! [`ResultStore`] under the request's canonical key, so an identical
 //! request is answered with the very same bytes without re-simulating.
 
 use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -16,10 +19,15 @@ use refrint::experiment::ExperimentConfig;
 use refrint::simulation::{ObsConfig, RunSpec};
 use refrint::sweep::{SweepPlan, SweepRunner};
 use refrint_engine::json::escape;
+use refrint_obs::log::Logger;
 use refrint_obs::recorder::ObsSummary;
 use refrint_obs::span::{DispatchSpan, RequestTrace, Subsystem};
 
 use crate::api::RunWorkload;
+use crate::disk_cache::DiskCache;
+
+/// Bodies retained in the persistent result cache (LRU).
+const DISK_CACHE_CAPACITY: usize = 512;
 
 /// What a worker executes for one job.
 #[derive(Debug, Clone)]
@@ -453,9 +461,10 @@ fn run_sweep(config: &ExperimentConfig) -> JobOutput {
     output
 }
 
-/// A small LRU cache from canonical request keys to result bytes.
+/// A small LRU cache from canonical request keys to result bytes: the
+/// memory tier of a [`ResultStore`].
 #[derive(Debug)]
-pub struct ResultCache {
+struct ResultCache {
     map: HashMap<String, Arc<Vec<u8>>>,
     order: VecDeque<String>,
     capacity: usize,
@@ -463,8 +472,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// A cache holding at most `capacity` results.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         ResultCache {
             map: HashMap::new(),
             order: VecDeque::new(),
@@ -473,8 +481,7 @@ impl ResultCache {
     }
 
     /// Looks up `key`, refreshing its LRU position on a hit.
-    #[must_use]
-    pub fn get(&mut self, key: &str) -> Option<Arc<Vec<u8>>> {
+    fn get(&mut self, key: &str) -> Option<Arc<Vec<u8>>> {
         let hit = self.map.get(key).cloned();
         if hit.is_some() {
             if let Some(pos) = self.order.iter().position(|k| k == key) {
@@ -486,7 +493,7 @@ impl ResultCache {
     }
 
     /// Inserts a result, evicting the least recently used entry when full.
-    pub fn insert(&mut self, key: String, body: Arc<Vec<u8>>) {
+    fn insert(&mut self, key: String, body: Arc<Vec<u8>>) {
         if self.map.insert(key.clone(), body).is_none() {
             self.order.push_back(key);
             while self.order.len() > self.capacity {
@@ -496,17 +503,97 @@ impl ResultCache {
             }
         }
     }
+}
 
-    /// Number of cached results.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
+/// The persistent tier's counters, rendered on `/metrics`.
+#[derive(Debug, Default)]
+pub struct DiskCounters {
+    /// Lookups answered from the persistent disk cache.
+    pub hits: AtomicU64,
+    /// Lookups that missed the persistent disk cache.
+    pub misses: AtomicU64,
+    /// Times the disk cache discarded a corrupt `index.json` and started
+    /// from an empty index.
+    pub resets: AtomicU64,
+}
+
+/// The server's results, by canonical request key: an in-memory LRU in
+/// front of an optional persistent [`DiskCache`]. A plain server stores
+/// whole responses; a coordinator also stores each dispatched sweep point
+/// under the key its `POST /run` would have.
+#[derive(Debug)]
+pub struct ResultStore {
+    memory: Mutex<ResultCache>,
+    disk: Option<DiskCache>,
+    /// The disk tier's hit, miss and reset counts.
+    pub disk_counters: DiskCounters,
+    logger: Logger,
+}
+
+impl ResultStore {
+    /// A store keeping `capacity` results in memory and, with `disk_dir`,
+    /// persisting them there too. A corrupt disk index is warned about
+    /// through `logger` and counted in [`DiskCounters::resets`].
+    ///
+    /// # Errors
+    ///
+    /// When `disk_dir` cannot be created.
+    pub fn open(capacity: usize, disk_dir: Option<&Path>, logger: Logger) -> io::Result<Self> {
+        let disk_counters = DiskCounters::default();
+        let disk = disk_dir
+            .map(|dir| {
+                DiskCache::open_observed(
+                    dir,
+                    DISK_CACHE_CAPACITY,
+                    &logger,
+                    Some(&disk_counters.resets),
+                )
+            })
+            .transpose()?;
+        Ok(ResultStore {
+            memory: Mutex::new(ResultCache::new(capacity)),
+            disk,
+            disk_counters,
+            logger,
+        })
     }
 
-    /// Whether the cache is empty.
+    /// Looks `key` up in memory, then on disk, counting the disk tier's
+    /// hits and misses. A disk hit is promoted into memory, so a restarted
+    /// server with the same `--cache-dir` answers warm.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
+        let memory_hit = self.memory.lock().expect("cache lock").get(key);
+        if memory_hit.is_some() {
+            return memory_hit;
+        }
+        let disk = self.disk.as_ref()?;
+        let Some(bytes) = disk.get(key) else {
+            self.disk_counters.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.disk_counters.hits.fetch_add(1, Ordering::Relaxed);
+        let body = Arc::new(bytes);
+        self.memory
+            .lock()
+            .expect("cache lock")
+            .insert(key.to_owned(), Arc::clone(&body));
+        Some(body)
+    }
+
+    /// Stores `body` under `key` in memory and on disk. A failed disk
+    /// write is logged; the memory entry still serves.
+    pub fn put(&self, key: &str, body: Arc<Vec<u8>>) {
+        self.memory
+            .lock()
+            .expect("cache lock")
+            .insert(key.to_owned(), Arc::clone(&body));
+        if let Some(disk) = &self.disk {
+            if let Err(e) = disk.put(key, &body) {
+                self.logger
+                    .warn("disk_cache_put_failed", &[("error", e.to_string())]);
+            }
+        }
     }
 }
 
@@ -589,7 +676,7 @@ mod tests {
         assert!(cache.get("b").is_none());
         assert!(cache.get("a").is_some());
         assert!(cache.get("c").is_some());
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.map.len(), 2);
     }
 
     #[test]

@@ -74,9 +74,8 @@ use refrint_obs::span::{RequestTrace, StageSpan, TraceContext};
 use crate::api::{ApiError, SubmitMode, ValidatedRequest};
 use crate::client::Timeouts;
 use crate::coordinator::{Coordinator, CoordinatorOptions, DispatchEnv};
-use crate::disk_cache::DiskCache;
 use crate::http::{elapsed_nanos, HttpError, Request, Response};
-use crate::jobs::{Job, JobOutput, JobStatus, JobWork, ResultCache, SharedJobs};
+use crate::jobs::{Job, JobOutput, JobStatus, JobWork, ResultStore, SharedJobs};
 use crate::metrics::Metrics;
 
 /// Points whose backend span trees are fetched and stitched into a
@@ -213,9 +212,6 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(120);
 /// Completed jobs retained for `/jobs/<id>` polling.
 const RETAINED_JOBS: usize = 256;
 
-/// Bodies retained in the persistent result cache (LRU).
-const DISK_CACHE_CAPACITY: usize = 512;
-
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
@@ -276,7 +272,7 @@ struct ServerState {
     options: ServerOptions,
     jobs: SharedJobs,
     work: Mutex<HashMap<String, PendingWork>>,
-    cache: Mutex<ResultCache>,
+    store: ResultStore,
     metrics: Metrics,
     logger: Logger,
     queue: Mutex<Option<SyncSender<String>>>,
@@ -292,7 +288,6 @@ struct ServerState {
     handlers: Mutex<HandlerPool>,
     next_job: AtomicU64,
     coordinator: Option<Coordinator>,
-    disk_cache: Option<DiskCache>,
 }
 
 impl ServerState {
@@ -587,22 +582,11 @@ impl Server {
         let wake_addr = wake_addr(listener.local_addr()?);
         let (tx, rx) = std::sync::mpsc::sync_channel::<String>(options.queue_capacity.max(1));
         let worker_count = options.workers.max(1);
-        // Metrics and logger come up before the disk cache so a corrupt
-        // index is observable: warned about and counted, never silent.
-        let metrics = Metrics::new();
-        let logger = Logger::to_stderr(options.log_level, options.log_format);
-        let disk_cache = options
-            .disk_cache_dir
-            .as_deref()
-            .map(|dir| {
-                DiskCache::open_observed(
-                    dir,
-                    DISK_CACHE_CAPACITY,
-                    &logger,
-                    Some(&metrics.disk_cache_resets),
-                )
-            })
-            .transpose()?;
+        let store = ResultStore::open(
+            options.cache_capacity,
+            options.disk_cache_dir.as_deref(),
+            Logger::to_stderr(options.log_level, options.log_format),
+        )?;
         let coordinator = options
             .coordinator
             .clone()
@@ -612,9 +596,9 @@ impl Server {
         let state = Arc::new(ServerState {
             jobs: SharedJobs::new(RETAINED_JOBS),
             work: Mutex::new(HashMap::new()),
-            cache: Mutex::new(ResultCache::new(options.cache_capacity)),
-            metrics,
-            logger,
+            store,
+            metrics: Metrics::new(),
+            logger: Logger::to_stderr(options.log_level, options.log_format),
             queue: Mutex::new(Some(tx)),
             shutdown: AtomicBool::new(false),
             wake_addr,
@@ -623,7 +607,6 @@ impl Server {
             handlers: Mutex::new(HandlerPool::default()),
             next_job: AtomicU64::new(1),
             coordinator,
-            disk_cache,
             options,
         });
         let rx = Arc::new(Mutex::new(rx));
@@ -829,9 +812,7 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
             Some(coordinator) => coordinator.execute(
                 &work,
                 &DispatchEnv {
-                    memory_cache: &state.cache,
-                    disk_cache: state.disk_cache.as_ref(),
-                    metrics: &state.metrics,
+                    store: &state.store,
                     trace: trace.as_ref(),
                 },
             ),
@@ -868,18 +849,7 @@ fn worker_loop(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<String>>>) {
             ],
         );
         if ok && !cache_key.is_empty() {
-            state
-                .cache
-                .lock()
-                .expect("cache lock")
-                .insert(cache_key.clone(), Arc::clone(&output.body));
-            if let Some(disk) = &state.disk_cache {
-                if let Err(e) = disk.put(&cache_key, &output.body) {
-                    state
-                        .logger
-                        .warn("disk_cache_put_failed", &[("error", e.to_string())]);
-                }
-            }
+            state.store.put(&cache_key, Arc::clone(&output.body));
         }
         state.jobs.finish(&id, output);
     }
@@ -1059,7 +1029,7 @@ fn route(state: &Arc<ServerState>, request: &Request, ctx: &mut RequestCtx) -> R
         },
         "/metrics" => match method {
             "GET" => {
-                let mut doc = state.metrics.render();
+                let mut doc = state.metrics.render(&state.store.disk_counters);
                 if let Some(coordinator) = &state.coordinator {
                     doc.push_str(&coordinator.render_metrics());
                 }
@@ -1176,37 +1146,8 @@ fn submit(state: &Arc<ServerState>, request: ValidatedRequest, ctx: &mut Request
     }
 
     // Cache first: identical requests are answered with the same bytes.
-    // Memory, then disk — a disk hit is promoted into the memory cache, so
-    // a restarted server with the same `--cache-dir` answers warm.
     let lookup_started = Instant::now();
-    let mut cached = state
-        .cache
-        .lock()
-        .expect("cache lock")
-        .get(&cache_key)
-        .clone();
-    if cached.is_none() {
-        if let Some(disk) = &state.disk_cache {
-            if let Some(bytes) = disk.get(&cache_key) {
-                state
-                    .metrics
-                    .disk_cache_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                let body = Arc::new(bytes);
-                state
-                    .cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(cache_key.clone(), Arc::clone(&body));
-                cached = Some(body);
-            } else {
-                state
-                    .metrics
-                    .disk_cache_misses
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    let cached = state.store.get(&cache_key);
     ctx.stage("cache_lookup", elapsed_nanos(lookup_started));
     if let Some(body) = cached {
         state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);

@@ -26,6 +26,8 @@ use std::time::Instant;
 use refrint_engine::stats::Histogram;
 use refrint_obs::span::{Subsystem, REQUEST_STAGES};
 
+use crate::jobs::DiskCounters;
+
 /// The request-latency bucket bounds, in microseconds, shared by the
 /// request and per-stage histograms and the coordinator's per-backend
 /// dispatch latency.
@@ -51,13 +53,6 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Requests that missed the cache and simulated.
     pub cache_misses: AtomicU64,
-    /// Lookups answered from the persistent disk cache.
-    pub disk_cache_hits: AtomicU64,
-    /// Lookups that missed the persistent disk cache.
-    pub disk_cache_misses: AtomicU64,
-    /// Times the disk cache discarded a corrupt `index.json` and started
-    /// from an empty index.
-    pub disk_cache_resets: AtomicU64,
     /// Total data references simulated by completed jobs.
     pub refs_simulated: AtomicU64,
     /// Total wall-clock microseconds workers spent simulating.
@@ -89,9 +84,6 @@ impl Metrics {
             jobs_failed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            disk_cache_hits: AtomicU64::new(0),
-            disk_cache_misses: AtomicU64::new(0),
-            disk_cache_resets: AtomicU64::new(0),
             refs_simulated: AtomicU64::new(0),
             sim_micros: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
@@ -151,9 +143,10 @@ impl Metrics {
         }
     }
 
-    /// Renders the Prometheus text exposition document.
+    /// Renders the Prometheus text exposition document, with the result
+    /// store's disk-tier counters in their place among the cache counters.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub fn render(&self, disk: &DiskCounters) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let refs = get(&self.refs_simulated);
         let sim_seconds = get(&self.sim_micros) as f64 / 1e6;
@@ -201,17 +194,17 @@ impl Metrics {
         counter(
             "refrint_disk_cache_hits_total",
             "Lookups served from the persistent disk cache.",
-            get(&self.disk_cache_hits),
+            get(&disk.hits),
         );
         counter(
             "refrint_disk_cache_misses_total",
             "Lookups that missed the persistent disk cache.",
-            get(&self.disk_cache_misses),
+            get(&disk.misses),
         );
         counter(
             "refrint_disk_cache_resets_total",
             "Times a corrupt disk-cache index was discarded and rebuilt empty.",
-            get(&self.disk_cache_resets),
+            get(&disk.resets),
         );
         counter(
             "refrint_refs_simulated_total",
@@ -328,10 +321,11 @@ mod tests {
         let m = Metrics::new();
         m.http_requests.fetch_add(3, Ordering::Relaxed);
         m.cache_hits.fetch_add(1, Ordering::Relaxed);
-        m.disk_cache_resets.fetch_add(1, Ordering::Relaxed);
+        let disk = DiskCounters::default();
+        disk.resets.fetch_add(1, Ordering::Relaxed);
         m.record_job(true, 1000, 0.5, &[10, 0, 20, 0, 30]);
         m.record_job(false, 0, 0.0, &[0; Subsystem::COUNT]);
-        let doc = m.render();
+        let doc = m.render(&disk);
         assert!(doc.contains("refrint_http_requests_total 3"));
         assert!(doc.contains("refrint_cache_hits_total 1"));
         assert!(doc.contains("refrint_disk_cache_resets_total 1"));
@@ -355,7 +349,7 @@ mod tests {
         m.queue_depth.fetch_add(3, Ordering::Relaxed);
         m.workers_busy.fetch_add(2, Ordering::Relaxed);
         m.record_job(true, 100, 0.1, &[7, 0, 0, 0, 9]);
-        let doc = m.render();
+        let doc = m.render(&DiskCounters::default());
         assert!(doc.contains("refrint_queue_depth 3"));
         assert!(doc.contains("refrint_workers_busy 2"));
         assert!(doc.contains("refrint_subsystem_cycles_total{subsystem=\"cache\"} 7"));
@@ -369,7 +363,7 @@ mod tests {
         m.record_request_micros(50); // below the first bound
         m.record_request_micros(2_000); // in the 5ms bucket
         m.record_request_micros(40_000_000); // beyond the last bound
-        let doc = m.render();
+        let doc = m.render(&DiskCounters::default());
         assert!(doc.contains("refrint_http_request_duration_seconds_bucket{le=\"0.0001\"} 1"));
         assert!(doc.contains("refrint_http_request_duration_seconds_bucket{le=\"0.005\"} 2"));
         assert!(doc.contains("refrint_http_request_duration_seconds_bucket{le=\"30\"} 2"));
@@ -385,7 +379,7 @@ mod tests {
         m.record_stage_micros("execute", 2_000);
         m.record_stage_micros("parse", 50);
         m.record_stage_micros("not_a_stage", 1); // must be ignored
-        let doc = m.render();
+        let doc = m.render(&DiskCounters::default());
         assert!(doc.contains("# TYPE refrint_request_stage_seconds histogram"));
         assert!(
             doc.contains("refrint_request_stage_seconds_bucket{stage=\"execute\",le=\"0.005\"} 1")

@@ -9,13 +9,17 @@
 //! and the persistent `--cache-dir` result cache replays those bytes
 //! across a coordinator restart without touching a backend.
 
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use refrint::prelude::*;
 use refrint_engine::json::{parse, Value};
 use refrint_serve::client;
 use refrint_serve::coordinator::CoordinatorOptions;
+use refrint_serve::http::{self, Response};
 use refrint_serve::{RunningServer, Server, ServerOptions};
 
 /// Starts a plain (simulating) backend server on an ephemeral port.
@@ -242,6 +246,83 @@ fn disk_cache_survives_a_coordinator_restart() {
     assert_eq!(run.header("X-Refrint-Cache"), Some("hit"));
 
     revived.shutdown();
+    std::fs::remove_dir_all(&cache_dir).ok();
+}
+
+/// A backend that answers `200` with a body that is not a report fails
+/// the point: a coordinator's `POST /run` answers `502 backend_failed`,
+/// as its `POST /sweep` does, and stores nothing, in memory or on disk.
+#[test]
+fn a_malformed_backend_body_is_a_502_and_is_never_cached() {
+    let cache_dir = std::env::temp_dir().join(format!(
+        "refrint-coordinator-malformed-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&cache_dir).ok();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub backend");
+    let stub_addr = listener.local_addr().expect("stub address");
+    let stop = Arc::new(AtomicBool::new(false));
+    let stub = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+                let _ = http::read_request(&stream, 64 * 1024);
+                Response::json(200, "not a report\n").write(&stream);
+            }
+        })
+    };
+    let options = ServerOptions {
+        coordinator: Some(CoordinatorOptions {
+            backends: vec![stub_addr.to_string()],
+        }),
+        disk_cache_dir: Some(cache_dir.clone()),
+        ..ServerOptions::default()
+    };
+    let coordinator = Server::bind("127.0.0.1:0", options)
+        .expect("bind an ephemeral coordinator port")
+        .spawn()
+        .expect("spawn the coordinator accept loop");
+    let addr = coordinator.addr();
+
+    let run_body = b"{\"app\":\"lu\",\"refs\":400,\"cores\":2}";
+    for attempt in ["first", "repeat"] {
+        let run = client::post(addr, "/run", run_body).expect("run request");
+        assert_eq!(run.status, 502, "{attempt} run: {}", run.body_str());
+        assert!(
+            run.body_str().contains("\"kind\":\"backend_failed\""),
+            "{attempt} run: {}",
+            run.body_str()
+        );
+        assert_eq!(run.header("X-Refrint-Cache"), Some("miss"), "{attempt} run");
+    }
+    let sweep = client::post(
+        addr,
+        "/sweep",
+        b"{\"apps\":[\"lu\"],\"refs\":400,\"cores\":2,\"retentions_us\":[50]}",
+    )
+    .expect("sweep request");
+    assert_eq!(sweep.status, 502, "sweep: {}", sweep.body_str());
+    assert!(
+        sweep.body_str().contains("malformed report body"),
+        "sweep: {}",
+        sweep.body_str()
+    );
+    let bodies = std::fs::read_dir(&cache_dir)
+        .expect("the cache directory exists")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "body"))
+        .count();
+    assert_eq!(bodies, 0, "a malformed body must not reach the disk cache");
+
+    coordinator.shutdown();
+    stop.store(true, Ordering::SeqCst);
+    TcpStream::connect(stub_addr).ok();
+    stub.join().expect("stub backend thread");
     std::fs::remove_dir_all(&cache_dir).ok();
 }
 
